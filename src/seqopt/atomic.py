@@ -1,0 +1,38 @@
+"""Crash-safe file writes: data goes to a temporary file in the target's
+directory and is moved onto the target with os.replace, so a reader sees the
+old file or the complete new one, never a partial write."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import secrets
+from pathlib import Path
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a fresh temporary file beside `path` for writing.
+
+    On a clean exit the data is flushed to disk and the file replaces `path`.
+    If the block raises, the temporary file is deleted and `path` is left as
+    it was. `mode` is "w" or "wb"; other keyword arguments go to open().
+    """
+    if mode not in ("w", "wb"):
+        raise ValueError(f"atomic_open writes whole files; mode must be 'w' or 'wb', got {mode!r}")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import flow as flowmod
 from . import vae as vaemod
+from .atomic import atomic_write_text
 from .config import RunConfig, config_echo, load_config
 from .data import DataFormatError
 from .errors import ConfigError, TrainingDivergedError
@@ -96,7 +97,7 @@ def _task_data(cfg: RunConfig) -> TaskData:
 
 def _write_report(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_train_vae(cfg: RunConfig) -> int:
@@ -211,7 +212,7 @@ def cmd_sample(cfg: RunConfig, mode: str | None, top_k: int | None,
     out = results_dir(cfg.results, cfg.task_name, "sample")
     payload = result.to_json(assets.vocab)
     payload["config_echo"] = config_echo(cfg)
-    (out / "sample.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    atomic_write_text(out / "sample.json", json.dumps(payload, indent=2, sort_keys=True))
     print(f"wrote {out / 'sample.json'} ({len(result.sequences)} sequences"
           f"{', SHORTFALL' if result.shortfall else ''})")
     return 0

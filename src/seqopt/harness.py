@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open, atomic_write_text
 from .data import Dataset, FitnessNormalizer
 from .errors import ConfigError
 from .flow import FlowModel
@@ -223,27 +225,34 @@ def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds,
 # --- results directory layout ---
 
 def results_dir(root, task: str, experiment: str, timestamp: str | None = None) -> Path:
+    """Create a new, empty run directory <root>/<task>/<experiment>/<stamp>.
+    A run that starts in the same second as an earlier one gets <stamp>-1,
+    <stamp>-2, ... instead of sharing (and overwriting) its files."""
     stamp = timestamp or time.strftime("%Y%m%d-%H%M%S")
-    path = Path(root) / task / experiment / stamp
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    parent = Path(root) / task / experiment
+    parent.mkdir(parents=True, exist_ok=True)
+    for n in itertools.count():
+        path = parent / (f"{stamp}-{n}" if n else stamp)
+        try:
+            path.mkdir()
+        except FileExistsError:
+            continue
+        return path
 
 
 def write_summary(path: Path, payload: dict) -> Path:
     out = Path(path) / "summary.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonify))
+    atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True, default=_jsonify))
     return out
 
 
 def write_cells_csv(path: Path, rows: list[dict]) -> Path:
     out = Path(path) / "cells.csv"
-    if rows:
-        with out.open("w", newline="") as fh:
+    with atomic_open(out, newline="") as fh:
+        if rows:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    else:
-        out.write_text("")
     return out
 
 
@@ -253,7 +262,7 @@ def write_samples(path: Path, results: dict, vocab: Vocabulary) -> list[Path]:
     written = []
     for key, res in sorted(results.items(), key=lambda kv: str(kv[0])):
         out = sample_dir / f"seed-{key}.json"
-        out.write_text(json.dumps(res.to_json(vocab), indent=2, sort_keys=True))
+        atomic_write_text(out, json.dumps(res.to_json(vocab), indent=2, sort_keys=True))
         written.append(out)
     return written
 

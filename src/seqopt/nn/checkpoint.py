@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
 from .layers import ParamStore, validate_descriptor
 
 FORMAT_VERSION = 1
@@ -31,7 +33,8 @@ def params_checksum(params: ParamStore) -> str:
 
 def save_checkpoint(path, kind: str, descriptor, params: ParamStore,
                     extra: dict | None = None) -> str:
-    """Write the checkpoint and return its parameter checksum."""
+    """Write the checkpoint and return its parameter checksum. The file is
+    replaced whole, so a crash mid-write leaves any previous checkpoint."""
     checksum = params_checksum(params)
     meta = {
         "version": FORMAT_VERSION,
@@ -44,7 +47,7 @@ def save_checkpoint(path, kind: str, descriptor, params: ParamStore,
     payload = {f"param/{name}": arr for name, arr in params.arrays.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **payload)
     return checksum
 
@@ -64,7 +67,8 @@ def load_checkpoint(path):
             meta = json.loads(str(zf["__meta__"]))
             arrays = {key[len("param/"):]: np.asarray(zf[key], dtype=np.float64)
                       for key in zf.files if key.startswith("param/")}
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
     if meta.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')}")

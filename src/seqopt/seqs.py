@@ -1,5 +1,7 @@
 """Discrete sequence primitives: vocabulary, tokenization, one-hot encoding,
-and Levenshtein edit distance (scalar and vectorized batch form)."""
+and Levenshtein edit distance: bit-parallel (Myers/Hyyrö), exact, any length.
+Every distance in the package (pairwise, set minimum, scalar) goes through
+`levenshtein_one_to_many`."""
 
 from __future__ import annotations
 
@@ -91,47 +93,104 @@ def levenshtein(a, b) -> int:
     arrays or strings."""
     a = np.asarray(list(a) if isinstance(a, str) else a)
     b = np.asarray(list(b) if isinstance(b, str) else b)
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
     return int(levenshtein_one_to_many(a, b[None, :])[0])
 
 
-def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Edit distance from one query to each row of a (m, d) target matrix.
+def _dense_codes(query: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map the symbols of query and targets to small non-negative ints, equal
+    symbols to equal codes. Integer tokens are shifted by their minimum, a
+    single array op; other symbols (strings, or integers spread wider than the
+    inputs are long) are ranked with np.unique."""
+    if np.can_cast(query.dtype, np.int64) and np.can_cast(targets.dtype, np.int64):
+        lo = min(int(query.min()), int(targets.min()))
+        hi = max(int(query.max()), int(targets.max()))
+        if hi - lo <= query.size + targets.size:
+            return query.astype(np.int64) - lo, targets.astype(np.int64) - lo
+    _, codes = np.unique(np.concatenate([query.ravel(), targets.ravel()]), return_inverse=True)
+    return codes[:query.size], codes[query.size:].reshape(targets.shape)
 
-    Row-by-row Wagner-Fischer where each DP row is vectorized over all m
-    targets; the insert dependency within a row is resolved by a running
-    prefix minimum: cur[j] = j + min_{i<=j}(tent[i] - i).
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per column of a (w, m) uint64 matrix."""
+    w, m = words.shape
+    bits = np.unpackbits(words.view(np.uint8).reshape(w, m, 8), axis=2)
+    return bits.sum(axis=(0, 2), dtype=np.int64)
+
+
+def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Edit distance from one query to each row of an (m, n) target matrix.
+
+    Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's multi-word
+    block form. For every target row, the DP column over the d query
+    positions is held as vertical +1/-1 delta bits in ceil(d/64) uint64
+    words; each target position then advances all m rows at once with a
+    fixed number of whole-array integer ops per word. A word passes the
+    horizontal delta on its top row to the word above (h_in/h_out). The
+    distance is the last column's bottom cell, n plus the +1 deltas minus the
+    -1 deltas. Working memory is O(m * words) beside the recoded targets.
     """
-    query = np.asarray(query)
+    query = np.asarray(query).ravel()
     targets = np.asarray(targets)
     if targets.ndim != 2:
-        raise ValueError("targets must be a 2-D (m, d) matrix")
-    m, d = targets.shape
-    if query.size == 0:
-        return np.full(m, d, dtype=np.int64)
-    if d == 0:
-        return np.full(m, query.size, dtype=np.int64)
-    offsets = np.arange(d + 1, dtype=np.int64)
-    prev = np.broadcast_to(offsets, (m, d + 1)).copy()
-    cur = np.empty_like(prev)
-    for i in range(1, query.size + 1):
-        cost = (targets != query[i - 1]).astype(np.int64)
-        tent = np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost)
-        cur[:, 0] = i
-        cur[:, 1:] = tent - offsets[1:]
-        np.minimum.accumulate(cur, axis=1, out=cur)
-        cur += offsets
-        prev, cur = cur, prev
-    return prev[:, -1].copy()
+        raise ValueError("targets must be a 2-D (m, n) matrix")
+    m, n = targets.shape
+    d = query.size
+    if d == 0 or n == 0 or m == 0:
+        return np.full(m, d + n, dtype=np.int64)
+    qcodes, tcodes = _dense_codes(query, targets)
+    words = -(-d // 64)
+    pos = np.arange(d)
+    # peq[w, c]: bit i of word w is set where query[64 * w + i] has code c.
+    peq = np.zeros((words, max(int(qcodes.max()), int(tcodes.max())) + 1), dtype=np.uint64)
+    np.bitwise_or.at(peq, (pos // 64, qcodes),
+                     np.left_shift(np.uint64(1), (pos % 64).astype(np.uint64)))
+    pv = np.full((words, m), ~np.uint64(0))  # column 0 is D[i][0] = i: all +1
+    mv = np.zeros((words, m), dtype=np.uint64)
+    ones = np.ones(m, dtype=np.uint64)
+    zeros = np.zeros(m, dtype=np.uint64)
+    for col in np.ascontiguousarray(tcodes.T):
+        hp, hn = ones, zeros  # row 0 is D[0][j] = j: a +1 horizontal delta
+        for w in range(words):
+            p, mm = pv[w], mv[w]
+            eq = peq[w].take(col)
+            xv = eq | mm
+            eq |= hn
+            xh = eq & p
+            xh += p
+            xh ^= p
+            xh |= eq
+            ph = np.invert(xh | p)
+            ph |= mm
+            mh = p & xh
+            if w + 1 < words:
+                hp_out, hn_out = ph >> 63, mh >> 63
+            ph <<= 1
+            ph |= hp
+            mh <<= 1
+            mh |= hn
+            np.bitwise_or(xv, ph, out=p)
+            np.invert(p, out=p)
+            p |= mh
+            np.bitwise_and(ph, xv, out=mm)
+            if w + 1 < words:
+                hp, hn = hp_out, hn_out
+    if d % 64:  # bits above the last query position hold no DP rows
+        keep = np.uint64((1 << (d % 64)) - 1)
+        pv[-1] &= keep
+        mv[-1] &= keep
+    return n + _popcount(pv) - _popcount(mv)
 
 
 def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Per row of (n, d) seqs, the minimum edit distance to any row of refs."""
+    """Per row of (n, d) seqs, the minimum edit distance to any row of refs.
+
+    Distance is symmetric, so the smaller set supplies the queries and the
+    kernel vectorizes over the larger one; the answer is the same either way.
+    """
     seqs = np.atleast_2d(np.asarray(seqs))
     refs = np.atleast_2d(np.asarray(refs))
+    if seqs.shape[0] < refs.shape[0]:
+        return np.array([levenshtein_one_to_many(s, refs).min() for s in seqs], dtype=np.int64)
     best = np.full(seqs.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
     for ref in refs:
         best = np.minimum(best, levenshtein_one_to_many(ref, seqs))

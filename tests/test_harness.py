@@ -160,6 +160,25 @@ class TestResultsLayout:
         assert "provenance" in sample and "sequences" in sample
 
 
+    def test_same_timestamp_gets_distinct_directories(self, tmp_path):
+        first = results_dir(tmp_path, "tiny", "evaluate", timestamp="20260101-000000")
+        second = results_dir(tmp_path, "tiny", "evaluate", timestamp="20260101-000000")
+        third = results_dir(tmp_path, "tiny", "evaluate", timestamp="20260101-000000")
+        assert len({first, second, third}) == 3
+        assert second.name == "20260101-000000-1" and third.name == "20260101-000000-2"
+        assert all(p.is_dir() and not any(p.iterdir()) for p in (first, second, third))
+
+    def test_writer_failing_mid_write_keeps_previous_file(self, tmp_path):
+        out = write_cells_csv(tmp_path, [{"a": 1, "b": 2.5}])
+        before = out.read_bytes()
+        # the second row has a field the header lacks: DictWriter raises
+        # after the header and the first row were written
+        with pytest.raises(ValueError):
+            write_cells_csv(tmp_path, [{"a": 3, "b": 4.0}, {"a": 5, "c": 6}])
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cells.csv"]
+
+
 class TestWorkQueue:
     def test_keyed_assembly_independent_of_order(self):
         import time as _time

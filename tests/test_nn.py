@@ -293,3 +293,28 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
             load_checkpoint(tmp_path / "nope.npz")
+
+    @pytest.mark.parametrize("cut", ["half", 10, 0])
+    def test_truncated_file_refused(self, tmp_path, cut):
+        desc, net = self._net()
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, net.params)
+        data = p.read_bytes()
+        p.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(p)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        desc, net = self._net()
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, net.params)
+        before = p.read_bytes()
+
+        def crash(fh, **arrays):
+            fh.write(b"PK partial archive")
+            raise OSError("disk full")
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(p, "predictor", desc, net.params)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["model.npz"]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,71 @@ class TestLevenshtein:
         want_pd = [levenshtein(seqs[i], seqs[j])
                    for i in range(10) for j in range(i + 1, 10)]
         np.testing.assert_array_equal(np.sort(pd), np.sort(want_pd))
+
+
+KERNEL_LENGTHS = (0, 1, 20, 63, 64, 65, 128, 237)
+
+
+class TestBitParallelKernel:
+    """The bit-parallel kernel against the full-table DP, at the lengths where
+    its word layout changes: empty, one bit, the task length, and either side
+    of each 64-bit word boundary up to the GFP length."""
+
+    @pytest.mark.parametrize("d", KERNEL_LENGTHS)
+    def test_exact_at_word_boundaries(self, d):
+        rng = np.random.default_rng(100 + d)
+        query = rng.integers(0, 20, size=d)
+        for n in KERNEL_LENGTHS:
+            targets = rng.integers(0, 20, size=(3, n))
+            # a near copy of the query keeps distances small, where bit errors show
+            k = min(n, d)
+            targets[0, :k] = query[:k]
+            if k:
+                targets[0, rng.integers(0, k)] = rng.integers(0, 20)
+            got = levenshtein_one_to_many(query, targets)
+            want = [brute_levenshtein(query, t) for t in targets]
+            np.testing.assert_array_equal(got, want, err_msg=f"d={d} n={n}")
+
+    def test_string_symbols(self):
+        assert levenshtein("kitten", "sitting") == 3
+        assert levenshtein("", "abc") == 3
+        words = np.array([list("sitting"), list("kittens"), list("mitten!")])
+        np.testing.assert_array_equal(levenshtein_one_to_many(np.array(list("kitten")), words),
+                                      [brute_levenshtein("kitten", w) for w in words])
+
+    def test_tokens_outside_vocabulary_range(self):
+        rng = np.random.default_rng(21)
+        # negative, sparse, unsigned, and spread far wider than the inputs are long
+        for alphabet, dtype in (([-7, 3, 1000], np.int16), ([255, 0, 128], np.uint8),
+                                ([2 ** 40, -(2 ** 40), 5], np.int64),
+                                ([2 ** 63, 1, 0], np.uint64)):
+            alphabet = np.array(alphabet, dtype=dtype)
+            a = alphabet[rng.integers(0, 3, size=70)]
+            targets = alphabet[rng.integers(0, 3, size=(4, 66))]
+            np.testing.assert_array_equal(levenshtein_one_to_many(a, targets),
+                                          [brute_levenshtein(a, t) for t in targets])
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            a = rng.integers(0, 5, size=rng.integers(0, 140))
+            b = rng.integers(0, 5, size=rng.integers(0, 140))
+            assert levenshtein(a, b) == levenshtein(b, a) == brute_levenshtein(a, b)
+
+    def test_min_distance_independent_of_larger_side(self):
+        rng = np.random.default_rng(23)
+        small = rng.integers(0, 4, size=(3, 9))
+        large = rng.integers(0, 4, size=(17, 9))
+        cross = np.array([[brute_levenshtein(s, r) for r in large] for s in small])
+        np.testing.assert_array_equal(min_distance_to_set(small, large), cross.min(axis=1))
+        np.testing.assert_array_equal(min_distance_to_set(large, small), cross.min(axis=0))
+
+
+def test_hard_task_training_set_pinned():
+    """The difficulty filter's selection on the hard task is pinned: a wrong
+    distance anywhere in the filter moves this hash."""
+    from seqopt.tasks import build_synthetic_task
+    seqs = build_synthetic_task("synthetic-hard", 0).train.sequences
+    assert seqs.shape == (2500, 20) and seqs.dtype == np.int64
+    assert hashlib.sha256(np.ascontiguousarray(seqs).tobytes()).hexdigest() == \
+        "0d5af6a26262a2b0e2614fb7d5a7522ac0108614f11a678dc66a1cdea84f00bf"
