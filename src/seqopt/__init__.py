@@ -26,7 +26,7 @@ from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                         load_external_predictor, predict_fitness, save_predictor,
                         smooth_labels_knn, train_oracle, train_predictor)
 from .sampling import (SamplerConfig, SampleResult, extrapolate_endpoint,
-                       guidance_step, guided_sample, naive_guidance_step)
+                       guidance_step, guided_sample)
 from .seqs import (AMINO_ACIDS, Vocabulary, detokenize, levenshtein, one_hot,
                    tokenize)
 from .tasks import (SyntheticTaskSpec, TaskData, build_csv_task,
@@ -50,7 +50,7 @@ __all__ = [
     "flow_matching_loss", "grid_search", "guidance_step", "guided_sample",
     "interpolate", "levenshtein", "load_csv", "load_external_predictor",
     "load_flow", "load_vae", "make_edit_pool", "make_landscape",
-    "median_normalized_fitness", "naive_guidance_step", "novelty",
+    "median_normalized_fitness", "novelty",
     "ode_steps_sweep", "one_hot", "predict_fitness", "reconstruction_accuracy",
     "reparameterize", "run_benchmark", "sample_mutants", "sample_vae_prior",
     "save_flow", "save_predictor", "save_vae", "smooth_labels_knn",

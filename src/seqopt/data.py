@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open, atomic_write_text
 from .seqs import Vocabulary, detokenize, min_distance_to_set, tokenize
 
 
@@ -170,8 +171,7 @@ def load_csv(path, vocab: Vocabulary, range_file=None) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path, vocab: Vocabulary) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence", "fitness"])
         for i in range(dataset.n):
@@ -180,7 +180,7 @@ def write_csv(dataset: Dataset, path, vocab: Vocabulary) -> None:
 
 
 def write_range_file(dataset: Dataset, path) -> None:
-    Path(path).write_text(f"y_min={dataset.y_min!r}\ny_max={dataset.y_max!r}\n")
+    atomic_write_text(path, f"y_min={dataset.y_min!r}\ny_max={dataset.y_max!r}\n")
 
 
 def difficulty_filter(full: Dataset, percentile_range, gap: int) -> Dataset:

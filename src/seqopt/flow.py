@@ -85,12 +85,14 @@ class FlowModel:
     def _features(self, z: Tensor, t, y) -> Tensor:
         b = z.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (b,))
-        parts = [z, Tensor(sinusoidal_embedding(t, self.time_embed_dim, self.max_freq))]
+        parts = [z, Tensor(sinusoidal_embedding(t, self.time_embed_dim, self.max_freq),
+                           requires_grad=False)]
         if self.conditional:
             if y is None:
                 raise ValueError("conditional flow model needs a fitness value y")
             y = np.broadcast_to(np.asarray(y, dtype=np.float64), (b,))
-            parts.append(Tensor(sinusoidal_embedding(y, self.fitness_embed_dim, self.max_freq)))
+            parts.append(Tensor(sinusoidal_embedding(y, self.fitness_embed_dim, self.max_freq),
+                                requires_grad=False))
         elif y is not None:
             raise ValueError("unconditional flow model got a fitness value")
         return ad.concat(parts, axis=1)
@@ -102,7 +104,7 @@ class FlowModel:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if z.shape[1] != self.latent_dim:
             raise ValueError(f"latent dimension {z.shape[1]} != model {self.latent_dim}")
-        return self.velocity_tape(Tensor(z), t, y).data
+        return self.velocity_tape(Tensor(z, requires_grad=False), t, y).data
 
 
 def interpolate(z0: np.ndarray, z1: np.ndarray, t) -> np.ndarray:
@@ -122,8 +124,8 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t) -> np.ndarray:
 def _loss_tape(model: FlowModel, z1: np.ndarray, z0: np.ndarray, t: np.ndarray,
                y: np.ndarray | None) -> Tensor:
     zt = interpolate(z0, z1, t)
-    v = model.velocity_tape(Tensor(zt), t, y)
-    resid = v - Tensor(z1 - z0)
+    v = model.velocity_tape(Tensor(zt, requires_grad=False), t, y)
+    resid = v - (z1 - z0)
     return ad.tmean(ad.tsum(resid * resid, axis=1) * 0.5)
 
 
@@ -173,7 +175,6 @@ def train_flow(latents: np.ndarray, cfg: FlowTrainConfig,
             total += float(loss.data)
             batches += 1
         per_epoch.append(total / batches)
-    model.net.refresh()
     return model, per_epoch
 
 

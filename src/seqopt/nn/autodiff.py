@@ -12,15 +12,23 @@ import numpy as np
 
 
 class Tensor:
-    """Node in the computation tape: a float64 array plus backward closure."""
+    """Node in the computation tape: a float64 array plus backward closure.
 
-    __slots__ = ("data", "grad", "parents", "_backward")
+    `requires_grad` marks a node whose gradient a backward sweep produces. A
+    leaf built with `Tensor(x)` requires one; constants pass
+    `requires_grad=False`. An op's output requires a gradient when any of its
+    inputs does; one that requires none records no parents and no closure,
+    so a forward pass over constants and frozen parameters builds no tape.
+    """
 
-    def __init__(self, data, parents=(), backward=None):
+    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
+
+    def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.parents = parents
         self._backward = backward
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -30,9 +38,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # The first gradient is adopted as is; later ones build a new array
+        # instead of adding in place, because ops hand the same array (or
+        # views of it) to several parents.
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad=None):
         """Reverse-mode sweep seeding this node's adjoint (defaults to ones)."""
@@ -50,7 +59,11 @@ class Tensor:
             stack.append((node, True))
             for p in node.parents:
                 stack.append((p, False))
-        self._accumulate(np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64))
+        if grad is None:
+            seed = np.ones_like(self.data)
+        else:  # a private copy: the gradients below may be views of the seed
+            seed = np.array(np.broadcast_to(grad, self.data.shape), dtype=np.float64)
+        self._accumulate(seed)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -90,7 +103,16 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
+
+
+def _result(data, inputs: tuple, backward) -> Tensor:
+    """An op's output: on the tape when some input requires a gradient, a
+    constant otherwise. A single-input op's closure therefore only runs when
+    its input requires a gradient; multi-input closures check each operand."""
+    if any(t.requires_grad for t in inputs):
+        return Tensor(data, inputs, backward)
+    return Tensor(data, requires_grad=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -107,114 +129,93 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, parents=(a, b))
-
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, parents=(a, b))
-
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0), parents=(x,))
-    out._backward = lambda g: x._accumulate(g * mask)
-    return out
+    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: x._accumulate(g * mask))
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, alpha * x.data), parents=(x,))
-    out._backward = lambda g: x._accumulate(g * np.where(mask, 1.0, alpha))
-    return out
+    return _result(np.where(mask, x.data, alpha * x.data), (x,),
+                   lambda g: x._accumulate(g * np.where(mask, 1.0, alpha)))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = Tensor(y, parents=(x,))
-    out._backward = lambda g: x._accumulate(g * (1.0 - y * y))
-    return out
+    return _result(y, (x,), lambda g: x._accumulate(g * (1.0 - y * y)))
 
 
 def exp(x: Tensor) -> Tensor:
     y = np.exp(x.data)
-    out = Tensor(y, parents=(x,))
-    out._backward = lambda g: x._accumulate(g * y)
-    return out
+    return _result(y, (x,), lambda g: x._accumulate(g * y))
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data), parents=(x,))
-    out._backward = lambda g: x._accumulate(g / x.data)
-    return out
+    return _result(np.log(x.data), (x,), lambda g: x._accumulate(g / x.data))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(x,))
 
     def backward(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
         x._accumulate(p * (g - dot))
 
-    out._backward = backward
-    return out
+    return _result(p, (x,), backward)
 
 
 def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    out = Tensor(np.squeeze(m + np.log(s), axis=axis), parents=(x,))
 
     def backward(g):
         x._accumulate(np.expand_dims(g, axis) * (e / s))
 
-    out._backward = backward
-    return out
+    return _result(np.squeeze(m + np.log(s), axis=axis), (x,), backward)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), parents=(x,))
-
     def backward(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).astype(np.float64))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         x._accumulate(np.broadcast_to(g, x.data.shape).astype(np.float64))
 
-    out._backward = backward
-    return out
+    return _result(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -223,42 +224,35 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape), parents=(x,))
-    out._backward = lambda g: x._accumulate(g.reshape(x.data.shape))
-    return out
+    return _result(x.data.reshape(shape), (x,),
+                   lambda g: x._accumulate(g.reshape(x.data.shape)))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
-    out = Tensor(x.data.transpose(axes), parents=(x,))
-    out._backward = lambda g: x._accumulate(g.transpose(inv))
-    return out
+    return _result(x.data.transpose(axes), (x,),
+                   lambda g: x._accumulate(g.transpose(inv)))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    splits = np.cumsum(sizes)[:-1]
+    tensors = tuple(as_tensor(t) for t in tensors)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            if t.requires_grad:
+                t._accumulate(piece)
 
-    out._backward = backward
-    return out
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def take_slice(x: Tensor, key) -> Tensor:
-    out = Tensor(x.data[key], parents=(x,))
-
     def backward(g):
         full = np.zeros_like(x.data)
         full[key] = g
         x._accumulate(full)
 
-    out._backward = backward
-    return out
+    return _result(x.data[key], (x,), backward)
 
 
 def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
@@ -266,7 +260,6 @@ def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
     out[..., i] = x[..., i, index[..., i]]."""
     index = np.asarray(index, dtype=np.int64)
     picked = np.take_along_axis(x.data, index[..., None], axis=-1)
-    out = Tensor(np.squeeze(picked, axis=-1), parents=(x,))
 
     def backward(g):
         full = np.zeros_like(x.data)
@@ -274,7 +267,33 @@ def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
         np.put_along_axis(full, index[..., None], g[..., None], axis=-1)
         x._accumulate(full)
 
-    out._backward = backward
+    return _result(np.squeeze(picked, axis=-1), (x,), backward)
+
+
+def _padded_rows(a: np.ndarray, pad: int) -> np.ndarray:
+    """(B, C, L) -> channels-last rows (B*(L+2*pad), C), each sequence with
+    `pad` zero rows on either side."""
+    batch, channels, length = a.shape
+    rows = np.zeros((batch, length + 2 * pad, channels))
+    rows[:, pad:pad + length] = a.transpose(0, 2, 1)
+    return rows.reshape(-1, channels)
+
+
+def _tap_sum(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """out[r] = sum_j rows[r + j] @ taps[j]: one GEMM per tap over a shifted
+    contiguous slice of the padded rows, accumulated into one (rows, C_out)
+    array laid out like the rows. Output row l of a sequence holds the window
+    that starts at its padded row l, so rows l >= L straddle two sequences;
+    callers drop them. The last k - 1 rows, whose windows would run past the
+    buffer, are zero."""
+    k, _, cout = taps.shape
+    n = rows.shape[0] - (k - 1)
+    out = np.empty((rows.shape[0], cout))
+    acc = out[:n]
+    np.matmul(rows[:n], taps[0], out=acc)
+    for j in range(1, k):
+        acc += rows[j:j + n] @ taps[j]
+    out[n:] = 0.0
     return out
 
 
@@ -282,6 +301,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1, same-padding 1-D convolution.
 
     x: (B, C_in, L); w: (C_out, C_in, k) with odd k; b: (C_out,).
+
+    x is copied once into zero-padded channels-last rows; each of the k taps
+    is then one GEMM over a shifted contiguous slice of those rows. The input
+    gradient is the same sum over a padded copy of the output gradient with
+    the taps mirrored, and the weight gradient is one GEMM per tap against
+    the forward's rows, computed only when `w` requires a gradient.
     """
     B, cin, L = x.data.shape
     cout, cin_w, k = w.data.shape
@@ -290,23 +315,27 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k % 2 != 1:
         raise ValueError("conv1d kernel width must be odd")
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    # (B, C_in, L, k) sliding windows -> (B*L, C_in*k)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    cols = windows.transpose(0, 2, 1, 3).reshape(B * L, cin * k)
-    wf = w.data.reshape(cout, cin * k)
-    y = (cols @ wf.T).reshape(B, L, cout).transpose(0, 2, 1) + b.data[None, :, None]
-    out = Tensor(y, parents=(x, w, b))
+
+    def channels_first(out_rows):
+        return out_rows.reshape(B, L + 2 * pad, -1)[:, :L].transpose(0, 2, 1)
+
+    rows = _padded_rows(x.data, pad)
+    y = _tap_sum(rows, np.ascontiguousarray(w.data.transpose(2, 1, 0)))
+    y += b.data
+    cols = rows if w.requires_grad else None  # keep the rows only if dW needs them
 
     def backward(g):
-        gf = g.transpose(0, 2, 1).reshape(B * L, cout)
-        w._accumulate((gf.T @ cols).reshape(cout, cin, k))
-        b._accumulate(g.sum(axis=(0, 2)))
-        dcols = (gf @ wf).reshape(B, L, cin, k)
-        dxp = np.zeros_like(xp)
-        for j in range(k):
-            dxp[:, :, j:j + L] += dcols[:, :, :, j].transpose(0, 2, 1)
-        x._accumulate(dxp[:, :, pad:pad + L])
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2)))
+        if not (w.requires_grad or x.requires_grad):
+            return
+        grows = _padded_rows(g, pad)
+        if w.requires_grad:
+            n = grows.shape[0] - 2 * pad
+            gv = grows[pad:pad + n]  # zero on every dropped output row
+            w._accumulate(np.stack([gv.T @ cols[j:j + n] for j in range(k)], axis=-1))
+        if x.requires_grad:
+            taps = np.ascontiguousarray(w.data[:, :, ::-1].transpose(2, 0, 1))
+            x._accumulate(channels_first(_tap_sum(grows, taps)))
 
-    out._backward = backward
-    return out
+    return _result(channels_first(y), (x, w, b), backward)

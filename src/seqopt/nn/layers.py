@@ -112,15 +112,22 @@ class Network:
             raise ValueError("bad descriptor: " + "; ".join(problems))
         self.descriptor = [dict(layer) for layer in descriptor]
         self.params = params
-        self._tensors = {name: Tensor(arr) for name, arr in params.arrays.items()}
+        self._wrap(requires_grad=False)
 
     @classmethod
     def build(cls, descriptor, seed: int) -> "Network":
         return cls(descriptor, init_params(descriptor, seed))
 
+    def _wrap(self, requires_grad: bool) -> None:
+        self._tensors = {name: Tensor(arr, requires_grad=requires_grad)
+                         for name, arr in self.params.arrays.items()}
+
     def refresh(self) -> None:
-        """Re-wrap parameter arrays after an optimizer step."""
-        self._tensors = {name: Tensor(arr) for name, arr in self.params.arrays.items()}
+        """Ask for parameter gradients: re-wrap the parameter arrays as fresh
+        leaves that record them, so the next tape reaches the parameters.
+        Until then (and again after `collect_grads`) the leaves are frozen and
+        a forward pass builds no parameter gradients."""
+        self._wrap(requires_grad=True)
 
     def apply(self, x: Tensor) -> Tensor:
         """Tape-aware forward pass; raises NonFiniteError naming the bad layer."""
@@ -149,7 +156,7 @@ class Network:
         return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(Tensor(x)).data
+        return self.apply(Tensor(x, requires_grad=False)).data
 
     def gradients(self, x: np.ndarray, adjoint: np.ndarray):
         """Exact reverse-mode derivatives of `forward` at `x`, seeded with the
@@ -158,14 +165,16 @@ class Network:
         xt = Tensor(x)
         out = self.apply(xt)
         out.backward(adjoint)
-        grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for name, t in self._tensors.items()}
         xg = xt.grad if xt.grad is not None else np.zeros_like(xt.data)
-        return grads, xg
+        return self.collect_grads(), xg
 
     def param_tensors(self) -> dict[str, Tensor]:
         return self._tensors
 
     def collect_grads(self) -> dict[str, np.ndarray]:
-        return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for name, t in self._tensors.items()}
+        """Parameter gradients of the last tape; ends the gradient step by
+        freezing the parameter leaves again."""
+        grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                 for name, t in self._tensors.items()}
+        self._wrap(requires_grad=False)
+        return grads

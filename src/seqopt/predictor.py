@@ -98,7 +98,7 @@ class PredictorModel:
     def predict(self, x: np.ndarray):
         """Score a (d, V) matrix (returns float) or a (B, d, V) batch."""
         single = np.asarray(x).ndim == 2
-        scores = self.predict_tape(Tensor(self._validate(x))).data
+        scores = self.predict_tape(Tensor(self._validate(x), requires_grad=False)).data
         return float(scores[0]) if single else scores
 
     def predict_sequences(self, seqs: np.ndarray) -> np.ndarray:
@@ -109,7 +109,6 @@ class PredictorModel:
     def input_gradient(self, x: np.ndarray) -> np.ndarray:
         """d(score)/d(input); single (d, V) in, single (d, V) gradient out."""
         single = np.asarray(x).ndim == 2
-        self.net.refresh()
         xt = Tensor(self._validate(x))
         out = self.predict_tape(xt)
         out.backward(np.ones_like(out.data))
@@ -142,10 +141,10 @@ def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
             y = labels[idx]
             model.net.refresh()
             try:
-                pred = model.predict_tape(Tensor(x))
+                pred = model.predict_tape(Tensor(x, requires_grad=False))
             except NonFiniteError as exc:
                 raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
-            resid = pred - Tensor(y)
+            resid = pred - y
             loss = ad.tmean(resid * resid)
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(f"epoch {epoch}: non-finite loss")
@@ -154,7 +153,6 @@ def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
             sq_sum += float(loss.data) * idx.size
             count += idx.size
         report.per_epoch_mse.append(sq_sum / count)
-    model.net.refresh()
     report.final_train_mse = _mse(model, data, labels)
     if val_data is not None:
         val_labels = val_data.fitness if raw_labels else val_data.normalized_fitness()

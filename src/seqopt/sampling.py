@@ -128,12 +128,12 @@ def guidance_step(z: np.ndarray, flow: FlowModel, vae: VaeModel,
                   t: float, dt: float, *, manifold: bool = True,
                   temperature: float = 1.0, objective: str = "match_target",
                   y_cond=None) -> np.ndarray:
-    """One gradient-descent step on the fitness-match objective, per chain."""
+    """One gradient-descent step on the fitness-match objective, per chain.
+
+    Only the latent is differentiated. The models' parameter leaves stay
+    frozen, so threads sampling with shared models write no shared state."""
     if alpha == 0.0:
         return z
-    flow.net.refresh()
-    vae.refresh()
-    predictor.net.refresh()
     zt = Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))
     obj = _objective_tape(zt, flow, vae, predictor, target_y, t, dt,
                           manifold, temperature, objective, y_cond)
@@ -142,16 +142,6 @@ def guidance_step(z: np.ndarray, flow: FlowModel, vae: VaeModel,
     if not np.isfinite(grad).all():
         raise FloatingPointError(f"non-finite guidance gradient at t={t:.4f}")
     return zt.data - alpha * grad
-
-
-def naive_guidance_step(z, flow, vae, predictor, target_y, alpha, *,
-                        temperature: float = 1.0, objective: str = "match_target",
-                        y_cond=None) -> np.ndarray:
-    """Guidance without the endpoint extrapolation (gradient taken at the
-    current state directly)."""
-    return guidance_step(z, flow, vae, predictor, target_y, alpha, 0.0, 0.0,
-                         manifold=False, temperature=temperature,
-                         objective=objective, y_cond=y_cond)
 
 
 def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel | None) -> dict:

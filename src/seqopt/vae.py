@@ -118,7 +118,7 @@ class VaeModel:
         if seqs.shape[1] != self.length:
             raise ValueError(f"sequence length {seqs.shape[1]} != model length {self.length}")
         x = one_hot_batch(seqs, self.vocab_size).transpose(0, 2, 1)
-        mean, logvar = self._encode_tape(Tensor(x))
+        mean, logvar = self._encode_tape(Tensor(x, requires_grad=False))
         return mean.data, logvar.data
 
     def encode(self, seq: np.ndarray) -> EncoderOutput:
@@ -136,7 +136,7 @@ class VaeModel:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if z.shape[1] != self.latent_dim:
             raise ValueError(f"latent dimension {z.shape[1]} != model latent_dim {self.latent_dim}")
-        return self.decode_logits_tape(Tensor(z)).data
+        return self.decode_logits_tape(Tensor(z, requires_grad=False)).data
 
     def decode_logits(self, z: np.ndarray) -> np.ndarray:
         return self.decode_logits_batch(np.asarray(z)[None, :])[0]
@@ -175,8 +175,8 @@ def _loss_tape(model: VaeModel, seqs: np.ndarray, noise: np.ndarray):
     """Tape for total/reconstruction/KL on a batch; returns the three Tensors."""
     seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
     x = one_hot_batch(seqs, model.vocab_size).transpose(0, 2, 1)
-    mean, logvar = model._encode_tape(Tensor(x))
-    z = mean + ad.exp(logvar * 0.5) * Tensor(noise)
+    mean, logvar = model._encode_tape(Tensor(x, requires_grad=False))
+    z = mean + ad.exp(logvar * 0.5) * noise
     logits = model.decode_logits_tape(z)                      # (B, d, V)
     # cross-entropy per position: logsumexp - true-token logit
     ce = ad.logsumexp(logits, axis=-1) - ad.gather_last(logits, seqs)
@@ -238,7 +238,6 @@ def _fit_vae(model: VaeModel, data: Dataset, cfg: VaeConfig, seed: int,
         report.per_epoch.append({"total": sums[0] / n_batches,
                                  "reconstruction": sums[1] / n_batches,
                                  "kl": sums[2] / n_batches})
-    model.refresh()
     report.final_accuracy = reconstruction_accuracy(model, data)
     if val_data is not None:
         report.val_accuracy = reconstruction_accuracy(model, val_data)

@@ -122,6 +122,19 @@ class TestLoadCsv:
         np.testing.assert_allclose(back.fitness, ds.fitness)
         assert (back.y_min, back.y_max) == (ds.y_min, ds.y_max)
 
+    def test_writer_failing_mid_write_keeps_previous_file(self, tmp_path, vocab):
+        rng = np.random.default_rng(10)
+        p = tmp_path / "out.csv"
+        write_csv(Dataset.from_arrays(rng.integers(0, 20, size=(4, 6)),
+                                      rng.uniform(0, 1, size=4)), p, vocab)
+        before = p.read_bytes()
+        seqs = rng.integers(0, 20, size=(4, 6))
+        seqs[2, 3] = vocab.size  # detokenize raises after two rows were written
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            write_csv(Dataset.from_arrays(seqs, rng.uniform(0, 1, size=4)), p, vocab)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
+
 
 def _toy_full_set(n=200, d=8, seed=21):
     rng = np.random.default_rng(seed)

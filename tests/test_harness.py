@@ -47,6 +47,16 @@ class TestRunBenchmark:
         b = run_benchmark(assets, BASE, SEEDS, parallelism=3)
         assert a.to_json() == b.to_json()
 
+    def test_parallel_manifold_bytes_equal_serial(self, tiny_stack):
+        _, _, assets = tiny_stack
+        runs = [run_benchmark(assets, BASE, [0, 1], parallelism=p, keep_samples=True)
+                for p in (1, 2)]
+        (a, res_a), (b, res_b) = runs
+        assert json.dumps(a.to_json()).encode() == json.dumps(b.to_json()).encode()
+        for s in (0, 1):
+            assert res_a[s].raw_latents.tobytes() == res_b[s].raw_latents.tobytes()
+            assert res_a[s].sequences.tobytes() == res_b[s].sequences.tobytes()
+
     def test_format_row(self, tiny_stack):
         _, _, assets = tiny_stack
         summary = run_benchmark(assets, BASE, [0, 1])

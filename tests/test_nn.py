@@ -85,6 +85,19 @@ class TestOpGradients:
         check_input_grad(ad.conv1d, x, w, b, wrt=1)
         check_input_grad(ad.conv1d, x, w, b, wrt=2)
 
+    def test_constant_operands_record_no_tape(self):
+        c = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=False)
+        out = ad.tanh(ad.matmul(c, w) + 1.0)
+        assert not out.requires_grad and out.parents == () and out._backward is None
+
+    def test_gradient_skips_operands_that_need_none(self):
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        at, bt = Tensor(a), Tensor(b, requires_grad=False)
+        ad.tsum(ad.matmul(at, bt)).backward()
+        assert bt.grad is None
+        np.testing.assert_allclose(at.grad, np.ones((3, 2)) @ b.T)
+
     def test_zero_adjoint_gives_zero_grads(self):
         x = Tensor(rng.standard_normal((3, 3)))
         out = ad.tanh(x)
@@ -99,7 +112,76 @@ class TestOpGradients:
         np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
 
+def conv1d_reference(x, w, b):
+    """Same-padding conv1d straight from the definition:
+    y[n, o, l] = sum_{c, j} x_pad[n, c, l + j] * w[o, c, j] + b[o]."""
+    pad = w.shape[2] // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, w.shape[2], axis=2)
+    return np.einsum("nclj,ocj->nol", windows, w) + b[None, :, None]
+
+
+class TestConv1d:
+    # (B, C_in, C_out, L, k)
+    SHAPES = {"one_sequence": (1, 3, 3, 6, 3),
+              "length_1": (3, 2, 2, 1, 3),
+              "length_below_kernel": (2, 3, 3, 2, 5),
+              "kernel_1": (3, 4, 4, 5, 1),
+              "cin_ne_cout": (2, 3, 5, 7, 5)}
+
+    @staticmethod
+    def operands(B, cin, cout, L, k, seed=0):
+        r = np.random.default_rng(seed)
+        return (r.standard_normal((B, cin, L)), r.standard_normal((cout, cin, k)),
+                r.standard_normal(cout))
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_forward_matches_einsum_reference(self, shape):
+        x, w, b = self.operands(*shape)
+        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(out, conv1d_reference(x, w, b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_gradients_match_fd(self, shape):
+        x, w, b = self.operands(*shape)
+        for wrt in range(3):
+            check_input_grad(ad.conv1d, x, w, b, wrt=wrt)
+
+    @pytest.mark.parametrize("wrt", range(3))
+    def test_gradient_does_not_depend_on_other_operands(self, wrt):
+        arrays = self.operands(2, 3, 5, 7, 5)
+        grads = []
+        for others_need_grad in (True, False):
+            ts = [Tensor(a, requires_grad=(i == wrt or others_need_grad))
+                  for i, a in enumerate(arrays)]
+            ad.tsum(ad.conv1d(*ts) * 0.5).backward()
+            grads.append(ts[wrt].grad)
+            if not others_need_grad:
+                assert all(t.grad is None for i, t in enumerate(ts) if i != wrt)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_hard_shape_forward_matches_einsum_reference(self):
+        x, w, b = self.operands(512, 48, 48, 20, 5, seed=1)
+        out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(out, conv1d_reference(x, w, b), rtol=0, atol=1e-12)
+
+
 class TestNetwork:
+    def test_parameters_record_gradients_only_between_refresh_and_collect(self):
+        desc = [{"kind": "dense", "in": 3, "out": 2}]
+        net = Network.build(desc, seed=0)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=False)
+        assert net.apply(x).parents == ()
+        net.refresh()
+        ad.tsum(net.apply(x)).backward()
+        leaves = list(net.param_tensors().values())
+        grads = net.collect_grads()
+        np.testing.assert_allclose(grads["0.weight"], np.tile(x.data.sum(0)[:, None], (1, 2)))
+        assert all(t.grad is not None for t in leaves)
+        assert all(not t.requires_grad and t.grad is None
+                   for t in net.param_tensors().values())
+        assert net.apply(x).parents == ()
+
     def test_identity_dense_is_identity(self):
         desc = [{"kind": "dense", "in": 4, "out": 4}]
         net = Network.build(desc, seed=0)

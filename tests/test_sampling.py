@@ -8,7 +8,7 @@ from seqopt.nn.autodiff import Tensor
 from seqopt.predictor import PredictorConfig, PredictorModel
 from seqopt.sampling import (SamplerConfig, _objective_tape, _select_top_k,
                              extrapolate_endpoint, guidance_step, guided_sample,
-                             initial_latents, naive_guidance_step)
+                             initial_latents)
 from seqopt.vae import VaeConfig, VaeModel
 
 rng = np.random.default_rng(606)
@@ -109,7 +109,7 @@ class TestGuidanceStep:
         z = rng.standard_normal((4, L))
         dt = 1 / 8
         a = guidance_step(z, flow, vae, pred, 1.0, 0.3, 1 - dt, dt, manifold=True)
-        b = naive_guidance_step(z, flow, vae, pred, 1.0, 0.3)
+        b = guidance_step(z, flow, vae, pred, 1.0, 0.3, 0.0, 0.0, manifold=False)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_maximize_objective_increases_score(self, stack):
@@ -252,6 +252,17 @@ class TestGuidedSample:
             SamplerConfig(batch=4, top_k=8)
         with pytest.raises(ConfigError, match="mode"):
             SamplerConfig(mode="magic")
+
+    def test_trained_parameter_leaves_untouched_by_guidance(self, tiny_stack):
+        _, _, assets = tiny_stack
+        flow = assets.flow_for("manifold")
+        guided_sample(SamplerConfig(steps=4, guidance_steps=2, alpha=0.3, batch=16,
+                                    top_k=8, mode="manifold", seed=3),
+                      flow, assets.vae, assets.predictor)
+        nets = [flow.net, *assets.vae.networks(), assets.predictor.net]
+        leaves = [t for net in nets for t in net.param_tensors().values()]
+        assert leaves
+        assert all(t.grad is None and not t.requires_grad for t in leaves)
 
     def test_to_json_round_trippable(self, stack):
         import json
