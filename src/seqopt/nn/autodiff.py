@@ -163,13 +163,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: x._accumulate(g * mask))
+    # fmax maps NaN to 0; which of two equal zeros it returns varies with its
+    # SIMD path, so adding +0.0 turns every -0.0 into 0.0
+    y = np.fmax(x.data, 0.0)
+    y += 0.0
+    return _result(y, (x,), lambda g: x._accumulate(g * mask))
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
-    mask = x.data > 0
-    return _result(np.where(mask, x.data, alpha * x.data), (x,),
-                   lambda g: x._accumulate(g * np.where(mask, 1.0, alpha)))
+    slope = np.array([alpha, 1.0])[(x.data > 0).view(np.uint8)]
+    return _result(x.data * slope, (x,), lambda g: x._accumulate(g * slope))
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -42,8 +42,10 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray], cfg: AdamConfig,
         g = grads[name]
         if g.shape != arr.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {name!r} shape {arr.shape}")
-        m = state.m.setdefault(name, np.zeros_like(arr))
-        v = state.v.setdefault(name, np.zeros_like(arr))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(arr)
+            state.v[name] = np.zeros_like(arr)
+        m, v = state.m[name], state.v[name]
         m *= cfg.beta1
         m += (1 - cfg.beta1) * g
         v *= cfg.beta2

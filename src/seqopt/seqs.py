@@ -1,7 +1,9 @@
 """Discrete sequence primitives: vocabulary, tokenization, one-hot encoding,
 and Levenshtein edit distance: bit-parallel (Myers/Hyyrö), exact, any length.
 Every distance in the package (pairwise, set minimum, scalar) goes through
-`levenshtein_one_to_many`."""
+`levenshtein_one_to_many`, which counts the final delta bits with a SWAR
+popcount. `min_distance_to_set` makes one kernel call per distinct row of its
+query side, so duplicated rows there cost nothing."""
 
 from __future__ import annotations
 
@@ -110,11 +112,20 @@ def _dense_codes(query: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
     return codes[:query.size], codes[query.size:].reshape(targets.shape)
 
 
+_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
+                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per column of a (w, m) uint64 matrix."""
-    w, m = words.shape
-    bits = np.unpackbits(words.view(np.uint8).reshape(w, m, 8), axis=2)
-    return bits.sum(axis=(0, 2), dtype=np.int64)
+    """Set bits per column of a (w, m) uint64 matrix.
+
+    SWAR count: bit pairs, then nibbles, then bytes hold their own counts; the
+    multiply by 0x0101...01 sums the eight byte counts into the top byte, which
+    the shift by 56 brings down. The multiply wraps modulo 2**64 by design."""
+    x = words - ((words >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H01) >> np.uint64(56)).sum(axis=0, dtype=np.int64)
 
 
 def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -186,15 +197,31 @@ def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
     Distance is symmetric, so the smaller set supplies the queries and the
     kernel vectorizes over the larger one; the answer is the same either way.
+    Only the distinct query rows are run: duplicated seqs share one result,
+    and a minimum over refs does not depend on duplicates. The larger side is
+    left as is, since the kernel already covers all of its rows in one call.
     """
     seqs = np.atleast_2d(np.asarray(seqs))
     refs = np.atleast_2d(np.asarray(refs))
     if seqs.shape[0] < refs.shape[0]:
-        return np.array([levenshtein_one_to_many(s, refs).min() for s in seqs], dtype=np.int64)
+        queries, inverse = _distinct_rows(seqs)
+        best = np.array([levenshtein_one_to_many(q, refs).min() for q in queries],
+                        dtype=np.int64)
+        return best[inverse]
     best = np.full(seqs.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
-    for ref in refs:
+    for ref in _distinct_rows(refs)[0]:
         best = np.minimum(best, levenshtein_one_to_many(ref, seqs))
     return best
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array and, per input row, its index among
+    them. An array with no elements (no rows, or zero-length rows) has nothing
+    to reduce and is returned whole."""
+    if rows.size == 0:
+        return rows, np.arange(rows.shape[0])
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return distinct, inverse.ravel()  # the inverse's shape differs across numpy versions
 
 
 def pairwise_distances(seqs: np.ndarray) -> np.ndarray:

@@ -54,6 +54,26 @@ class TestOpGradients:
         check_input_grad(ad.exp, x)
         check_input_grad(ad.log, np.abs(x) + 0.5)
 
+    @pytest.mark.parametrize("n", [*range(1, 34), 1000, 1001])
+    def test_activations_special_values_match_where_reference(self, n):
+        # every SIMD tail length, each ending in -0.0, where the scalar and
+        # vector loops of a max-like ufunc may pick different zeros
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5])
+        x = np.resize(special, n)
+        x[-1] = -0.0
+        g = rng.standard_normal(n)
+        mask = x > 0
+        for op, y_ref, slope_ref in (
+                (ad.relu, np.where(mask, x, 0.0), mask.astype(float)),
+                (lambda t: ad.leaky_relu(t, 0.1), np.where(mask, x, 0.1 * x),
+                 np.where(mask, 1.0, 0.1))):
+            t = Tensor(x.copy())
+            y = op(t)
+            y.backward(g)
+            for got, want in ((y.data, y_ref), (t.grad, g * slope_ref)):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_softmax_logsumexp(self):
         x = rng.standard_normal((4, 6))
         check_input_grad(lambda t: ad.softmax(t, axis=-1), x)
@@ -299,6 +319,20 @@ class TestAdam:
                       AdamState())
             assert abs(abs(params.arrays["w"][0]) - 0.01) < 1e-5
             assert np.sign(params.arrays["w"][0]) == -np.sign(g)
+
+    def test_moments_allocated_on_first_step_only(self, monkeypatch):
+        params = ParamStore({"w": np.ones(3), "b": np.zeros(2)}, 0)
+        grads = {"w": np.full(3, 0.5), "b": np.ones(2)}
+        state = adam_step(params, grads, AdamConfig(), AdamState())
+        moments = [state.m["w"], state.v["w"], state.m["b"], state.v["b"]]
+        calls = []
+        zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a) or zeros_like(a))
+        for _ in range(3):
+            adam_step(params, grads, AdamConfig(), state)
+        assert calls == []
+        assert all(a is b for a, b in zip(moments, [state.m["w"], state.v["w"],
+                                                     state.m["b"], state.v["b"]]))
 
     def test_constant_gradient_moves_monotonically(self):
         # scalar simulation: independently replay the update rule

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from seqopt.seqs import (AMINO_ACIDS, Vocabulary, detokenize, levenshtein,
-                         levenshtein_one_to_many, min_distance_to_set, one_hot,
-                         one_hot_batch, pairwise_distances, tokenize)
+from seqopt.seqs import (AMINO_ACIDS, Vocabulary, _popcount, detokenize,
+                         levenshtein, levenshtein_one_to_many, min_distance_to_set,
+                         one_hot, one_hot_batch, pairwise_distances, tokenize)
 
 
 def brute_levenshtein(a, b):
@@ -126,9 +126,14 @@ class TestLevenshtein:
         rng = np.random.default_rng(14)
         seqs = rng.integers(0, 4, size=(10, 7))
         refs = rng.integers(0, 4, size=(5, 7))
-        got = min_distance_to_set(seqs, refs)
-        want = [min(levenshtein(s, r) for r in refs) for s in seqs]
-        np.testing.assert_array_equal(got, want)
+        # duplicated rows on either side, with the duplicated side the larger
+        # or the smaller one
+        for s_, r_ in ((seqs, refs), (seqs, refs[[0, 1, 0, 2, 1, 1, 4, 3, 0, 2, 4, 0]]),
+                       (seqs[[3, 3, 1, 3]], refs), (seqs[[3, 3, 1, 3, 9, 1]], refs[[2, 2, 0]])):
+            got = min_distance_to_set(s_, r_)
+            want = [min(levenshtein(s, r) for r in r_) for s in s_]
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
         pd = pairwise_distances(seqs)
         assert pd.size == 45
         want_pd = [levenshtein(seqs[i], seqs[j])
@@ -189,9 +194,51 @@ class TestBitParallelKernel:
         rng = np.random.default_rng(23)
         small = rng.integers(0, 4, size=(3, 9))
         large = rng.integers(0, 4, size=(17, 9))
-        cross = np.array([[brute_levenshtein(s, r) for r in large] for s in small])
-        np.testing.assert_array_equal(min_distance_to_set(small, large), cross.min(axis=1))
-        np.testing.assert_array_equal(min_distance_to_set(large, small), cross.min(axis=0))
+        for s_, l_ in ((small, large), (small[[2, 0, 2, 2, 1]], large),
+                       (small, large[np.arange(34) % 5]),
+                       (small[[1, 1, 1]], large[rng.integers(0, 17, size=40)])):
+            cross = np.array([[brute_levenshtein(s, r) for r in l_] for s in s_])
+            np.testing.assert_array_equal(min_distance_to_set(s_, l_), cross.min(axis=1))
+            np.testing.assert_array_equal(min_distance_to_set(l_, s_), cross.min(axis=0))
+
+    def test_min_distance_string_symbols_with_duplicates(self):
+        words = np.array([list(w) for w in ("kitten", "sittin", "kitten", "mitten",
+                                            "bitter", "kitten")])
+        refs = np.array([list("bitten"), list("sittin"), list("bitten")])
+        cross = np.array([[brute_levenshtein(w, r) for r in refs] for w in words])
+        np.testing.assert_array_equal(min_distance_to_set(refs, words), cross.min(axis=0))
+        np.testing.assert_array_equal(min_distance_to_set(words, refs), cross.min(axis=1))
+        np.testing.assert_array_equal(min_distance_to_set(words[:2], words), [0, 0])
+
+    def test_min_distance_zero_length_rows_and_empty_sides(self):
+        rng = np.random.default_rng(24)
+        rows = rng.integers(0, 4, size=(5, 4))
+        none = np.empty((0, 4), dtype=np.int64)
+        for a, b, want in ((np.empty((3, 0), int), np.empty((5, 0), int), [0, 0, 0]),
+                           (np.empty((3, 0), int), rows, [4, 4, 4]),
+                           (np.empty((6, 0), int), rows[:2], [4] * 6),
+                           (rows[:2], np.empty((6, 0), int), [4, 4]),
+                           (none, rows, []),
+                           (none, none, []),
+                           # a minimum over no refs is the int64 identity of min
+                           (rows, none, [np.iinfo(np.int64).max] * 5)):
+            got = min_distance_to_set(a, b)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"{a.shape} vs {b.shape}")
+
+
+def test_popcount_matches_bin_count():
+    rng = np.random.default_rng(25)
+    special = [0, 1, 2 ** 63, 2 ** 64 - 1, 2 ** 63 - 1, 0x0101010101010101]
+    words = np.concatenate([np.array(special, dtype=np.uint64),
+                            rng.integers(0, 2 ** 64 - 1, size=58, dtype=np.uint64,
+                                         endpoint=True)]).reshape(4, 16)
+    want = [sum(bin(int(w)).count("1") for w in col) for col in words.T]
+    got = _popcount(words)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(_popcount(words[:1]), [bin(int(w)).count("1")
+                                                         for w in words[0]])
 
 
 def test_hard_task_training_set_pinned():
