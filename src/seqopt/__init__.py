@@ -10,8 +10,8 @@ extrapolation, integration-step sweeps) measures everything against an exact
 synthetic oracle or externally supplied models.
 """
 
-from .data import (DataFormatError, Dataset, FitnessNormalizer, FitnessRecord,
-                   difficulty_filter, load_csv, write_csv, write_range_file)
+from .data import (DataFormatError, Dataset, FitnessNormalizer, difficulty_filter,
+                   load_csv, write_csv, write_range_file)
 from .errors import ConfigError, TrainingDivergedError
 from .flow import (FlowModel, FlowTrainConfig, euler_integrate, flow_matching_loss,
                    interpolate, load_flow, save_flow, train_flow)
@@ -23,10 +23,9 @@ from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
 from .metrics import (MetricReport, compute_metrics, diversity,
                       median_normalized_fitness, novelty)
 from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
-                        load_external_predictor, predict_fitness, save_predictor,
+                        load_external_predictor, save_predictor,
                         smooth_labels_knn, train_oracle, train_predictor)
-from .sampling import (SamplerConfig, SampleResult, extrapolate_endpoint,
-                       guidance_step, guided_sample)
+from .sampling import SamplerConfig, SampleResult, guidance_step, guided_sample
 from .seqs import (AMINO_ACIDS, Vocabulary, detokenize, levenshtein, one_hot,
                    tokenize)
 from .tasks import (SyntheticTaskSpec, TaskData, build_csv_task,
@@ -39,19 +38,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AMINO_ACIDS", "BenchmarkSummary", "ConfigError", "DataFormatError",
-    "Dataset", "EncoderOutput", "FitnessNormalizer", "FitnessRecord",
-    "FlowModel", "FlowTrainConfig", "LandscapeOracle", "MetricReport",
-    "PredictorConfig", "PredictorModel", "SampleResult", "SamplerConfig",
-    "SyntheticLandscape", "SyntheticTaskSpec", "TaskAssets", "TaskData",
-    "TrainingDivergedError", "VaeConfig", "VaeModel", "Vocabulary",
-    "ablation_table", "build_csv_task", "build_synthetic_task",
-    "compute_metrics", "detokenize", "difficulty_filter", "diversity",
-    "euler_integrate", "extrapolate_endpoint", "extrapolation_experiment",
-    "flow_matching_loss", "grid_search", "guidance_step", "guided_sample",
-    "interpolate", "levenshtein", "load_csv", "load_external_predictor",
-    "load_flow", "load_vae", "make_edit_pool", "make_landscape",
-    "median_normalized_fitness", "novelty",
-    "ode_steps_sweep", "one_hot", "predict_fitness", "reconstruction_accuracy",
+    "Dataset", "EncoderOutput", "FitnessNormalizer", "FlowModel",
+    "FlowTrainConfig", "LandscapeOracle", "MetricReport", "PredictorConfig",
+    "PredictorModel", "SampleResult", "SamplerConfig", "SyntheticLandscape",
+    "SyntheticTaskSpec", "TaskAssets", "TaskData", "TrainingDivergedError",
+    "VaeConfig", "VaeModel", "Vocabulary", "ablation_table",
+    "build_csv_task", "build_synthetic_task", "compute_metrics",
+    "detokenize", "difficulty_filter", "diversity", "euler_integrate",
+    "extrapolation_experiment", "flow_matching_loss", "grid_search",
+    "guidance_step", "guided_sample", "interpolate", "levenshtein",
+    "load_csv", "load_external_predictor", "load_flow", "load_vae",
+    "make_edit_pool", "make_landscape", "median_normalized_fitness",
+    "novelty", "ode_steps_sweep", "one_hot", "reconstruction_accuracy",
     "reparameterize", "run_benchmark", "sample_mutants", "sample_vae_prior",
     "save_flow", "save_predictor", "save_vae", "smooth_labels_knn",
     "synthetic_full_dataset", "synthetic_oracle", "task_oracle", "tokenize",

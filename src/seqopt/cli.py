@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "sampling seed (sample)")
     common.add_argument("--results-dir", default=None, help="override [paths] results")
     common.add_argument("--parallelism", type=int, default=None,
-                        help="worker count for multi-seed experiments")
+                        help="worker count for every experiment's sampling runs")
 
     parser = _Parser(prog="seqopt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -195,13 +195,7 @@ def _load_assets(cfg: RunConfig, need_conditional: bool = False) -> TaskAssets:
 
 def cmd_sample(cfg: RunConfig, mode: str | None, top_k: int | None,
                batch: int | None) -> int:
-    sampler = cfg.sampler
-    if mode is not None:
-        if mode in ("unconditional", "learned_posterior"):
-            sampler = dataclasses.replace(sampler, mode=mode, alpha=0.0,
-                                          guidance_steps=0)
-        else:
-            sampler = dataclasses.replace(sampler, mode=mode)
+    sampler = cfg.sampler if mode is None else cfg.sampler.for_mode(mode)
     if top_k is not None or batch is not None:
         sampler = dataclasses.replace(sampler,
                                       top_k=top_k if top_k is not None else sampler.top_k,
@@ -231,13 +225,21 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
+def _write_rows(cfg: RunConfig, experiment: str, key: str, rows: list[dict]) -> Path:
+    """A new run directory holding the rows as cells.csv and, under `key`,
+    in summary.json beside the config echo."""
+    out = results_dir(cfg.results, cfg.task_name, experiment)
+    write_cells_csv(out, rows)
+    write_summary(out, {key: rows, "config_echo": config_echo(cfg)})
+    return out
+
+
 def cmd_gridsearch(cfg: RunConfig) -> int:
     assets = _load_assets(cfg)
     cells = grid_search(assets, cfg.sampler, cfg.grid_alphas,
-                        cfg.grid_guidance_steps, seed=cfg.sampler.seed)
-    out = results_dir(cfg.results, cfg.task_name, "gridsearch")
-    write_cells_csv(out, cells)
-    write_summary(out, {"cells": cells, "config_echo": config_echo(cfg)})
+                        cfg.grid_guidance_steps, seed=cfg.sampler.seed,
+                        parallelism=cfg.parallelism)
+    out = _write_rows(cfg, "gridsearch", "cells", cells)
     failed = sum(1 for c in cells if c["error"])
     print(f"wrote {len(cells)} cells ({failed} failed) to {out}")
     return 0
@@ -248,20 +250,18 @@ def cmd_extrapolate(cfg: RunConfig) -> int:
     base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate_batch,
                                top_k=cfg.extrapolate_batch)
     rows = extrapolation_experiment(assets, cfg.extrapolate_y, base_cfg=base,
-                                    seed=cfg.sampler.seed)
-    out = results_dir(cfg.results, cfg.task_name, "extrapolate")
-    write_cells_csv(out, rows)
-    write_summary(out, {"rows": rows, "config_echo": config_echo(cfg)})
+                                    seed=cfg.sampler.seed,
+                                    parallelism=cfg.parallelism)
+    out = _write_rows(cfg, "extrapolate", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def cmd_ode_sweep(cfg: RunConfig) -> int:
     assets = _load_assets(cfg)
-    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps, seed=cfg.sampler.seed)
-    out = results_dir(cfg.results, cfg.task_name, "ode-sweep")
-    write_cells_csv(out, rows)
-    write_summary(out, {"rows": rows, "config_echo": config_echo(cfg)})
+    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps, seed=cfg.sampler.seed,
+                           parallelism=cfg.parallelism)
+    out = _write_rows(cfg, "ode-sweep", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -270,9 +270,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     assets = _load_assets(cfg, need_conditional=True)
     rows = ablation_table(assets, cfg.sampler, cfg.eval_seeds,
                           parallelism=cfg.parallelism)
-    out = results_dir(cfg.results, cfg.task_name, "ablate")
-    write_cells_csv(out, rows)
-    write_summary(out, {"rows": rows, "config_echo": config_echo(cfg)})
+    out = _write_rows(cfg, "ablate", "rows", rows)
     for r in rows:
         print(f"{r['mode']:18s} fitness {r['median_fitness_mean']:.3f} "
               f"+- {r['median_fitness_std']:.3f}")

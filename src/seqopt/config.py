@@ -189,6 +189,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     ode_steps = get("ode_sweep", "steps", _ints, [4, 8, 16, 24, 32])
     if not eval_seeds:
         problems.append("[evaluate] seeds must be non-empty")
+    if not grid_alphas:
+        problems.append("[grid] alphas must be non-empty")
+    if not grid_js:
+        problems.append("[grid] guidance_steps must be non-empty")
     if any(k < 1 for k in ode_steps):
         problems.append("[ode_sweep] steps must all be >= 1")
 

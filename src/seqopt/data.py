@@ -18,12 +18,6 @@ class DataFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class FitnessRecord:
-    sequence: np.ndarray
-    raw_fitness: float
-
-
-@dataclass(frozen=True)
 class FitnessNormalizer:
     """Affine map sending y_min -> 0 and y_max -> 1. Values outside the range
     map outside [0, 1]; there is deliberately no clipping."""
@@ -78,12 +72,6 @@ class Dataset:
     @property
     def length(self) -> int:
         return self.sequences.shape[1]
-
-    def record(self, i: int) -> FitnessRecord:
-        return FitnessRecord(self.sequences[i], float(self.fitness[i]))
-
-    def records(self) -> list[FitnessRecord]:
-        return [self.record(i) for i in range(self.n)]
 
     def normalizer(self) -> FitnessNormalizer:
         return FitnessNormalizer(self.y_min, self.y_max)

@@ -1,11 +1,17 @@
 """Multi-seed benchmark runner, parameter grids, fitness-extrapolation sweep,
 ODE-steps sweep, and the ablation table, with machine-readable result files.
 
+Every experiment is one call to `_sweep`: it samples a {key: SamplerConfig}
+map, each config with the flow its mode uses, and maps each result through
+the experiment's own measurement. The jobs go through `run_jobs`, a small
+thread pool whose assembly is keyed, so neither the worker count
+(`parallelism`) nor the completion order affects output. `run_benchmark`
+computes its metrics serially once the jobs return; `ablation_table` is one
+`run_benchmark` per mode.
+
 Results land in <results>/<task>/<experiment>/<timestamp>/ as summary.json
 plus cells.csv (for grids/sweeps) and samples/*.json; every file embeds the
-config echo and model checksums so runs are replayable. Job execution goes
-through a small work queue whose assembly is keyed, so completion order never
-affects output.
+config echo and model checksums so runs are replayable.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +39,8 @@ from .seqs import Vocabulary
 from .vae import VaeModel
 
 METRIC_NAMES = ("median_fitness", "diversity", "novelty")
+# What a grid cell may fail with and still be recorded as a row.
+_CELL_ERRORS = (ConfigError, FloatingPointError, ValueError)
 
 
 @dataclass
@@ -98,9 +107,24 @@ def run_jobs(jobs: dict, parallelism: int = 1) -> dict:
         return {key: fut.result() for key, fut in futures.items()}
 
 
-def _sample_for_seed(assets: TaskAssets, cfg: SamplerConfig, seed: int):
-    return guided_sample(replace(cfg, seed=seed), assets.flow_for(cfg.mode),
-                         assets.vae, assets.predictor)
+def _sweep(assets: TaskAssets, configs: dict, measure, parallelism: int = 1,
+           on_error=None) -> dict:
+    """Sample each {key: SamplerConfig} with the flow its mode uses and return
+    {key: measure(key, result)}, one `run_jobs` job per key. With `on_error`,
+    a job that fails with one of `_CELL_ERRORS` returns on_error(key, exc)
+    instead of raising."""
+    def job(key, cfg):
+        try:
+            res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae,
+                                assets.predictor)
+            return measure(key, res)
+        except _CELL_ERRORS as exc:
+            if on_error is None:
+                raise
+            return on_error(key, exc)
+
+    return run_jobs({key: partial(job, key, cfg) for key, cfg in configs.items()},
+                    parallelism)
 
 
 def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
@@ -111,13 +135,10 @@ def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
     seeds = list(seeds)
     if cfg.mode == "unconditional" and cfg.top_k != cfg.batch:
         cfg = replace(cfg, top_k=cfg.batch)
-    jobs = {s: (lambda s=s: _sample_for_seed(assets, cfg, s)) for s in seeds}
-    results = run_jobs(jobs, parallelism)
-    reports = []
-    for s in seeds:
-        res = results[s]
-        reports.append(compute_metrics(res.sequences, assets.oracle,
-                                       assets.normalizer, assets.train, seed=s))
+    results = _sweep(assets, {s: replace(cfg, seed=s) for s in seeds},
+                     lambda s, res: res, parallelism)
+    reports = [compute_metrics(results[s].sequences, assets.oracle, assets.normalizer,
+                               assets.train, seed=s) for s in seeds]
     summary = BenchmarkSummary(
         reports=reports,
         mean={m: float(np.mean([getattr(r, m) for r in reports])) for m in METRIC_NAMES},
@@ -131,76 +152,72 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_st
                 seed: int | None = None, parallelism: int = 1) -> list[dict]:
     """One sampling run per (alpha, J) cell, reporting fitness and diversity
     (plus novelty) per cell. Cell failures are recorded, not fatal."""
-    alphas = list(alphas)
-    guidance_steps = list(guidance_steps)
-    if not alphas or not guidance_steps:
+    cells = list(itertools.product(alphas, guidance_steps))
+    if not cells:
         raise ValueError("grids must be non-empty")
     seed = base_cfg.seed if seed is None else seed
 
-    def run_cell(alpha, j):
-        mode = base_cfg.mode
-        if alpha == 0 and j == 0 and mode == "unconditional":
-            cfg = replace(base_cfg, alpha=0.0, guidance_steps=0, seed=seed)
-        else:
-            cfg = replace(base_cfg, alpha=float(alpha), guidance_steps=int(j), seed=seed)
-        res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae, assets.predictor)
+    def row(i, **measured):
+        alpha, j = cells[i]
+        return {"alpha": float(alpha), "guidance_steps": int(j), **measured}
+
+    def failed(i, exc):
+        return row(i, median_fitness=np.nan, diversity=np.nan, novelty=np.nan,
+                   n_unique=0, error=str(exc))
+
+    def measure(i, res):
         report = compute_metrics(res.sequences, assets.oracle, assets.normalizer,
                                  assets.train, seed=seed)
-        return {"alpha": float(alpha), "guidance_steps": int(j),
-                "median_fitness": report.median_fitness,
-                "diversity": report.diversity, "novelty": report.novelty,
-                "n_unique": report.n_sequences, "error": ""}
+        return row(i, median_fitness=report.median_fitness,
+                   diversity=report.diversity, novelty=report.novelty,
+                   n_unique=report.n_sequences, error="")
 
-    cells = []
-    for alpha in alphas:
-        for j in guidance_steps:
-            try:
-                cells.append(run_cell(alpha, j))
-            except (ConfigError, FloatingPointError, ValueError) as exc:
-                cells.append({"alpha": float(alpha), "guidance_steps": int(j),
-                              "median_fitness": np.nan, "diversity": np.nan,
-                              "novelty": np.nan, "n_unique": 0, "error": str(exc)})
-    return cells
+    configs, rows = {}, {}
+    for i, (alpha, j) in enumerate(cells):
+        try:
+            configs[i] = replace(base_cfg, alpha=float(alpha), guidance_steps=int(j),
+                                 seed=seed)
+        except _CELL_ERRORS as exc:
+            rows[i] = failed(i, exc)
+    rows.update(_sweep(assets, configs, measure, parallelism, on_error=failed))
+    return [rows[i] for i in range(len(cells))]
 
 
-def extrapolation_experiment(assets: TaskAssets, y_values, modes=("manifold", "learned_posterior"),
-                             base_cfg: SamplerConfig | None = None,
-                             seed: int = 0) -> list[dict]:
+def extrapolation_experiment(assets: TaskAssets, y_values,
+                             modes=("manifold", "learned_posterior"), *,
+                             base_cfg: SamplerConfig, seed: int = 0,
+                             parallelism: int = 1) -> list[dict]:
     """Median oracle fitness of the *raw* decoded batch (no dedup, no top-k)
     as the requested target fitness varies, per sampling mode."""
-    if base_cfg is None:
-        base_cfg = SamplerConfig(steps=32, guidance_steps=5, alpha=0.5, batch=256,
-                                 top_k=256, mode="manifold", seed=seed)
-    rows = []
-    for mode in modes:
-        for y in y_values:
-            if mode in ("unconditional", "learned_posterior"):
-                cfg = replace(base_cfg, mode=mode, alpha=0.0, guidance_steps=0,
-                              target_y=float(y), seed=seed)
-            else:
-                cfg = replace(base_cfg, mode=mode, target_y=float(y), seed=seed)
-            res = guided_sample(cfg, assets.flow_for(mode), assets.vae, assets.predictor)
-            measured = median_normalized_fitness(res.raw_sequences, assets.oracle,
-                                                 assets.normalizer)
-            rows.append({"mode": mode, "target_y": float(y), "median_y_gt": measured})
-    return rows
+    points = [(mode, float(y)) for mode in modes for y in y_values]
+
+    def measure(i, res):
+        mode, y = points[i]
+        measured = median_normalized_fitness(res.raw_sequences, assets.oracle,
+                                             assets.normalizer)
+        return {"mode": mode, "target_y": y, "median_y_gt": measured}
+
+    configs = {i: replace(base_cfg.for_mode(mode), target_y=y, seed=seed)
+               for i, (mode, y) in enumerate(points)}
+    return list(_sweep(assets, configs, measure, parallelism).values())
 
 
 def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig, step_counts,
-                    seed: int | None = None) -> list[dict]:
+                    seed: int | None = None, parallelism: int = 1) -> list[dict]:
     """One run per ODE step count, reporting fitness and diversity."""
     seed = base_cfg.seed if seed is None else seed
-    rows = []
-    for k in step_counts:
-        if k < 1:
-            raise ValueError("step counts must be >= 1")
-        cfg = replace(base_cfg, steps=int(k), seed=seed)
-        res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae, assets.predictor)
+    step_counts = [int(k) for k in step_counts]
+    if any(k < 1 for k in step_counts):
+        raise ValueError("step counts must be >= 1")
+
+    def measure(i, res):
         report = compute_metrics(res.sequences, assets.oracle, assets.normalizer,
                                  assets.train, seed=seed)
-        rows.append({"steps": int(k), "median_fitness": report.median_fitness,
-                     "diversity": report.diversity})
-    return rows
+        return {"steps": step_counts[i], "median_fitness": report.median_fitness,
+                "diversity": report.diversity}
+
+    configs = {i: replace(base_cfg, steps=k, seed=seed) for i, k in enumerate(step_counts)}
+    return list(_sweep(assets, configs, measure, parallelism).values())
 
 
 def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds,
@@ -209,11 +226,8 @@ def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds,
     """Seed-matched mode comparison shaped like the guidance-variant tables."""
     rows = []
     for mode in modes:
-        if mode in ("unconditional", "learned_posterior"):
-            cfg = replace(base_cfg, mode=mode, alpha=0.0, guidance_steps=0)
-        else:
-            cfg = replace(base_cfg, mode=mode)
-        summary = run_benchmark(assets, cfg, seeds, parallelism=parallelism)
+        summary = run_benchmark(assets, base_cfg.for_mode(mode), seeds,
+                                parallelism=parallelism)
         rows.append({"mode": mode,
                      "median_fitness_mean": summary.mean["median_fitness"],
                      "median_fitness_std": summary.std["median_fitness"],

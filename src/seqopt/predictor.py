@@ -115,11 +115,6 @@ class PredictorModel:
         return xt.grad[0] if single else xt.grad
 
 
-def predict_fitness(model: PredictorModel, relaxed_one_hot: np.ndarray) -> float:
-    """Scalar fitness of one relaxed one-hot sequence matrix."""
-    return model.predict(relaxed_one_hot)
-
-
 def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
                     vocab_size: int = 20, role: str = "predictor",
                     val_data: Dataset | None = None, raw_labels: bool = False

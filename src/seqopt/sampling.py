@@ -13,7 +13,7 @@ the hard one-hot encoding, and cut to the top k.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,13 @@ class SamplerConfig:
         if problems:
             raise ConfigError(problems)
 
+    def for_mode(self, mode: str) -> "SamplerConfig":
+        """This config in `mode`. The unguided modes (unconditional and
+        learned_posterior) run with alpha=0 and no guidance steps."""
+        if mode in ("unconditional", "learned_posterior"):
+            return replace(self, mode=mode, alpha=0.0, guidance_steps=0)
+        return replace(self, mode=mode)
+
 
 @dataclass
 class SampleResult:
@@ -95,14 +102,6 @@ def chain_latent(seed: int, chain_index: int, dim: int) -> np.ndarray:
 
 def initial_latents(seed: int, batch: int, dim: int) -> np.ndarray:
     return np.stack([chain_latent(seed, i, dim) for i in range(batch)])
-
-
-def extrapolate_endpoint(flow: FlowModel, z: np.ndarray, t: float, dt: float,
-                         y=None) -> np.ndarray:
-    """One-shot extrapolation to the data end of the flow:
-    z + (1 - t - dt) * v(z, t)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    return z + (1.0 - t - dt) * flow.velocity(z, t, y)
 
 
 def _objective_tape(z: Tensor, flow: FlowModel, vae: VaeModel,
@@ -154,10 +153,9 @@ def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel | None)
 
 
 def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
-                  predictor: PredictorModel | None,
-                  alpha_schedule=None) -> SampleResult:
+                  predictor: PredictorModel | None) -> SampleResult:
     """Run `cfg.batch` independent chains and select the top-k unique decoded
-    sequences. `alpha_schedule` (t -> alpha) overrides the constant strength.
+    sequences.
 
     Chains: z0 from per-chain RNG streams; per Euler step, advance along the
     learned field, then apply the configured number of guidance steps (none in
@@ -167,8 +165,7 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
         raise ConfigError([f"latent dim mismatch: vae {vae.latent_dim} vs flow {flow.latent_dim}"])
     if cfg.mode == "learned_posterior" and not flow.conditional:
         raise ConfigError(["learned_posterior mode needs a fitness-conditioned flow model"])
-    needs_guidance = cfg.mode in ("manifold", "naive") and cfg.guidance_steps > 0 \
-        and (cfg.alpha > 0 or alpha_schedule is not None)
+    needs_guidance = cfg.mode in ("manifold", "naive") and cfg.guidance_steps > 0 and cfg.alpha > 0
     if cfg.mode in ("manifold", "naive") and predictor is None:
         raise ConfigError(["guided modes need a predictor"])
     if predictor is not None and predictor.length != vae.length:
@@ -183,11 +180,8 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
         if not np.isfinite(z).all():
             raise FloatingPointError(f"non-finite state at integration step {k}")
         if needs_guidance:
-            alpha = cfg.alpha if alpha_schedule is None else float(alpha_schedule(t))
-            if alpha < 0:
-                raise ConfigError(["alpha_schedule returned a negative strength"])
             for _ in range(cfg.guidance_steps):
-                z = guidance_step(z, flow, vae, predictor, cfg.target_y, alpha,
+                z = guidance_step(z, flow, vae, predictor, cfg.target_y, cfg.alpha,
                                   t, dt, manifold=(cfg.mode == "manifold"),
                                   temperature=cfg.temperature,
                                   objective=cfg.objective, y_cond=y_cond)

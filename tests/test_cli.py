@@ -196,6 +196,16 @@ class TestExperiments:
         assert [r["mode"] for r in rows] == ["manifold", "naive", "learned_posterior"]
         assert "manifold" in out and "learned_posterior" in out
 
+    @pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep"])
+    def test_parallel_cells_match_serial(self, workspace, capsys, command):
+        root, ini = workspace
+        cells = []
+        for flags in ([], ["--parallelism", "2"]):
+            assert main([command, str(ini)] + flags) == 0
+            run_dir = Path(capsys.readouterr().out.strip().split()[-1])
+            cells.append((run_dir / "cells.csv").read_bytes())
+        assert cells[0] == cells[1]
+
 
 class TestValidation:
     def test_missing_config(self):
@@ -214,6 +224,16 @@ mode = sideways
         assert main(["evaluate", str(ini)]) == 1
         err = capsys.readouterr().err
         assert "name" in err and "latent_dim" in err and "mode" in err
+
+    def test_empty_grid_lists_rejected(self, workspace, capsys):
+        root, ini = workspace
+        empty = root / "empty-grid.ini"
+        empty.write_text(TINY_INI.replace("alphas = 0,0.3\nguidance_steps = 0,2",
+                                          "alphas =\nguidance_steps ="))
+        assert main(["gridsearch", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [grid] alphas must be non-empty" in err
+        assert "config error: [grid] guidance_steps must be non-empty" in err
 
     def test_csv_task_requires_data(self, tmp_path, capsys):
         ini = tmp_path / "csv.ini"

@@ -47,11 +47,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3), dtype=int), np.array([0.0, np.nan]), 0.0, 1.0)
 
-    def test_records_view(self):
-        ds = Dataset.from_arrays(np.zeros((3, 2), dtype=int), [1.0, 2.0, 3.0])
-        recs = ds.records()
-        assert len(recs) == 3 and recs[1].raw_fitness == 2.0
-
 
 class TestLoadCsv:
     def test_basic_with_sidecar_range(self, tmp_path, vocab):

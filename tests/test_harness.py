@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from seqopt import harness
 from seqopt.errors import ConfigError
 from seqopt.harness import (TaskAssets, ablation_table,
                             extrapolation_experiment, grid_search, ode_steps_sweep,
@@ -202,6 +203,68 @@ class TestWorkQueue:
         jobs = {k: make(k) for k in range(3)}
         assert run_jobs(jobs, parallelism=3) == {0: 0, 1: 10, 2: 20}
         assert run_jobs(jobs, parallelism=1) == {0: 0, 1: 10, 2: 20}
+
+
+class TestSweepDispatch:
+    """The sweeps hand their runs to `run_jobs` with the caller's parallelism
+    and return, in parallel, the rows a serial run returns."""
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        real = harness.run_jobs
+        calls = []
+
+        def recorder(jobs, parallelism=1):
+            calls.append((len(jobs), parallelism))
+            return real(jobs, parallelism)
+
+        monkeypatch.setattr(harness, "run_jobs", recorder)
+        return calls
+
+    def serial_and_parallel(self, dispatched, run):
+        serial, parallel = run(1), run(2)
+        assert [p for _, p in dispatched] == [1, 2]  # one pool call per run
+        assert dispatched[0][0] == dispatched[1][0]
+        assert parallel == serial
+        return serial
+
+    def test_grid_search(self, tiny_stack, dispatched, monkeypatch):
+        _, _, assets = tiny_stack
+        real_sample = harness.guided_sample
+
+        def diverges_at_alpha_0_2(cfg, *models):
+            if cfg.alpha == 0.2:
+                raise FloatingPointError("non-finite state at integration step 3")
+            return real_sample(cfg, *models)
+
+        monkeypatch.setattr(harness, "guided_sample", diverges_at_alpha_0_2)
+        cells = self.serial_and_parallel(dispatched, lambda p: grid_search(
+            assets, BASE, alphas=[0.3, -1.0, 0.2, 0.3], guidance_steps=[2],
+            seed=3, parallelism=p))
+        assert [c["alpha"] for c in cells] == [0.3, -1.0, 0.2, 0.3]
+        assert dispatched[0][0] == 3  # the invalid alpha=-1 cell runs no job
+        assert "alpha must be >= 0" in cells[1]["error"]
+        assert cells[2]["error"] == "non-finite state at integration step 3"
+        assert np.isnan(cells[2]["median_fitness"]) and cells[2]["n_unique"] == 0
+        assert cells[0] == cells[3] and cells[0]["error"] == ""
+
+    def test_extrapolation_experiment(self, tiny_stack, dispatched):
+        _, _, assets = tiny_stack
+        rows = self.serial_and_parallel(dispatched, lambda p: extrapolation_experiment(
+            assets, [0.6, 0.2, 0.6], base_cfg=BASE, seed=4, parallelism=p))
+        assert [(r["mode"], r["target_y"]) for r in rows] == [
+            ("manifold", 0.6), ("manifold", 0.2), ("manifold", 0.6),
+            ("learned_posterior", 0.6), ("learned_posterior", 0.2),
+            ("learned_posterior", 0.6)]
+        assert dispatched[0][0] == 6
+        assert rows[0] == rows[2] and rows[3] == rows[5]
+
+    def test_ode_steps_sweep(self, tiny_stack, dispatched):
+        _, _, assets = tiny_stack
+        rows = self.serial_and_parallel(dispatched, lambda p: ode_steps_sweep(
+            assets, BASE, [8, 4, 8], seed=5, parallelism=p))
+        assert [r["steps"] for r in rows] == [8, 4, 8] and dispatched[0][0] == 3
+        assert rows[0] == rows[2]
 
 
 class TestAssetsValidation:

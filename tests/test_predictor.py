@@ -5,9 +5,8 @@ from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.landscape import make_landscape, synthetic_full_dataset, synthetic_oracle
 from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
-                              load_external_predictor, predict_fitness,
-                              save_predictor, smooth_labels_knn, train_oracle,
-                              train_predictor)
+                              load_external_predictor, save_predictor,
+                              smooth_labels_knn, train_oracle, train_predictor)
 from seqopt.seqs import Vocabulary, one_hot
 
 rng = np.random.default_rng(404)
@@ -33,7 +32,7 @@ class TestPredict:
     def test_identical_inputs_identical_outputs(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)
         x = random_relaxed(8, 5, rng)
-        assert predict_fitness(model, x) == predict_fitness(model, x.copy())
+        assert model.predict(x) == model.predict(x.copy())
 
     def test_shape_violation_rejected(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)

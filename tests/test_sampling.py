@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from seqopt.flow import FlowModel, euler_integrate
 from seqopt.nn.autodiff import Tensor
 from seqopt.predictor import PredictorConfig, PredictorModel
 from seqopt.sampling import (SamplerConfig, _objective_tape, _select_top_k,
-                             extrapolate_endpoint, guidance_step, guided_sample,
-                             initial_latents)
+                             guidance_step, guided_sample, initial_latents)
 from seqopt.vae import VaeConfig, VaeModel
 
 rng = np.random.default_rng(606)
@@ -30,28 +31,51 @@ class ConstantField:
         self.latent_dim = self.c.size
         self.conditional = False
 
-    def velocity(self, z, t, y=None):
-        return np.broadcast_to(self.c, np.atleast_2d(z).shape)
+    def velocity_tape(self, z, t, y=None):
+        return Tensor(np.broadcast_to(self.c, z.shape), requires_grad=False)
 
 
 class TestEndpointExtrapolation:
+    """Manifold guidance scores the endpoint z + (1 - t - dt) * v(z, t) and
+    differentiates at z. Under a constant field c the endpoint is z shifted by
+    (1 - t - dt) * c, so the manifold step at z is the naive step at the
+    shifted state, shifted back."""
+
+    @staticmethod
+    def assert_shifted_naive_step(stack, t, dt):
+        vae, _, pred = stack
+        field = ConstantField([1.0, -2.0, 0.5])
+        z = rng.standard_normal((3, L))
+        offset = (1.0 - t - dt) * field.c
+        manifold = guidance_step(z, field, vae, pred, 1.0, 0.3, t, dt, manifold=True)
+        naive = guidance_step(z + offset, field, vae, pred, 1.0, 0.3, t, dt,
+                              manifold=False)
+        np.testing.assert_allclose(manifold, naive - offset, atol=1e-12)
+
+    def test_constant_field_algebra(self, stack):
+        self.assert_shifted_naive_step(stack, t=0.0, dt=0.25)
+        self.assert_shifted_naive_step(stack, t=0.5, dt=0.125)
+
     def test_vanishing_coefficient_at_last_step(self, stack):
-        _, flow, _ = stack
-        z = rng.standard_normal((2, L))
-        dt = 1 / 8
-        out = extrapolate_endpoint(flow, z, t=1 - dt, dt=dt)
-        np.testing.assert_array_equal(out, z)
+        self.assert_shifted_naive_step(stack, t=1 - 1 / 8, dt=1 / 8)
 
     def test_single_step_case(self, stack):
-        _, flow, _ = stack
-        z = rng.standard_normal((2, L))
-        np.testing.assert_array_equal(extrapolate_endpoint(flow, z, t=0.0, dt=1.0), z)
+        self.assert_shifted_naive_step(stack, t=0.0, dt=1.0)
 
-    def test_constant_field_algebra(self):
-        c = np.array([1.0, -2.0, 0.5])
-        z = rng.standard_normal((3, 3))
-        out = extrapolate_endpoint(ConstantField(c), z, t=0.0, dt=0.25)
-        np.testing.assert_allclose(out, z + 0.75 * c)
+
+class TestForMode:
+    GUIDED = SamplerConfig(steps=4, guidance_steps=3, alpha=0.2, batch=8, top_k=4,
+                           mode="manifold", seed=5, target_y=0.7)
+
+    @pytest.mark.parametrize("mode", ["unconditional", "learned_posterior"])
+    def test_unguided_modes_drop_guidance(self, mode):
+        cfg = self.GUIDED.for_mode(mode)
+        assert cfg == replace(self.GUIDED, mode=mode, alpha=0.0, guidance_steps=0)
+
+    @pytest.mark.parametrize("mode", ["manifold", "naive"])
+    def test_guided_modes_keep_guidance(self, mode):
+        cfg = self.GUIDED.for_mode(mode)
+        assert cfg == replace(self.GUIDED, mode=mode)
 
 
 class TestGuidanceStep:
@@ -210,16 +234,6 @@ class TestGuidedSample:
         assert set(res.provenance["checksums"]) == {"flow", "vae_encoder",
                                                     "vae_decoder", "predictor"}
         assert res.provenance["config"]["seed"] == 15
-
-    def test_alpha_schedule_hook(self, stack):
-        vae, flow, pred = stack
-        base = SamplerConfig(steps=6, guidance_steps=1, alpha=0.05, batch=8,
-                             top_k=4, mode="manifold", seed=16)
-        a = guided_sample(base, flow, vae, pred)
-        b = guided_sample(base, flow, vae, pred, alpha_schedule=lambda t: 0.05)
-        np.testing.assert_allclose(a.raw_latents, b.raw_latents)
-        with pytest.raises(ConfigError):
-            guided_sample(base, flow, vae, pred, alpha_schedule=lambda t: -1.0)
 
     def test_learned_posterior_requires_conditional_flow(self, stack):
         vae, flow, pred = stack
