@@ -31,8 +31,8 @@ from .seqs import (AMINO_ACIDS, Vocabulary, detokenize, levenshtein, one_hot,
 from .tasks import (SyntheticTaskSpec, TaskData, build_csv_task,
                     build_synthetic_task, task_oracle, train_models)
 from .vae import (EncoderOutput, VaeConfig, VaeModel, load_vae,
-                  reconstruction_accuracy, reparameterize, sample_vae_prior,
-                  save_vae, train_vae, vae_loss)
+                  reconstruction_accuracy, sample_vae_prior, save_vae, train_vae,
+                  vae_loss)
 
 __version__ = "0.1.0"
 
@@ -50,9 +50,9 @@ __all__ = [
     "load_csv", "load_external_predictor", "load_flow", "load_vae",
     "make_edit_pool", "make_landscape", "median_normalized_fitness",
     "novelty", "ode_steps_sweep", "one_hot", "reconstruction_accuracy",
-    "reparameterize", "run_benchmark", "sample_mutants", "sample_vae_prior",
-    "save_flow", "save_predictor", "save_vae", "smooth_labels_knn",
-    "synthetic_full_dataset", "synthetic_oracle", "task_oracle", "tokenize",
-    "train_flow", "train_models", "train_oracle", "train_predictor",
-    "train_vae", "vae_loss", "write_csv", "write_range_file",
+    "run_benchmark", "sample_mutants", "sample_vae_prior", "save_flow",
+    "save_predictor", "save_vae", "smooth_labels_knn", "synthetic_full_dataset",
+    "synthetic_oracle", "task_oracle", "tokenize", "train_flow",
+    "train_models", "train_oracle", "train_predictor", "train_vae",
+    "vae_loss", "write_csv", "write_range_file",
 ]

@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .flow import FlowTrainConfig
 from .predictor import PredictorConfig
-from .sampling import MODES, OBJECTIVES, SamplerConfig
+from .sampling import SamplerConfig
 from .tasks import SYNTHETIC_TASKS, SyntheticTaskSpec
 from .vae import VaeConfig
 
@@ -176,10 +176,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                     seed=get("sampler", "seed", int, 100),
                     temperature=get("sampler", "temperature", float, 1.0),
                     objective=get("sampler", "objective", str, "match_target"))
-    if sampler is not None and sampler.mode not in MODES:
-        problems.append(f"[sampler] mode must be one of {MODES}")
-    if sampler is not None and sampler.objective not in OBJECTIVES:
-        problems.append(f"[sampler] objective must be one of {OBJECTIVES}")
 
     eval_seeds = get("evaluate", "seeds", _ints, [100, 101, 102, 103, 104])
     grid_alphas = get("grid", "alphas", _floats, [0.0, 0.1, 0.3, 0.5])

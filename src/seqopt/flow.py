@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.layers import Network, NonFiniteError
-from .nn.optim import AdamConfig, AdamState, adam_step
+from .nn.layers import Network
+from .nn.optim import fit
 
 
 @dataclass(frozen=True)
@@ -151,31 +150,22 @@ def train_flow(latents: np.ndarray, cfg: FlowTrainConfig,
     n, dim = latents.shape
     model = FlowModel.build(dim, seed=cfg.seed, conditional=conditional, hidden=hidden)
     rng = np.random.default_rng(cfg.seed + 3000)
-    opt_cfg = AdamConfig(learning_rate=cfg.learning_rate)
-    opt_state = AdamState()
-    per_epoch: list[float] = []
-    for epoch in range(cfg.epochs):
+
+    def batches():
         order = rng.permutation(n)
-        total, batches = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             z1 = latents[idx]
             z0 = rng.standard_normal(z1.shape)
             t = rng.uniform(0.0, 1.0, size=idx.size)
-            y = labels[idx] if conditional else None
-            model.net.refresh()
-            try:
-                loss = _loss_tape(model, z1, z0, t, y)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss")
-            loss.backward()
-            adam_step(model.net.params, model.net.collect_grads(), opt_cfg, opt_state)
-            total += float(loss.data)
-            batches += 1
-        per_epoch.append(total / batches)
-    return model, per_epoch
+            yield z1, z0, t, labels[idx] if conditional else None
+
+    def loss_tape(z1, z0, t, y):
+        loss = _loss_tape(model, z1, z0, t, y)
+        return loss, (float(loss.data),)
+
+    history = fit([model.net], batches, loss_tape, cfg.learning_rate, cfg.epochs)
+    return model, [total / count for (total,), count in history]
 
 
 def save_flow(model: FlowModel, path) -> str:

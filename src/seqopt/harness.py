@@ -33,6 +33,7 @@ from .data import Dataset, FitnessNormalizer
 from .errors import ConfigError
 from .flow import FlowModel
 from .metrics import MetricReport, compute_metrics, median_normalized_fitness
+from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
 from .sampling import SamplerConfig, guided_sample
 from .seqs import Vocabulary
@@ -40,7 +41,7 @@ from .vae import VaeModel
 
 METRIC_NAMES = ("median_fitness", "diversity", "novelty")
 # What a grid cell may fail with and still be recorded as a row.
-_CELL_ERRORS = (ConfigError, FloatingPointError, ValueError)
+_CELL_ERRORS = (ConfigError, FloatingPointError, NonFiniteError, ValueError)
 
 
 @dataclass

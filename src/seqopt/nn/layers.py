@@ -64,17 +64,6 @@ class ParamStore:
     arrays: dict[str, np.ndarray]
     rng_seed: int
 
-    def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self.arrays.items()}, self.rng_seed)
-
-    def check_finite(self) -> None:
-        for name, arr in self.arrays.items():
-            if not np.isfinite(arr).all():
-                raise NonFiniteError(f"parameter {name!r} contains non-finite values")
-
-    def total_size(self) -> int:
-        return sum(a.size for a in self.arrays.values())
-
 
 def init_params(descriptor, seed: int) -> ParamStore:
     """Glorot-uniform weights, zero biases, drawn in layer order so the same
@@ -157,19 +146,6 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.apply(Tensor(x, requires_grad=False)).data
-
-    def gradients(self, x: np.ndarray, adjoint: np.ndarray):
-        """Exact reverse-mode derivatives of `forward` at `x`, seeded with the
-        given output adjoint. Returns (parameter grads by name, input grad)."""
-        self.refresh()
-        xt = Tensor(x)
-        out = self.apply(xt)
-        out.backward(adjoint)
-        xg = xt.grad if xt.grad is not None else np.zeros_like(xt.data)
-        return self.collect_grads(), xg
-
-    def param_tensors(self) -> dict[str, Tensor]:
-        return self._tensors
 
     def collect_grads(self) -> dict[str, np.ndarray]:
         """Parameter gradients of the last tape; ends the gradient step by

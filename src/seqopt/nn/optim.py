@@ -1,4 +1,5 @@
-"""Adam with bias correction, operating in place on ParamStore arrays."""
+"""Adam with bias correction, operating in place on ParamStore arrays, and
+the one training loop every model here runs through."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ParamStore
+from ..errors import TrainingDivergedError
+from .layers import NonFiniteError, ParamStore
 
 
 @dataclass(frozen=True)
@@ -54,3 +56,34 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray], cfg: AdamConfig,
         v_hat = v / (1 - cfg.beta2 ** t)
         arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return state
+
+
+def fit(nets, batches, loss_tape, learning_rate: float, epochs: int) -> list[tuple]:
+    """Minimize `loss_tape` over `nets` with Adam, one state per network.
+
+    Each epoch iterates the generator `batches()`; `loss_tape(*batch)` returns
+    the loss Tensor and a tuple of floats to report. Returns, per epoch, the
+    element-wise sum of those tuples and the batch count. A non-finite
+    activation or loss raises TrainingDivergedError naming the epoch. The
+    parameter leaves are frozen again when this returns."""
+    cfg = AdamConfig(learning_rate=learning_rate)
+    states = [AdamState() for _ in nets]
+    history = []
+    for epoch in range(epochs):
+        sums, count = (), 0
+        for batch in batches():
+            for net in nets:
+                net.refresh()
+            try:
+                loss, report = loss_tape(*batch)
+            except NonFiniteError as exc:
+                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss")
+            loss.backward()
+            for net, state in zip(nets, states):
+                adam_step(net.params, net.collect_grads(), cfg, state)
+            sums = tuple(a + b for a, b in zip(sums, report)) if sums else tuple(report)
+            count += 1
+        history.append((sums, count))
+    return history

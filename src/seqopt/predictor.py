@@ -10,13 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import TrainingDivergedError
 from .landscape import SyntheticLandscape
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.layers import Network, NonFiniteError
-from .nn.optim import AdamConfig, AdamState, adam_step
+from .nn.layers import Network
+from .nn.optim import fit
 from .seqs import levenshtein_one_to_many, one_hot_batch
 
 ROLES = ("predictor", "smoothed", "oracle")
@@ -106,14 +105,6 @@ class PredictorModel:
         seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
         return self.predict(one_hot_batch(seqs, self.vocab_size))
 
-    def input_gradient(self, x: np.ndarray) -> np.ndarray:
-        """d(score)/d(input); single (d, V) in, single (d, V) gradient out."""
-        single = np.asarray(x).ndim == 2
-        xt = Tensor(self._validate(x))
-        out = self.predict_tape(xt)
-        out.backward(np.ones_like(out.data))
-        return xt.grad[0] if single else xt.grad
-
 
 def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
                     vocab_size: int = 20, role: str = "predictor",
@@ -124,29 +115,21 @@ def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
     model = PredictorModel.build(data.length, vocab_size, cfg, seed, role)
     labels = data.fitness if raw_labels else data.normalized_fitness()
     rng = np.random.default_rng(seed + 2000)
-    opt_cfg = AdamConfig(learning_rate=cfg.learning_rate)
-    opt_state = AdamState()
-    report = PredictorTrainReport()
-    for epoch in range(cfg.epochs):
+
+    def batches():
         order = rng.permutation(data.n)
-        sq_sum, count = 0.0, 0
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            x = one_hot_batch(data.sequences[idx], vocab_size)
-            y = labels[idx]
-            model.net.refresh()
-            try:
-                pred = model.predict_tape(Tensor(x, requires_grad=False))
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
-            resid = pred - y
-            loss = ad.tmean(resid * resid)
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss")
-            loss.backward()
-            adam_step(model.net.params, model.net.collect_grads(), opt_cfg, opt_state)
-            sq_sum += float(loss.data) * idx.size
-            count += idx.size
+            yield one_hot_batch(data.sequences[idx], vocab_size), labels[idx]
+
+    def loss_tape(x, y):
+        resid = model.predict_tape(Tensor(x, requires_grad=False)) - y
+        loss = ad.tmean(resid * resid)
+        return loss, (float(loss.data) * y.size, y.size)
+
+    report = PredictorTrainReport()
+    for (sq_sum, count), _ in fit([model.net], batches, loss_tape, cfg.learning_rate,
+                                  cfg.epochs):
         report.per_epoch_mse.append(sq_sum / count)
     report.final_train_mse = _mse(model, data, labels)
     if val_data is not None:

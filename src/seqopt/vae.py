@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import TrainingDivergedError
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.layers import Network, NonFiniteError, ParamStore
-from .nn.optim import AdamConfig, AdamState, adam_step
+from .nn.layers import Network
+from .nn.optim import fit
 from .seqs import one_hot_batch
 
 LOGVAR_BOUND = 10.0  # |log-variance| cap, applied smoothly via tanh
@@ -138,9 +137,6 @@ class VaeModel:
             raise ValueError(f"latent dimension {z.shape[1]} != model latent_dim {self.latent_dim}")
         return self.decode_logits_tape(Tensor(z, requires_grad=False)).data
 
-    def decode_logits(self, z: np.ndarray) -> np.ndarray:
-        return self.decode_logits_batch(np.asarray(z)[None, :])[0]
-
     def decode_probs_tape(self, z: Tensor, temperature: float = 1.0) -> Tensor:
         """Softmax-relaxed decoding used by gradient guidance."""
         logits = self.decode_logits_tape(z)
@@ -154,21 +150,6 @@ class VaeModel:
 
     def decode_tokens(self, z: np.ndarray) -> np.ndarray:
         return self.decode_tokens_batch(np.asarray(z)[None, :])[0]
-
-    def networks(self) -> tuple[Network, Network]:
-        return self.encoder, self.decoder
-
-    def refresh(self) -> None:
-        self.encoder.refresh()
-        self.decoder.refresh()
-
-
-def reparameterize(out: EncoderOutput, noise: np.ndarray) -> np.ndarray:
-    """z = mean + exp(log_variance / 2) * noise."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != out.mean.shape:
-        raise ValueError(f"noise shape {noise.shape} != mean shape {out.mean.shape}")
-    return out.mean + np.exp(0.5 * out.log_variance) * noise
 
 
 def _loss_tape(model: VaeModel, seqs: np.ndarray, noise: np.ndarray):
@@ -200,44 +181,24 @@ def train_vae(data: Dataset, cfg: VaeConfig, seed: int, vocab_size: int = 20,
     """Adam training on the ELBO; deterministic given the seed. Non-finite
     loss aborts with TrainingDivergedError."""
     model = VaeModel.build(data.length, vocab_size, cfg, seed)
-    return _fit_vae(model, data, cfg, seed, val_data)
-
-
-def _fit_vae(model: VaeModel, data: Dataset, cfg: VaeConfig, seed: int,
-             val_data: Dataset | None) -> tuple[VaeModel, TrainReport]:
     rng = np.random.default_rng(seed + 1000)
-    params = ParamStore(
-        {**{f"enc.{k}": v for k, v in model.encoder.params.arrays.items()},
-         **{f"dec.{k}": v for k, v in model.decoder.params.arrays.items()}},
-        seed)
-    opt_cfg = AdamConfig(learning_rate=cfg.learning_rate)
-    opt_state = AdamState()
-    report = TrainReport()
-    n = data.n
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sums = np.zeros(3)
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+
+    def batches():
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            seqs = data.sequences[idx]
-            noise = rng.standard_normal((idx.size, cfg.latent_dim))
-            model.refresh()
-            try:
-                total, recon, kl = _loss_tape(model, seqs, noise)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
-            if not np.isfinite(total.data):
-                raise TrainingDivergedError(f"epoch {epoch}: non-finite loss")
-            total.backward()
-            grads = {**{f"enc.{k}": g for k, g in model.encoder.collect_grads().items()},
-                     **{f"dec.{k}": g for k, g in model.decoder.collect_grads().items()}}
-            adam_step(params, grads, opt_cfg, opt_state)
-            sums += (float(total.data), float(recon.data), float(kl.data))
-            n_batches += 1
-        report.per_epoch.append({"total": sums[0] / n_batches,
-                                 "reconstruction": sums[1] / n_batches,
-                                 "kl": sums[2] / n_batches})
+            yield data.sequences[idx], rng.standard_normal((idx.size, cfg.latent_dim))
+
+    def loss_tape(seqs, noise):
+        total, recon, kl = _loss_tape(model, seqs, noise)
+        return total, (float(total.data), float(recon.data), float(kl.data))
+
+    report = TrainReport()
+    for (total, recon, kl), n_batches in fit([model.encoder, model.decoder], batches,
+                                             loss_tape, cfg.learning_rate, cfg.epochs):
+        report.per_epoch.append({"total": total / n_batches,
+                                 "reconstruction": recon / n_batches,
+                                 "kl": kl / n_batches})
     report.final_accuracy = reconstruction_accuracy(model, data)
     if val_data is not None:
         report.val_accuracy = reconstruction_accuracy(model, val_data)

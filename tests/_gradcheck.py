@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from seqopt.nn.autodiff import Tensor
+
 STEP = 1e-5
 
 
@@ -27,3 +29,12 @@ def rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(1.0, np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0))
     return np.abs(analytic - numeric).max(initial=0.0) / scale
+
+
+def network_gradients(net, x, adjoint):
+    """Reverse-mode derivatives of `net.forward` at `x`, seeded with the output
+    adjoint, taken the way training takes them: (parameter grads, input grad)."""
+    net.refresh()
+    xt = Tensor(x)
+    net.apply(xt).backward(adjoint)
+    return net.collect_grads(), xt.grad

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import seqopt.nn.autodiff as ad
-from _gradcheck import numeric_gradient, rel_err
+from _gradcheck import network_gradients, numeric_gradient, rel_err
 from seqopt.flow import (FlowModel, FlowTrainConfig, euler_integrate,
                          flow_matching_loss, train_flow)
 from seqopt.metrics import diversity, median_normalized_fitness, novelty
@@ -108,7 +108,7 @@ def test_criterion_2_gradient_suite():
     net = Network.build(desc, seed=1)
     x = rng.standard_normal((2, 3, 7)) + 0.05
     adjoint = rng.standard_normal((2, 4))
-    grads, xg = net.gradients(x, adjoint)
+    grads, xg = network_gradients(net, x, adjoint)
 
     def net_loss(xv):
         return float((net.forward(xv) * adjoint).sum())
@@ -134,19 +134,17 @@ def test_criterion_2_gradient_suite():
     seqs = rng.integers(0, 5, size=(2, 6))
     noise = rng.standard_normal((2, 3))
     from seqopt.vae import _loss_tape as vae_loss_tape
-    vae.refresh()
+    vae.encoder.refresh()
     total, _, _ = vae_loss_tape(vae, seqs, noise)
     total.backward()
     probe = "0.weight"
-    analytic = vae.encoder.param_tensors()[probe].grad
+    analytic = vae.encoder.collect_grads()[probe]
     orig = vae.encoder.params.arrays[probe].copy()
 
     def f_vae(pv):
         vae.encoder.params.arrays[probe][...] = pv
-        vae.refresh()
         val, _, _ = vae_loss(vae, seqs, noise)
         vae.encoder.params.arrays[probe][...] = orig
-        vae.refresh()
         return val
 
     vae_err = rel_err(analytic, numeric_gradient(f_vae, orig.copy()))
@@ -161,15 +159,13 @@ def test_criterion_2_gradient_suite():
     flow.net.refresh()
     loss = flow_loss_tape(flow, z1, z0, tt, None)
     loss.backward()
-    analytic = flow.net.param_tensors()[probe].grad
+    analytic = flow.net.collect_grads()[probe]
     orig = flow.net.params.arrays[probe].copy()
 
     def f_flow(pv):
         flow.net.params.arrays[probe][...] = pv
-        flow.net.refresh()
         val = flow_matching_loss(flow, z1, z0, tt)
         flow.net.params.arrays[probe][...] = orig
-        flow.net.refresh()
         return val
 
     flow_err = rel_err(analytic, numeric_gradient(f_flow, orig.copy()))
@@ -179,14 +175,12 @@ def test_criterion_2_gradient_suite():
     pred = PredictorModel.build(6, 5, PredictorConfig(hidden_channels=8,
                                                       hidden_dense=16), seed=4)
     z = rng.standard_normal((1, 3))
-    flow.net.refresh(); vae.refresh(); pred.net.refresh()
     zt = Tensor(z.copy())
     obj = _objective_tape(zt, flow, vae, pred, 0.9, 0.25, 0.125, True, 1.0,
                           "match_target", None)
     obj.backward()
 
     def f_chain(zv):
-        flow.net.refresh(); vae.refresh(); pred.net.refresh()
         return float(_objective_tape(Tensor(zv), flow, vae, pred, 0.9, 0.25, 0.125,
                                      True, 1.0, "match_target", None).data)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -196,6 +197,20 @@ class TestExperiments:
         assert [r["mode"] for r in rows] == ["manifold", "naive", "learned_posterior"]
         assert "manifold" in out and "learned_posterior" in out
 
+    def test_gridsearch_diverging_cell_is_an_error_row(self, workspace, capsys):
+        root, ini = workspace
+        grid = root / "inf-grid.ini"
+        grid.write_text(TINY_INI.replace("alphas = 0,0.3", "alphas = 0.3, inf"))
+        assert main(["gridsearch", str(grid)]) == 0
+        run_dir = Path(capsys.readouterr().out.strip().split()[-1])
+        with open(run_dir / "cells.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # alpha=inf diverges only where guidance runs (J=2)
+        assert [(r["alpha"], r["guidance_steps"]) for r in rows] == \
+            [("0.3", "0"), ("0.3", "2"), ("inf", "0"), ("inf", "2")]
+        assert [r["error"] for r in rows[:3]] == ["", "", ""]
+        assert "non-finite" in rows[3]["error"] and rows[3]["n_unique"] == "0"
+
     @pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep"])
     def test_parallel_cells_match_serial(self, workspace, capsys, command):
         root, ini = workspace
@@ -234,6 +249,22 @@ mode = sideways
         err = capsys.readouterr().err
         assert "config error: [grid] alphas must be non-empty" in err
         assert "config error: [grid] guidance_steps must be non-empty" in err
+
+    def test_bad_sampler_mode_and_objective_both_reported(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI.replace("mode = manifold", "mode = magic\nobjective = nope"))
+        assert main(["evaluate", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [sampler] mode must be one of" in err
+        assert "objective must be one of" in err
+
+    def test_diverging_training_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.replace("[vae]\n", "[vae]\nlearning_rate = 1e300\n"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train-vae", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("runtime divergence: epoch 0: layer ")
+        assert not (tmp_path / "work" / "vae_encoder.npz").exists()
 
     def test_csv_task_requires_data(self, tmp_path, capsys):
         ini = tmp_path / "csv.ini"

@@ -94,15 +94,13 @@ class TestLoss:
         loss = _loss_tape(model, z1, z0, t, None)
         loss.backward()
         name = "0.weight"
-        analytic = model.net.param_tensors()[name].grad
+        analytic = model.net.collect_grads()[name]
         orig = model.net.params.arrays[name].copy()
 
         def f(pv):
             model.net.params.arrays[name][...] = pv
-            model.net.refresh()
             val = flow_matching_loss(model, z1, z0, t)
             model.net.params.arrays[name][...] = orig
-            model.net.refresh()
             return val
 
         assert rel_err(analytic, numeric_gradient(f, orig.copy())) < 1e-4

@@ -104,6 +104,17 @@ class TestGridSearch:
         assert cells[0]["error"] != "" and np.isnan(cells[0]["median_fitness"])
         assert cells[1]["error"] == ""
 
+    def test_diverging_cell_recorded_not_fatal(self, tiny_stack):
+        # an infinite step size fails inside a network layer, not in the ODE
+        _, _, assets = tiny_stack
+        cells = grid_search(assets, BASE, alphas=[0.3, np.inf], guidance_steps=[2],
+                            seed=2)
+        assert cells[0] == grid_search(assets, BASE, alphas=[0.3], guidance_steps=[2],
+                                       seed=2)[0]
+        assert cells[1]["error"].startswith("layer ")
+        assert "non-finite" in cells[1]["error"] and cells[1]["n_unique"] == 0
+        assert np.isnan(cells[1]["median_fitness"])
+
 
 class TestExtrapolation:
     def test_row_count_is_grid_times_modes(self, tiny_stack):

@@ -101,14 +101,12 @@ class TestGuidanceStep:
         vae, flow, pred = stack
         z = rng.standard_normal((1, L))
         t, dt = 0.25, 0.125
-        flow.net.refresh(); vae.refresh(); pred.net.refresh()
         zt = Tensor(z.copy())
         obj = _objective_tape(zt, flow, vae, pred, 0.9, t, dt, True, 1.0,
                               "match_target", None)
         obj.backward()
 
         def f(zv):
-            flow.net.refresh(); vae.refresh(); pred.net.refresh()
             return float(_objective_tape(Tensor(zv), flow, vae, pred, 0.9, t, dt,
                                          True, 1.0, "match_target", None).data)
 
@@ -118,7 +116,6 @@ class TestGuidanceStep:
         vae, flow, pred = stack
 
         def objective(zv):
-            flow.net.refresh(); vae.refresh(); pred.net.refresh()
             return float(_objective_tape(Tensor(zv), flow, vae, pred, 1.0, 0.25,
                                          0.125, True, 1.0, "match_target", None).data)
 
@@ -273,8 +270,8 @@ class TestGuidedSample:
         guided_sample(SamplerConfig(steps=4, guidance_steps=2, alpha=0.3, batch=16,
                                     top_k=8, mode="manifold", seed=3),
                       flow, assets.vae, assets.predictor)
-        nets = [flow.net, *assets.vae.networks(), assets.predictor.net]
-        leaves = [t for net in nets for t in net.param_tensors().values()]
+        nets = [flow.net, assets.vae.encoder, assets.vae.decoder, assets.predictor.net]
+        leaves = [t for net in nets for t in net._tensors.values()]
         assert leaves
         assert all(t.grad is None and not t.requires_grad for t in leaves)
 

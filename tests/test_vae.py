@@ -4,8 +4,9 @@ import pytest
 from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.nn.autodiff import Tensor
-from seqopt.vae import (EncoderOutput, VaeConfig, VaeModel, reconstruction_accuracy,
-                        reparameterize, sample_vae_prior, train_vae, vae_loss)
+from seqopt.tasks import encode_latents
+from seqopt.vae import (VaeConfig, VaeModel, reconstruction_accuracy,
+                        sample_vae_prior, train_vae, vae_loss)
 
 rng = np.random.default_rng(77)
 
@@ -26,23 +27,50 @@ def overfit_model():
     return model, data, report
 
 
-class TestReparameterize:
-    def test_zero_noise_returns_mean(self):
-        out = EncoderOutput(np.array([1.0, -2.0]), np.array([0.3, -0.7]))
-        np.testing.assert_array_equal(reparameterize(out, np.zeros(2)), out.mean)
+class StubNoise:
+    """Stands in for the generator `encode_latents` draws its noise from."""
 
-    def test_unit_sigma_basis_noise(self):
-        out = EncoderOutput(np.array([1.0, -2.0]), np.zeros(2))
-        z = reparameterize(out, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(z, [2.0, -2.0])
+    def __init__(self, eps):
+        self.eps = np.asarray(eps, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(self.eps, shape).copy()
+
+
+def fixed_head_model(mean, log_variance):
+    """A model whose encoder emits the same posterior for every sequence."""
+    model = tiny_model(latent=len(mean), seed=15)
+    model.encoder.params.arrays["5.weight"][...] = 0.0
+    model.encoder.params.arrays["5.bias"][...] = [*mean, *log_variance]
+    return model
+
+
+def random_records(n):
+    return Dataset.from_arrays(rng.integers(0, 5, size=(n, 6)), np.linspace(0, 1, n))
+
+
+class TestReparameterize:
+    """z = mean + exp(log_variance / 2) * eps, as `encode_latents` draws it."""
+
+    def test_zero_noise_returns_mean(self, monkeypatch):
+        model = tiny_model(seed=16)
+        data = random_records(5)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: StubNoise(0.0))
+        mean, _ = model.encode_batch(data.sequences)
+        np.testing.assert_array_equal(encode_latents(model, data, seed=0), mean)
+
+    def test_unit_sigma_basis_noise(self, monkeypatch):
+        model = fixed_head_model([1.0, -2.0], [0.0, 0.0])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: StubNoise([1.0, 0.0]))
+        z = encode_latents(model, random_records(3), seed=0)
+        np.testing.assert_allclose(z, np.tile([2.0, -2.0], (3, 1)))
 
     def test_monte_carlo_variance(self):
-        logvar = np.array([0.8, -1.2, 0.0])
-        out = EncoderOutput(np.zeros(3), logvar)
-        draws = np.stack([reparameterize(out, n)
-                          for n in rng.standard_normal((100_000, 3))])
-        sample_var = draws.var(axis=0)
-        np.testing.assert_allclose(sample_var, np.exp(logvar), rtol=0.05)
+        model = fixed_head_model([0.0, 0.0, 0.0], [0.8, -1.2, 0.0])
+        data = random_records(100_000)
+        _, logvar = model.encode_batch(data.sequences[:1])
+        sample_var = encode_latents(model, data, seed=3).var(axis=0)
+        np.testing.assert_allclose(sample_var, np.exp(logvar[0]), rtol=0.05)
 
 
 class TestEncodeDecode:
@@ -53,8 +81,8 @@ class TestEncodeDecode:
         seq = rng.integers(0, 20, size=28)
         enc = model.encode(seq)
         assert enc.mean.shape == (16,) and enc.log_variance.shape == (16,)
-        logits = model.decode_logits(rng.standard_normal(16))
-        assert logits.shape == (28, 20)
+        logits = model.decode_logits_batch(rng.standard_normal((1, 16)))
+        assert logits.shape == (1, 28, 20)
 
     def test_encode_deterministic(self):
         model = tiny_model()
@@ -66,7 +94,6 @@ class TestEncodeDecode:
     def test_log_variance_bounded(self):
         model = tiny_model(seed=3)
         model.encoder.params.arrays["5.bias"][...] = 1e6  # drive raw head huge
-        model.refresh()
         enc = model.encode(rng.integers(0, 5, size=6))
         assert np.all(np.abs(enc.log_variance) <= 10.0)
 
@@ -93,7 +120,6 @@ class TestEncodeDecode:
         model = tiny_model(seed=4)
         z = rng.standard_normal((1, 3))
         probe = rng.standard_normal((1, 6, 5))
-        model.refresh()
         zt = Tensor(z.copy())
         loss = ad.tsum(model.decode_logits_tape(zt) * Tensor(probe))
         loss.backward()
@@ -108,7 +134,6 @@ class TestEncodeDecode:
         model = tiny_model(seed=6)
         for _ in range(10):
             z = rng.uniform(-6, 6, size=(1, 3))
-            model.refresh()
             zt = Tensor(z)
             ad.tsum(model.decode_logits_tape(zt)).backward()
             assert np.isfinite(zt.grad).all()
@@ -118,7 +143,7 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="length"):
             model.encode(np.zeros(9, dtype=int))
         with pytest.raises(ValueError, match="latent"):
-            model.decode_logits(np.zeros(7))
+            model.decode_logits_batch(np.zeros((1, 7)))
 
 
 class TestVaeLoss:
@@ -127,7 +152,6 @@ class TestVaeLoss:
         # freeze encoder head at exactly mean=0, logvar=0
         model.encoder.params.arrays["5.weight"][...] = 0.0
         model.encoder.params.arrays["5.bias"][...] = 0.0
-        model.refresh()
         seqs = rng.integers(0, 5, size=(3, 6))
         _, _, kl = vae_loss(model, seqs, np.zeros((3, 3)))
         assert kl == pytest.approx(0.0, abs=1e-9)
@@ -137,7 +161,6 @@ class TestVaeLoss:
         model = tiny_model(latent=1, seed=9)
         model.encoder.params.arrays["5.weight"][...] = 0.0
         model.encoder.params.arrays["5.bias"][...] = [1.0, 0.0]
-        model.refresh()
         seqs = rng.integers(0, 5, size=(2, 6))
         _, _, kl = vae_loss(model, seqs, np.zeros((2, 1)))
         assert kl == pytest.approx(0.5, abs=1e-9)
@@ -146,7 +169,6 @@ class TestVaeLoss:
         model = tiny_model(vocab=20, seed=10)
         for name, arr in model.decoder.params.arrays.items():
             arr[...] = 0.0  # decoder emits all-zero logits == uniform
-        model.refresh()
         seqs = rng.integers(0, 20, size=(4, 6))
         _, recon, _ = vae_loss(model, seqs, np.zeros((4, 3)))
         assert recon == pytest.approx(np.log(20), abs=1e-9)
@@ -169,19 +191,17 @@ class TestVaeLoss:
         model = tiny_model(seed=12)
         seqs = rng.integers(0, 5, size=(2, 6))
         noise = rng.standard_normal((2, 3))
-        model.refresh()
+        model.encoder.refresh()
         total, _, _ = _loss_tape(model, seqs, noise)
         total.backward()
         name = "0.weight"  # encoder conv probe
-        analytic = model.encoder.param_tensors()[name].grad
+        analytic = model.encoder.collect_grads()[name]
         orig = model.encoder.params.arrays[name].copy()
 
         def f(pv):
             model.encoder.params.arrays[name][...] = pv
-            model.refresh()
             val, _, _ = vae_loss(model, seqs, noise)
             model.encoder.params.arrays[name][...] = orig
-            model.refresh()
             return val
 
         assert rel_err(analytic, numeric_gradient(f, orig.copy())) < 1e-4
@@ -237,7 +257,6 @@ class TestTraining:
         for name, arr in model.decoder.params.arrays.items():
             arr[...] = 0.0
         model.decoder.params.arrays["5.bias"][...] = [0, 0, 0, 9.0, 0]  # always token 3
-        model.refresh()
         seqs = rng.integers(0, 5, size=(50, 6))
         data = Dataset.from_arrays(seqs, np.linspace(0, 1, 50))
         freq = (seqs == 3).mean()
