@@ -25,8 +25,9 @@ for t in (0.0, 0.5, 1.0):
     print(f"  t={t:.1f}: {interpolate(z0, z1, t)}")
 
 print("\ntraining the velocity field (150 epochs)...")
-cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=150, seed=0)
-model, losses = train_flow(data, cfg, hidden=64)
+cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=150, seed=0,
+                      hidden=64)
+model, losses = train_flow(data, cfg)
 print(f"loss: {losses[0]:.3f} (first epoch) -> {losses[-1]:.3f} (last epoch)")
 
 # the regression target is z1 - z0; a fresh batch shows the residual loss level

@@ -128,7 +128,7 @@ def cmd_train_prior(cfg: RunConfig, conditional: bool) -> int:
     labels = task.train.normalized_fitness() if conditional else None
     flow_cfg = dataclasses.replace(cfg.flow, seed=cfg.flow.seed + (1 if conditional else 0))
     model, losses = flowmod.train_flow(latents, flow_cfg, labels=labels,
-                                       conditional=conditional, hidden=cfg.flow_hidden)
+                                       conditional=conditional)
     name = "flow_conditional.npz" if conditional else "flow.npz"
     checksum = flowmod.save_flow(model, cfg.workdir / name)
     _write_report(cfg.workdir / f"{name.removesuffix('.npz')}_report.json",

@@ -1,11 +1,14 @@
 """Run configuration: one INI file with sections for the task, paths, model
-hyperparameters, the sampler, and each experiment. Validation collects every
-problem before reporting, and paths resolve relative to the config file."""
+hyperparameters, the sampler, and each experiment. The model and sampler
+sections are read field by field from their config dataclasses, whose values
+are the defaults. Validation collects every problem before reporting, and
+paths resolve relative to the config file."""
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -16,6 +19,8 @@ from .tasks import SYNTHETIC_TASKS, SyntheticTaskSpec
 from .vae import VaeConfig
 
 TASK_NAMES = tuple(sorted(SYNTHETIC_TASKS)) + ("csv",)
+# [sampler] defaults to the guided sampler; SamplerConfig() itself is unguided.
+SAMPLER_DEFAULTS = SamplerConfig(guidance_steps=5, alpha=0.5, seed=100)
 
 
 @dataclass
@@ -31,7 +36,6 @@ class RunConfig:
     parallelism: int
     vae: VaeConfig
     flow: FlowTrainConfig
-    flow_hidden: int
     predictor: PredictorConfig
     sampler: SamplerConfig
     eval_seeds: list[int]
@@ -139,43 +143,29 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         if oracle_ckpt is not None and not oracle_ckpt.exists():
             problems.append(f"[paths] oracle checkpoint not found: {oracle_ckpt}")
 
-    def build(factory, label, **kwargs):
+    def read(section, default, skip=()):
+        """`default` with each field not in `skip` read from [section] under its
+        own name and cast to its default's type; None if the dataclass refuses."""
+        values = {}
+        for f in fields(default):
+            if f.name in skip:
+                continue
+            fallback = getattr(default, f.name)
+            value = get(section, f.name, type(fallback), fallback)
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"[{section}] {f.name}: must be finite, got {value}")
+                value = fallback
+            values[f.name] = value
         try:
-            return factory(**kwargs)
+            return replace(default, **values)
         except (ValueError, ConfigError) as exc:
-            problems.append(f"[{label}] {exc}")
+            problems.append(f"[{section}] {exc}")
             return None
 
-    vae = build(VaeConfig, "vae",
-                latent_dim=get("vae", "latent_dim", int, 14),
-                beta=get("vae", "beta", float, 0.0015),
-                learning_rate=get("vae", "learning_rate", float, 1e-3),
-                epochs=get("vae", "epochs", int, 90),
-                batch_size=get("vae", "batch_size", int, 128),
-                hidden_channels=get("vae", "hidden_channels", int, 48))
-    flow = build(FlowTrainConfig, "flow",
-                 learning_rate=get("flow", "learning_rate", float, 1e-3),
-                 batch_size=get("flow", "batch_size", int, 256),
-                 epochs=get("flow", "epochs", int, 300),
-                 seed=task_seed)
-    flow_hidden = get("flow", "hidden", int, 128)
-    predictor = build(PredictorConfig, "predictor",
-                      learning_rate=get("predictor", "learning_rate", float, 1e-3),
-                      epochs=get("predictor", "epochs", int, 100),
-                      batch_size=get("predictor", "batch_size", int, 128),
-                      hidden_channels=get("predictor", "hidden_channels", int, 24),
-                      hidden_dense=get("predictor", "hidden_dense", int, 64))
-    sampler = build(SamplerConfig, "sampler",
-                    steps=get("sampler", "steps", int, 32),
-                    guidance_steps=get("sampler", "guidance_steps", int, 5),
-                    alpha=get("sampler", "alpha", float, 0.5),
-                    target_y=get("sampler", "target_y", float, 1.0),
-                    batch=get("sampler", "batch", int, 512),
-                    top_k=get("sampler", "top_k", int, 128),
-                    mode=get("sampler", "mode", str, "manifold"),
-                    seed=get("sampler", "seed", int, 100),
-                    temperature=get("sampler", "temperature", float, 1.0),
-                    objective=get("sampler", "objective", str, "match_target"))
+    vae = read("vae", VaeConfig())
+    flow = read("flow", FlowTrainConfig(seed=task_seed), skip=("seed",))
+    predictor = read("predictor", PredictorConfig())
+    sampler = read("sampler", SAMPLER_DEFAULTS)
 
     eval_seeds = get("evaluate", "seeds", _ints, [100, 101, 102, 103, 104])
     grid_alphas = get("grid", "alphas", _floats, [0.0, 0.1, 0.3, 0.5])
@@ -198,26 +188,24 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                      data_path=data_path, range_path=range_path,
                      oracle_checkpoint=oracle_ckpt, workdir=workdir,
                      results=results, parallelism=parallelism, vae=vae,
-                     flow=flow, flow_hidden=flow_hidden, predictor=predictor,
-                     sampler=sampler, eval_seeds=eval_seeds,
-                     grid_alphas=grid_alphas, grid_guidance_steps=grid_js,
+                     flow=flow, predictor=predictor, sampler=sampler,
+                     eval_seeds=eval_seeds, grid_alphas=grid_alphas,
+                     grid_guidance_steps=grid_js,
                      extrapolate_y=extrap_y, extrapolate_batch=extrap_batch,
                      ode_steps=ode_steps)
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-friendly snapshot of the effective configuration."""
-    import dataclasses
-
     return {
         "task": {"name": cfg.task_name, "seed": cfg.task_seed,
-                 "spec": dataclasses.asdict(cfg.task_spec) if cfg.task_spec else None},
+                 "spec": asdict(cfg.task_spec) if cfg.task_spec else None},
         "paths": {"data": str(cfg.data_path) if cfg.data_path else None,
                   "workdir": str(cfg.workdir), "results": str(cfg.results)},
-        "vae": dataclasses.asdict(cfg.vae),
-        "flow": {**dataclasses.asdict(cfg.flow), "hidden": cfg.flow_hidden},
-        "predictor": dataclasses.asdict(cfg.predictor),
-        "sampler": dataclasses.asdict(cfg.sampler),
+        "vae": asdict(cfg.vae),
+        "flow": asdict(cfg.flow),
+        "predictor": asdict(cfg.predictor),
+        "sampler": asdict(cfg.sampler),
         "evaluate": {"seeds": cfg.eval_seeds},
         "grid": {"alphas": cfg.grid_alphas, "guidance_steps": cfg.grid_guidance_steps},
         "extrapolate": {"y_values": cfg.extrapolate_y, "batch": cfg.extrapolate_batch},

@@ -23,12 +23,15 @@ from .nn.optim import fit
 class FlowTrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 256
-    epochs: int = 400
+    epochs: int = 300
     seed: int = 0
+    hidden: int = 128            # width of the velocity trunk's dense layers
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad training hyperparameters")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
 
 
 def sinusoidal_embedding(values: np.ndarray, dim: int, max_freq: float = 64.0) -> np.ndarray:
@@ -42,7 +45,7 @@ def sinusoidal_embedding(values: np.ndarray, dim: int, max_freq: float = 64.0) -
 
 
 def trunk_descriptor(latent_dim: int, time_embed_dim: int, fitness_embed_dim: int,
-                     hidden: int = 128) -> list[dict]:
+                     hidden: int) -> list[dict]:
     in_dim = latent_dim + time_embed_dim + fitness_embed_dim
     return [
         {"kind": "dense", "in": in_dim, "out": hidden},
@@ -66,8 +69,8 @@ class FlowModel:
         self.max_freq = max_freq
 
     @classmethod
-    def build(cls, latent_dim: int, seed: int, conditional: bool = False,
-              hidden: int = 128, time_embed_dim: int = 16) -> "FlowModel":
+    def build(cls, latent_dim: int, seed: int, conditional: bool = False, *,
+              hidden: int, time_embed_dim: int = 16) -> "FlowModel":
         y_dim = time_embed_dim if conditional else 0
         net = Network.build(trunk_descriptor(latent_dim, time_embed_dim, y_dim, hidden), seed)
         return cls(net, latent_dim, time_embed_dim, y_dim)
@@ -136,8 +139,8 @@ def flow_matching_loss(model: FlowModel, z1: np.ndarray, z0: np.ndarray,
 
 
 def train_flow(latents: np.ndarray, cfg: FlowTrainConfig,
-               labels: np.ndarray | None = None, conditional: bool = False,
-               hidden: int = 128) -> tuple[FlowModel, list[float]]:
+               labels: np.ndarray | None = None, conditional: bool = False
+               ) -> tuple[FlowModel, list[float]]:
     """Fit the velocity field on encoded latents; fresh noise endpoints and
     times are drawn every epoch. Returns the model and per-epoch losses."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
@@ -148,7 +151,7 @@ def train_flow(latents: np.ndarray, cfg: FlowTrainConfig,
         if labels.shape != (latents.shape[0],):
             raise ValueError("labels must be one scalar per latent")
     n, dim = latents.shape
-    model = FlowModel.build(dim, seed=cfg.seed, conditional=conditional, hidden=hidden)
+    model = FlowModel.build(dim, seed=cfg.seed, conditional=conditional, hidden=cfg.hidden)
     rng = np.random.default_rng(cfg.seed + 3000)
 
     def batches():

@@ -24,7 +24,7 @@ ROLES = ("predictor", "smoothed", "oracle")
 @dataclass(frozen=True)
 class PredictorConfig:
     learning_rate: float = 1e-3
-    epochs: int = 60
+    epochs: int = 100
     batch_size: int = 128
     hidden_channels: int = 24
     hidden_dense: int = 64
@@ -32,6 +32,9 @@ class PredictorConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad training hyperparameters")
+        for name in ("hidden_channels", "hidden_dense"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .flow import FlowModel, euler_step
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import params_checksum
+from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
 from .seqs import detokenize
 from .vae import VaeModel
@@ -176,15 +177,18 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     dt = 1.0 / cfg.steps
     for k in range(cfg.steps):
         t = k * dt
-        z = euler_step(flow, z, t, dt, y_cond)
-        if not np.isfinite(z).all():
-            raise FloatingPointError(f"non-finite state at integration step {k}")
-        if needs_guidance:
-            for _ in range(cfg.guidance_steps):
-                z = guidance_step(z, flow, vae, predictor, cfg.target_y, cfg.alpha,
-                                  t, dt, manifold=(cfg.mode == "manifold"),
-                                  temperature=cfg.temperature,
-                                  objective=cfg.objective, y_cond=y_cond)
+        try:
+            z = euler_step(flow, z, t, dt, y_cond)
+            if not np.isfinite(z).all():
+                raise FloatingPointError(f"non-finite state at integration step {k}")
+            if needs_guidance:
+                for _ in range(cfg.guidance_steps):
+                    z = guidance_step(z, flow, vae, predictor, cfg.target_y, cfg.alpha,
+                                      t, dt, manifold=(cfg.mode == "manifold"),
+                                      temperature=cfg.temperature,
+                                      objective=cfg.objective, y_cond=y_cond)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} at integration step {k}") from exc
     raw_sequences = vae.decode_tokens_batch(z)
     sequences, scores, selected, shortfall = _select_top_k(
         raw_sequences, predictor, cfg.top_k)

@@ -8,7 +8,7 @@ tasks load externally provided data in the same structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,8 +16,8 @@ from .data import Dataset, FitnessNormalizer, difficulty_filter, load_csv
 from .flow import FlowModel, FlowTrainConfig, train_flow
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
                         synthetic_full_dataset)
-from .predictor import (PredictorConfig, PredictorModel, smooth_labels_knn,
-                        train_oracle, train_predictor)
+from .predictor import (PredictorConfig, PredictorModel, train_oracle,
+                        train_predictor)
 from .seqs import Vocabulary
 from .vae import VaeConfig, VaeModel, train_vae
 
@@ -92,14 +92,10 @@ def build_csv_task(path, vocab: Vocabulary | None = None, range_file=None,
     return TaskData(name=name, vocab=vocab, full=train, train=train)
 
 
-def split_train_val(data: Dataset, seed: int, val_fraction: float = 0.1):
-    """Deterministic (fit, val) split; val is None when val_fraction == 0."""
-    if not (0 <= val_fraction < 1):
-        raise ValueError("val_fraction must lie in [0, 1)")
-    if val_fraction == 0:
-        return data, None
+def split_train_val(data: Dataset, seed: int):
+    """Deterministic (fit, val) split holding out a tenth of the records."""
     rng = np.random.default_rng(seed + 10)
-    n_val = max(1, int(round(val_fraction * data.n)))
+    n_val = max(1, int(round(0.1 * data.n)))
     perm = rng.permutation(data.n)
     return data.subset(perm[n_val:]), data.subset(perm[:n_val])
 
@@ -122,40 +118,34 @@ class ModelBundle:
     flow: FlowModel
     predictor: PredictorModel
     flow_conditional: FlowModel | None = None
-    smoothed_predictor: PredictorModel | None = None
     reports: dict = field(default_factory=dict)
 
 
-def default_vae_config(latent_dim: int = 14) -> VaeConfig:
-    return VaeConfig(latent_dim=latent_dim, beta=0.0015, learning_rate=1e-3,
-                     epochs=90, batch_size=128, hidden_channels=48)
+def default_vae_config() -> VaeConfig:
+    return VaeConfig()
 
 
-def default_flow_config(seed: int = 0) -> FlowTrainConfig:
-    return FlowTrainConfig(learning_rate=1e-3, batch_size=256, epochs=300, seed=seed)
+def default_flow_config(seed: int) -> FlowTrainConfig:
+    return FlowTrainConfig(seed=seed)
 
 
 def default_predictor_config() -> PredictorConfig:
-    return PredictorConfig(learning_rate=1e-3, epochs=100, batch_size=128,
-                           hidden_channels=24, hidden_dense=64)
+    return PredictorConfig()
 
 
 def train_models(task: TaskData, seed: int,
                  vae_cfg: VaeConfig | None = None,
                  flow_cfg: FlowTrainConfig | None = None,
                  pred_cfg: PredictorConfig | None = None,
-                 conditional: bool = False,
-                 smoothed: bool = False,
-                 val_fraction: float = 0.1) -> ModelBundle:
+                 conditional: bool = False) -> ModelBundle:
     """Train the whole stack on the task's limited training set: VAE first,
     then the flow prior on its sampled latents, plus the fitness predictor.
-    `conditional` adds a fitness-conditioned flow; `smoothed` adds a predictor
-    trained on k-NN smoothed labels."""
+    `conditional` adds a fitness-conditioned flow, seeded one past the flow."""
     vae_cfg = vae_cfg or default_vae_config()
     flow_cfg = flow_cfg or default_flow_config(seed)
     pred_cfg = pred_cfg or default_predictor_config()
     data = task.train
-    fit, val = split_train_val(data, seed, val_fraction)
+    fit, val = split_train_val(data, seed)
 
     vae, vae_report = train_vae(fit, vae_cfg, seed, vocab_size=task.vocab.size,
                                 val_data=val)
@@ -169,19 +159,10 @@ def train_models(task: TaskData, seed: int,
                                   "flow": {"per_epoch": flow_losses},
                                   "predictor": pred_report.to_json()})
     if conditional:
-        labels = data.normalized_fitness()
-        cond_cfg = FlowTrainConfig(learning_rate=flow_cfg.learning_rate,
-                                   batch_size=flow_cfg.batch_size,
-                                   epochs=flow_cfg.epochs, seed=flow_cfg.seed + 1)
         bundle.flow_conditional, cond_losses = train_flow(
-            latents, cond_cfg, labels=labels, conditional=True)
+            latents, replace(flow_cfg, seed=flow_cfg.seed + 1),
+            labels=data.normalized_fitness(), conditional=True)
         bundle.reports["flow_conditional"] = {"per_epoch": cond_losses}
-    if smoothed:
-        sm_data = smooth_labels_knn(fit, k=10)
-        bundle.smoothed_predictor, sm_report = train_predictor(
-            sm_data, pred_cfg, seed + 30, vocab_size=task.vocab.size,
-            role="smoothed", val_data=val)
-        bundle.reports["smoothed_predictor"] = sm_report.to_json()
     return bundle
 
 

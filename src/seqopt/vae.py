@@ -24,12 +24,12 @@ LOGVAR_BOUND = 10.0  # |log-variance| cap, applied smoothly via tanh
 
 @dataclass(frozen=True)
 class VaeConfig:
-    latent_dim: int
-    beta: float
+    latent_dim: int = 14
+    beta: float = 0.0015
     learning_rate: float = 1e-3
-    epochs: int = 40
+    epochs: int = 90
     batch_size: int = 128
-    hidden_channels: int = 32
+    hidden_channels: int = 48
 
     def __post_init__(self):
         if self.latent_dim < 1:
@@ -38,6 +38,8 @@ class VaeConfig:
             raise ValueError("beta must be > 0")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad training hyperparameters")
+        if self.hidden_channels < 1:
+            raise ValueError("hidden_channels must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -196,8 +196,9 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_flow_matching_2d():
     t0 = time.monotonic()
     data = np.random.default_rng(42).normal(3.0, 0.5, size=(8192, 2))
-    cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=150, seed=0)
-    model, _ = train_flow(data, cfg, hidden=64)
+    cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=150, seed=0,
+                          hidden=64)
+    model, _ = train_flow(data, cfg)
     z0 = np.random.default_rng(1).standard_normal((4096, 2))
     final = euler_integrate(model, z0, steps=32)[-1]
     mean_err = np.abs(final.mean(axis=0) - 3.0).max()

@@ -5,7 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqopt import tasks
 from seqopt.cli import main
+from seqopt.config import config_echo, load_config
+from seqopt.flow import FlowTrainConfig
+from seqopt.predictor import PredictorConfig
+from seqopt.vae import VaeConfig
 
 TINY_INI = """
 [task]
@@ -258,6 +263,24 @@ mode = sideways
         assert "config error: [sampler] mode must be one of" in err
         assert "objective must be one of" in err
 
+    @pytest.mark.parametrize("command,section,option,value", [
+        ("train-vae", "vae", "beta", "inf"),
+        ("train-vae", "vae", "hidden_channels", "0"),
+        ("train-predictor", "predictor", "hidden_channels", "0"),
+        ("train-predictor", "predictor", "hidden_dense", "0"),
+        ("train-prior", "flow", "hidden", "0"),
+        ("sample", "sampler", "temperature", "nan"),
+    ])
+    def test_value_that_would_crash_or_diverge_rejected(self, tmp_path, capsys, command,
+                                                         section, option, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[task]\nname = synthetic-medium\n[paths]\nworkdir = work\n"
+                       f"[{section}]\n{option} = {value}\n")
+        assert main([command, str(ini)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: [{section}] {option}")
+        assert not (tmp_path / "work").exists()
+
     def test_diverging_training_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(TINY_INI.replace("[vae]\n", "[vae]\nlearning_rate = 1e300\n"))
@@ -299,3 +322,26 @@ hidden_channels = 12
 """)
         assert main(["train-vae", str(ini)]) == 0
         assert (tmp_path / "work" / "vae_encoder.npz").exists()
+
+
+class TestShippedConfigs:
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+    def test_defaults_and_shipped_files(self, tmp_path):
+        minimal = tmp_path / "hard.ini"
+        minimal.write_text("[task]\nname = synthetic-hard\n")
+        cfg = load_config(minimal)
+        assert cfg.vae == VaeConfig() == tasks.default_vae_config()
+        assert cfg.flow == FlowTrainConfig(seed=0) == tasks.default_flow_config(0)
+        assert cfg.predictor == PredictorConfig() == tasks.default_predictor_config()
+
+        # synthetic-hard.ini writes the defaults out, except for the grid's alphas
+        shipped = config_echo(load_config(self.CONFIGS / "synthetic-hard.ini"))
+        default = config_echo(cfg)
+        assert shipped["grid"].pop("alphas") == [0.0, 0.05, 0.2, 0.5]
+        assert default["grid"].pop("alphas") == [0.0, 0.1, 0.3, 0.5]
+        del shipped["paths"], default["paths"]
+        assert shipped == default
+
+        assert load_config(self.CONFIGS / "synthetic-medium.ini").task_name == \
+            "synthetic-medium"

@@ -145,16 +145,18 @@ class TestEuler:
 class TestTraining:
     def test_point_mass_contraction(self):
         latents = np.zeros((256, 4))
-        cfg = FlowTrainConfig(learning_rate=2e-3, batch_size=128, epochs=500, seed=5)
-        model, losses = train_flow(latents, cfg, hidden=48)
+        cfg = FlowTrainConfig(learning_rate=2e-3, batch_size=128, epochs=500, seed=5,
+                              hidden=48)
+        model, losses = train_flow(latents, cfg)
         z0 = np.random.default_rng(6).standard_normal((64, 4))
         final = euler_integrate(model, z0, steps=32)[-1]
         assert np.linalg.norm(final, axis=1).max() < 0.1 * np.sqrt(4)
 
     def test_2d_gaussian_moments(self):
         data = np.random.default_rng(7).normal(3.0, 0.5, size=(4096, 2))
-        cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=100, seed=8)
-        model, losses = train_flow(data, cfg, hidden=64)
+        cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=100, seed=8,
+                              hidden=64)
+        model, losses = train_flow(data, cfg)
         assert losses[-1] < losses[0]
         z0 = np.random.default_rng(9).standard_normal((4096, 2))
         final = euler_integrate(model, z0, steps=32)[-1]
@@ -163,8 +165,9 @@ class TestTraining:
 
     def test_richardson_step_halving(self):
         data = np.random.default_rng(10).normal(1.5, 0.6, size=(2048, 2))
-        cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=60, seed=11)
-        model, _ = train_flow(data, cfg, hidden=32)
+        cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=60, seed=11,
+                              hidden=32)
+        model, _ = train_flow(data, cfg)
         z0 = np.random.default_rng(12).standard_normal((128, 2))
         finals = {k: euler_integrate(model, z0, steps=k)[-1] for k in (8, 16, 32)}
         d1 = np.linalg.norm(finals[8] - finals[16], axis=1).mean()
@@ -174,16 +177,16 @@ class TestTraining:
 
     def test_epochs_zero_smoke(self):
         latents = np.random.default_rng(13).standard_normal((64, 3))
-        model, losses = train_flow(latents, FlowTrainConfig(epochs=0, seed=14), hidden=8)
+        model, losses = train_flow(latents, FlowTrainConfig(epochs=0, seed=14, hidden=8))
         assert losses == []
         final = euler_integrate(model, np.zeros((4, 3)), steps=8)[-1]
         assert np.isfinite(final).all()
 
     def test_training_deterministic(self):
         latents = np.random.default_rng(15).standard_normal((128, 3))
-        cfg = FlowTrainConfig(batch_size=64, epochs=5, seed=16)
-        m1, l1 = train_flow(latents, cfg, hidden=16)
-        m2, l2 = train_flow(latents, cfg, hidden=16)
+        cfg = FlowTrainConfig(batch_size=64, epochs=5, seed=16, hidden=16)
+        m1, l1 = train_flow(latents, cfg)
+        m2, l2 = train_flow(latents, cfg)
         assert l1 == l2
         for k in m1.net.params.arrays:
             np.testing.assert_array_equal(m1.net.params.arrays[k], m2.net.params.arrays[k])
@@ -192,10 +195,10 @@ class TestTraining:
 class TestConditional:
     def test_constant_label_matches_unconditional_moments(self):
         data = np.random.default_rng(17).normal(2.0, 0.4, size=(2048, 2))
-        cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=80, seed=18)
-        uncond, _ = train_flow(data, cfg, hidden=48)
-        cond, _ = train_flow(data, cfg, labels=np.full(2048, 0.7), conditional=True,
-                             hidden=48)
+        cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=80, seed=18,
+                              hidden=48)
+        uncond, _ = train_flow(data, cfg)
+        cond, _ = train_flow(data, cfg, labels=np.full(2048, 0.7), conditional=True)
         z0 = np.random.default_rng(19).standard_normal((2048, 2))
         f_u = euler_integrate(uncond, z0, steps=32)[-1]
         f_c = euler_integrate(cond, z0, steps=32, y=0.7)[-1]

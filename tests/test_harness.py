@@ -113,6 +113,9 @@ class TestGridSearch:
                                        seed=2)[0]
         assert cells[1]["error"].startswith("layer ")
         assert "non-finite" in cells[1]["error"] and cells[1]["n_unique"] == 0
+        # the first guided step sends the state to inf; the next forward pass
+        # fails inside the same Euler step
+        assert cells[1]["error"].endswith(" at integration step 0")
         assert np.isnan(cells[1]["median_fitness"])
 
 

@@ -19,7 +19,7 @@ from seqopt.vae import VaeConfig, train_vae
 
 VAE_CFG = VaeConfig(latent_dim=3, beta=0.01, epochs=3, batch_size=16, hidden_channels=8)
 PRED_CFG = PredictorConfig(hidden_channels=4, hidden_dense=8, epochs=3, batch_size=16)
-FLOW_CFG = FlowTrainConfig(epochs=3, batch_size=16, seed=5)
+FLOW_CFG = FlowTrainConfig(epochs=3, batch_size=16, seed=5, hidden=8)
 
 
 def records(n=40):
@@ -53,9 +53,9 @@ def test_trained_weights_pinned():
 
     vae, vae_report = train_vae(records(), VAE_CFG, seed=3, vocab_size=5)
     pred, pred_report = train_predictor(records(), PRED_CFG, seed=4, vocab_size=5)
-    flow, flow_losses = train_flow(latents(), FLOW_CFG, hidden=8)
+    flow, flow_losses = train_flow(latents(), FLOW_CFG)
     cond, cond_losses = train_flow(latents(), FLOW_CFG, labels=np.linspace(0, 1, 40),
-                                   conditional=True, hidden=8)
+                                   conditional=True)
     got = {"vae_encoder": params_checksum(vae.encoder.params)[:16],
            "vae_decoder": params_checksum(vae.decoder.params)[:16],
            "predictor": params_checksum(pred.net.params)[:16],
@@ -73,7 +73,7 @@ def test_trained_weights_pinned():
 def test_parameter_leaves_frozen_after_training():
     vae, _ = train_vae(records(), VAE_CFG, seed=3, vocab_size=5)
     pred, _ = train_predictor(records(), PRED_CFG, seed=4, vocab_size=5)
-    flow, _ = train_flow(latents(), FLOW_CFG, hidden=8)
+    flow, _ = train_flow(latents(), FLOW_CFG)
     leaves = [t for net in (vae.encoder, vae.decoder, pred.net, flow.net)
               for t in net._tensors.values()]
     assert leaves
@@ -108,12 +108,12 @@ class TestDivergence:
         z[11, 1] = np.nan
         with pytest.raises(TrainingDivergedError,
                            match=r"^epoch 0: layer 0 \(dense\) produced non-finite values$"):
-            train_flow(z, FLOW_CFG, hidden=8)
+            train_flow(z, FLOW_CFG)
 
     def test_flow_non_finite_loss(self):
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingDivergedError, match="^epoch 0: non-finite loss$"):
-            train_flow(latents() * 1e160, FLOW_CFG, hidden=8)
+            train_flow(latents() * 1e160, FLOW_CFG)
 
 
 class TestFit:
