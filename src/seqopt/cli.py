@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import flow as flowmod
@@ -282,25 +283,29 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_run(args)
-        if args.command == "train-vae":
-            return cmd_train_vae(cfg)
-        if args.command == "train-prior":
-            return cmd_train_prior(cfg, args.conditional)
-        if args.command == "train-predictor":
-            return cmd_train_predictor(cfg, args.role)
-        if args.command == "sample":
-            return cmd_sample(cfg, args.mode, args.top_k, args.batch)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "gridsearch":
-            return cmd_gridsearch(cfg)
-        if args.command == "extrapolate":
-            return cmd_extrapolate(cfg)
-        if args.command == "ode-sweep":
-            return cmd_ode_sweep(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        raise ConfigError([f"unknown command {args.command!r}"])
+        # numpy's overflow warnings would precede the one-line report that the
+        # finite checks make of a divergence
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if args.command == "train-vae":
+                return cmd_train_vae(cfg)
+            if args.command == "train-prior":
+                return cmd_train_prior(cfg, args.conditional)
+            if args.command == "train-predictor":
+                return cmd_train_predictor(cfg, args.role)
+            if args.command == "sample":
+                return cmd_sample(cfg, args.mode, args.top_k, args.batch)
+            if args.command == "evaluate":
+                return cmd_evaluate(cfg)
+            if args.command == "gridsearch":
+                return cmd_gridsearch(cfg)
+            if args.command == "extrapolate":
+                return cmd_extrapolate(cfg)
+            if args.command == "ode-sweep":
+                return cmd_ode_sweep(cfg)
+            if args.command == "ablate":
+                return cmd_ablate(cfg)
+            raise ConfigError([f"unknown command {args.command!r}"])
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

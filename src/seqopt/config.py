@@ -143,19 +143,27 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         if oracle_ckpt is not None and not oracle_ckpt.exists():
             problems.append(f"[paths] oracle checkpoint not found: {oracle_ckpt}")
 
-    def read(section, default, skip=()):
+    def read(section, default, skip=None):
         """`default` with each field not in `skip` read from [section] under its
-        own name and cast to its default's type; None if the dataclass refuses."""
+        own name and cast to its default's type; None if the dataclass refuses.
+        A key that is no field, or is in `skip` ({field: why it is not read}),
+        is a problem."""
+        skip = skip or {}
+        names = [f.name for f in fields(default) if f.name not in skip]
+        for option in parser.options(section) if parser.has_section(section) else ():
+            if option in skip:
+                problems.append(f"[{section}] {option}: {skip[option]}")
+            elif option not in names:
+                problems.append(f"[{section}] {option}: unknown option; the options "
+                                f"are {', '.join(names)}")
         values = {}
-        for f in fields(default):
-            if f.name in skip:
-                continue
-            fallback = getattr(default, f.name)
-            value = get(section, f.name, type(fallback), fallback)
+        for name in names:
+            fallback = getattr(default, name)
+            value = get(section, name, type(fallback), fallback)
             if isinstance(value, float) and not math.isfinite(value):
-                problems.append(f"[{section}] {f.name}: must be finite, got {value}")
+                problems.append(f"[{section}] {name}: must be finite, got {value}")
                 value = fallback
-            values[f.name] = value
+            values[name] = value
         try:
             return replace(default, **values)
         except (ValueError, ConfigError) as exc:
@@ -163,7 +171,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             return None
 
     vae = read("vae", VaeConfig())
-    flow = read("flow", FlowTrainConfig(seed=task_seed), skip=("seed",))
+    flow = read("flow", FlowTrainConfig(seed=task_seed),
+                skip={"seed": "not read; the flow is seeded with [task] seed"})
     predictor = read("predictor", PredictorConfig())
     sampler = read("sampler", SAMPLER_DEFAULTS)
 

@@ -131,7 +131,7 @@ def guidance_step(z: np.ndarray, flow: FlowModel, vae: VaeModel,
     """One gradient-descent step on the fitness-match objective, per chain.
 
     Only the latent is differentiated. The models' parameter leaves stay
-    frozen, so threads sampling with shared models write no shared state."""
+    frozen, so concurrent calls that share the models write no shared state."""
     if alpha == 0.0:
         return z
     zt = Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))

@@ -11,6 +11,7 @@ are supplied via SEQOPT_REAL_ASSETS.
 import math
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import seqopt.nn.autodiff as ad
 from _gradcheck import network_gradients, numeric_gradient, rel_err
 from seqopt.flow import (FlowModel, FlowTrainConfig, euler_integrate,
                          flow_matching_loss, train_flow)
+from seqopt.harness import run_jobs
 from seqopt.metrics import diversity, median_normalized_fitness, novelty
 from seqopt.nn import Network
 from seqopt.nn.autodiff import Tensor
@@ -55,32 +57,35 @@ def hard_run():
     results = {"task": task, "bundle": bundle, "oracle": oracle,
                "vae_val_accuracy": bundle.reports["vae"]["val_accuracy"],
                "train_median": float(np.median(task.train.normalized_fitness()))}
-    per_mode = {}
+    # the 25 sampling runs share one process pool; their results are the
+    # serial runs' bit for bit
+    modes = ("unconditional", "manifold", "naive")
+    jobs = {}
     for mode, alpha, j, top_k in (("unconditional", 0.0, 0, 512),
                                   ("manifold", 0.5, 5, 128),
                                   ("naive", 0.5, 5, 128)):
-        fits = []
         for s in SAMPLING_SEEDS:
             cfg = SamplerConfig(steps=32, guidance_steps=j, alpha=alpha, batch=512,
                                 top_k=top_k, mode=mode, seed=s)
-            res = guided_sample(cfg, bundle.flow, bundle.vae, bundle.predictor)
-            fits.append(fitness_of(res.sequences))
-        per_mode[mode] = fits
-    results["fits"] = per_mode
-
+            jobs[mode, s] = partial(guided_sample, cfg, bundle.flow, bundle.vae,
+                                    bundle.predictor)
     # extrapolation at y=1 on the raw batch (no dedup / top-k), both posteriors
-    man, posterior = [], []
     for s in SAMPLING_SEEDS:
         cfg = SamplerConfig(steps=32, guidance_steps=5, alpha=0.5, batch=256,
                             top_k=256, mode="manifold", seed=s, target_y=1.0)
-        res = guided_sample(cfg, bundle.flow, bundle.vae, bundle.predictor)
-        man.append(fitness_of(res.raw_sequences))
+        jobs["extrap_manifold", s] = partial(guided_sample, cfg, bundle.flow,
+                                             bundle.vae, bundle.predictor)
+    for s in SAMPLING_SEEDS:
         cfg = SamplerConfig(steps=32, guidance_steps=0, alpha=0.0, batch=256,
                             top_k=256, mode="learned_posterior", seed=s, target_y=1.0)
-        res = guided_sample(cfg, bundle.flow_conditional, bundle.vae, bundle.predictor)
-        posterior.append(fitness_of(res.raw_sequences))
-    results["extrap_manifold_y1"] = man
-    results["extrap_posterior_y1"] = posterior
+        jobs["extrap_posterior", s] = partial(guided_sample, cfg, bundle.flow_conditional,
+                                              bundle.vae, bundle.predictor)
+    samples = run_jobs(jobs, parallelism=os.cpu_count() or 1)
+    results["fits"] = {mode: [fitness_of(samples[mode, s].sequences)
+                              for s in SAMPLING_SEEDS] for mode in modes}
+    for kind in ("extrap_manifold", "extrap_posterior"):
+        results[f"{kind}_y1"] = [fitness_of(samples[kind, s].raw_sequences)
+                                 for s in SAMPLING_SEEDS]
     return results
 
 
@@ -337,16 +342,32 @@ def test_ode_step_stability_on_hard_task(hard_run):
     bundle = hard_run["bundle"]
     oracle = hard_run["oracle"]
     norm = hard_run["task"].normalizer
-    fits = {}
-    for k in (24, 32):
-        cfg = SamplerConfig(steps=k, guidance_steps=5, alpha=0.5, batch=512,
-                            top_k=128, mode="manifold", seed=100)
-        res = guided_sample(cfg, bundle.flow, bundle.vae, bundle.predictor)
-        fits[k] = median_normalized_fitness(res.sequences, oracle, norm)
+    jobs = {k: partial(guided_sample,
+                       SamplerConfig(steps=k, guidance_steps=5, alpha=0.5, batch=512,
+                                     top_k=128, mode="manifold", seed=100),
+                       bundle.flow, bundle.vae, bundle.predictor)
+            for k in (24, 32)}
+    fits = {k: median_normalized_fitness(res.sequences, oracle, norm)
+            for k, res in run_jobs(jobs, parallelism=os.cpu_count() or 1).items()}
     rel_change = abs(fits[32] - fits[24]) / abs(fits[32])
     assert rel_change < 0.10
     print(f"\nODE stability: fitness K=24 {fits[24]:.3f} vs K=32 {fits[32]:.3f} "
           f"(rel change {rel_change * 100:.1f}% < 10%)")
+
+
+def test_pinned_parallel_latents_equal_serial(hard_run):
+    """Manifold guidance at 512 chains on one-BLAS-thread workers (the
+    caller's share and a forked worker's) leaves the latents of a serial run
+    with the caller's BLAS threads unchanged, byte for byte."""
+    bundle = hard_run["bundle"]
+    jobs = {s: partial(guided_sample,
+                       SamplerConfig(steps=4, guidance_steps=5, alpha=0.5, batch=512,
+                                     top_k=128, mode="manifold", seed=s),
+                       bundle.flow, bundle.vae, bundle.predictor)
+            for s in SAMPLING_SEEDS[:2]}
+    parallel = run_jobs(jobs, parallelism=2)
+    for s, job in jobs.items():
+        assert job().raw_latents.tobytes() == parallel[s].raw_latents.tobytes()
 
 
 def test_learned_posterior_in_distribution(hard_run):

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,12 +282,35 @@ mode = sideways
         assert len(err) == 1 and err[0].startswith(f"config error: [{section}] {option}")
         assert not (tmp_path / "work").exists()
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.replace("[vae]\n", "[vae]\nepoch = 5\n")
+                       .replace("[flow]\n", "[flow]\nseed = 3\n")
+                       .replace("[predictor]\n", "[predictor]\nhidden = 8\n")
+                       .replace("[sampler]\n", "[sampler]\nguidance = 2\n"))
+        assert main(["train-vae", str(ini)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "config error: [vae] epoch: unknown option; the options are latent_dim, "
+            "beta, learning_rate, epochs, batch_size, hidden_channels",
+            "config error: [flow] seed: not read; the flow is seeded with [task] seed",
+            "config error: [predictor] hidden: unknown option; the options are "
+            "learning_rate, epochs, batch_size, hidden_channels, hidden_dense",
+            "config error: [sampler] guidance: unknown option; the options are "
+            "steps, guidance_steps, alpha, target_y, batch, top_k, mode, seed, "
+            "temperature, objective"]
+        assert not (tmp_path / "work").exists()
+
     def test_diverging_training_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(TINY_INI.replace("[vae]\n", "[vae]\nlearning_rate = 1e300\n"))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["train-vae", str(ini)]) == 2
-        assert capsys.readouterr().err.startswith("runtime divergence: epoch 0: layer ")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("runtime divergence: epoch 0: layer ")
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "work" / "vae_encoder.npz").exists()
 
     def test_csv_task_requires_data(self, tmp_path, capsys):

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import math
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from seqopt.harness import (TaskAssets, ablation_table,
                             extrapolation_experiment, grid_search, ode_steps_sweep,
                             results_dir, run_benchmark, run_jobs, write_cells_csv,
                             write_samples, write_summary)
+from seqopt.nn.layers import NonFiniteError
 from seqopt.sampling import SamplerConfig, guided_sample
 
 BASE = SamplerConfig(steps=8, guidance_steps=2, alpha=0.3, batch=48, top_k=16,
@@ -204,6 +211,34 @@ class TestResultsLayout:
         assert [p.name for p in tmp_path.iterdir()] == ["cells.csv"]
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def same_values(a, b):
+    """`a == b` over nested dicts and lists, where NaN equals NaN: a row
+    pickled back from a worker holds its own NaN object, which `==` (an
+    identity shortcut for the same object) would call unequal."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and \
+            all(same_values(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_values, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
 class TestWorkQueue:
     def test_keyed_assembly_independent_of_order(self):
         import time as _time
@@ -217,6 +252,83 @@ class TestWorkQueue:
         jobs = {k: make(k) for k in range(3)}
         assert run_jobs(jobs, parallelism=3) == {0: 0, 1: 10, 2: 20}
         assert run_jobs(jobs, parallelism=1) == {0: 0, 1: 10, 2: 20}
+
+    def test_keys_dealt_round_robin_to_fixed_processes(self):
+        jobs = {k: os.getpid for k in "abcdefg"}
+        for _ in range(2):
+            pids = run_jobs(jobs, parallelism=3)
+            assert pids["a"] == pids["d"] == pids["g"] == os.getpid()  # the caller
+            assert pids["b"] == pids["e"] and pids["c"] == pids["f"]
+            assert len({pids["a"], pids["b"], pids["c"]}) == 3
+            for pid in (pids["b"], pids["c"]):  # each worker was reaped
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("exc", [
+        NonFiniteError("layer 0 (dense) produced non-finite values at integration step 3"),
+        ConfigError(["alpha must be >= 0", "steps must be >= 1"]),
+    ])
+    def test_child_exception_reraised_with_type_and_message(self, exc):
+        def fail():
+            raise exc
+        jobs = {0: lambda: 0, 1: fail}  # key 1 runs in the forked worker
+        with time_limit(60), pytest.raises(type(exc)) as raised:
+            run_jobs(jobs, parallelism=2)
+        assert str(raised.value) == str(exc)
+        assert getattr(raised.value, "problems", None) == getattr(exc, "problems", None)
+
+    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (4, 3), (5, 6)])
+    def test_earliest_failing_key_wins(self, failing):
+        def job(k):
+            def run():
+                if k in failing:
+                    raise ValueError(f"key {k}")
+                return k
+            return run
+        jobs = {k: job(k) for k in range(7)}
+        with pytest.raises(ValueError) as serial:
+            run_jobs(jobs, parallelism=1)
+        for parallelism in (2, 3):
+            with time_limit(60), pytest.raises(ValueError) as parallel:
+                run_jobs(jobs, parallelism=parallelism)
+            assert str(parallel.value) == str(serial.value) == f"key {min(failing)}"
+
+    def test_dead_worker_named_not_hung_and_reaped(self, tmp_path):
+        pid_file = tmp_path / "pid"
+
+        def die():
+            pid_file.write_text(str(os.getpid()))
+            os._exit(3)
+        jobs = {0: lambda: 0, 1: die, 2: lambda: 2}
+        with time_limit(60), pytest.raises(RuntimeError, match="run_jobs worker 1 .*code 3"):
+            run_jobs(jobs, parallelism=2)
+        with pytest.raises(ChildProcessError):  # already reaped: no zombie left
+            os.waitpid(int(pid_file.read_text()), os.WNOHANG)
+
+    def test_blas_pinned_during_run_and_restored_after(self):
+        blas = harness._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, set_ = blas
+        original = get()
+        set_(3)
+        try:
+            counts = run_jobs({k: get for k in range(4)}, parallelism=2)
+            assert get() == 3
+        finally:
+            set_(original)
+        assert counts == {k: 1 for k in range(4)}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the lookup reads the process's memory maps")
+    def test_pin_lookup_finds_openblas(self):
+        shown = io.StringIO()
+        with contextlib.redirect_stdout(shown):
+            np.show_config()
+        if "openblas" not in shown.getvalue().lower():
+            pytest.skip("numpy is not built against OpenBLAS")
+        get, set_ = harness._openblas_threads()
+        assert get() >= 1
 
 
 class TestSweepDispatch:
@@ -239,7 +351,7 @@ class TestSweepDispatch:
         serial, parallel = run(1), run(2)
         assert [p for _, p in dispatched] == [1, 2]  # one pool call per run
         assert dispatched[0][0] == dispatched[1][0]
-        assert parallel == serial
+        assert same_values(parallel, serial)
         return serial
 
     def test_grid_search(self, tiny_stack, dispatched, monkeypatch):
