@@ -63,7 +63,8 @@ def load_checkpoint(path):
     if not path.exists():
         raise CheckpointError(f"missing checkpoint: {path}")
     try:
-        with np.load(path, allow_pickle=False) as zf:
+        # np.load(path) leaks the handle it opened when the zip is corrupt
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
             meta = json.loads(str(zf["__meta__"]))
             arrays = {key[len("param/"):]: np.asarray(zf[key], dtype=np.float64)
                       for key in zf.files if key.startswith("param/")}

@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,8 +115,11 @@ class TestGridSearch:
     def test_diverging_cell_recorded_not_fatal(self, tiny_stack):
         # an infinite step size fails inside a network layer, not in the ODE
         _, _, assets = tiny_stack
-        cells = grid_search(assets, BASE, alphas=[0.3, np.inf], guidance_steps=[2],
-                            seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cells = grid_search(assets, BASE, alphas=[0.3, np.inf], guidance_steps=[2],
+                                seed=2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert cells[0] == grid_search(assets, BASE, alphas=[0.3], guidance_steps=[2],
                                        seed=2)[0]
         assert cells[1]["error"].startswith("layer ")

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -419,6 +422,19 @@ class TestCheckpoint:
         p.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(p)
+
+    def test_truncated_file_handle_closed(self, tmp_path):
+        desc, net = self._net()
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, net.params)
+        data = p.read_bytes()
+        p.write_bytes(data[:len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointError, match="unreadable"):
+                load_checkpoint(p)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         desc, net = self._net()

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from _gradcheck import numeric_gradient, rel_err
+from seqopt import sampling
 from seqopt.errors import ConfigError
 from seqopt.flow import FlowModel, euler_integrate
 from seqopt.nn.autodiff import Tensor
+from seqopt.nn.layers import NonFiniteError
 from seqopt.predictor import PredictorConfig, PredictorModel
-from seqopt.sampling import (SamplerConfig, _objective_tape, _select_top_k,
-                             guidance_step, guided_sample, initial_latents)
+from seqopt.sampling import (CHAIN_BLOCK, SamplerConfig, _objective_tape,
+                             _select_top_k, guidance_step, guided_sample,
+                             initial_latents)
 from seqopt.vae import VaeConfig, VaeModel
 
 rng = np.random.default_rng(606)
@@ -231,6 +234,35 @@ class TestGuidedSample:
         assert set(res.provenance["checksums"]) == {"flow", "vae_encoder",
                                                     "vae_decoder", "predictor"}
         assert res.provenance["config"]["seed"] == 15
+
+    def test_partial_block_agrees_with_one_block(self, stack, monkeypatch):
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=4, guidance_steps=2, alpha=0.05,
+                            batch=CHAIN_BLOCK + 37, top_k=8, mode="manifold", seed=22)
+        blocked = guided_sample(cfg, flow, vae, pred)
+        monkeypatch.setattr(sampling, "CHAIN_BLOCK", cfg.batch)
+        whole = guided_sample(cfg, flow, vae, pred)
+        np.testing.assert_allclose(blocked.raw_latents, whole.raw_latents,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(blocked.raw_sequences, whole.raw_sequences)
+        np.testing.assert_array_equal(blocked.sequences, whole.sequences)
+
+    def test_chain_bits_depend_only_on_their_block(self, stack):
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=3, guidance_steps=1, alpha=0.05,
+                            batch=4 * CHAIN_BLOCK, top_k=8, mode="manifold", seed=23)
+        big = guided_sample(cfg, flow, vae, pred)
+        small = guided_sample(replace(cfg, batch=2 * CHAIN_BLOCK), flow, vae, pred)
+        assert big.raw_latents[:2 * CHAIN_BLOCK].tobytes() == small.raw_latents.tobytes()
+        np.testing.assert_array_equal(big.raw_sequences[:2 * CHAIN_BLOCK],
+                                      small.raw_sequences)
+
+    def test_diverging_layer_names_step_across_blocks(self, stack):
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=4, guidance_steps=2, alpha=np.inf,
+                            batch=CHAIN_BLOCK + 5, top_k=4, mode="manifold", seed=24)
+        with pytest.raises(NonFiniteError, match=r"non-finite.* at integration step 0$"):
+            guided_sample(cfg, flow, vae, pred)
 
     def test_learned_posterior_requires_conditional_flow(self, stack):
         vae, flow, pred = stack
