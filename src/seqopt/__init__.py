@@ -24,7 +24,7 @@ from .metrics import (MetricReport, compute_metrics, diversity,
                       median_normalized_fitness, novelty)
 from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                         load_external_predictor, save_predictor,
-                        smooth_labels_knn, train_oracle, train_predictor)
+                        smooth_labels_knn, train_predictor)
 from .sampling import SamplerConfig, SampleResult, guidance_step, guided_sample
 from .seqs import (AMINO_ACIDS, Vocabulary, detokenize, levenshtein, one_hot,
                    tokenize)
@@ -53,6 +53,6 @@ __all__ = [
     "run_benchmark", "sample_mutants", "sample_vae_prior", "save_flow",
     "save_predictor", "save_vae", "smooth_labels_knn", "synthetic_full_dataset",
     "synthetic_oracle", "task_oracle", "tokenize", "train_flow",
-    "train_models", "train_oracle", "train_predictor", "train_vae",
+    "train_models", "train_predictor", "train_vae",
     "vae_loss", "write_csv", "write_range_file",
 ]

@@ -114,17 +114,18 @@ def cmd_train_vae(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_vae(cfg: RunConfig):
-    enc = cfg.workdir / "vae_encoder.npz"
-    if not enc.exists():
-        raise CheckpointError(
-            f"missing VAE checkpoint in {cfg.workdir}; run `seqopt train-vae` first")
-    return vaemod.load_vae(cfg.workdir)
+def _checkpoint(cfg: RunConfig, name: str, command: str) -> Path:
+    """The workdir checkpoint `name`; a missing one is an i/o error that
+    names the `seqopt` command writing it."""
+    path = cfg.workdir / name
+    if not path.exists():
+        raise CheckpointError(f"missing checkpoint {path}; run `seqopt {command}`")
+    return path
 
 
 def cmd_train_prior(cfg: RunConfig, conditional: bool) -> int:
     task = _task_data(cfg)
-    vae = _require_vae(cfg)
+    vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
     latents = encode_latents(vae, task.train, cfg.task_seed + 20)
     labels = task.train.normalized_fitness() if conditional else None
     flow_cfg = dataclasses.replace(cfg.flow, seed=cfg.flow.seed + (1 if conditional else 0))
@@ -167,21 +168,13 @@ def cmd_train_predictor(cfg: RunConfig, role: str) -> int:
 
 def _load_assets(cfg: RunConfig, need_conditional: bool = False) -> TaskAssets:
     task = _task_data(cfg)
-    vae = _require_vae(cfg)
-    flow_path = cfg.workdir / "flow.npz"
-    if not flow_path.exists():
-        raise CheckpointError(f"missing flow checkpoint {flow_path}; run `seqopt train-prior`")
-    flow = flowmod.load_flow(flow_path)
-    pred_path = cfg.workdir / "predictor.npz"
-    if not pred_path.exists():
-        raise CheckpointError(f"missing predictor checkpoint {pred_path}; "
-                              "run `seqopt train-predictor`")
-    predictor = load_external_predictor(pred_path)
-    cond_path = cfg.workdir / "flow_conditional.npz"
-    flow_conditional = flowmod.load_flow(cond_path) if cond_path.exists() else None
-    if need_conditional and flow_conditional is None:
-        raise CheckpointError(f"missing conditional flow checkpoint {cond_path}; "
-                              "run `seqopt train-prior --conditional`")
+    vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
+    flow = flowmod.load_flow(_checkpoint(cfg, "flow.npz", "train-prior"))
+    predictor = load_external_predictor(_checkpoint(cfg, "predictor.npz", "train-predictor"))
+    flow_conditional = None
+    if need_conditional or (cfg.workdir / "flow_conditional.npz").exists():
+        flow_conditional = flowmod.load_flow(
+            _checkpoint(cfg, "flow_conditional.npz", "train-prior --conditional"))
     if cfg.task_name == "csv":
         if cfg.oracle_checkpoint is None:
             raise ConfigError(["csv tasks need [paths] oracle_checkpoint for evaluation"])

@@ -21,6 +21,22 @@ from .vae import VaeConfig
 TASK_NAMES = tuple(sorted(SYNTHETIC_TASKS)) + ("csv",)
 # [sampler] defaults to the guided sampler; SamplerConfig() itself is unguided.
 SAMPLER_DEFAULTS = SamplerConfig(guidance_steps=5, alpha=0.5, seed=100)
+# The integer fields of a synthetic task's spec, each read from [task] under its name.
+SPEC_OPTIONS = tuple(f.name for f in fields(SyntheticTaskSpec)
+                     if f.name not in ("name", "percentile"))
+# Each section's options; the model and sampler sections (None) take theirs
+# from their config dataclasses' fields.
+OPTIONS = {
+    "task": ("name", "seed", "percentile_low", "percentile_high", "percentile_upper")
+    + SPEC_OPTIONS,
+    "paths": ("data", "range_file", "oracle_checkpoint", "workdir", "results"),
+    "run": ("parallelism",),
+    "vae": None, "flow": None, "predictor": None, "sampler": None,
+    "evaluate": ("seeds",),
+    "grid": ("alphas", "guidance_steps"),
+    "extrapolate": ("y_values", "batch"),
+    "ode_sweep": ("steps",),
+}
 
 
 @dataclass
@@ -74,6 +90,23 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     problems: list[str] = []
     base = path.parent
 
+    def check_options(section, names, skip=()):
+        """A key of [section] that is not in `names`, or is in `skip` ({option:
+        why it is not read}), is a problem."""
+        for option in parser.options(section) if parser.has_section(section) else ():
+            if option in skip:
+                problems.append(f"[{section}] {option}: {skip[option]}")
+            elif option not in names:
+                problems.append(f"[{section}] {option}: unknown option; the options "
+                                f"are {', '.join(names)}")
+
+    for section in parser.sections():
+        if section not in OPTIONS:
+            problems.append(f"[{section}]: unknown section; the sections are "
+                            f"{', '.join(OPTIONS)}")
+        elif OPTIONS[section]:
+            check_options(section, OPTIONS[section])
+
     def get(section, option, cast, default):
         try:
             if parser.has_option(section, option):
@@ -103,19 +136,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                           get("task", "percentile_high", float, 40.0))
         else:
             percentile = default_spec.percentile
-        task_spec = SyntheticTaskSpec(
-            name=name,
-            percentile=percentile,
-            gap=get("task", "gap", int, default_spec.gap),
-            length=get("task", "length", int, default_spec.length),
-            full_size=get("task", "full_size", int, default_spec.full_size),
-            max_train=get("task", "max_train", int, default_spec.max_train),
-            edits_per_position=get("task", "edits_per_position", int,
-                                   default_spec.edits_per_position),
-            min_mutations=get("task", "min_mutations", int, default_spec.min_mutations),
-            max_mutations=get("task", "max_mutations", int, default_spec.max_mutations),
-            n_pairs=get("task", "n_pairs", int, default_spec.n_pairs),
-        )
+        task_spec = replace(default_spec, percentile=percentile,
+                            **{option: get("task", option, int, getattr(default_spec, option))
+                               for option in SPEC_OPTIONS})
 
     def get_path(section, option, default=None):
         raw = get(section, option, str, None)
@@ -143,19 +166,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         if oracle_ckpt is not None and not oracle_ckpt.exists():
             problems.append(f"[paths] oracle checkpoint not found: {oracle_ckpt}")
 
-    def read(section, default, skip=None):
+    def read(section, default, skip=()):
         """`default` with each field not in `skip` read from [section] under its
         own name and cast to its default's type; None if the dataclass refuses.
         A key that is no field, or is in `skip` ({field: why it is not read}),
         is a problem."""
-        skip = skip or {}
         names = [f.name for f in fields(default) if f.name not in skip]
-        for option in parser.options(section) if parser.has_section(section) else ():
-            if option in skip:
-                problems.append(f"[{section}] {option}: {skip[option]}")
-            elif option not in names:
-                problems.append(f"[{section}] {option}: unknown option; the options "
-                                f"are {', '.join(names)}")
+        check_options(section, names, skip)
         values = {}
         for name in names:
             fallback = getattr(default, name)

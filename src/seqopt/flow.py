@@ -15,6 +15,7 @@ import numpy as np
 
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
+from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import fit
 
@@ -172,18 +173,12 @@ def train_flow(latents: np.ndarray, cfg: FlowTrainConfig,
 
 
 def save_flow(model: FlowModel, path) -> str:
-    from .nn.checkpoint import save_checkpoint
-
     return save_checkpoint(path, "flow", model.net.descriptor, model.net.params,
                            extra=model.extra_meta())
 
 
 def load_flow(path) -> FlowModel:
-    from .nn.checkpoint import load_checkpoint
-
-    kind, descriptor, params, extra, _ = load_checkpoint(path)
-    if kind != "flow":
-        raise ValueError(f"checkpoint kind {kind!r} is not a flow model")
+    descriptor, params, extra = load_checkpoint(path, "flow")
     return FlowModel(Network(descriptor, params), int(extra["latent_dim"]),
                      int(extra["time_embed_dim"]), int(extra["fitness_embed_dim"]),
                      float(extra.get("max_freq", 64.0)))
@@ -195,21 +190,18 @@ def euler_step(model, z: np.ndarray, t: float, dt: float, y=None) -> np.ndarray:
     return z + dt * model.velocity(z, t, y)
 
 
-def euler_integrate(model, z0: np.ndarray, steps: int, y=None,
-                    record_trajectory: bool = True) -> np.ndarray:
+def euler_integrate(model, z0: np.ndarray, steps: int, y=None) -> np.ndarray:
     """Integrate dz/dt = v(z, t) from t=0 to 1 with the given number of Euler
-    steps. Returns the (steps+1, B, dim) trajectory (or just the final (B, dim)
-    state when record_trajectory=False). Aborts on non-finite states, naming
-    the step."""
+    steps. Returns the (steps+1, B, dim) trajectory. Aborts on non-finite
+    states, naming the step."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    z = np.atleast_2d(np.asarray(z0, dtype=np.float64)).copy()
+    z = np.atleast_2d(np.asarray(z0, dtype=np.float64))
     dt = 1.0 / steps
-    traj = [z.copy()] if record_trajectory else None
+    traj = [z.copy()]
     for k in range(steps):
         z = euler_step(model, z, k * dt, dt, y)
         if not np.isfinite(z).all():
             raise FloatingPointError(f"non-finite state at integration step {k}")
-        if record_trajectory:
-            traj.append(z.copy())
-    return np.stack(traj) if record_trajectory else z
+        traj.append(z)
+    return np.stack(traj)

@@ -52,12 +52,12 @@ def save_checkpoint(path, kind: str, descriptor, params: ParamStore,
     return checksum
 
 
-def load_checkpoint(path):
-    """Read and verify a checkpoint.
+def load_checkpoint(path, kind: str):
+    """Read and verify a checkpoint of the given kind.
 
-    Returns (kind, descriptor, ParamStore, extra, checksum). Refuses files
-    whose stored checksum does not match the recomputed one, and descriptors
-    containing unsupported layer kinds.
+    Returns (descriptor, ParamStore, extra). Refuses files of another kind,
+    files whose stored checksum does not match the recomputed one, and
+    descriptors containing unsupported layer kinds.
     """
     path = Path(path)
     if not path.exists():
@@ -73,11 +73,12 @@ def load_checkpoint(path):
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
     if meta.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: checkpoint kind {meta.get('kind')!r} is not {kind!r}")
     problems = validate_descriptor(meta.get("descriptor"))
     if problems:
         raise CheckpointError(f"{path}: " + "; ".join(problems))
     params = ParamStore(arrays, int(meta.get("rng_seed", 0)))
-    checksum = params_checksum(params)
-    if checksum != meta.get("checksum"):
+    if params_checksum(params) != meta.get("checksum"):
         raise CheckpointError(f"{path}: checksum mismatch (file corrupted or tampered)")
-    return meta["kind"], meta["descriptor"], params, meta.get("extra", {}), checksum
+    return meta["descriptor"], params, meta.get("extra", {})

@@ -11,18 +11,7 @@ from ..errors import TrainingDivergedError
 from .layers import NonFiniteError, ParamStore
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -34,7 +23,7 @@ class AdamState:
     step_count: int = 0
 
 
-def adam_step(params: ParamStore, grads: dict[str, np.ndarray], cfg: AdamConfig,
+def adam_step(params: ParamStore, grads: dict[str, np.ndarray], learning_rate: float,
               state: AdamState) -> AdamState:
     """One bias-corrected Adam update; mutates `params.arrays` in place so any
     live views of the arrays observe the new values."""
@@ -48,13 +37,13 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray], cfg: AdamConfig,
             state.m[name] = np.zeros_like(arr)
             state.v[name] = np.zeros_like(arr)
         m, v = state.m[name], state.v[name]
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
-        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1 ** t)
+        v_hat = v / (1 - BETA2 ** t)
+        arr -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return state
 
 
@@ -66,7 +55,8 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int) -> list[tup
     element-wise sum of those tuples and the batch count. A non-finite
     activation or loss raises TrainingDivergedError naming the epoch. The
     parameter leaves are frozen again when this returns."""
-    cfg = AdamConfig(learning_rate=learning_rate)
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
     states = [AdamState() for _ in nets]
     history = []
     for epoch in range(epochs):
@@ -82,7 +72,7 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int) -> list[tup
                 raise TrainingDivergedError(f"epoch {epoch}: non-finite loss")
             loss.backward()
             for net, state in zip(nets, states):
-                adam_step(net.params, net.collect_grads(), cfg, state)
+                adam_step(net.params, net.collect_grads(), learning_rate, state)
             sums = tuple(a + b for a, b in zip(sums, report)) if sums else tuple(report)
             count += 1
         history.append((sums, count))

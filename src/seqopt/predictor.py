@@ -160,21 +160,6 @@ class LandscapeOracle:
         return self.landscape.fitness_many(seqs)
 
 
-def train_oracle(source, cfg: PredictorConfig | None = None, seed: int = 0,
-                 vocab_size: int = 20):
-    """Evaluation oracle. A SyntheticLandscape is wrapped exactly (no training);
-    a Dataset (the full reference set) trains a net on raw fitness labels."""
-    if isinstance(source, SyntheticLandscape):
-        return LandscapeOracle(source)
-    if isinstance(source, Dataset):
-        if cfg is None:
-            cfg = PredictorConfig()
-        model, _ = train_predictor(source, cfg, seed, vocab_size=vocab_size,
-                                   role="oracle", raw_labels=True)
-        return model
-    raise TypeError("source must be a SyntheticLandscape or a Dataset")
-
-
 def save_predictor(model: PredictorModel, path) -> str:
     return save_checkpoint(path, "predictor", model.net.descriptor, model.net.params,
                            extra={"role": model.role, "length": model.length,
@@ -184,12 +169,9 @@ def save_predictor(model: PredictorModel, path) -> str:
 def load_external_predictor(path) -> PredictorModel:
     """Load a frozen predictor checkpoint (checksum-verified); role and shape
     come from the stored metadata."""
-    kind, descriptor, params, extra, _ = load_checkpoint(path)
-    if kind != "predictor":
-        raise ValueError(f"checkpoint kind {kind!r} is not a predictor")
-    net = Network(descriptor, params)
-    return PredictorModel(net, int(extra["length"]), int(extra["vocab_size"]),
-                          extra.get("role", "predictor"))
+    descriptor, params, extra = load_checkpoint(path, "predictor")
+    return PredictorModel(Network(descriptor, params), int(extra["length"]),
+                          int(extra["vocab_size"]), extra.get("role", "predictor"))
 
 
 def smooth_labels_knn(data: Dataset, k: int = 10) -> Dataset:

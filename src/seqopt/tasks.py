@@ -16,7 +16,7 @@ from .data import Dataset, FitnessNormalizer, difficulty_filter, load_csv
 from .flow import FlowModel, FlowTrainConfig, train_flow
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
                         synthetic_full_dataset)
-from .predictor import (PredictorConfig, PredictorModel, train_oracle,
+from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                         train_predictor)
 from .seqs import Vocabulary
 from .vae import VaeConfig, VaeModel, train_vae
@@ -167,8 +167,9 @@ def train_models(task: TaskData, seed: int,
 
 
 def task_oracle(task: TaskData, cfg: PredictorConfig | None = None, seed: int = 0):
-    """Exact landscape oracle for synthetic tasks; trained on the full set
-    otherwise."""
+    """Evaluation oracle: the exact landscape for synthetic tasks, otherwise a
+    net trained on the full set's raw fitness labels."""
     if task.landscape is not None:
-        return train_oracle(task.landscape)
-    return train_oracle(task.full, cfg, seed, vocab_size=task.vocab.size)
+        return LandscapeOracle(task.landscape)
+    return train_predictor(task.full, cfg or PredictorConfig(), seed,
+                           vocab_size=task.vocab.size, role="oracle", raw_labels=True)[0]

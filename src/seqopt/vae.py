@@ -9,12 +9,14 @@ instead relaxed with a softmax so predictors can be differentiated through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
+from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import fit
 from .seqs import one_hot_batch
@@ -230,10 +232,6 @@ def sample_vae_prior(model: VaeModel, count: int, seed: int) -> np.ndarray:
 
 def save_vae(model: VaeModel, directory) -> dict:
     """Write encoder/decoder checkpoints into the directory; returns checksums."""
-    from pathlib import Path
-
-    from .nn.checkpoint import save_checkpoint
-
     directory = Path(directory)
     extra = {"length": model.length, "vocab_size": model.vocab_size,
              "latent_dim": model.config.latent_dim, "beta": model.config.beta,
@@ -246,15 +244,9 @@ def save_vae(model: VaeModel, directory) -> dict:
 
 
 def load_vae(directory) -> VaeModel:
-    from pathlib import Path
-
-    from .nn.checkpoint import CheckpointError, load_checkpoint
-
     directory = Path(directory)
-    kind_e, desc_e, params_e, extra, _ = load_checkpoint(directory / "vae_encoder.npz")
-    kind_d, desc_d, params_d, extra_d, _ = load_checkpoint(directory / "vae_decoder.npz")
-    if kind_e != "vae_encoder" or kind_d != "vae_decoder":
-        raise CheckpointError("checkpoint kinds do not form an encoder/decoder pair")
+    desc_e, params_e, extra = load_checkpoint(directory / "vae_encoder.npz", "vae_encoder")
+    desc_d, params_d, extra_d = load_checkpoint(directory / "vae_decoder.npz", "vae_decoder")
     if extra != extra_d:
         raise CheckpointError("encoder/decoder checkpoints disagree on model shape")
     cfg = VaeConfig(latent_dim=int(extra["latent_dim"]), beta=float(extra["beta"]),

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -217,15 +218,89 @@ class TestExperiments:
         assert [r["error"] for r in rows[:3]] == ["", "", ""]
         assert "non-finite" in rows[3]["error"] and rows[3]["n_unique"] == "0"
 
-    @pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep"])
+    @pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep",
+                                         "evaluate"])
     def test_parallel_cells_match_serial(self, workspace, capsys, command):
+        """A rerun writes byte-identical result files, and a run on two
+        processes differs from them only in config_echo.parallelism."""
         root, ini = workspace
-        cells = []
-        for flags in ([], ["--parallelism", "2"]):
+        runs = []
+        for flags in ([], [], ["--parallelism", "2"]):
             assert main([command, str(ini)] + flags) == 0
             run_dir = Path(capsys.readouterr().out.strip().split()[-1])
-            cells.append((run_dir / "cells.csv").read_bytes())
-        assert cells[0] == cells[1]
+            runs.append({str(p.relative_to(run_dir)): p.read_bytes()
+                         for p in run_dir.rglob("*") if p.is_file()})
+        serial, rerun, parallel = runs
+        expected = ({"summary.json", "samples/seed-100.json", "samples/seed-101.json"}
+                    if command == "evaluate" else {"summary.json", "cells.csv"})
+        assert set(serial) == expected
+        assert rerun == serial
+        summaries = [json.loads(run.pop("summary.json")) for run in (serial, parallel)]
+        assert summaries[1]["config_echo"]["parallelism"] == 2
+        summaries[1]["config_echo"]["parallelism"] = 1
+        assert summaries[0] == summaries[1]
+        assert parallel == serial
+
+
+def _workdir_copy(workspace, tmp_path):
+    """A config like the workspace's whose workdir is a copy of its checkpoints."""
+    root, _ = workspace
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI)
+    return work, ini
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("command", ["sample", "evaluate"])
+    @pytest.mark.parametrize("name,kind,impostor,flags", [
+        ("vae_encoder.npz", "vae_encoder", "flow", []),
+        ("flow.npz", "flow", "predictor", []),
+        ("predictor.npz", "predictor", "flow", []),
+        ("flow_conditional.npz", "flow", "predictor", ["--mode", "learned_posterior"]),
+    ])
+    def test_wrong_kind_is_io_error(self, workspace, tmp_path, capsys, command, name,
+                                    kind, impostor, flags):
+        work, ini = _workdir_copy(workspace, tmp_path)
+        shutil.copy(work / f"{impostor}.npz", work / name)
+        flags = flags if command == "sample" else []
+        assert main([command, str(ini)] + flags) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / name}: checkpoint kind '{impostor}' is not '{kind}'"]
+
+    @pytest.mark.parametrize("command", ["sample", "evaluate"])
+    def test_wrong_kind_oracle_is_io_error(self, workspace, tmp_path, capsys, command):
+        from seqopt.data import write_csv
+        from seqopt.landscape import make_landscape, synthetic_full_dataset
+        from seqopt.seqs import Vocabulary
+        root, _ = workspace
+        vocab = Vocabulary.amino_acids()
+        ls = make_landscape(seed=31, length=8, vocab=vocab)
+        write_csv(synthetic_full_dataset(ls, count=50, seed=32, vocab=vocab,
+                                         max_mutations=4), tmp_path / "data.csv", vocab)
+        oracle = root / "work" / "flow.npz"
+        ini = tmp_path / "csv.ini"
+        ini.write_text(f"[task]\nname = csv\n[paths]\ndata = data.csv\n"
+                       f"workdir = {root / 'work'}\noracle_checkpoint = {oracle}\n")
+        assert main([command, str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {oracle}: checkpoint kind 'flow' is not 'predictor'"]
+
+    @pytest.mark.parametrize("name,writer,flags", [
+        ("vae_encoder.npz", "train-vae", []),
+        ("flow.npz", "train-prior", []),
+        ("predictor.npz", "train-predictor", []),
+        ("flow_conditional.npz", "train-prior --conditional",
+         ["--mode", "learned_posterior"]),
+    ])
+    def test_missing_checkpoint_names_command(self, workspace, tmp_path, capsys, name,
+                                              writer, flags):
+        work, ini = _workdir_copy(workspace, tmp_path)
+        (work / name).unlink()
+        assert main(["sample", str(ini)] + flags) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: missing checkpoint {work / name}; run `seqopt {writer}`"]
 
 
 class TestValidation:
@@ -300,6 +375,32 @@ mode = sideways
             "steps, guidance_steps, alpha, target_y, batch, top_k, mode, seed, "
             "temperature, objective"]
         assert not (tmp_path / "work").exists()
+
+        # the sections read by hand, and the section names themselves
+        cases = [
+            ("[evaluate]\n", "[evaluate]\nseed = 7\n",
+             "[evaluate] seed: unknown option; the options are seeds"),
+            ("[ode_sweep]\nsteps", "[ode_sweep]\nstep",
+             "[ode_sweep] step: unknown option; the options are steps"),
+            ("[task]\n", "[run]\nparalellism = 2\n[task]\n",
+             "[run] paralellism: unknown option; the options are parallelism"),
+            ("[grid]\n", "[grid]\nalpha = 0.3\n",
+             "[grid] alpha: unknown option; the options are alphas, guidance_steps"),
+            ("[paths]\n", "[paths]\nresult = x\n",
+             "[paths] result: unknown option; the options are data, range_file, "
+             "oracle_checkpoint, workdir, results"),
+            ("[task]\n", "[task]\ngpa = 9\n", "[task] gpa: unknown option"),
+            ("[task]\n", "[task]\npercentile = 30\n", "[task] percentile: unknown option"),
+            ("[grid]\n", "[gird]\nalphas = 0.3\n[grid]\n",
+             "[gird]: unknown section; the sections are task, paths, run, vae, flow, "
+             "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
+        ]
+        for old, new, problem in cases:
+            ini.write_text(TINY_INI.replace(old, new, 1))
+            assert main(["train-vae", str(ini)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: {problem}"), err
+            assert not (tmp_path / "work").exists()
 
     def test_diverging_training_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from _gradcheck import network_gradients, numeric_gradient, rel_err
-from seqopt.nn import (AdamConfig, AdamState, CheckpointError, Network,
-                       NonFiniteError, ParamStore, Tensor, adam_step,
-                       load_checkpoint, params_checksum, save_checkpoint,
-                       validate_descriptor)
+from seqopt.nn import (AdamState, CheckpointError, Network, NonFiniteError,
+                       ParamStore, Tensor, adam_step, fit, load_checkpoint,
+                       params_checksum, save_checkpoint, validate_descriptor)
 from seqopt.nn import autodiff as ad
+from seqopt.nn.optim import BETA1, BETA2, EPSILON
 
 TOL = 1e-4
 rng = np.random.default_rng(20240612)
@@ -310,7 +310,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = ParamStore({"w": np.array([1.0, -2.0])}, 0)
         before = params.arrays["w"].copy()
-        state = adam_step(params, {"w": np.zeros(2)}, AdamConfig(), AdamState())
+        state = adam_step(params, {"w": np.zeros(2)}, 1e-3, AdamState())
         np.testing.assert_array_equal(params.arrays["w"], before)
         assert state.step_count == 1
 
@@ -318,48 +318,46 @@ class TestAdam:
         # bias-corrected first step: lr * g/|g| up to epsilon
         for g in (1e-4, 3.7, -250.0):
             params = ParamStore({"w": np.array([0.0])}, 0)
-            adam_step(params, {"w": np.array([g])}, AdamConfig(learning_rate=0.01),
-                      AdamState())
+            adam_step(params, {"w": np.array([g])}, 0.01, AdamState())
             assert abs(abs(params.arrays["w"][0]) - 0.01) < 1e-5
             assert np.sign(params.arrays["w"][0]) == -np.sign(g)
 
     def test_moments_allocated_on_first_step_only(self, monkeypatch):
         params = ParamStore({"w": np.ones(3), "b": np.zeros(2)}, 0)
         grads = {"w": np.full(3, 0.5), "b": np.ones(2)}
-        state = adam_step(params, grads, AdamConfig(), AdamState())
+        state = adam_step(params, grads, 1e-3, AdamState())
         moments = [state.m["w"], state.v["w"], state.m["b"], state.v["b"]]
         calls = []
         zeros_like = np.zeros_like
         monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a) or zeros_like(a))
         for _ in range(3):
-            adam_step(params, grads, AdamConfig(), state)
+            adam_step(params, grads, 1e-3, state)
         assert calls == []
         assert all(a is b for a, b in zip(moments, [state.m["w"], state.v["w"],
                                                      state.m["b"], state.v["b"]]))
 
     def test_constant_gradient_moves_monotonically(self):
         # scalar simulation: independently replay the update rule
-        cfg = AdamConfig(learning_rate=0.05)
+        lr = 0.05
         params = ParamStore({"w": np.array([0.0])}, 0)
         state = AdamState()
         m = v = 0.0
         w_ref = 0.0
         history = []
         for t in range(1, 51):
-            adam_step(params, {"w": np.array([2.5])}, cfg, state)
-            m = cfg.beta1 * m + (1 - cfg.beta1) * 2.5
-            v = cfg.beta2 * v + (1 - cfg.beta2) * 2.5 ** 2
-            w_ref -= cfg.learning_rate * (m / (1 - cfg.beta1 ** t)) / (
-                np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.epsilon)
+            adam_step(params, {"w": np.array([2.5])}, lr, state)
+            m = BETA1 * m + (1 - BETA1) * 2.5
+            v = BETA2 * v + (1 - BETA2) * 2.5 ** 2
+            w_ref -= lr * (m / (1 - BETA1 ** t)) / (np.sqrt(v / (1 - BETA2 ** t)) + EPSILON)
             history.append(params.arrays["w"][0])
         assert params.arrays["w"][0] == pytest.approx(w_ref)
         assert all(b < a for a, b in zip(history, history[1:]))  # strictly down
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            AdamConfig(learning_rate=-1)
-        with pytest.raises(ValueError):
-            AdamConfig(beta1=1.0)
+        net = Network.build([{"kind": "dense", "in": 1, "out": 1}], seed=0)
+        for lr in (-1, 0):
+            with pytest.raises(ValueError, match="learning_rate"):
+                fit([net], lambda: iter(()), None, lr, epochs=1)
 
 
 class TestCheckpoint:
@@ -372,8 +370,8 @@ class TestCheckpoint:
         desc, net = self._net()
         p = tmp_path / "model.npz"
         save_checkpoint(p, "predictor", desc, net.params, extra={"role": "predictor"})
-        kind, desc2, params2, extra, _ = load_checkpoint(p)
-        assert kind == "predictor" and desc2 == desc and extra["role"] == "predictor"
+        desc2, params2, extra = load_checkpoint(p, "predictor")
+        assert desc2 == desc and extra["role"] == "predictor"
         for name in net.params.arrays:
             assert np.array_equal(params2.arrays[name], net.params.arrays[name])
         net2 = Network(desc2, params2)
@@ -393,7 +391,7 @@ class TestCheckpoint:
         with open(p, "wb") as fh:
             np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(CheckpointError, match="checksum"):
-            load_checkpoint(p)
+            load_checkpoint(p, "predictor")
 
     def test_unsupported_layer_refused(self, tmp_path):
         desc, net = self._net()
@@ -401,7 +399,7 @@ class TestCheckpoint:
         bad_desc = [{"kind": "attention"}]
         save_checkpoint(p, "predictor", bad_desc, net.params)
         with pytest.raises(CheckpointError, match="unsupported"):
-            load_checkpoint(p)
+            load_checkpoint(p, "predictor")
 
     def test_checksum_tracks_content(self):
         _, net = self._net()
@@ -409,9 +407,17 @@ class TestCheckpoint:
         net.params.arrays["0.weight"][0, 0] += 1.0
         assert params_checksum(net.params) != c1
 
+    def test_wrong_kind_refused(self, tmp_path):
+        desc, net = self._net()
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, net.params)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(p, "flow")
+        assert str(info.value) == f"{p}: checkpoint kind 'predictor' is not 'flow'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):
-            load_checkpoint(tmp_path / "nope.npz")
+            load_checkpoint(tmp_path / "nope.npz", "predictor")
 
     @pytest.mark.parametrize("cut", ["half", 10, 0])
     def test_truncated_file_refused(self, tmp_path, cut):
@@ -421,7 +427,7 @@ class TestCheckpoint:
         data = p.read_bytes()
         p.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
         with pytest.raises(CheckpointError, match="unreadable"):
-            load_checkpoint(p)
+            load_checkpoint(p, "predictor")
 
     def test_truncated_file_handle_closed(self, tmp_path):
         desc, net = self._net()
@@ -432,7 +438,7 @@ class TestCheckpoint:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(CheckpointError, match="unreadable"):
-                load_checkpoint(p)
+                load_checkpoint(p, "predictor")
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 

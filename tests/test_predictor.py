@@ -5,10 +5,12 @@ from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.landscape import make_landscape, synthetic_full_dataset, synthetic_oracle
 from seqopt.nn.autodiff import Tensor
+from seqopt.nn import CheckpointError
 from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                               load_external_predictor, save_predictor,
-                              smooth_labels_knn, train_oracle, train_predictor)
+                              smooth_labels_knn, train_predictor)
 from seqopt.seqs import Vocabulary, one_hot
+from seqopt.tasks import TaskData, task_oracle
 
 rng = np.random.default_rng(404)
 CFG = PredictorConfig(hidden_channels=8, hidden_dense=16, epochs=80, batch_size=32)
@@ -123,7 +125,8 @@ class TestOracle:
     def test_synthetic_oracle_wrapper_is_exact(self):
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=11, length=9, vocab=vocab)
-        oracle = train_oracle(ls)
+        oracle = task_oracle(TaskData("synthetic", vocab, full=None, train=None,
+                                      landscape=ls))
         assert isinstance(oracle, LandscapeOracle) and oracle.role == "oracle"
         seqs = rng.integers(0, 20, size=(30, 9))
         got = oracle.predict_sequences(seqs)
@@ -133,7 +136,7 @@ class TestOracle:
     def test_oracle_pure(self):
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=12, length=9, vocab=vocab)
-        oracle = train_oracle(ls)
+        oracle = LandscapeOracle(ls)
         seqs = rng.integers(0, 20, size=(5, 9))
         np.testing.assert_array_equal(oracle.predict_sequences(seqs),
                                       oracle.predict_sequences(seqs))
@@ -142,8 +145,9 @@ class TestOracle:
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=13, length=8, vocab=vocab)
         full = synthetic_full_dataset(ls, count=300, seed=14, vocab=vocab)
-        oracle = train_oracle(full, PredictorConfig(hidden_channels=8, hidden_dense=16,
-                                                    epochs=15), seed=15)
+        task = TaskData("csv", vocab, full=full, train=full)
+        oracle = task_oracle(task, PredictorConfig(hidden_channels=8, hidden_dense=16,
+                                                   epochs=15), seed=15)
         assert oracle.role == "oracle"
         preds = oracle.predict_sequences(full.sequences[:100])
         # raw-scale outputs: same ballpark as raw fitness, not forced into [0,1]
@@ -166,7 +170,7 @@ class TestCheckpointing:
         net = Network.build([{"kind": "dense", "in": 2, "out": 2}], seed=0)
         p = tmp_path / "x.npz"
         save_checkpoint(p, "flow", net.descriptor, net.params)
-        with pytest.raises(ValueError, match="not a predictor"):
+        with pytest.raises(CheckpointError, match="kind 'flow' is not 'predictor'"):
             load_external_predictor(p)
 
 
