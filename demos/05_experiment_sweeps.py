@@ -7,6 +7,8 @@ the command-line `evaluate` / `gridsearch` / `extrapolate` / `ode-sweep`
 subcommands do, writing results/<task>/<experiment>/<timestamp>/ files.
 """
 
+from dataclasses import replace
+
 from seqopt.flow import FlowTrainConfig
 from seqopt.harness import (TaskAssets, extrapolation_experiment, grid_search,
                             ode_steps_sweep, results_dir, run_benchmark,
@@ -44,8 +46,8 @@ write_summary(out, summary.to_json())
 print("wrote", out / "summary.json")
 
 print("\n== alpha x guidance-steps grid (single seed per cell) ==")
-cells = grid_search(assets, base, alphas=[0.0, 0.2, 0.4],
-                    guidance_steps=[0, 2, 4], seed=0)
+cells = grid_search(assets, replace(base, seed=0), alphas=[0.0, 0.2, 0.4],
+                    guidance_steps=[0, 2, 4])
 print(f"{'alpha':>6s} {'J':>3s} {'fitness':>8s} {'diversity':>10s}")
 for c in cells:
     print(f"{c['alpha']:6.1f} {c['guidance_steps']:3d} "
@@ -56,7 +58,7 @@ print("wrote", out / "cells.csv")
 
 print("\n== target-fitness sweep (raw batches, no top-k) ==")
 rows = extrapolation_experiment(assets, y_values=[0.2, 0.5, 0.8, 1.0],
-                                base_cfg=base, seed=0)
+                                base_cfg=replace(base, seed=0))
 print(f"{'mode':18s} {'y':>5s} {'median y_gt':>12s}")
 for r in rows:
     print(f"{r['mode']:18s} {r['target_y']:5.1f} {r['median_y_gt']:12.3f}")
@@ -65,7 +67,7 @@ write_cells_csv(out, rows)
 print("wrote", out / "cells.csv")
 
 print("\n== integration-steps sweep ==")
-rows = ode_steps_sweep(assets, base, [4, 8, 16, 32], seed=0)
+rows = ode_steps_sweep(assets, replace(base, seed=0), [4, 8, 16, 32])
 for r in rows:
     print(f"steps {r['steps']:3d}: fitness {r['median_fitness']:.3f}, "
           f"diversity {r['diversity']:.1f}")

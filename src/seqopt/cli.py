@@ -33,11 +33,10 @@ from .harness import (TaskAssets, ablation_table, extrapolation_experiment,
                       write_cells_csv, write_samples, write_summary)
 from .nn.checkpoint import CheckpointError
 from .nn.layers import NonFiniteError
-from .predictor import (load_external_predictor, save_predictor,
-                        smooth_labels_knn, train_predictor)
+from .predictor import ROLES, load_external_predictor, save_predictor
 from .sampling import MODES, guided_sample
-from .tasks import (TaskData, build_csv_task, build_synthetic_task, encode_latents,
-                    split_train_val, task_oracle)
+from .tasks import (TaskData, build_csv_task, build_synthetic_task, task_oracle,
+                    train_predictor_stage, train_prior_stage, train_vae_stage)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,31 +57,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="seqopt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train-vae", parents=[common])
-    p = sub.add_parser("train-prior", parents=[common])
-    p.add_argument("--conditional", action="store_true",
-                   help="also condition the velocity field on fitness")
-    p = sub.add_parser("train-predictor", parents=[common])
-    p.add_argument("--role", choices=["predictor", "smoothed", "oracle"],
-                   default="predictor")
-    p = sub.add_parser("sample", parents=[common])
+
+    def command(name, handler):
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
+    command("train-vae", cmd_train_vae)
+    command("train-prior", cmd_train_prior).add_argument(
+        "--conditional", action="store_true",
+        help="also condition the velocity field on fitness")
+    command("train-predictor", cmd_train_predictor).add_argument(
+        "--role", choices=list(ROLES), default="predictor")
+    p = command("sample", cmd_sample)
     p.add_argument("--mode", choices=list(MODES), default=None)
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
-    sub.add_parser("evaluate", parents=[common])
-    sub.add_parser("gridsearch", parents=[common])
-    sub.add_parser("extrapolate", parents=[common])
-    sub.add_parser("ode-sweep", parents=[common])
-    sub.add_parser("ablate", parents=[common])
+    command("evaluate", cmd_evaluate)
+    command("gridsearch", cmd_gridsearch)
+    command("extrapolate", cmd_extrapolate)
+    command("ode-sweep", cmd_ode_sweep)
+    command("ablate", cmd_ablate)
     return parser
 
 
 def _load_run(args) -> RunConfig:
     overrides = {}
-    if args.seed is not None and args.command != "sample":
-        overrides["task.seed"] = args.seed
-    if args.seed is not None and args.command == "sample":
-        overrides["sampler.seed"] = args.seed
+    if args.seed is not None:
+        seed_key = "sampler.seed" if args.command == "sample" else "task.seed"
+        overrides[seed_key] = args.seed
     if args.results_dir is not None:
         overrides["paths.results"] = args.results_dir
     if args.parallelism is not None:
@@ -101,11 +104,8 @@ def _write_report(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_train_vae(cfg: RunConfig) -> int:
-    task = _task_data(cfg)
-    fit, val = split_train_val(task.train, cfg.task_seed)
-    model, report = vaemod.train_vae(fit, cfg.vae, cfg.task_seed,
-                                     vocab_size=task.vocab.size, val_data=val)
+def cmd_train_vae(cfg: RunConfig, args) -> int:
+    model, report = train_vae_stage(_task_data(cfg), cfg.task_seed, cfg.vae)
     checksums = vaemod.save_vae(model, cfg.workdir)
     _write_report(cfg.workdir / "vae_report.json",
                   {"report": report.to_json(), "checksums": checksums})
@@ -123,50 +123,37 @@ def _checkpoint(cfg: RunConfig, name: str, command: str) -> Path:
     return path
 
 
-def cmd_train_prior(cfg: RunConfig, conditional: bool) -> int:
+def cmd_train_prior(cfg: RunConfig, args) -> int:
     task = _task_data(cfg)
     vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
-    latents = encode_latents(vae, task.train, cfg.task_seed + 20)
-    labels = task.train.normalized_fitness() if conditional else None
-    flow_cfg = dataclasses.replace(cfg.flow, seed=cfg.flow.seed + (1 if conditional else 0))
-    model, losses = flowmod.train_flow(latents, flow_cfg, labels=labels,
-                                       conditional=conditional)
-    name = "flow_conditional.npz" if conditional else "flow.npz"
+    model, losses = train_prior_stage(task, vae, cfg.task_seed, cfg.flow,
+                                      conditional=args.conditional)
+    name = "flow_conditional.npz" if args.conditional else "flow.npz"
     checksum = flowmod.save_flow(model, cfg.workdir / name)
     _write_report(cfg.workdir / f"{name.removesuffix('.npz')}_report.json",
                   {"per_epoch": losses, "checksum": checksum,
-                   "conditional": conditional})
+                   "conditional": args.conditional})
     print(f"flow checkpoint written to {cfg.workdir / name}")
     return 0
 
 
-def cmd_train_predictor(cfg: RunConfig, role: str) -> int:
-    task = _task_data(cfg)
-    if role == "oracle":
-        if task.landscape is not None:
-            raise ConfigError(["synthetic tasks use the exact landscape oracle; "
-                               "no oracle training is needed"])
-        model, report = train_predictor(task.full, cfg.predictor, cfg.task_seed,
-                                        vocab_size=task.vocab.size, role="oracle",
-                                        raw_labels=True)
-        out = cfg.workdir / "oracle.npz"
-    else:
-        fit, val = split_train_val(task.train, cfg.task_seed)
-        if role == "smoothed":
-            fit = smooth_labels_knn(fit, k=10)
-        model, report = train_predictor(fit, cfg.predictor, cfg.task_seed,
-                                        vocab_size=task.vocab.size, role=role,
-                                        val_data=val)
-        out = cfg.workdir / ("predictor_smoothed.npz" if role == "smoothed"
-                             else "predictor.npz")
+def cmd_train_predictor(cfg: RunConfig, args) -> int:
+    model, report = train_predictor_stage(_task_data(cfg), cfg.task_seed, cfg.predictor,
+                                          role=args.role)
+    out = cfg.workdir / {"predictor": "predictor.npz", "smoothed": "predictor_smoothed.npz",
+                         "oracle": "oracle.npz"}[args.role]
     checksum = save_predictor(model, out)
     _write_report(out.with_name(out.stem + "_report.json"),
-                  {"report": report.to_json(), "checksum": checksum, "role": role})
-    print(f"{role} checkpoint written to {out}")
+                  {"report": report.to_json(), "checksum": checksum, "role": args.role})
+    print(f"{args.role} checkpoint written to {out}")
     return 0
 
 
-def _load_assets(cfg: RunConfig, need_conditional: bool = False) -> TaskAssets:
+def _load_assets(cfg: RunConfig, need_conditional: bool = False,
+                 oracle: bool = True) -> TaskAssets:
+    """The task and the workdir's models, plus the evaluation oracle unless
+    `oracle` is false. The conditional flow loads when `need_conditional` or
+    when its file exists."""
     task = _task_data(cfg)
     vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
     flow = flowmod.load_flow(_checkpoint(cfg, "flow.npz", "train-prior"))
@@ -175,26 +162,21 @@ def _load_assets(cfg: RunConfig, need_conditional: bool = False) -> TaskAssets:
     if need_conditional or (cfg.workdir / "flow_conditional.npz").exists():
         flow_conditional = flowmod.load_flow(
             _checkpoint(cfg, "flow_conditional.npz", "train-prior --conditional"))
-    if cfg.task_name == "csv":
-        if cfg.oracle_checkpoint is None:
-            raise ConfigError(["csv tasks need [paths] oracle_checkpoint for evaluation"])
-        oracle = load_external_predictor(cfg.oracle_checkpoint)
-    else:
-        oracle = task_oracle(task)
     return TaskAssets(name=cfg.task_name, vocab=task.vocab, train=task.train,
-                      normalizer=task.normalizer, oracle=oracle, vae=vae,
-                      flow=flow, predictor=predictor,
+                      normalizer=task.normalizer,
+                      oracle=task_oracle(task, cfg.oracle_checkpoint) if oracle else None,
+                      vae=vae, flow=flow, predictor=predictor,
                       flow_conditional=flow_conditional)
 
 
-def cmd_sample(cfg: RunConfig, mode: str | None, top_k: int | None,
-               batch: int | None) -> int:
-    sampler = cfg.sampler if mode is None else cfg.sampler.for_mode(mode)
-    if top_k is not None or batch is not None:
-        sampler = dataclasses.replace(sampler,
-                                      top_k=top_k if top_k is not None else sampler.top_k,
-                                      batch=batch if batch is not None else sampler.batch)
-    assets = _load_assets(cfg, need_conditional=(sampler.mode == "learned_posterior"))
+def cmd_sample(cfg: RunConfig, args) -> int:
+    sampler = cfg.sampler if args.mode is None else cfg.sampler.for_mode(args.mode)
+    if args.top_k is not None or args.batch is not None:
+        sampler = dataclasses.replace(
+            sampler, top_k=args.top_k if args.top_k is not None else sampler.top_k,
+            batch=args.batch if args.batch is not None else sampler.batch)
+    assets = _load_assets(cfg, need_conditional=(sampler.mode == "learned_posterior"),
+                          oracle=False)
     result = guided_sample(sampler, assets.flow_for(sampler.mode), assets.vae,
                            assets.predictor)
     out = results_dir(cfg.results, cfg.task_name, "sample")
@@ -206,7 +188,7 @@ def cmd_sample(cfg: RunConfig, mode: str | None, top_k: int | None,
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
     summary, results = run_benchmark(assets, cfg.sampler, cfg.eval_seeds,
                                      parallelism=cfg.parallelism, keep_samples=True)
@@ -228,39 +210,37 @@ def _write_rows(cfg: RunConfig, experiment: str, key: str, rows: list[dict]) -> 
     return out
 
 
-def cmd_gridsearch(cfg: RunConfig) -> int:
+def cmd_gridsearch(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
     cells = grid_search(assets, cfg.sampler, cfg.grid_alphas,
-                        cfg.grid_guidance_steps, seed=cfg.sampler.seed,
-                        parallelism=cfg.parallelism)
+                        cfg.grid_guidance_steps, parallelism=cfg.parallelism)
     out = _write_rows(cfg, "gridsearch", "cells", cells)
     failed = sum(1 for c in cells if c["error"])
     print(f"wrote {len(cells)} cells ({failed} failed) to {out}")
     return 0
 
 
-def cmd_extrapolate(cfg: RunConfig) -> int:
+def cmd_extrapolate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, need_conditional=True)
     base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate_batch,
                                top_k=cfg.extrapolate_batch)
     rows = extrapolation_experiment(assets, cfg.extrapolate_y, base_cfg=base,
-                                    seed=cfg.sampler.seed,
                                     parallelism=cfg.parallelism)
     out = _write_rows(cfg, "extrapolate", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
-def cmd_ode_sweep(cfg: RunConfig) -> int:
+def cmd_ode_sweep(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
-    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps, seed=cfg.sampler.seed,
+    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps,
                            parallelism=cfg.parallelism)
     out = _write_rows(cfg, "ode-sweep", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
+def cmd_ablate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, need_conditional=True)
     rows = ablation_table(assets, cfg.sampler, cfg.eval_seeds,
                           parallelism=cfg.parallelism)
@@ -280,25 +260,7 @@ def main(argv=None) -> int:
         # finite checks make of a divergence
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            if args.command == "train-vae":
-                return cmd_train_vae(cfg)
-            if args.command == "train-prior":
-                return cmd_train_prior(cfg, args.conditional)
-            if args.command == "train-predictor":
-                return cmd_train_predictor(cfg, args.role)
-            if args.command == "sample":
-                return cmd_sample(cfg, args.mode, args.top_k, args.batch)
-            if args.command == "evaluate":
-                return cmd_evaluate(cfg)
-            if args.command == "gridsearch":
-                return cmd_gridsearch(cfg)
-            if args.command == "extrapolate":
-                return cmd_extrapolate(cfg)
-            if args.command == "ode-sweep":
-                return cmd_ode_sweep(cfg)
-            if args.command == "ablate":
-                return cmd_ablate(cfg)
-            raise ConfigError([f"unknown command {args.command!r}"])
+            return args.handler(cfg, args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

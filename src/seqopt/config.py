@@ -76,7 +76,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # under a default-section name no file uses, [DEFAULT] is one unknown
+    # section rather than merged into every section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="\0")
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -227,6 +230,8 @@ def config_echo(cfg: RunConfig) -> dict:
         "task": {"name": cfg.task_name, "seed": cfg.task_seed,
                  "spec": asdict(cfg.task_spec) if cfg.task_spec else None},
         "paths": {"data": str(cfg.data_path) if cfg.data_path else None,
+                  "range_file": str(cfg.range_path) if cfg.range_path else None,
+                  "oracle_checkpoint": str(cfg.oracle_checkpoint) if cfg.oracle_checkpoint else None,
                   "workdir": str(cfg.workdir), "results": str(cfg.results)},
         "vae": asdict(cfg.vae),
         "flow": asdict(cfg.flow),
@@ -238,3 +243,4 @@ def config_echo(cfg: RunConfig) -> dict:
         "ode_sweep": {"steps": cfg.ode_steps},
         "parallelism": cfg.parallelism,
     }
+

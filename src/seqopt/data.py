@@ -32,9 +32,6 @@ class FitnessNormalizer:
     def normalize(self, y):
         return (np.asarray(y, dtype=np.float64) - self.y_min) / (self.y_max - self.y_min)
 
-    def denormalize(self, y):
-        return np.asarray(y, dtype=np.float64) * (self.y_max - self.y_min) + self.y_min
-
 
 @dataclass(frozen=True)
 class Dataset:

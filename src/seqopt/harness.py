@@ -286,13 +286,13 @@ def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
 
 
 def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_steps,
-                seed: int | None = None, parallelism: int = 1) -> list[dict]:
+                parallelism: int = 1) -> list[dict]:
     """One sampling run per (alpha, J) cell, reporting fitness and diversity
-    (plus novelty) per cell. Cell failures are recorded, not fatal."""
+    (plus novelty) per cell. Every cell samples and measures with
+    `base_cfg.seed`. Cell failures are recorded, not fatal."""
     cells = list(itertools.product(alphas, guidance_steps))
     if not cells:
         raise ValueError("grids must be non-empty")
-    seed = base_cfg.seed if seed is None else seed
 
     def row(i, **measured):
         alpha, j = cells[i]
@@ -304,7 +304,7 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_st
 
     def measure(i, res):
         report = compute_metrics(res.sequences, assets.oracle, assets.normalizer,
-                                 assets.train, seed=seed)
+                                 assets.train, seed=base_cfg.seed)
         return row(i, median_fitness=report.median_fitness,
                    diversity=report.diversity, novelty=report.novelty,
                    n_unique=report.n_sequences, error="")
@@ -312,8 +312,7 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_st
     configs, rows = {}, {}
     for i, (alpha, j) in enumerate(cells):
         try:
-            configs[i] = replace(base_cfg, alpha=float(alpha), guidance_steps=int(j),
-                                 seed=seed)
+            configs[i] = replace(base_cfg, alpha=float(alpha), guidance_steps=int(j))
         except _CELL_ERRORS as exc:
             rows[i] = failed(i, exc)
     rows.update(_sweep(assets, configs, measure, parallelism, on_error=failed))
@@ -321,10 +320,10 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_st
 
 
 def extrapolation_experiment(assets: TaskAssets, y_values, *,
-                             base_cfg: SamplerConfig, seed: int = 0,
-                             parallelism: int = 1) -> list[dict]:
+                             base_cfg: SamplerConfig, parallelism: int = 1) -> list[dict]:
     """Median oracle fitness of the *raw* decoded batch (no dedup, no top-k)
-    as the requested target fitness varies, in the manifold and learned_posterior modes."""
+    as the requested target fitness varies, in the manifold and learned_posterior
+    modes, each run seeded with `base_cfg.seed`."""
     points = [(mode, float(y)) for mode in ("manifold", "learned_posterior") for y in y_values]
 
     def measure(i, res):
@@ -333,26 +332,26 @@ def extrapolation_experiment(assets: TaskAssets, y_values, *,
                                              assets.normalizer)
         return {"mode": mode, "target_y": y, "median_y_gt": measured}
 
-    configs = {i: replace(base_cfg.for_mode(mode), target_y=y, seed=seed)
+    configs = {i: replace(base_cfg.for_mode(mode), target_y=y)
                for i, (mode, y) in enumerate(points)}
     return list(_sweep(assets, configs, measure, parallelism).values())
 
 
 def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig, step_counts,
-                    seed: int | None = None, parallelism: int = 1) -> list[dict]:
-    """One run per ODE step count, reporting fitness and diversity."""
-    seed = base_cfg.seed if seed is None else seed
+                    parallelism: int = 1) -> list[dict]:
+    """One run per ODE step count, reporting fitness and diversity, each run
+    seeded with `base_cfg.seed`."""
     step_counts = [int(k) for k in step_counts]
     if any(k < 1 for k in step_counts):
         raise ValueError("step counts must be >= 1")
 
     def measure(i, res):
         report = compute_metrics(res.sequences, assets.oracle, assets.normalizer,
-                                 assets.train, seed=seed)
+                                 assets.train, seed=base_cfg.seed)
         return {"steps": step_counts[i], "median_fitness": report.median_fitness,
                 "diversity": report.diversity}
 
-    configs = {i: replace(base_cfg, steps=k, seed=seed) for i, k in enumerate(step_counts)}
+    configs = {i: replace(base_cfg, steps=k) for i, k in enumerate(step_counts)}
     return list(_sweep(assets, configs, measure, parallelism).values())
 
 

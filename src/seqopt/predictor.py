@@ -111,12 +111,12 @@ class PredictorModel:
 
 def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
                     vocab_size: int = 20, role: str = "predictor",
-                    val_data: Dataset | None = None, raw_labels: bool = False
+                    val_data: Dataset | None = None
                     ) -> tuple[PredictorModel, PredictorTrainReport]:
-    """Minimize MSE against normalized fitness (raw fitness for oracle
-    training, see `raw_labels`); deterministic given the seed."""
+    """Minimize MSE against normalized fitness, or raw fitness in the oracle
+    role; deterministic given the seed."""
     model = PredictorModel.build(data.length, vocab_size, cfg, seed, role)
-    labels = data.fitness if raw_labels else data.normalized_fitness()
+    labels = data.fitness if role == "oracle" else data.normalized_fitness()
     rng = np.random.default_rng(seed + 2000)
 
     def batches():
@@ -136,7 +136,7 @@ def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
         report.per_epoch_mse.append(sq_sum / count)
     report.final_train_mse = _mse(model, data, labels)
     if val_data is not None:
-        val_labels = val_data.fitness if raw_labels else val_data.normalized_fitness()
+        val_labels = val_data.fitness if role == "oracle" else val_data.normalized_fitness()
         report.val_mse = _mse(model, val_data, val_labels)
     return model, report
 

@@ -3,7 +3,8 @@
 Synthetic tasks build a full reference set of landscape mutants, carve out a
 limited training subset with the percentile/mutation-gap difficulty filter,
 and hand back everything the samplers and the evaluation harness need. CSV
-tasks load externally provided data in the same structure.
+tasks load externally provided data in the same structure. Training is one
+function per stage, which `train_models` and the `seqopt train-*` commands share.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FitnessNormalizer, difficulty_filter, load_csv
+from .errors import ConfigError
 from .flow import FlowModel, FlowTrainConfig, train_flow
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
                         synthetic_full_dataset)
 from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
-                        train_predictor)
+                        load_external_predictor, smooth_labels_knn, train_predictor)
 from .seqs import Vocabulary
 from .vae import VaeConfig, VaeModel, train_vae
 
@@ -133,43 +135,72 @@ def default_predictor_config() -> PredictorConfig:
     return PredictorConfig()
 
 
+def train_vae_stage(task: TaskData, seed: int, cfg: VaeConfig):
+    """The VAE on the fit part of the training set, scored on the held-out
+    part. Returns (model, report)."""
+    fit, val = split_train_val(task.train, seed)
+    return train_vae(fit, cfg, seed, vocab_size=task.vocab.size, val_data=val)
+
+
+def train_prior_stage(task: TaskData, vae: VaeModel, seed: int, cfg: FlowTrainConfig,
+                      conditional: bool = False):
+    """The flow prior on one sampled latent per training record. The
+    conditional flow is conditioned on normalized fitness and seeded one past
+    `cfg.seed`. Returns (model, per-epoch losses)."""
+    latents = encode_latents(vae, task.train, seed + 20)
+    if not conditional:
+        return train_flow(latents, cfg)
+    return train_flow(latents, replace(cfg, seed=cfg.seed + 1),
+                      labels=task.train.normalized_fitness(), conditional=True)
+
+
+def train_predictor_stage(task: TaskData, seed: int, cfg: PredictorConfig,
+                          role: str = "predictor"):
+    """A fitness model in one of `predictor.ROLES`: on the fit part of the
+    training set, on its k-NN smoothed labels, or on the full set's raw labels
+    (oracle; synthetic tasks refuse it). Returns (model, report)."""
+    if role == "oracle":
+        if task.landscape is not None:
+            raise ConfigError(["synthetic tasks use the exact landscape oracle; "
+                               "no oracle training is needed"])
+        return train_predictor(task.full, cfg, seed, vocab_size=task.vocab.size, role=role)
+    fit, val = split_train_val(task.train, seed)
+    if role == "smoothed":
+        fit = smooth_labels_knn(fit, k=10)
+    return train_predictor(fit, cfg, seed, vocab_size=task.vocab.size, role=role,
+                           val_data=val)
+
+
 def train_models(task: TaskData, seed: int,
                  vae_cfg: VaeConfig | None = None,
                  flow_cfg: FlowTrainConfig | None = None,
                  pred_cfg: PredictorConfig | None = None,
                  conditional: bool = False) -> ModelBundle:
-    """Train the whole stack on the task's limited training set: VAE first,
-    then the flow prior on its sampled latents, plus the fitness predictor.
-    `conditional` adds a fitness-conditioned flow, seeded one past the flow."""
-    vae_cfg = vae_cfg or default_vae_config()
+    """Train the whole stack on the task's limited training set, one stage
+    after another: the VAE, the flow prior on its sampled latents, and the
+    fitness predictor. `conditional` adds the fitness-conditioned flow."""
     flow_cfg = flow_cfg or default_flow_config(seed)
-    pred_cfg = pred_cfg or default_predictor_config()
-    data = task.train
-    fit, val = split_train_val(data, seed)
-
-    vae, vae_report = train_vae(fit, vae_cfg, seed, vocab_size=task.vocab.size,
-                                val_data=val)
-    latents = encode_latents(vae, data, seed + 20)
-    flow, flow_losses = train_flow(latents, flow_cfg)
-    predictor, pred_report = train_predictor(fit, pred_cfg, seed,
-                                             vocab_size=task.vocab.size,
-                                             val_data=val)
+    vae, vae_report = train_vae_stage(task, seed, vae_cfg or default_vae_config())
+    flow, flow_losses = train_prior_stage(task, vae, seed, flow_cfg)
+    predictor, pred_report = train_predictor_stage(
+        task, seed, pred_cfg or default_predictor_config())
     bundle = ModelBundle(vae=vae, flow=flow, predictor=predictor,
                          reports={"vae": vae_report.to_json(),
                                   "flow": {"per_epoch": flow_losses},
                                   "predictor": pred_report.to_json()})
     if conditional:
-        bundle.flow_conditional, cond_losses = train_flow(
-            latents, replace(flow_cfg, seed=flow_cfg.seed + 1),
-            labels=data.normalized_fitness(), conditional=True)
+        bundle.flow_conditional, cond_losses = train_prior_stage(
+            task, vae, seed, flow_cfg, conditional=True)
         bundle.reports["flow_conditional"] = {"per_epoch": cond_losses}
     return bundle
 
 
-def task_oracle(task: TaskData, cfg: PredictorConfig | None = None, seed: int = 0):
-    """Evaluation oracle: the exact landscape for synthetic tasks, otherwise a
-    net trained on the full set's raw fitness labels."""
+def task_oracle(task: TaskData, checkpoint=None):
+    """The evaluation oracle: the exact landscape for synthetic tasks, and for
+    csv tasks the predictor checkpoint at `checkpoint`, such as one written by
+    `seqopt train-predictor --role oracle`."""
     if task.landscape is not None:
         return LandscapeOracle(task.landscape)
-    return train_predictor(task.full, cfg or PredictorConfig(), seed,
-                           vocab_size=task.vocab.size, role="oracle", raw_labels=True)[0]
+    if checkpoint is None:
+        raise ConfigError(["csv tasks need [paths] oracle_checkpoint for evaluation"])
+    return load_external_predictor(checkpoint)

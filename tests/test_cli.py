@@ -10,6 +10,7 @@ import pytest
 from seqopt import tasks
 from seqopt.cli import main
 from seqopt.config import config_echo, load_config
+from seqopt.errors import ConfigError
 from seqopt.flow import FlowTrainConfig
 from seqopt.predictor import PredictorConfig
 from seqopt.vae import VaeConfig
@@ -113,6 +114,30 @@ class TestTraining:
         assert main(["train-vae", str(ini)]) == 0
         report2 = json.loads((root / "work" / "vae_report.json").read_text())
         assert report["checksums"] == report2["checksums"]
+
+    def test_checkpoints_equal_train_models(self, workspace):
+        """The train-* commands run the stages `train_models` runs."""
+        from seqopt.flow import load_flow
+        from seqopt.nn import params_checksum
+        from seqopt.predictor import load_external_predictor
+        from seqopt.vae import load_vae
+        root, ini = workspace
+        cfg = load_config(ini)
+        task = tasks.build_synthetic_task(cfg.task_name, cfg.task_seed,
+                                          spec=cfg.task_spec)
+        bundle = tasks.train_models(task, cfg.task_seed, vae_cfg=cfg.vae,
+                                    flow_cfg=cfg.flow, pred_cfg=cfg.predictor,
+                                    conditional=True)
+        work = root / "work"
+        vae = load_vae(work)
+        pairs = [(vae.encoder, bundle.vae.encoder), (vae.decoder, bundle.vae.decoder),
+                 (load_flow(work / "flow.npz").net, bundle.flow.net),
+                 (load_flow(work / "flow_conditional.npz").net,
+                  bundle.flow_conditional.net),
+                 (load_external_predictor(work / "predictor.npz").net,
+                  bundle.predictor.net)]
+        for cli_net, net in pairs:
+            assert params_checksum(cli_net.params) == params_checksum(net.params)
 
     def test_synthetic_oracle_training_rejected(self, workspace):
         _, ini = workspace
@@ -242,6 +267,23 @@ class TestExperiments:
         assert parallel == serial
 
 
+def _csv_config(workspace, tmp_path, oracle=""):
+    """A csv task's config that samples with the workspace's checkpoints;
+    `oracle` is its [paths] oracle_checkpoint line, if any."""
+    from seqopt.data import write_csv
+    from seqopt.landscape import make_landscape, synthetic_full_dataset
+    from seqopt.seqs import Vocabulary
+    root, _ = workspace
+    vocab = Vocabulary.amino_acids()
+    ls = make_landscape(seed=31, length=8, vocab=vocab)
+    write_csv(synthetic_full_dataset(ls, count=50, seed=32, vocab=vocab,
+                                     max_mutations=4), tmp_path / "data.csv", vocab)
+    ini = tmp_path / "csv.ini"
+    ini.write_text(f"[task]\nname = csv\n[paths]\ndata = data.csv\n"
+                   f"workdir = {root / 'work'}\n{oracle}")
+    return ini
+
+
 def _workdir_copy(workspace, tmp_path):
     """A config like the workspace's whose workdir is a copy of its checkpoints."""
     root, _ = workspace
@@ -269,23 +311,26 @@ class TestCheckpoints:
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {work / name}: checkpoint kind '{impostor}' is not '{kind}'"]
 
-    @pytest.mark.parametrize("command", ["sample", "evaluate"])
+    @pytest.mark.parametrize("command", ["evaluate", "gridsearch"])
     def test_wrong_kind_oracle_is_io_error(self, workspace, tmp_path, capsys, command):
-        from seqopt.data import write_csv
-        from seqopt.landscape import make_landscape, synthetic_full_dataset
-        from seqopt.seqs import Vocabulary
         root, _ = workspace
-        vocab = Vocabulary.amino_acids()
-        ls = make_landscape(seed=31, length=8, vocab=vocab)
-        write_csv(synthetic_full_dataset(ls, count=50, seed=32, vocab=vocab,
-                                         max_mutations=4), tmp_path / "data.csv", vocab)
         oracle = root / "work" / "flow.npz"
-        ini = tmp_path / "csv.ini"
-        ini.write_text(f"[task]\nname = csv\n[paths]\ndata = data.csv\n"
-                       f"workdir = {root / 'work'}\noracle_checkpoint = {oracle}\n")
+        ini = _csv_config(workspace, tmp_path, f"oracle_checkpoint = {oracle}\n")
         assert main([command, str(ini)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {oracle}: checkpoint kind 'flow' is not 'predictor'"]
+
+    def test_csv_evaluate_needs_oracle_checkpoint(self, workspace, tmp_path, capsys):
+        ini = _csv_config(workspace, tmp_path)
+        assert main(["evaluate", str(ini)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: csv tasks need [paths] oracle_checkpoint for evaluation"]
+
+    def test_csv_sample_loads_no_oracle(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        for oracle in ("", f"oracle_checkpoint = {root / 'work' / 'flow.npz'}\n"):
+            assert main(["sample", str(_csv_config(workspace, tmp_path, oracle))]) == 0
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name,writer,flags", [
         ("vae_encoder.npz", "train-vae", []),
@@ -394,6 +439,9 @@ mode = sideways
             ("[grid]\n", "[gird]\nalphas = 0.3\n[grid]\n",
              "[gird]: unknown section; the sections are task, paths, run, vae, flow, "
              "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
+            ("[task]\n", "[DEFAULT]\nseed = 3\n[task]\n",
+             "[DEFAULT]: unknown section; the sections are task, paths, run, vae, flow, "
+             "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
         ]
         for old, new, problem in cases:
             ini.write_text(TINY_INI.replace(old, new, 1))
@@ -401,6 +449,12 @@ mode = sideways
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"config error: {problem}"), err
             assert not (tmp_path / "work").exists()
+
+        # [DEFAULT] is not merged into the sections, which would seed the sampler
+        ini.write_text("[DEFAULT]\nseed = 3\n[task]\n[sampler]\nsteps = 4\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(ini)
+        assert exc.value.problems == [cases[-1][2]]
 
     def test_diverging_training_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -419,6 +473,19 @@ mode = sideways
         ini.write_text("[task]\nname = csv\n")
         assert main(["train-vae", str(ini)]) == 1
         assert "data" in capsys.readouterr().err
+
+    def test_csv_echo_names_range_file_and_oracle(self, tmp_path):
+        for name in ("data.csv", "data.range", "oracle.npz"):
+            (tmp_path / name).write_text("")
+        ini = tmp_path / "csv.ini"
+        ini.write_text("[task]\nname = csv\n[paths]\ndata = data.csv\n"
+                       "range_file = data.range\noracle_checkpoint = oracle.npz\n")
+        paths = config_echo(load_config(ini))["paths"]
+        assert paths["range_file"] == str(tmp_path / "data.range")
+        assert paths["oracle_checkpoint"] == str(tmp_path / "oracle.npz")
+        ini.write_text("[task]\nname = csv\n[paths]\ndata = data.csv\n")
+        paths = config_echo(load_config(ini))["paths"]
+        assert paths["range_file"] is None and paths["oracle_checkpoint"] is None
 
     def test_csv_task_trains(self, tmp_path):
         from seqopt.data import write_csv, write_range_file

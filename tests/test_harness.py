@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ class TestRunBenchmark:
 class TestGridSearch:
     def test_zero_cell_matches_unconditional_exactly(self, tiny_stack):
         _, _, assets = tiny_stack
-        cells = grid_search(assets, BASE, alphas=[0.0], guidance_steps=[0], seed=7)
+        cells = grid_search(assets, replace(BASE, seed=7), alphas=[0.0],
+                            guidance_steps=[0])
         uncond = guided_sample(SamplerConfig(steps=8, batch=48, top_k=16,
                                              mode="unconditional", seed=7),
                                assets.flow, assets.vae, assets.predictor)
@@ -88,15 +90,16 @@ class TestGridSearch:
 
     def test_cell_count_and_fields(self, tiny_stack):
         _, _, assets = tiny_stack
-        cells = grid_search(assets, BASE, alphas=[0.0, 0.3], guidance_steps=[0, 2],
-                            seed=1)
+        cells = grid_search(assets, replace(BASE, seed=1), alphas=[0.0, 0.3],
+                            guidance_steps=[0, 2])
         assert len(cells) == 4
         assert {"alpha", "guidance_steps", "median_fitness", "diversity",
                 "novelty", "n_unique", "error"} <= set(cells[0])
 
     def test_single_cell_reduces_to_one_record(self, tiny_stack):
         _, _, assets = tiny_stack
-        cells = grid_search(assets, BASE, alphas=[0.3], guidance_steps=[2], seed=2)
+        cells = grid_search(assets, replace(BASE, seed=2), alphas=[0.3],
+                            guidance_steps=[2])
         assert len(cells) == 1 and cells[0]["error"] == ""
 
     def test_empty_grid_rejected(self, tiny_stack):
@@ -106,8 +109,8 @@ class TestGridSearch:
 
     def test_failing_cell_recorded_not_fatal(self, tiny_stack):
         _, _, assets = tiny_stack
-        cells = grid_search(assets, BASE, alphas=[-1.0, 0.3], guidance_steps=[1],
-                            seed=3)
+        cells = grid_search(assets, replace(BASE, seed=3), alphas=[-1.0, 0.3],
+                            guidance_steps=[1])
         assert len(cells) == 2
         assert cells[0]["error"] != "" and np.isnan(cells[0]["median_fitness"])
         assert cells[1]["error"] == ""
@@ -117,11 +120,11 @@ class TestGridSearch:
         _, _, assets = tiny_stack
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cells = grid_search(assets, BASE, alphas=[0.3, np.inf], guidance_steps=[2],
-                                seed=2)
+            cells = grid_search(assets, replace(BASE, seed=2), alphas=[0.3, np.inf],
+                                guidance_steps=[2])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert cells[0] == grid_search(assets, BASE, alphas=[0.3], guidance_steps=[2],
-                                       seed=2)[0]
+        assert cells[0] == grid_search(assets, replace(BASE, seed=2), alphas=[0.3],
+                                       guidance_steps=[2])[0]
         assert cells[1]["error"].startswith("layer ")
         assert "non-finite" in cells[1]["error"] and cells[1]["n_unique"] == 0
         # the first guided step sends the state to inf; the next forward pass
@@ -134,7 +137,7 @@ class TestExtrapolation:
     def test_row_count_is_grid_times_modes(self, tiny_stack):
         _, _, assets = tiny_stack
         rows = extrapolation_experiment(assets, y_values=[0.2, 0.6, 1.0],
-                                        base_cfg=BASE, seed=4)
+                                        base_cfg=replace(BASE, seed=4))
         assert len(rows) == 6
         modes = {r["mode"] for r in rows}
         assert modes == {"manifold", "learned_posterior"}
@@ -147,18 +150,18 @@ class TestExtrapolation:
                               flow=assets.flow, predictor=assets.predictor,
                               flow_conditional=None)
         with pytest.raises(ConfigError, match="conditional"):
-            extrapolation_experiment(stripped, [1.0], base_cfg=BASE, seed=0)
+            extrapolation_experiment(stripped, [1.0], base_cfg=BASE)
 
 
 class TestOdeSweep:
     def test_row_count(self, tiny_stack):
         _, _, assets = tiny_stack
-        rows = ode_steps_sweep(assets, BASE, [4, 8, 16], seed=5)
+        rows = ode_steps_sweep(assets, replace(BASE, seed=5), [4, 8, 16])
         assert [r["steps"] for r in rows] == [4, 8, 16]
 
     def test_singleton_grid_reproduces_default_run(self, tiny_stack):
         _, _, assets = tiny_stack
-        rows = ode_steps_sweep(assets, BASE, [8], seed=6)
+        rows = ode_steps_sweep(assets, replace(BASE, seed=6), [8])
         summary = run_benchmark(assets, BASE, [6])
         assert rows[0]["median_fitness"] == summary.reports[0].median_fitness
         assert rows[0]["diversity"] == summary.reports[0].diversity
@@ -369,8 +372,8 @@ class TestSweepDispatch:
 
         monkeypatch.setattr(harness, "guided_sample", diverges_at_alpha_0_2)
         cells = self.serial_and_parallel(dispatched, lambda p: grid_search(
-            assets, BASE, alphas=[0.3, -1.0, 0.2, 0.3], guidance_steps=[2],
-            seed=3, parallelism=p))
+            assets, replace(BASE, seed=3), alphas=[0.3, -1.0, 0.2, 0.3],
+            guidance_steps=[2], parallelism=p))
         assert [c["alpha"] for c in cells] == [0.3, -1.0, 0.2, 0.3]
         assert dispatched[0][0] == 3  # the invalid alpha=-1 cell runs no job
         assert "alpha must be >= 0" in cells[1]["error"]
@@ -381,7 +384,7 @@ class TestSweepDispatch:
     def test_extrapolation_experiment(self, tiny_stack, dispatched):
         _, _, assets = tiny_stack
         rows = self.serial_and_parallel(dispatched, lambda p: extrapolation_experiment(
-            assets, [0.6, 0.2, 0.6], base_cfg=BASE, seed=4, parallelism=p))
+            assets, [0.6, 0.2, 0.6], base_cfg=replace(BASE, seed=4), parallelism=p))
         assert [(r["mode"], r["target_y"]) for r in rows] == [
             ("manifold", 0.6), ("manifold", 0.2), ("manifold", 0.6),
             ("learned_posterior", 0.6), ("learned_posterior", 0.2),
@@ -392,7 +395,7 @@ class TestSweepDispatch:
     def test_ode_steps_sweep(self, tiny_stack, dispatched):
         _, _, assets = tiny_stack
         rows = self.serial_and_parallel(dispatched, lambda p: ode_steps_sweep(
-            assets, BASE, [8, 4, 8], seed=5, parallelism=p))
+            assets, replace(BASE, seed=5), [8, 4, 8], parallelism=p))
         assert [r["steps"] for r in rows] == [8, 4, 8] and dispatched[0][0] == 3
         assert rows[0] == rows[2]
 

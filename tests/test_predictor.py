@@ -3,6 +3,7 @@ import pytest
 
 from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
+from seqopt.errors import ConfigError
 from seqopt.landscape import make_landscape, synthetic_full_dataset, synthetic_oracle
 from seqopt.nn.autodiff import Tensor
 from seqopt.nn import CheckpointError
@@ -10,7 +11,7 @@ from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                               load_external_predictor, save_predictor,
                               smooth_labels_knn, train_predictor)
 from seqopt.seqs import Vocabulary, one_hot
-from seqopt.tasks import TaskData, task_oracle
+from seqopt.tasks import TaskData, task_oracle, train_predictor_stage
 
 rng = np.random.default_rng(404)
 CFG = PredictorConfig(hidden_channels=8, hidden_dense=16, epochs=80, batch_size=32)
@@ -141,15 +142,20 @@ class TestOracle:
         np.testing.assert_array_equal(oracle.predict_sequences(seqs),
                                       oracle.predict_sequences(seqs))
 
-    def test_net_oracle_trains_on_raw_labels(self):
+    def test_net_oracle_trains_on_raw_labels(self, tmp_path):
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=13, length=8, vocab=vocab)
         full = synthetic_full_dataset(ls, count=300, seed=14, vocab=vocab)
         task = TaskData("csv", vocab, full=full, train=full)
-        oracle = task_oracle(task, PredictorConfig(hidden_channels=8, hidden_dense=16,
-                                                   epochs=15), seed=15)
+        model, _ = train_predictor_stage(task, 15, PredictorConfig(
+            hidden_channels=8, hidden_dense=16, epochs=15), role="oracle")
+        with pytest.raises(ConfigError, match="oracle_checkpoint"):
+            task_oracle(task)
+        save_predictor(model, tmp_path / "oracle.npz")
+        oracle = task_oracle(task, tmp_path / "oracle.npz")
         assert oracle.role == "oracle"
         preds = oracle.predict_sequences(full.sequences[:100])
+        np.testing.assert_array_equal(preds, model.predict_sequences(full.sequences[:100]))
         # raw-scale outputs: same ballpark as raw fitness, not forced into [0,1]
         assert np.corrcoef(preds, full.fitness[:100])[0, 1] > 0.5
 

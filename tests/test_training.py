@@ -101,7 +101,7 @@ class TestDivergence:
         data = Dataset(records().sequences, np.full(40, 1e200), 0.0, 2e200)
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingDivergedError, match="^epoch 0: non-finite loss$"):
-            train_predictor(data, PRED_CFG, seed=4, vocab_size=5, raw_labels=True)
+            train_predictor(data, PRED_CFG, seed=4, vocab_size=5, role="oracle")
 
     def test_flow_non_finite_activation(self):
         z = latents()
