@@ -26,8 +26,7 @@ from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                         load_external_predictor, save_predictor,
                         smooth_labels_knn, train_predictor)
 from .sampling import SamplerConfig, SampleResult, guidance_step, guided_sample
-from .seqs import (AMINO_ACIDS, Vocabulary, detokenize, levenshtein, one_hot,
-                   tokenize)
+from .seqs import AMINO_ACIDS, Vocabulary, detokenize, levenshtein, tokenize
 from .tasks import (SyntheticTaskSpec, TaskData, build_csv_task,
                     build_synthetic_task, task_oracle, train_models)
 from .vae import (EncoderOutput, VaeConfig, VaeModel, load_vae,
@@ -49,7 +48,7 @@ __all__ = [
     "guidance_step", "guided_sample", "interpolate", "levenshtein",
     "load_csv", "load_external_predictor", "load_flow", "load_vae",
     "make_edit_pool", "make_landscape", "median_normalized_fitness",
-    "novelty", "ode_steps_sweep", "one_hot", "reconstruction_accuracy",
+    "novelty", "ode_steps_sweep", "reconstruction_accuracy",
     "run_benchmark", "sample_mutants", "sample_vae_prior", "save_flow",
     "save_predictor", "save_vae", "smooth_labels_knn", "synthetic_full_dataset",
     "synthetic_oracle", "task_oracle", "tokenize", "train_flow",

@@ -45,51 +45,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag whose destination is a dotted key ("paths.results") overrides
+    # that INI option
     common = _Parser(add_help=False)
     common.add_argument("config", help="path to the run configuration (INI)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the task seed (training commands) or the "
-                             "sampling seed (sample)")
-    common.add_argument("--results-dir", default=None, help="override [paths] results")
-    common.add_argument("--parallelism", type=int, default=None,
+    common.add_argument("--results-dir", dest="paths.results", metavar="DIR",
+                        help="override [paths] results")
+    common.add_argument("--parallelism", dest="run.parallelism", type=int, metavar="N",
                         help="worker count for every experiment's sampling runs")
 
     parser = _Parser(prog="seqopt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler):
+    def command(name, handler, seed=None):
+        """A subcommand; `seed` names the section whose seed --seed overrides
+        (evaluate and ablate take their seeds from [evaluate] seeds)."""
         p = sub.add_parser(name, parents=[common])
         p.set_defaults(handler=handler)
+        if seed is not None:
+            p.add_argument("--seed", dest=f"{seed}.seed", type=int, metavar="SEED",
+                           help=f"override [{seed}] seed")
         return p
 
-    command("train-vae", cmd_train_vae)
-    command("train-prior", cmd_train_prior).add_argument(
+    command("train-vae", cmd_train_vae, seed="task")
+    command("train-prior", cmd_train_prior, seed="task").add_argument(
         "--conditional", action="store_true",
         help="also condition the velocity field on fitness")
-    command("train-predictor", cmd_train_predictor).add_argument(
+    command("train-predictor", cmd_train_predictor, seed="task").add_argument(
         "--role", choices=list(ROLES), default="predictor")
-    p = command("sample", cmd_sample)
+    p = command("sample", cmd_sample, seed="sampler")
     p.add_argument("--mode", choices=list(MODES), default=None)
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     command("evaluate", cmd_evaluate)
-    command("gridsearch", cmd_gridsearch)
-    command("extrapolate", cmd_extrapolate)
-    command("ode-sweep", cmd_ode_sweep)
+    command("gridsearch", cmd_gridsearch, seed="sampler")
+    command("extrapolate", cmd_extrapolate, seed="sampler")
+    command("ode-sweep", cmd_ode_sweep, seed="sampler")
     command("ablate", cmd_ablate)
     return parser
 
 
 def _load_run(args) -> RunConfig:
-    overrides = {}
-    if args.seed is not None:
-        seed_key = "sampler.seed" if args.command == "sample" else "task.seed"
-        overrides[seed_key] = args.seed
-    if args.results_dir is not None:
-        overrides["paths.results"] = args.results_dir
-    if args.parallelism is not None:
-        overrides["run.parallelism"] = args.parallelism
+    overrides = {key: value for key, value in vars(args).items()
+                 if "." in key and value is not None}
     return load_config(args.config, overrides)
 
 
@@ -149,17 +148,19 @@ def cmd_train_predictor(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_assets(cfg: RunConfig, need_conditional: bool = False,
+def _load_assets(cfg: RunConfig, mode: str | None = None,
                  oracle: bool = True) -> TaskAssets:
     """The task and the workdir's models, plus the evaluation oracle unless
-    `oracle` is false. The conditional flow loads when `need_conditional` or
-    when its file exists."""
+    `oracle` is false. The conditional flow is required when the command
+    samples in `mode` (by default `[sampler] mode`) learned_posterior, and
+    loads whenever its file exists."""
     task = _task_data(cfg)
     vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
     flow = flowmod.load_flow(_checkpoint(cfg, "flow.npz", "train-prior"))
     predictor = load_external_predictor(_checkpoint(cfg, "predictor.npz", "train-predictor"))
     flow_conditional = None
-    if need_conditional or (cfg.workdir / "flow_conditional.npz").exists():
+    if ((mode or cfg.sampler.mode) == "learned_posterior"
+            or (cfg.workdir / "flow_conditional.npz").exists()):
         flow_conditional = flowmod.load_flow(
             _checkpoint(cfg, "flow_conditional.npz", "train-prior --conditional"))
     return TaskAssets(name=cfg.task_name, vocab=task.vocab, train=task.train,
@@ -175,8 +176,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         sampler = dataclasses.replace(
             sampler, top_k=args.top_k if args.top_k is not None else sampler.top_k,
             batch=args.batch if args.batch is not None else sampler.batch)
-    assets = _load_assets(cfg, need_conditional=(sampler.mode == "learned_posterior"),
-                          oracle=False)
+    assets = _load_assets(cfg, sampler.mode, oracle=False)
     result = guided_sample(sampler, assets.flow_for(sampler.mode), assets.vae,
                            assets.predictor)
     out = results_dir(cfg.results, cfg.task_name, "sample")
@@ -221,7 +221,7 @@ def cmd_gridsearch(cfg: RunConfig, args) -> int:
 
 
 def cmd_extrapolate(cfg: RunConfig, args) -> int:
-    assets = _load_assets(cfg, need_conditional=True)
+    assets = _load_assets(cfg, "learned_posterior")
     base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate_batch,
                                top_k=cfg.extrapolate_batch)
     rows = extrapolation_experiment(assets, cfg.extrapolate_y, base_cfg=base,
@@ -241,7 +241,7 @@ def cmd_ode_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    assets = _load_assets(cfg, need_conditional=True)
+    assets = _load_assets(cfg, "learned_posterior")
     rows = ablation_table(assets, cfg.sampler, cfg.eval_seeds,
                           parallelism=cfg.parallelism)
     out = _write_rows(cfg, "ablate", "rows", rows)

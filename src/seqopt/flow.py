@@ -17,7 +17,10 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layers import Network
-from .nn.optim import fit
+from .nn.optim import check_training_fields, fit
+
+# width of a new field's time and fitness embeddings; checkpoints record theirs
+EMBED_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,7 @@ class FlowTrainConfig:
     hidden: int = 128            # width of the velocity trunk's dense layers
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad training hyperparameters")
+        check_training_fields(self)
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
 
@@ -61,7 +63,7 @@ class FlowModel:
     """Velocity field v(z, t[, y]) with sinusoidal time (and optional fitness)
     embeddings concatenated to the latent features."""
 
-    def __init__(self, net: Network, latent_dim: int, time_embed_dim: int = 16,
+    def __init__(self, net: Network, latent_dim: int, time_embed_dim: int,
                  fitness_embed_dim: int = 0, max_freq: float = 64.0):
         self.net = net
         self.latent_dim = latent_dim
@@ -71,10 +73,10 @@ class FlowModel:
 
     @classmethod
     def build(cls, latent_dim: int, seed: int, conditional: bool = False, *,
-              hidden: int, time_embed_dim: int = 16) -> "FlowModel":
-        y_dim = time_embed_dim if conditional else 0
-        net = Network.build(trunk_descriptor(latent_dim, time_embed_dim, y_dim, hidden), seed)
-        return cls(net, latent_dim, time_embed_dim, y_dim)
+              hidden: int) -> "FlowModel":
+        y_dim = EMBED_DIM if conditional else 0
+        net = Network.build(trunk_descriptor(latent_dim, EMBED_DIM, y_dim, hidden), seed)
+        return cls(net, latent_dim, EMBED_DIM, y_dim)
 
     @property
     def conditional(self) -> bool:
@@ -140,14 +142,13 @@ def flow_matching_loss(model: FlowModel, z1: np.ndarray, z0: np.ndarray,
 
 
 def train_flow(latents: np.ndarray, cfg: FlowTrainConfig,
-               labels: np.ndarray | None = None, conditional: bool = False
-               ) -> tuple[FlowModel, list[float]]:
+               labels: np.ndarray | None = None) -> tuple[FlowModel, list[float]]:
     """Fit the velocity field on encoded latents; fresh noise endpoints and
-    times are drawn every epoch. Returns the model and per-epoch losses."""
+    times are drawn every epoch. Given fitness `labels`, one per latent, the
+    field is conditioned on them. Returns the model and per-epoch losses."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
+    conditional = labels is not None
     if conditional:
-        if labels is None:
-            raise ValueError("conditional training needs fitness labels")
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != (latents.shape[0],):
             raise ValueError("labels must be one scalar per latent")

@@ -47,6 +47,17 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray], learning_rate: f
     return state
 
 
+def check_training_fields(cfg) -> None:
+    """Raise ValueError naming a training config's first bad field among
+    learning_rate, batch_size and epochs."""
+    if cfg.learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
+    if cfg.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if cfg.epochs < 0:
+        raise ValueError("epochs must be >= 0")
+
+
 def fit(nets, batches, loss_tape, learning_rate: float, epochs: int) -> list[tuple]:
     """Minimize `loss_tape` over `nets` with Adam, one state per network.
 

@@ -15,7 +15,7 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layers import Network
-from .nn.optim import fit
+from .nn.optim import check_training_fields, fit
 from .seqs import levenshtein_one_to_many, one_hot_batch
 
 ROLES = ("predictor", "smoothed", "oracle")
@@ -30,8 +30,7 @@ class PredictorConfig:
     hidden_dense: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad training hyperparameters")
+        check_training_fields(self)
         for name in ("hidden_channels", "hidden_dense"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -63,7 +62,7 @@ def predictor_descriptor(length: int, vocab_size: int, cfg: PredictorConfig) -> 
 
 
 class PredictorModel:
-    """CNN regressor from a (d, |V|) relaxed one-hot matrix to a scalar."""
+    """CNN regressor from (d, |V|) relaxed one-hot matrices to scalars."""
 
     def __init__(self, net: Network, length: int, vocab_size: int, role: str):
         if role not in ROLES:
@@ -80,10 +79,8 @@ class PredictorModel:
                    length, vocab_size, role)
 
     def _validate(self, x: np.ndarray) -> np.ndarray:
-        """Normalize to a (B, d, V) batch; reject bad shapes and row sums."""
+        """Reject a (B, d, V) batch of another shape or with bad row sums."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
         if x.ndim != 3 or x.shape[1] != self.length or x.shape[2] != self.vocab_size:
             raise ValueError(f"expected (batch, {self.length}, {self.vocab_size}) input, "
                              f"got {x.shape}")
@@ -97,11 +94,9 @@ class PredictorModel:
         out = self.net.apply(x)
         return ad.reshape(out, (out.shape[0],))
 
-    def predict(self, x: np.ndarray):
-        """Score a (d, V) matrix (returns float) or a (B, d, V) batch."""
-        single = np.asarray(x).ndim == 2
-        scores = self.predict_tape(Tensor(self._validate(x), requires_grad=False)).data
-        return float(scores[0]) if single else scores
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Score a (B, d, V) batch of relaxed one-hot matrices."""
+        return self.predict_tape(Tensor(self._validate(x), requires_grad=False)).data
 
     def predict_sequences(self, seqs: np.ndarray) -> np.ndarray:
         """Score token sequences via their hard one-hot encoding."""

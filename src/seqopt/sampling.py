@@ -39,7 +39,6 @@ from .seqs import detokenize
 from .vae import VaeModel
 
 MODES = ("manifold", "naive", "unconditional", "learned_posterior")
-OBJECTIVES = ("match_target", "maximize")
 CHAIN_BLOCK = 64  # chains integrated together; see the module docstring
 
 
@@ -53,8 +52,6 @@ class SamplerConfig:
     top_k: int = 128             # sequences kept after dedup + ranking
     mode: str = "manifold"
     seed: int = 0
-    temperature: float = 1.0     # softmax relaxation for guidance-time decoding
-    objective: str = "match_target"
 
     def __post_init__(self):
         problems = []
@@ -68,10 +65,6 @@ class SamplerConfig:
             problems.append("need 1 <= top_k <= batch")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}")
-        if self.objective not in OBJECTIVES:
-            problems.append(f"objective must be one of {OBJECTIVES}")
-        if self.temperature <= 0:
-            problems.append("temperature must be > 0")
         if self.mode == "unconditional" and (self.alpha != 0 or self.guidance_steps != 0):
             problems.append("unconditional mode requires alpha=0 and guidance_steps=0")
         if problems:
@@ -119,26 +112,21 @@ def initial_latents(seed: int, batch: int, dim: int) -> np.ndarray:
 
 def _objective_tape(z: Tensor, flow: FlowModel, vae: VaeModel,
                     predictor: PredictorModel, target_y: float, t: float, dt: float,
-                    manifold: bool, temperature: float, objective: str,
-                    y_cond) -> Tensor:
-    """Scalar to minimize, summed over independent chains."""
+                    manifold: bool, y_cond) -> Tensor:
+    """0.5 * (score - target_y)^2 of the softmax-relaxed decoding, summed over
+    independent chains."""
     if manifold:
         v = flow.velocity_tape(z, t, y_cond)
         z_end = z + (1.0 - t - dt) * v
     else:
         z_end = z
-    probs = vae.decode_probs_tape(z_end, temperature)
-    scores = predictor.predict_tape(probs)
-    if objective == "match_target":
-        resid = scores - target_y
-        return ad.tsum(resid * resid) * 0.5
-    return ad.tsum(scores * scores) * (-0.5)  # maximize: ascend 0.5*||g||^2
+    resid = predictor.predict_tape(vae.decode_probs_tape(z_end)) - target_y
+    return ad.tsum(resid * resid) * 0.5
 
 
 def guidance_step(z: np.ndarray, flow: FlowModel, vae: VaeModel,
                   predictor: PredictorModel, target_y: float, alpha: float,
                   t: float, dt: float, *, manifold: bool = True,
-                  temperature: float = 1.0, objective: str = "match_target",
                   y_cond=None) -> np.ndarray:
     """One gradient-descent step on the fitness-match objective, per chain.
 
@@ -147,8 +135,7 @@ def guidance_step(z: np.ndarray, flow: FlowModel, vae: VaeModel,
     if alpha == 0.0:
         return z
     zt = Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))
-    obj = _objective_tape(zt, flow, vae, predictor, target_y, t, dt,
-                          manifold, temperature, objective, y_cond)
+    obj = _objective_tape(zt, flow, vae, predictor, target_y, t, dt, manifold, y_cond)
     obj.backward()
     grad = zt.grad
     if not np.isfinite(grad).all():
@@ -219,10 +206,8 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
                     if needs_guidance:
                         for _ in range(cfg.guidance_steps):
                             zb = guidance_step(zb, flow, vae, predictor, cfg.target_y,
-                                               cfg.alpha, t, dt,
-                                               manifold=(cfg.mode == "manifold"),
-                                               temperature=cfg.temperature,
-                                               objective=cfg.objective, y_cond=y_cond)
+                                               cfg.alpha, t, dt, y_cond=y_cond,
+                                               manifold=(cfg.mode == "manifold"))
                     z[s:s + CHAIN_BLOCK] = zb
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at integration step {k}") from exc

@@ -62,25 +62,6 @@ def detokenize(seq: np.ndarray, vocab: Vocabulary) -> str:
     return "".join(vocab.tokens[i] for i in seq)
 
 
-def validate_sequence(seq: np.ndarray, vocab: Vocabulary, length: int | None = None) -> np.ndarray:
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.ndim != 1:
-        raise ValueError(f"sequence must be 1-D, got shape {seq.shape}")
-    if length is not None and seq.size != length:
-        raise ValueError(f"sequence length {seq.size} != expected {length}")
-    if seq.size and (seq.min() < 0 or seq.max() >= vocab.size):
-        raise ValueError("token index out of vocabulary range")
-    return seq
-
-
-def one_hot(seq: np.ndarray, vocab: Vocabulary) -> np.ndarray:
-    """(d,) index array -> (d, |V|) matrix of exact basis rows."""
-    seq = validate_sequence(seq, vocab)
-    out = np.zeros((seq.size, vocab.size), dtype=np.float64)
-    out[np.arange(seq.size), seq] = 1.0
-    return out
-
-
 def one_hot_batch(seqs: np.ndarray, vocab_size: int) -> np.ndarray:
     """(n, d) index matrix -> (n, d, |V|)."""
     seqs = np.asarray(seqs, dtype=np.int64)

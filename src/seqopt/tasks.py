@@ -84,14 +84,13 @@ def build_synthetic_task(name: str, seed: int,
                     landscape=landscape, edit_pool=pool)
 
 
-def build_csv_task(path, vocab: Vocabulary | None = None, range_file=None,
-                   name: str = "csv") -> TaskData:
-    """Wrap an externally provided sequence,fitness CSV as a task. The loaded
-    file is treated as the (already filtered) training set; its declared range
-    must describe the full reference set."""
-    vocab = vocab or Vocabulary.amino_acids()
+def build_csv_task(path, range_file=None) -> TaskData:
+    """Wrap an externally provided sequence,fitness CSV over the amino acids
+    as a task. The loaded file is treated as the (already filtered) training
+    set; its declared range must describe the full reference set."""
+    vocab = Vocabulary.amino_acids()
     train = load_csv(path, vocab, range_file=range_file)
-    return TaskData(name=name, vocab=vocab, full=train, train=train)
+    return TaskData(name="csv", vocab=vocab, full=train, train=train)
 
 
 def split_train_val(data: Dataset, seed: int):
@@ -151,7 +150,7 @@ def train_prior_stage(task: TaskData, vae: VaeModel, seed: int, cfg: FlowTrainCo
     if not conditional:
         return train_flow(latents, cfg)
     return train_flow(latents, replace(cfg, seed=cfg.seed + 1),
-                      labels=task.train.normalized_fitness(), conditional=True)
+                      labels=task.train.normalized_fitness())
 
 
 def train_predictor_stage(task: TaskData, seed: int, cfg: PredictorConfig,

@@ -18,7 +18,7 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
-from .nn.optim import fit
+from .nn.optim import check_training_fields, fit
 from .seqs import one_hot_batch
 
 LOGVAR_BOUND = 10.0  # |log-variance| cap, applied smoothly via tanh
@@ -38,8 +38,7 @@ class VaeConfig:
             raise ValueError("latent_dim must be >= 1")
         if self.beta <= 0:
             raise ValueError("beta must be > 0")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad training hyperparameters")
+        check_training_fields(self)
         if self.hidden_channels < 1:
             raise ValueError("hidden_channels must be >= 1")
 
@@ -141,12 +140,9 @@ class VaeModel:
             raise ValueError(f"latent dimension {z.shape[1]} != model latent_dim {self.latent_dim}")
         return self.decode_logits_tape(Tensor(z, requires_grad=False)).data
 
-    def decode_probs_tape(self, z: Tensor, temperature: float = 1.0) -> Tensor:
+    def decode_probs_tape(self, z: Tensor) -> Tensor:
         """Softmax-relaxed decoding used by gradient guidance."""
-        logits = self.decode_logits_tape(z)
-        if temperature != 1.0:
-            logits = logits * (1.0 / temperature)
-        return ad.softmax(logits, axis=-1)
+        return ad.softmax(self.decode_logits_tape(z), axis=-1)
 
     def decode_tokens_batch(self, z: np.ndarray) -> np.ndarray:
         # np.argmax takes the lowest index on exact ties

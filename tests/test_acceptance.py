@@ -181,13 +181,12 @@ def test_criterion_2_gradient_suite():
                                                       hidden_dense=16), seed=4)
     z = rng.standard_normal((1, 3))
     zt = Tensor(z.copy())
-    obj = _objective_tape(zt, flow, vae, pred, 0.9, 0.25, 0.125, True, 1.0,
-                          "match_target", None)
+    obj = _objective_tape(zt, flow, vae, pred, 0.9, 0.25, 0.125, True, None)
     obj.backward()
 
     def f_chain(zv):
         return float(_objective_tape(Tensor(zv), flow, vae, pred, 0.9, 0.25, 0.125,
-                                     True, 1.0, "match_target", None).data)
+                                     True, None).data)
 
     chain_err = rel_err(zt.grad, numeric_gradient(f_chain, z.copy()))
     assert chain_err < 1e-3

@@ -184,6 +184,27 @@ class TestSample:
         assert json.loads(path.read_text())["provenance"]["config"]["seed"] == 77
 
 
+@pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep"])
+def test_sweep_seed_overrides_sampler_seed(workspace, capsys, command):
+    """--seed on a sweep is [sampler] seed; the task, and so the landscape the
+    workdir's checkpoints were trained on, stays the configured one."""
+    _, ini = workspace
+    assert main([command, str(ini), "--seed", "77"]) == 0
+    run_dir = Path(capsys.readouterr().out.strip().split()[-1])
+    echo = json.loads((run_dir / "summary.json").read_text())["config_echo"]
+    assert echo["sampler"]["seed"] == 77 and echo["task"]["seed"] == 5
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_seed_flag_refused_on_evaluate_and_ablate(workspace, tmp_path, capsys, command):
+    """Their seeds are [evaluate] seeds, so --seed is a usage error."""
+    _, ini = workspace
+    assert main([command, str(ini), "--seed", "6", "--results-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unrecognized arguments: --seed 6"]
+    assert not any(tmp_path.iterdir())
+
+
 class TestExperiments:
     def test_evaluate_writes_summary_and_samples(self, workspace, capsys):
         root, ini = workspace
@@ -284,13 +305,14 @@ def _csv_config(workspace, tmp_path, oracle=""):
     return ini
 
 
-def _workdir_copy(workspace, tmp_path):
-    """A config like the workspace's whose workdir is a copy of its checkpoints."""
+def _workdir_copy(workspace, tmp_path, text=TINY_INI):
+    """A config (`text`, by default the workspace's) whose workdir is a copy
+    of the workspace's checkpoints."""
     root, _ = workspace
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
     ini = tmp_path / "run.ini"
-    ini.write_text(TINY_INI)
+    ini.write_text(text)
     return work, ini
 
 
@@ -347,6 +369,20 @@ class TestCheckpoints:
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: missing checkpoint {work / name}; run `seqopt {writer}`"]
 
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "gridsearch", "ode-sweep"])
+    def test_missing_conditional_flow_for_learned_posterior(self, workspace, tmp_path,
+                                                            capsys, command):
+        """A command that samples in [sampler] mode = learned_posterior needs the
+        conditional flow before it starts."""
+        work, ini = _workdir_copy(workspace, tmp_path, TINY_INI.replace(
+            "mode = manifold", "mode = learned_posterior"))
+        (work / "flow_conditional.npz").unlink()
+        assert main([command, str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: missing checkpoint {work / 'flow_conditional.npz'}; "
+            "run `seqopt train-prior --conditional`"]
+        assert not (tmp_path / "results").exists()
+
 
 class TestValidation:
     def test_missing_config(self):
@@ -377,12 +413,14 @@ mode = sideways
         assert "config error: [grid] guidance_steps must be non-empty" in err
 
     def test_bad_sampler_mode_and_objective_both_reported(self, tmp_path, capsys):
+        """Two bad [sampler] values (here mode and top_k) are both reported."""
         ini = tmp_path / "bad.ini"
-        ini.write_text(TINY_INI.replace("mode = manifold", "mode = magic\nobjective = nope"))
+        ini.write_text(TINY_INI.replace("top_k = 16\nmode = manifold",
+                                        "top_k = 64\nmode = magic"))
         assert main(["evaluate", str(ini)]) == 1
         err = capsys.readouterr().err
-        assert "config error: [sampler] mode must be one of" in err
-        assert "objective must be one of" in err
+        assert "config error: [sampler] need 1 <= top_k <= batch" in err
+        assert "mode must be one of" in err
 
     @pytest.mark.parametrize("command,section,option,value", [
         ("train-vae", "vae", "beta", "inf"),
@@ -390,7 +428,10 @@ mode = sideways
         ("train-predictor", "predictor", "hidden_channels", "0"),
         ("train-predictor", "predictor", "hidden_dense", "0"),
         ("train-prior", "flow", "hidden", "0"),
-        ("sample", "sampler", "temperature", "nan"),
+        ("train-vae", "vae", "learning_rate", "0"),
+        ("train-prior", "flow", "batch_size", "0"),
+        ("train-predictor", "predictor", "epochs", "-1"),
+        ("sample", "sampler", "alpha", "nan"),
     ])
     def test_value_that_would_crash_or_diverge_rejected(self, tmp_path, capsys, command,
                                                          section, option, value):
@@ -417,12 +458,17 @@ mode = sideways
             "config error: [predictor] hidden: unknown option; the options are "
             "learning_rate, epochs, batch_size, hidden_channels, hidden_dense",
             "config error: [sampler] guidance: unknown option; the options are "
-            "steps, guidance_steps, alpha, target_y, batch, top_k, mode, seed, "
-            "temperature, objective"]
+            "steps, guidance_steps, alpha, target_y, batch, top_k, mode, seed"]
         assert not (tmp_path / "work").exists()
 
-        # the sections read by hand, and the section names themselves
+        # unknown [sampler] options, the sections read by hand, and
+        # the section names themselves
         cases = [
+            ("[sampler]\n", "[sampler]\ntemperature = 1.0\n",
+             "[sampler] temperature: unknown option; the options are steps, "
+             "guidance_steps, alpha, target_y, batch, top_k, mode, seed"),
+            ("[sampler]\n", "[sampler]\nobjective = match_target\n",
+             "[sampler] objective: unknown option"),
             ("[evaluate]\n", "[evaluate]\nseed = 7\n",
              "[evaluate] seed: unknown option; the options are seeds"),
             ("[ode_sweep]\nsteps", "[ode_sweep]\nstep",

@@ -198,7 +198,7 @@ class TestConditional:
         cfg = FlowTrainConfig(learning_rate=1e-3, batch_size=512, epochs=80, seed=18,
                               hidden=48)
         uncond, _ = train_flow(data, cfg)
-        cond, _ = train_flow(data, cfg, labels=np.full(2048, 0.7), conditional=True)
+        cond, _ = train_flow(data, cfg, labels=np.full(2048, 0.7))
         z0 = np.random.default_rng(19).standard_normal((2048, 2))
         f_u = euler_integrate(uncond, z0, steps=32)[-1]
         f_c = euler_integrate(cond, z0, steps=32, y=0.7)[-1]
@@ -214,10 +214,6 @@ class TestConditional:
         model = FlowModel.build(3, seed=21, hidden=8)
         with pytest.raises(ValueError, match="unconditional"):
             model.velocity(np.zeros((1, 3)), 0.5, y=1.0)
-
-    def test_missing_labels_at_training(self):
-        with pytest.raises(ValueError, match="labels"):
-            train_flow(np.zeros((10, 2)), FlowTrainConfig(epochs=1), conditional=True)
 
 
 class TestEmbedding:

@@ -10,7 +10,7 @@ from seqopt.nn import CheckpointError
 from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                               load_external_predictor, save_predictor,
                               smooth_labels_knn, train_predictor)
-from seqopt.seqs import Vocabulary, one_hot
+from seqopt.seqs import Vocabulary, one_hot_batch
 from seqopt.tasks import TaskData, task_oracle, train_predictor_stage
 
 rng = np.random.default_rng(404)
@@ -18,8 +18,9 @@ CFG = PredictorConfig(hidden_channels=8, hidden_dense=16, epochs=80, batch_size=
 
 
 def random_relaxed(d, v, rng):
-    x = rng.uniform(0.1, 1.0, size=(d, v))
-    return x / x.sum(axis=1, keepdims=True)
+    """A batch of one (d, v) relaxed one-hot matrix."""
+    x = rng.uniform(0.1, 1.0, size=(1, d, v))
+    return x / x.sum(axis=-1, keepdims=True)
 
 
 @pytest.fixture(scope="module")
@@ -36,23 +37,25 @@ class TestPredict:
     def test_identical_inputs_identical_outputs(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)
         x = random_relaxed(8, 5, rng)
-        assert model.predict(x) == model.predict(x.copy())
+        np.testing.assert_array_equal(model.predict(x), model.predict(x.copy()))
 
     def test_shape_violation_rejected(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)
         with pytest.raises(ValueError, match="expected"):
-            model.predict(np.ones((7, 5)) / 5)
+            model.predict(np.ones((1, 7, 5)) / 5)
+        with pytest.raises(ValueError, match="expected"):
+            model.predict(np.ones((8, 5)) / 5)  # one matrix, not a batch
 
     def test_row_sum_violation_rejected(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)
         x = random_relaxed(8, 5, rng)
-        x[3] *= 1.5
+        x[0, 3] *= 1.5
         with pytest.raises(ValueError, match="sum to 1"):
             model.predict(x)
 
     def test_input_gradient_matches_fd(self):
         model = PredictorModel.build(6, 4, CFG, seed=1)
-        x = random_relaxed(6, 4, rng)
+        x = random_relaxed(6, 4, rng)[0]
         xt = Tensor(x[None])
         model.predict_tape(xt).backward(np.ones(1))
 
@@ -109,7 +112,7 @@ class TestTraining:
         data = toy_regression
         model, report = train_predictor(data, CFG, seed=6, vocab_size=5)
         i = 17
-        pred = model.predict(one_hot(data.sequences[i], Vocabulary(("A", "B", "C", "D", "E"))))
+        pred = model.predict(one_hot_batch(data.sequences[i:i + 1], 5))[0]
         label = data.normalized_fitness()[i]
         tol = max(3 * np.sqrt(report.final_train_mse), 0.05)
         assert abs(pred - label) < tol

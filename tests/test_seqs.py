@@ -5,7 +5,7 @@ import pytest
 
 from seqopt.seqs import (AMINO_ACIDS, Vocabulary, _popcount, detokenize,
                          levenshtein, levenshtein_one_to_many, min_distance_to_set,
-                         one_hot, one_hot_batch, pairwise_distances, tokenize)
+                         one_hot_batch, pairwise_distances, tokenize)
 
 
 def brute_levenshtein(a, b):
@@ -67,12 +67,13 @@ class TestTokenize:
 class TestOneHot:
     def test_basis_rows(self):
         v = Vocabulary(("A", "B", "C"))
-        np.testing.assert_array_equal(one_hot(np.array([0]), v), [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(one_hot_batch(np.array([[0, 2]]), v.size),
+                                      [[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
 
     def test_rows_sum_to_one_and_argmax_inverts(self, vocab):
         rng = np.random.default_rng(7)
         seq = rng.integers(0, vocab.size, size=15)
-        m = one_hot(seq, vocab)
+        m = one_hot_batch(seq[None], vocab.size)[0]
         np.testing.assert_array_equal(m.sum(axis=1), np.ones(15))
         assert set(np.unique(m)) == {0.0, 1.0}
         np.testing.assert_array_equal(m.argmax(axis=1), seq)
@@ -82,7 +83,7 @@ class TestOneHot:
         seqs = rng.integers(0, vocab.size, size=(6, 9))
         batch = one_hot_batch(seqs, vocab.size)
         for i in range(6):
-            np.testing.assert_array_equal(batch[i], one_hot(seqs[i], vocab))
+            np.testing.assert_array_equal(batch[i], one_hot_batch(seqs[i:i + 1], vocab.size)[0])
 
 
 class TestLevenshtein:

@@ -54,8 +54,7 @@ def test_trained_weights_pinned():
     vae, vae_report = train_vae(records(), VAE_CFG, seed=3, vocab_size=5)
     pred, pred_report = train_predictor(records(), PRED_CFG, seed=4, vocab_size=5)
     flow, flow_losses = train_flow(latents(), FLOW_CFG)
-    cond, cond_losses = train_flow(latents(), FLOW_CFG, labels=np.linspace(0, 1, 40),
-                                   conditional=True)
+    cond, cond_losses = train_flow(latents(), FLOW_CFG, labels=np.linspace(0, 1, 40))
     got = {"vae_encoder": params_checksum(vae.encoder.params)[:16],
            "vae_decoder": params_checksum(vae.decoder.params)[:16],
            "predictor": params_checksum(pred.net.params)[:16],
