@@ -11,8 +11,7 @@ the top percentile.
 import numpy as np
 
 from seqopt.data import difficulty_filter
-from seqopt.landscape import (make_edit_pool, make_landscape,
-                              synthetic_full_dataset, synthetic_oracle)
+from seqopt.landscape import make_edit_pool, make_landscape, synthetic_full_dataset
 from seqopt.metrics import diversity
 from seqopt.seqs import Vocabulary, detokenize, min_distance_to_set
 
@@ -25,14 +24,15 @@ pool = make_edit_pool(seed=1, target=base.target, vocab=vocab, edits_per_positio
 landscape = make_landscape(seed=0, length=D, vocab=vocab, decoy_tokens=pool,
                            target=base.target)
 print(f"target sequence: {detokenize(landscape.target, vocab)}")
-print(f"fitness(target) = {synthetic_oracle(landscape.target, landscape):.3f} "
+print(f"fitness(target) = {landscape.fitness_many(landscape.target[None])[0]:.3f} "
       f"(1.0 by construction)")
 print(f"{landscape.pair_weight.size} epistatic pairs, e.g. positions "
       f"{landscape.pair_pos[0]} require tokens {landscape.pair_tok[0]}")
 
 one_mut = landscape.target.copy()
 one_mut[4] = pool[4, 0]
-print(f"single substitution at position 4 -> fitness {landscape.fitness(one_mut):.3f}")
+print(f"single substitution at position 4 -> fitness "
+      f"{landscape.fitness_many(one_mut[None])[0]:.3f}")
 
 print("\n== full reference set (20k mutants, 1..12 substitutions) ==")
 full = synthetic_full_dataset(landscape, count=20000, seed=2, vocab=vocab,

@@ -9,7 +9,6 @@ which is exactly the gap the guided sampler closes in demo 04.
 
 import numpy as np
 
-from seqopt.landscape import synthetic_oracle
 from seqopt.seqs import detokenize
 from seqopt.tasks import (SyntheticTaskSpec, build_synthetic_task, split_train_val)
 from seqopt.vae import VaeConfig, sample_vae_prior, train_vae
@@ -34,17 +33,17 @@ print(f"reconstruction accuracy: train {report.final_accuracy:.3f}, "
 
 print("\nround trip of one held-out sequence:")
 seq = val.sequences[0]
-encoded = model.encode(seq)
-decoded = model.decode_tokens(encoded.mean)
+mean, _ = model.encode_batch(seq[None])
+decoded = model.decode_tokens_batch(mean)[0]
 print(f"  in : {detokenize(seq, task.vocab)}")
 print(f"  out: {detokenize(decoded, task.vocab)} "
       f"({(decoded == seq).mean() * 100:.0f}% positions recovered)")
-print(f"  latent mean (first 4 dims): {encoded.mean[:4].round(3)}")
+print(f"  latent mean (first 4 dims): {mean[0, :4].round(3)}")
 
 print("\nsampling 8 sequences straight from the N(0, I) prior:")
 samples = sample_vae_prior(model, 8, seed=1)
-for s in samples:
-    print(f"  {detokenize(s, task.vocab)}  fitness {synthetic_oracle(s, task.landscape):.3f}")
+for s, fitness in zip(samples, task.landscape.fitness_many(samples)):
+    print(f"  {detokenize(s, task.vocab)}  fitness {fitness:.3f}")
 prior256 = sample_vae_prior(model, 256, seed=2)
 prior_fit = np.median(task.normalizer.normalize(
     task.landscape.fitness_many(prior256)))

@@ -69,7 +69,7 @@ for name, cfg in runs:
 
 print(f"\ntarget sequence        : {detokenize(task.landscape.target, task.vocab)}")
 print("top manifold-guided picks:")
-for seq, score in zip(best["manifold"].sequences[:3],
-                      best["manifold"].predictor_scores[:3]):
-    true = task.normalizer.normalize(task.landscape.fitness(seq))
+top = best["manifold"].sequences[:3]
+truth = task.normalizer.normalize(task.landscape.fitness_many(top))
+for seq, score, true in zip(top, best["manifold"].predictor_scores[:3], truth):
     print(f"  {detokenize(seq, task.vocab)}  predictor {score:.3f}  oracle {true:.3f}")

@@ -19,39 +19,36 @@ from .harness import (BenchmarkSummary, TaskAssets, ablation_table,
                       extrapolation_experiment, grid_search, ode_steps_sweep,
                       run_benchmark)
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
-                        sample_mutants, synthetic_full_dataset, synthetic_oracle)
+                        sample_mutants, synthetic_full_dataset)
 from .metrics import (MetricReport, compute_metrics, diversity,
                       median_normalized_fitness, novelty)
 from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                         load_external_predictor, save_predictor,
                         smooth_labels_knn, train_predictor)
 from .sampling import SamplerConfig, SampleResult, guidance_step, guided_sample
-from .seqs import AMINO_ACIDS, Vocabulary, detokenize, levenshtein, tokenize
+from .seqs import AMINO_ACIDS, Vocabulary, detokenize, tokenize
 from .tasks import (SyntheticTaskSpec, TaskData, build_csv_task,
                     build_synthetic_task, task_oracle, train_models)
-from .vae import (EncoderOutput, VaeConfig, VaeModel, load_vae,
-                  reconstruction_accuracy, sample_vae_prior, save_vae, train_vae,
-                  vae_loss)
+from .vae import (VaeConfig, VaeModel, load_vae, reconstruction_accuracy,
+                  sample_vae_prior, save_vae, train_vae, vae_loss)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AMINO_ACIDS", "BenchmarkSummary", "ConfigError", "DataFormatError",
-    "Dataset", "EncoderOutput", "FitnessNormalizer", "FlowModel",
-    "FlowTrainConfig", "LandscapeOracle", "MetricReport", "PredictorConfig",
-    "PredictorModel", "SampleResult", "SamplerConfig", "SyntheticLandscape",
-    "SyntheticTaskSpec", "TaskAssets", "TaskData", "TrainingDivergedError",
-    "VaeConfig", "VaeModel", "Vocabulary", "ablation_table",
-    "build_csv_task", "build_synthetic_task", "compute_metrics",
-    "detokenize", "difficulty_filter", "diversity", "euler_integrate",
-    "extrapolation_experiment", "flow_matching_loss", "grid_search",
-    "guidance_step", "guided_sample", "interpolate", "levenshtein",
-    "load_csv", "load_external_predictor", "load_flow", "load_vae",
-    "make_edit_pool", "make_landscape", "median_normalized_fitness",
-    "novelty", "ode_steps_sweep", "reconstruction_accuracy",
-    "run_benchmark", "sample_mutants", "sample_vae_prior", "save_flow",
-    "save_predictor", "save_vae", "smooth_labels_knn", "synthetic_full_dataset",
-    "synthetic_oracle", "task_oracle", "tokenize", "train_flow",
-    "train_models", "train_predictor", "train_vae",
+    "Dataset", "FitnessNormalizer", "FlowModel", "FlowTrainConfig",
+    "LandscapeOracle", "MetricReport", "PredictorConfig", "PredictorModel",
+    "SampleResult", "SamplerConfig", "SyntheticLandscape", "SyntheticTaskSpec",
+    "TaskAssets", "TaskData", "TrainingDivergedError", "VaeConfig", "VaeModel",
+    "Vocabulary", "ablation_table", "build_csv_task", "build_synthetic_task",
+    "compute_metrics", "detokenize", "difficulty_filter", "diversity",
+    "euler_integrate", "extrapolation_experiment", "flow_matching_loss",
+    "grid_search", "guidance_step", "guided_sample", "interpolate", "load_csv",
+    "load_external_predictor", "load_flow", "load_vae", "make_edit_pool",
+    "make_landscape", "median_normalized_fitness", "novelty",
+    "ode_steps_sweep", "reconstruction_accuracy", "run_benchmark",
+    "sample_mutants", "sample_vae_prior", "save_flow", "save_predictor",
+    "save_vae", "smooth_labels_knn", "synthetic_full_dataset", "task_oracle",
+    "tokenize", "train_flow", "train_models", "train_predictor", "train_vae",
     "vae_loss", "write_csv", "write_range_file",
 ]

@@ -76,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--role", choices=list(ROLES), default="predictor")
     p = command("sample", cmd_sample, seed="sampler")
     p.add_argument("--mode", choices=list(MODES), default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
+    p.add_argument("--top-k", dest="sampler.top_k", type=int, metavar="K",
+                   help="override [sampler] top_k")
+    p.add_argument("--batch", dest="sampler.batch", type=int, metavar="N",
+                   help="override [sampler] batch")
     command("evaluate", cmd_evaluate)
     command("gridsearch", cmd_gridsearch, seed="sampler")
     command("extrapolate", cmd_extrapolate, seed="sampler")
@@ -151,16 +153,15 @@ def cmd_train_predictor(cfg: RunConfig, args) -> int:
 def _load_assets(cfg: RunConfig, mode: str | None = None,
                  oracle: bool = True) -> TaskAssets:
     """The task and the workdir's models, plus the evaluation oracle unless
-    `oracle` is false. The conditional flow is required when the command
-    samples in `mode` (by default `[sampler] mode`) learned_posterior, and
-    loads whenever its file exists."""
+    `oracle` is false. The conditional flow is loaded, and required, exactly
+    when the command samples in `mode` (by default `[sampler] mode`)
+    learned_posterior."""
     task = _task_data(cfg)
     vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
     flow = flowmod.load_flow(_checkpoint(cfg, "flow.npz", "train-prior"))
     predictor = load_external_predictor(_checkpoint(cfg, "predictor.npz", "train-predictor"))
     flow_conditional = None
-    if ((mode or cfg.sampler.mode) == "learned_posterior"
-            or (cfg.workdir / "flow_conditional.npz").exists()):
+    if (mode or cfg.sampler.mode) == "learned_posterior":
         flow_conditional = flowmod.load_flow(
             _checkpoint(cfg, "flow_conditional.npz", "train-prior --conditional"))
     return TaskAssets(name=cfg.task_name, vocab=task.vocab, train=task.train,
@@ -172,16 +173,12 @@ def _load_assets(cfg: RunConfig, mode: str | None = None,
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     sampler = cfg.sampler if args.mode is None else cfg.sampler.for_mode(args.mode)
-    if args.top_k is not None or args.batch is not None:
-        sampler = dataclasses.replace(
-            sampler, top_k=args.top_k if args.top_k is not None else sampler.top_k,
-            batch=args.batch if args.batch is not None else sampler.batch)
     assets = _load_assets(cfg, sampler.mode, oracle=False)
     result = guided_sample(sampler, assets.flow_for(sampler.mode), assets.vae,
                            assets.predictor)
     out = results_dir(cfg.results, cfg.task_name, "sample")
     payload = result.to_json(assets.vocab)
-    payload["config_echo"] = config_echo(cfg)
+    payload["config_echo"] = config_echo(dataclasses.replace(cfg, sampler=sampler))
     atomic_write_text(out / "sample.json", json.dumps(payload, indent=2, sort_keys=True))
     print(f"wrote {out / 'sample.json'} ({len(result.sequences)} sequences"
           f"{', SHORTFALL' if result.shortfall else ''})")

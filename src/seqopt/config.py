@@ -208,6 +208,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         problems.append("[grid] alphas must be non-empty")
     if not grid_js:
         problems.append("[grid] guidance_steps must be non-empty")
+    if not extrap_y:
+        problems.append("[extrapolate] y_values must be non-empty")
+    if extrap_batch < 1:
+        problems.append("[extrapolate] batch must be >= 1")
+    if not ode_steps:
+        problems.append("[ode_sweep] steps must be non-empty")
     if any(k < 1 for k in ode_steps):
         problems.append("[ode_sweep] steps must all be >= 1")
 

@@ -48,33 +48,18 @@ class SyntheticLandscape:
     def vocab_size(self) -> int:
         return self.linear.shape[1]
 
-    def raw_fitness_many(self, seqs: np.ndarray) -> np.ndarray:
-        """Unscaled fitness of each row of an (n, d) matrix."""
+    def fitness_many(self, seqs: np.ndarray) -> np.ndarray:
+        """Rescaled fitness of each row of an (n, d) matrix: known optimum -> 1,
+        known minimum -> 0."""
         seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
         if seqs.shape[1] != self.length:
             raise ValueError(f"sequence length {seqs.shape[1]} != landscape length {self.length}")
-        total = self.linear[np.arange(self.length)[None, :], seqs].sum(axis=1)
+        raw = self.linear[np.arange(self.length)[None, :], seqs].sum(axis=1)
         if self.pair_weight.size:
             hit = ((seqs[:, self.pair_pos[:, 0]] == self.pair_tok[None, :, 0])
                    & (seqs[:, self.pair_pos[:, 1]] == self.pair_tok[None, :, 1]))
-            total = total + hit @ self.pair_weight
-        return total
-
-    def fitness_many(self, seqs: np.ndarray) -> np.ndarray:
-        """Rescaled fitness: known optimum -> 1, known minimum -> 0."""
-        raw = self.raw_fitness_many(seqs)
+            raw = raw + hit @ self.pair_weight
         return (raw - self.raw_min) / (self.raw_max - self.raw_min)
-
-    def fitness(self, seq: np.ndarray) -> float:
-        return float(self.fitness_many(np.asarray(seq)[None, :])[0])
-
-
-def synthetic_oracle(seq: np.ndarray, landscape: SyntheticLandscape) -> float:
-    """Exact deterministic fitness of one sequence under the landscape."""
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.ndim != 1 or seq.size != landscape.length:
-        raise ValueError(f"expected a length-{landscape.length} sequence, got shape {seq.shape}")
-    return landscape.fitness(seq)
 
 
 def make_edit_pool(seed: int, target: np.ndarray, vocab: Vocabulary,

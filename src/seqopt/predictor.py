@@ -78,30 +78,19 @@ class PredictorModel:
         return cls(Network.build(predictor_descriptor(length, vocab_size, cfg), seed),
                    length, vocab_size, role)
 
-    def _validate(self, x: np.ndarray) -> np.ndarray:
-        """Reject a (B, d, V) batch of another shape or with bad row sums."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.length or x.shape[2] != self.vocab_size:
-            raise ValueError(f"expected (batch, {self.length}, {self.vocab_size}) input, "
-                             f"got {x.shape}")
-        if np.abs(x.sum(axis=-1) - 1.0).max() > 1e-6:
-            raise ValueError("rows of a relaxed one-hot input must sum to 1 (+-1e-6)")
-        return x
-
     def predict_tape(self, probs: Tensor) -> Tensor:
         """(B, d, V) relaxed one-hot -> (B,) scores, on the tape."""
         x = ad.transpose(probs, (0, 2, 1))
         out = self.net.apply(x)
         return ad.reshape(out, (out.shape[0],))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Score a (B, d, V) batch of relaxed one-hot matrices."""
-        return self.predict_tape(Tensor(self._validate(x), requires_grad=False)).data
-
     def predict_sequences(self, seqs: np.ndarray) -> np.ndarray:
         """Score token sequences via their hard one-hot encoding."""
         seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
-        return self.predict(one_hot_batch(seqs, self.vocab_size))
+        if seqs.shape[1] != self.length:
+            raise ValueError(f"sequence length {seqs.shape[1]} != predictor length {self.length}")
+        x = Tensor(one_hot_batch(seqs, self.vocab_size), requires_grad=False)
+        return self.predict_tape(x).data
 
 
 def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,

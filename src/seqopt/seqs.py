@@ -1,6 +1,6 @@
 """Discrete sequence primitives: vocabulary, tokenization, one-hot encoding,
 and Levenshtein edit distance: bit-parallel (Myers/Hyyrö), exact, any length.
-Every distance in the package (pairwise, set minimum, scalar) goes through
+Every distance in the package (pairwise, set minimum) goes through
 `levenshtein_one_to_many`, which counts the final delta bits with a SWAR
 popcount. `min_distance_to_set` makes one kernel call per distinct row of its
 query side, so duplicated rows there cost nothing."""
@@ -71,28 +71,6 @@ def one_hot_batch(seqs: np.ndarray, vocab_size: int) -> np.ndarray:
     return out
 
 
-def levenshtein(a, b) -> int:
-    """Unit-cost edit distance (insert/delete/substitute) between two token
-    arrays or strings."""
-    a = np.asarray(list(a) if isinstance(a, str) else a)
-    b = np.asarray(list(b) if isinstance(b, str) else b)
-    return int(levenshtein_one_to_many(a, b[None, :])[0])
-
-
-def _dense_codes(query: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map the symbols of query and targets to small non-negative ints, equal
-    symbols to equal codes. Integer tokens are shifted by their minimum, a
-    single array op; other symbols (strings, or integers spread wider than the
-    inputs are long) are ranked with np.unique."""
-    if np.can_cast(query.dtype, np.int64) and np.can_cast(targets.dtype, np.int64):
-        lo = min(int(query.min()), int(targets.min()))
-        hi = max(int(query.max()), int(targets.max()))
-        if hi - lo <= query.size + targets.size:
-            return query.astype(np.int64) - lo, targets.astype(np.int64) - lo
-    _, codes = np.unique(np.concatenate([query.ravel(), targets.ravel()]), return_inverse=True)
-    return codes[:query.size], codes[query.size:].reshape(targets.shape)
-
-
 _M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
                                                0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
@@ -111,6 +89,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Edit distance from one query to each row of an (m, n) target matrix.
+    Both hold non-negative vocabulary indices, as `tokenize` returns them.
 
     Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's multi-word
     block form. For every target row, the DP column over the d query
@@ -119,7 +98,7 @@ def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarra
     fixed number of whole-array integer ops per word. A word passes the
     horizontal delta on its top row to the word above (h_in/h_out). The
     distance is the last column's bottom cell, n plus the +1 deltas minus the
-    -1 deltas. Working memory is O(m * words) beside the recoded targets.
+    -1 deltas. Working memory is O(m * words) beside the transposed targets.
     """
     query = np.asarray(query).ravel()
     targets = np.asarray(targets)
@@ -129,18 +108,17 @@ def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarra
     d = query.size
     if d == 0 or n == 0 or m == 0:
         return np.full(m, d + n, dtype=np.int64)
-    qcodes, tcodes = _dense_codes(query, targets)
     words = -(-d // 64)
     pos = np.arange(d)
-    # peq[w, c]: bit i of word w is set where query[64 * w + i] has code c.
-    peq = np.zeros((words, max(int(qcodes.max()), int(tcodes.max())) + 1), dtype=np.uint64)
-    np.bitwise_or.at(peq, (pos // 64, qcodes),
+    # peq[w, c]: bit i of word w is set where query[64 * w + i] is token c.
+    peq = np.zeros((words, max(int(query.max()), int(targets.max())) + 1), dtype=np.uint64)
+    np.bitwise_or.at(peq, (pos // 64, query),
                      np.left_shift(np.uint64(1), (pos % 64).astype(np.uint64)))
     pv = np.full((words, m), ~np.uint64(0))  # column 0 is D[i][0] = i: all +1
     mv = np.zeros((words, m), dtype=np.uint64)
     ones = np.ones(m, dtype=np.uint64)
     zeros = np.zeros(m, dtype=np.uint64)
-    for col in np.ascontiguousarray(tcodes.T):
+    for col in np.ascontiguousarray(targets.T):
         hp, hn = ones, zeros  # row 0 is D[0][j] = j: a +1 horizontal delta
         for w in range(words):
             p, mm = pv[w], mv[w]

@@ -43,12 +43,6 @@ class VaeConfig:
             raise ValueError("hidden_channels must be >= 1")
 
 
-@dataclass(frozen=True)
-class EncoderOutput:
-    mean: np.ndarray
-    log_variance: np.ndarray
-
-
 @dataclass
 class TrainReport:
     per_epoch: list[dict] = field(default_factory=list)
@@ -123,10 +117,6 @@ class VaeModel:
         mean, logvar = self._encode_tape(Tensor(x, requires_grad=False))
         return mean.data, logvar.data
 
-    def encode(self, seq: np.ndarray) -> EncoderOutput:
-        mean, logvar = self.encode_batch(np.asarray(seq)[None, :])
-        return EncoderOutput(mean[0], logvar[0])
-
     # --- decoding ---
 
     def decode_logits_tape(self, z: Tensor) -> Tensor:
@@ -147,9 +137,6 @@ class VaeModel:
     def decode_tokens_batch(self, z: np.ndarray) -> np.ndarray:
         # np.argmax takes the lowest index on exact ties
         return self.decode_logits_batch(z).argmax(axis=-1)
-
-    def decode_tokens(self, z: np.ndarray) -> np.ndarray:
-        return self.decode_tokens_batch(np.asarray(z)[None, :])[0]
 
 
 def _loss_tape(model: VaeModel, seqs: np.ndarray, noise: np.ndarray):

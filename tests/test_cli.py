@@ -159,16 +159,20 @@ class TestSample:
         root, ini = workspace
         assert main(["sample", str(ini), "--mode", "unconditional"]) == 0
         path = Path(capsys.readouterr().out.split()[1])
-        echo = json.loads(path.read_text())["provenance"]["config"]
+        payload = json.loads(path.read_text())
+        echo = payload["provenance"]["config"]
         assert echo["mode"] == "unconditional"
         assert echo["alpha"] == 0.0 and echo["guidance_steps"] == 0
+        assert payload["config_echo"]["sampler"] == echo
 
     def test_top_k_batch_flags_echoed(self, workspace, capsys):
         root, ini = workspace
         assert main(["sample", str(ini), "--top-k", "8", "--batch", "32"]) == 0
         path = Path(capsys.readouterr().out.split()[1])
-        echo = json.loads(path.read_text())["provenance"]["config"]
+        payload = json.loads(path.read_text())
+        echo = payload["provenance"]["config"]
         assert echo["top_k"] == 8 and echo["batch"] == 32
+        assert payload["config_echo"]["sampler"] == echo
 
     def test_invalid_mode_usage_error(self, workspace, capsys):
         _, ini = workspace
@@ -328,10 +332,22 @@ class TestCheckpoints:
                                     kind, impostor, flags):
         work, ini = _workdir_copy(workspace, tmp_path)
         shutil.copy(work / f"{impostor}.npz", work / name)
-        flags = flags if command == "sample" else []
+        if command == "evaluate":  # evaluate samples in [sampler] mode
+            ini.write_text(TINY_INI.replace("mode = manifold", f"mode = {flags[1]}")
+                           if flags else TINY_INI)
+            flags = []
         assert main([command, str(ini)] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {work / name}: checkpoint kind '{impostor}' is not '{kind}'"]
+
+    @pytest.mark.parametrize("command", ["sample", "evaluate"])
+    def test_unused_conditional_flow_not_loaded(self, workspace, tmp_path, capsys,
+                                                command):
+        """Sampling in manifold mode never reads flow_conditional.npz."""
+        work, ini = _workdir_copy(workspace, tmp_path)
+        shutil.copy(work / "predictor.npz", work / "flow_conditional.npz")
+        assert main([command, str(ini)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["evaluate", "gridsearch"])
     def test_wrong_kind_oracle_is_io_error(self, workspace, tmp_path, capsys, command):
@@ -432,6 +448,9 @@ mode = sideways
         ("train-prior", "flow", "batch_size", "0"),
         ("train-predictor", "predictor", "epochs", "-1"),
         ("sample", "sampler", "alpha", "nan"),
+        ("extrapolate", "extrapolate", "y_values", ""),
+        ("extrapolate", "extrapolate", "batch", "0"),
+        ("ode-sweep", "ode_sweep", "steps", ""),
     ])
     def test_value_that_would_crash_or_diverge_rejected(self, tmp_path, capsys, command,
                                                          section, option, value):

@@ -3,7 +3,7 @@ import pytest
 
 from seqopt.data import (DataFormatError, Dataset, FitnessNormalizer,
                          difficulty_filter, load_csv, write_csv, write_range_file)
-from seqopt.seqs import Vocabulary, levenshtein
+from seqopt.seqs import Vocabulary, levenshtein_one_to_many
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +159,13 @@ class TestDifficultyFilter:
         for i in range(sub.n):
             assert tuple(sub.sequences[i]) in rows
             assert lo <= sub.fitness[i] <= hi
-            assert min(levenshtein(sub.sequences[i], t) for t in top) >= gap
+            assert levenshtein_one_to_many(sub.sequences[i], top).min() >= gap
         # and no qualifying record was dropped
         kept = {(tuple(s), f) for s, f in zip(sub.sequences, sub.fitness)}
         n_qualifying = 0
         for i in range(full.n):
             if lo <= full.fitness[i] <= hi and \
-               min(levenshtein(full.sequences[i], t) for t in top) >= gap:
+               levenshtein_one_to_many(full.sequences[i], top).min() >= gap:
                 n_qualifying += 1
                 assert (tuple(full.sequences[i]), full.fitness[i]) in kept
         assert n_qualifying == sub.n

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from seqopt.landscape import (make_landscape, sample_mutants,
-                              synthetic_full_dataset, synthetic_oracle)
+from seqopt.landscape import make_landscape, sample_mutants, synthetic_full_dataset
 from seqopt.seqs import Vocabulary
 
 
@@ -26,11 +25,11 @@ def naive_fitness(landscape, seq):
 class TestLandscape:
     def test_target_is_optimum_linear_only(self, vocab):
         ls = make_landscape(seed=0, length=12, vocab=vocab, n_pairs=0)
-        assert synthetic_oracle(ls.target, ls) == pytest.approx(1.0)
+        assert ls.fitness_many(ls.target[None])[0] == pytest.approx(1.0)
 
     def test_target_is_optimum_with_pairs(self, vocab):
         ls = make_landscape(seed=1, length=12, vocab=vocab)
-        assert synthetic_oracle(ls.target, ls) == pytest.approx(1.0)
+        assert ls.fitness_many(ls.target[None])[0] == pytest.approx(1.0)
         # no random sequence beats the constructed optimum
         rng = np.random.default_rng(2)
         seqs = rng.integers(0, vocab.size, size=(500, 12))
@@ -39,14 +38,15 @@ class TestLandscape:
     def test_all_mismatch_is_zero(self, vocab):
         ls = make_landscape(seed=3, length=10, vocab=vocab, n_pairs=0)
         worst = (ls.target + 1) % vocab.size
-        assert synthetic_oracle(worst, ls) == pytest.approx(0.0)
+        assert ls.fitness_many(worst[None])[0] == pytest.approx(0.0)
 
     def test_matches_naive_evaluator(self, vocab):
         ls = make_landscape(seed=4, length=15, vocab=vocab)
         rng = np.random.default_rng(5)
         for _ in range(50):
             seq = rng.integers(0, vocab.size, size=15)
-            assert synthetic_oracle(seq, ls) == pytest.approx(naive_fitness(ls, seq), abs=1e-12)
+            assert ls.fitness_many(seq[None])[0] == pytest.approx(naive_fitness(ls, seq),
+                                                                  abs=1e-12)
 
     def test_deterministic_given_seed(self, vocab):
         a = make_landscape(seed=6, length=9, vocab=vocab)
@@ -58,7 +58,7 @@ class TestLandscape:
     def test_length_mismatch_rejected(self, vocab):
         ls = make_landscape(seed=7, length=9, vocab=vocab)
         with pytest.raises(ValueError, match="length"):
-            synthetic_oracle(np.zeros(5, dtype=int), ls)
+            ls.fitness_many(np.zeros((1, 5), dtype=np.int64))
 
 
 class TestMutantSampling:

@@ -4,7 +4,7 @@ import pytest
 from seqopt.data import Dataset, FitnessNormalizer
 from seqopt.metrics import (compute_metrics, count_exact_train_matches, diversity,
                             median_normalized_fitness, novelty)
-from seqopt.seqs import levenshtein
+from seqopt.seqs import levenshtein_one_to_many
 
 rng = np.random.default_rng(909)
 
@@ -21,13 +21,13 @@ class ArrayOracle:
 
 
 def brute_diversity(seqs):
-    vals = [levenshtein(seqs[i], seqs[j])
+    vals = [levenshtein_one_to_many(seqs[i], seqs[j][None])[0]
             for i in range(len(seqs)) for j in range(i + 1, len(seqs))]
     return float(np.median(vals))
 
 
 def brute_novelty(seqs, train):
-    vals = [min(levenshtein(s, t) for t in train) for s in seqs]
+    vals = [min(levenshtein_one_to_many(s, t[None])[0] for t in train) for s in seqs]
     return float(np.median(vals))
 
 

@@ -4,13 +4,13 @@ import pytest
 from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.errors import ConfigError
-from seqopt.landscape import make_landscape, synthetic_full_dataset, synthetic_oracle
+from seqopt.landscape import make_landscape, synthetic_full_dataset
 from seqopt.nn.autodiff import Tensor
 from seqopt.nn import CheckpointError
 from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                               load_external_predictor, save_predictor,
                               smooth_labels_knn, train_predictor)
-from seqopt.seqs import Vocabulary, one_hot_batch
+from seqopt.seqs import Vocabulary
 from seqopt.tasks import TaskData, task_oracle, train_predictor_stage
 
 rng = np.random.default_rng(404)
@@ -37,21 +37,14 @@ class TestPredict:
     def test_identical_inputs_identical_outputs(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)
         x = random_relaxed(8, 5, rng)
-        np.testing.assert_array_equal(model.predict(x), model.predict(x.copy()))
+        a = model.predict_tape(Tensor(x, requires_grad=False)).data
+        b = model.predict_tape(Tensor(x.copy(), requires_grad=False)).data
+        np.testing.assert_array_equal(a, b)
 
     def test_shape_violation_rejected(self):
         model = PredictorModel.build(8, 5, CFG, seed=0)
-        with pytest.raises(ValueError, match="expected"):
-            model.predict(np.ones((1, 7, 5)) / 5)
-        with pytest.raises(ValueError, match="expected"):
-            model.predict(np.ones((8, 5)) / 5)  # one matrix, not a batch
-
-    def test_row_sum_violation_rejected(self):
-        model = PredictorModel.build(8, 5, CFG, seed=0)
-        x = random_relaxed(8, 5, rng)
-        x[0, 3] *= 1.5
-        with pytest.raises(ValueError, match="sum to 1"):
-            model.predict(x)
+        with pytest.raises(ValueError, match="length 7 != predictor length 8"):
+            model.predict_sequences(np.zeros((1, 7), dtype=np.int64))
 
     def test_input_gradient_matches_fd(self):
         model = PredictorModel.build(6, 4, CFG, seed=1)
@@ -60,7 +53,6 @@ class TestPredict:
         model.predict_tape(xt).backward(np.ones(1))
 
         def f(xv):
-            # the tape skips predict's row-sum validation while wiggling entries
             return float(model.predict_tape(Tensor(xv[None], requires_grad=False)).data[0])
 
         assert rel_err(xt.grad[0], numeric_gradient(f, x.copy())) < 1e-4
@@ -112,7 +104,7 @@ class TestTraining:
         data = toy_regression
         model, report = train_predictor(data, CFG, seed=6, vocab_size=5)
         i = 17
-        pred = model.predict(one_hot_batch(data.sequences[i:i + 1], 5))[0]
+        pred = model.predict_sequences(data.sequences[i:i + 1])[0]
         label = data.normalized_fitness()[i]
         tol = max(3 * np.sqrt(report.final_train_mse), 0.05)
         assert abs(pred - label) < tol
@@ -126,21 +118,12 @@ class TestTraining:
 
 
 class TestOracle:
-    def test_synthetic_oracle_wrapper_is_exact(self):
-        vocab = Vocabulary.amino_acids()
-        ls = make_landscape(seed=11, length=9, vocab=vocab)
-        oracle = task_oracle(TaskData("synthetic", vocab, full=None, train=None,
-                                      landscape=ls))
-        assert isinstance(oracle, LandscapeOracle) and oracle.role == "oracle"
-        seqs = rng.integers(0, 20, size=(30, 9))
-        got = oracle.predict_sequences(seqs)
-        want = [synthetic_oracle(s, ls) for s in seqs]
-        np.testing.assert_array_equal(got, want)
-
     def test_oracle_pure(self):
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=12, length=9, vocab=vocab)
-        oracle = LandscapeOracle(ls)
+        oracle = task_oracle(TaskData("synthetic", vocab, full=None, train=None,
+                                      landscape=ls))
+        assert isinstance(oracle, LandscapeOracle) and oracle.role == "oracle"
         seqs = rng.integers(0, 20, size=(5, 9))
         np.testing.assert_array_equal(oracle.predict_sequences(seqs),
                                       oracle.predict_sequences(seqs))

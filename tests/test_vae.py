@@ -79,23 +79,24 @@ class TestEncodeDecode:
         cfg = VaeConfig(latent_dim=16, beta=0.01, hidden_channels=8)
         model = VaeModel.build(28, 20, cfg, seed=0)
         seq = rng.integers(0, 20, size=28)
-        enc = model.encode(seq)
-        assert enc.mean.shape == (16,) and enc.log_variance.shape == (16,)
+        mean, logvar = model.encode_batch(seq[None])
+        assert mean.shape == (1, 16) and logvar.shape == (1, 16)
         logits = model.decode_logits_batch(rng.standard_normal((1, 16)))
         assert logits.shape == (1, 28, 20)
 
     def test_encode_deterministic(self):
         model = tiny_model()
         seq = rng.integers(0, 5, size=6)
-        a, b = model.encode(seq), model.encode(seq)
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.log_variance, b.log_variance)
+        mean_a, logvar_a = model.encode_batch(seq[None])
+        mean_b, logvar_b = model.encode_batch(seq[None])
+        np.testing.assert_array_equal(mean_a, mean_b)
+        np.testing.assert_array_equal(logvar_a, logvar_b)
 
     def test_log_variance_bounded(self):
         model = tiny_model(seed=3)
         model.encoder.params.arrays["5.bias"][...] = 1e6  # drive raw head huge
-        enc = model.encode(rng.integers(0, 5, size=6))
-        assert np.all(np.abs(enc.log_variance) <= 10.0)
+        _, logvar = model.encode_batch(rng.integers(0, 5, size=(1, 6)))
+        assert np.all(np.abs(logvar) <= 10.0)
 
     def test_softmax_rows_sum_to_one(self):
         model = tiny_model()
@@ -141,7 +142,7 @@ class TestEncodeDecode:
     def test_length_mismatch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="length"):
-            model.encode(np.zeros(9, dtype=int))
+            model.encode_batch(np.zeros((1, 9), dtype=np.int64))
         with pytest.raises(ValueError, match="latent"):
             model.decode_logits_batch(np.zeros((1, 7)))
 
@@ -240,10 +241,10 @@ class TestTraining:
     def test_one_token_change_moves_the_mean(self, overfit_model):
         model, data, _ = overfit_model
         seq = data.sequences[0].copy()
-        mean_a = model.encode(seq).mean
+        mean_a, _ = model.encode_batch(seq[None])
         seq2 = seq.copy()
         seq2[2] = (seq2[2] + 1) % 5
-        mean_b = model.encode(seq2).mean
+        mean_b, _ = model.encode_batch(seq2[None])
         assert np.abs(mean_a - mean_b).max() > 1e-6
 
     def test_accuracy_invariant_to_record_order(self, overfit_model):
