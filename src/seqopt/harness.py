@@ -66,7 +66,7 @@ class TaskAssets:
     vocab: Vocabulary
     train: Dataset
     normalizer: FitnessNormalizer
-    oracle: object                      # exposes predict_sequences(seqs) -> raw fitness
+    oracle: object                      # exposes length and predict_sequences(seqs) -> raw fitness
     vae: VaeModel
     flow: FlowModel
     predictor: PredictorModel
@@ -79,6 +79,9 @@ class TaskAssets:
                             f"vs flow {self.flow.latent_dim}")
         if self.predictor.length != self.vae.length:
             problems.append(f"length mismatch: predictor {self.predictor.length} "
+                            f"vs vae {self.vae.length}")
+        if self.oracle is not None and self.oracle.length != self.vae.length:
+            problems.append(f"length mismatch: oracle {self.oracle.length} "
                             f"vs vae {self.vae.length}")
         if self.flow_conditional is not None and \
                 self.flow_conditional.latent_dim != self.vae.latent_dim:

@@ -358,6 +358,22 @@ class TestCheckpoints:
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {oracle}: checkpoint kind 'flow' is not 'predictor'"]
 
+    @pytest.mark.parametrize("command", ["evaluate", "gridsearch"])
+    def test_oracle_of_another_length_is_config_error(self, workspace, tmp_path, capsys,
+                                                      command):
+        """An oracle scoring length-9 rows against length-8 models is refused
+        before any sampling, not at scoring."""
+        from seqopt.predictor import PredictorConfig, PredictorModel, save_predictor
+        oracle = tmp_path / "oracle9.npz"
+        save_predictor(PredictorModel.build(9, 20, PredictorConfig(hidden_channels=2,
+                                                                   hidden_dense=2),
+                                            seed=0, role="oracle"), oracle)
+        ini = _csv_config(workspace, tmp_path, f"oracle_checkpoint = {oracle}\n")
+        assert main([command, str(ini)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: length mismatch: oracle 9 vs vae 8"]
+        assert not (tmp_path / "results").exists()
+
     def test_csv_evaluate_needs_oracle_checkpoint(self, workspace, tmp_path, capsys):
         ini = _csv_config(workspace, tmp_path)
         assert main(["evaluate", str(ini)]) == 1

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from seqopt.seqs import (AMINO_ACIDS, Vocabulary, _popcount, detokenize,
+from seqopt import seqs
+from seqopt.seqs import (AMINO_ACIDS, Vocabulary, _bounds, _popcount, detokenize,
                          levenshtein_one_to_many, min_distance_to_set, one_hot_batch,
                          pairwise_distances, tokenize)
 
@@ -199,6 +200,107 @@ class TestBitParallelKernel:
             got = min_distance_to_set(a, b)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want, err_msg=f"{a.shape} vs {b.shape}")
+
+
+BATCH_LENGTHS = (0, 1, 5, 63, 64, 65, 100, 130)
+
+
+def near_copies(rng, rows, n, edits):
+    """Rows of length n that start as copies of `rows` (cut or padded with
+    random tokens) and take `edits` random substitutions each: small
+    distances, where bit errors show."""
+    out = rng.integers(0, 6, size=(rows.shape[0], n))
+    k = min(n, rows.shape[1])
+    out[:, :k] = rows[:, :k]
+    for _ in range(edits if n else 0):
+        out[np.arange(len(out)), rng.integers(0, n, size=len(out))] = \
+            rng.integers(0, 6, size=len(out))
+    return out
+
+
+class TestBatchedKernel:
+    """The kernel's shared and per-row query forms, and the bounded set minimum,
+    against the full-table DP: one- and multi-word queries, unequal lengths,
+    duplicate rows and empty sides."""
+
+    @pytest.mark.parametrize("d", BATCH_LENGTHS)
+    def test_per_row_and_shared_queries_match_dp(self, d):
+        rng = np.random.default_rng(300 + d)
+        for n in (0, 5, 64, 130):
+            queries = rng.integers(0, 6, size=(6, d))
+            queries[[2, 3]] = queries[1]  # a run of equal queries shares a table
+            queries[5] = queries[0]       # and an equal query outside the run
+            targets = np.concatenate([near_copies(rng, queries[:3], n, 2),
+                                      rng.integers(0, 6, size=(3, n))])
+            want = [brute_levenshtein(q, t) for q, t in zip(queries, targets)]
+            got = levenshtein_one_to_many(queries, targets)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"d={d} n={n}")
+            np.testing.assert_array_equal(
+                levenshtein_one_to_many(queries[1], targets),
+                [brute_levenshtein(queries[1], t) for t in targets], err_msg=f"d={d} n={n}")
+
+    def test_lane_blocks_do_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        queries = rng.integers(0, 5, size=(11, 70))
+        queries[4:8] = queries[3]
+        targets = near_copies(rng, queries, 66, 3)
+        whole = levenshtein_one_to_many(queries, targets)
+        shared = levenshtein_one_to_many(queries[0], targets)
+        pairs = pairwise_distances(queries)
+        minima = min_distance_to_set(queries, targets)
+        monkeypatch.setattr(seqs, "_LANE_BLOCK", 3)
+        monkeypatch.setattr(seqs, "_PAIR_BLOCK", 5)
+        np.testing.assert_array_equal(levenshtein_one_to_many(queries, targets), whole)
+        np.testing.assert_array_equal(levenshtein_one_to_many(queries[0], targets), shared)
+        np.testing.assert_array_equal(pairwise_distances(queries), pairs)
+        np.testing.assert_array_equal(min_distance_to_set(queries, targets), minima)
+        np.testing.assert_array_equal(whole, [brute_levenshtein(q, t)
+                                              for q, t in zip(queries, targets)])
+
+    def test_per_row_query_needs_one_row_per_target(self):
+        with pytest.raises(ValueError, match="one row per target row"):
+            levenshtein_one_to_many(np.zeros((2, 3), int), np.zeros((3, 3), int))
+
+    @pytest.mark.parametrize("d,n", [(0, 5), (5, 0), (5, 5), (20, 20), (20, 13),
+                                     (64, 65), (130, 100)])
+    def test_min_distance_matches_dp(self, d, n):
+        rng = np.random.default_rng(400 + d + n)
+        refs = rng.integers(0, 6, size=(9, n))
+        refs[[4, 7]] = refs[1]
+        sample = near_copies(rng, refs[[0, 1, 3, 1]], d, 2)
+        sample = np.concatenate([sample, rng.integers(0, 6, size=(3, d)), sample[:2]])
+        cross = np.array([[brute_levenshtein(s, r) for r in refs] for s in sample])
+        # the side with fewer rows is the kernel's query side: both sides take a turn
+        np.testing.assert_array_equal(min_distance_to_set(sample, refs), cross.min(axis=1))
+        np.testing.assert_array_equal(min_distance_to_set(refs, sample), cross.min(axis=0))
+        np.testing.assert_array_equal(min_distance_to_set(sample, refs[:2]),
+                                      cross[:, :2].min(axis=1))
+
+    def test_bounds_bracket_the_distance(self):
+        rng = np.random.default_rng(32)
+        for d, n in ((0, 4), (7, 7), (20, 20), (20, 9), (9, 20), (65, 70), (130, 130)):
+            queries = rng.integers(0, 4, size=(5, d))
+            refs = np.concatenate([near_copies(rng, queries, n, 2),
+                                   rng.integers(0, 4, size=(4, n))])
+            lower, upper = _bounds(queries, refs)
+            exact = np.array([[brute_levenshtein(q, r) for r in refs] for q in queries])
+            assert (lower <= exact).all() and (exact <= upper).all(), (d, n)
+            assert (upper <= max(d, n)).all()
+
+    def test_pairwise_is_one_kernel_call_in_row_major_order(self, monkeypatch):
+        calls = []
+        kernel = seqs.levenshtein_one_to_many
+
+        def counted(query, targets):
+            calls.append(len(targets))
+            return kernel(query, targets)
+        monkeypatch.setattr(seqs, "levenshtein_one_to_many", counted)
+        rows = np.random.default_rng(33).integers(0, 20, size=(64, 20))
+        got = pairwise_distances(rows)
+        assert calls == [64 * 63 // 2]
+        np.testing.assert_array_equal(got, np.concatenate(
+            [kernel(rows[i], rows[i + 1:]) for i in range(63)]))
 
 
 def test_popcount_matches_bin_count():
