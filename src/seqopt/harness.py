@@ -7,14 +7,13 @@ the experiment's own measurement inside the same job, so `run_benchmark`'s
 metrics run where its sampling does. `ablation_table` is one `run_benchmark`
 per mode.
 
-The jobs go through `run_jobs`. With `parallelism` above 1 it deals the keys
-round-robin by position to that many processes: the caller runs one share
-and forked workers run the others. The jobs reach the workers by fork, as
-the closures they are, so only results and exceptions are pickled. BLAS is
-pinned to one thread for the duration, because one BLAS thread pool per
-process oversubscribes the cores. Results are assembled by key and a failure
-re-raises the earliest failing key's exception, so neither the worker count
-nor the completion order affects output.
+The jobs go through `jobs.run_jobs`. With `parallelism` above 1 it deals the
+keys round-robin by position to that many processes, the caller and forked
+workers, each with one BLAS thread. Results are assembled by key and a
+failure re-raises the earliest failing key's exception, so neither the
+worker count nor the completion order affects output. Each job's
+`guided_sample` runs its chain blocks serially, because a `run_jobs` call
+inside a job of another runs in that job's process.
 
 Results land in <results>/<task>/<experiment>/<timestamp>/ as summary.json
 plus cells.csv (for grids/sweeps) and samples/*.json; every file embeds the
@@ -23,18 +22,11 @@ config echo and model checksums so runs are replayable.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import dataclasses
-import functools
 import itertools
 import json
-import multiprocessing
-import os
-import sys
 import time
-import traceback
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -45,6 +37,7 @@ from .atomic import atomic_open, atomic_write_text
 from .data import Dataset, FitnessNormalizer
 from .errors import ConfigError
 from .flow import FlowModel
+from .jobs import run_jobs
 from .metrics import MetricReport, compute_metrics, median_normalized_fitness
 from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
@@ -112,134 +105,6 @@ class BenchmarkSummary:
         """One table row in the usual 'metric mean +- std' layout."""
         cells = [f"{self.mean[m]:.2f} +- {self.std[m]:.2f}" for m in METRIC_NAMES]
         return " | ".join(cells)
-
-
-def run_jobs(jobs: dict, parallelism: int = 1) -> dict:
-    """Execute {key: zero-arg callable} and return {key: result}, assembled by
-    key. With parallelism > 1, worker w of n = min(parallelism, len(jobs))
-    runs keys[w::n]: the caller is worker 0 and the others are forked
-    processes, all with one BLAS thread. A failing job ends its worker's share,
-    and the exception of the earliest failing key is re-raised, as in a serial
-    run. Where `fork` does not exist the jobs run serially."""
-    keys = list(jobs)
-    workers = min(parallelism, len(keys))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return {key: jobs[key]() for key in keys}
-    context = multiprocessing.get_context("fork")
-    with _one_blas_thread():
-        started = []
-        try:
-            for w in range(1, workers):
-                receive, send = context.Pipe(duplex=False)
-                proc = context.Process(target=_worker, args=(jobs, keys[w::workers], send),
-                                       name=f"run_jobs worker {w}")
-                proc.start()
-                send.close()  # the worker now holds the only writing end
-                started.append((proc, receive))
-            shares = [_run_share(jobs, keys[::workers])]
-            shares += [_receive(proc, receive) for proc, receive in started]
-        except BaseException:
-            for proc, _ in started:
-                proc.terminate()
-            raise
-        finally:
-            for proc, receive in started:
-                receive.close()
-                proc.join()
-    done, failures = {}, {}
-    position = {key: i for i, key in enumerate(keys)}
-    for results, failure in shares:
-        done.update(results)
-        if failure is not None:
-            key, exc, text = failure
-            failures[position[key]] = exc, text
-    if failures:
-        exc, text = failures[min(failures)]
-        if exc.__traceback__ is not None:  # raised in this process
-            raise exc
-        raise exc from _WorkerTraceback(text)
-    return {key: done[key] for key in keys}
-
-
-def _run_share(jobs: dict, keys: list):
-    """({key: result}, None), or the results before the first failing key and
-    (key, exception, its traceback as text)."""
-    results = {}
-    for key in keys:
-        try:
-            results[key] = jobs[key]()
-        except Exception as exc:
-            return results, (key, exc, traceback.format_exc())
-    return results, None
-
-
-def _worker(jobs: dict, keys: list, send) -> None:
-    """Body of a forked worker: run its share, send it back and exit at once,
-    without the interpreter shutdown the caller waits for in `join`. A result
-    or exception that does not pickle ends the worker before anything is sent."""
-    send.send(_run_share(jobs, keys))
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(0)
-
-
-def _receive(proc, receive):
-    try:
-        return receive.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"{proc.name} (pid {proc.pid}) exited with code "
-                           f"{proc.exitcode} before returning its results") from None
-
-
-class _WorkerTraceback(Exception):
-    """The traceback, as text, of a job that failed in a forked worker."""
-
-    def __str__(self):
-        return "\n" + self.args[0]
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin the OpenBLAS numpy loaded to one thread, and restore the caller's
-    count on exit; forked workers inherit the pin. Without OpenBLAS, a no-op."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS mapped into this process,
-    or None. numpy 2 wheels export scipy_openblas_*64_, older wheels
-    openblas_*64_, a system OpenBLAS plain openblas_*."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return None
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a mapping whose file was replaced since
-            continue
-        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
 
 
 def _sweep(assets: TaskAssets, configs: dict, measure, parallelism: int = 1,

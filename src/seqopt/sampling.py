@@ -11,25 +11,41 @@ current state. Decoded batches are deduplicated, ranked by predictor score on
 the hard one-hot encoding, and cut to the top k.
 
 Chains are independent rows and the guidance objective is a sum over them,
-so each chain's gradient depends on its own row alone. Each Euler step
-therefore runs over blocks of CHAIN_BLOCK rows. A 64-chain tape (about
-8 MB at the hard config) is reused from the malloc heap from one block to
-the next, while the arrays of one 512-chain tape (4.7 MB per conv
-activation) are mapped afresh and page-faulted on every use; that is the
-time blocking saves. `_keep_tapes_on_heap` makes the reuse hold in every
-process, not only in one that has already freed a large array. BLAS may
-pick a different kernel for a different row count, so a chain's bits depend
-on its block, not on the batch size.
+so each chain's gradient depends on its own row alone. The batch is cut
+into blocks of CHAIN_BLOCK rows, and each block runs its whole trajectory,
+every Euler step with its guidance steps, as one `jobs.run_jobs` job. The
+blocks are dealt to as many processes as the process may run on CPUs
+(`jobs.process_cores`, its scheduler affinity), each with one BLAS thread;
+inside a job of another `run_jobs` call, such as a sweep's, they run
+serially in that job's process. Guidance computes no weight gradient, and
+at 64 rows the one-thread and default-thread runs give equal bits, so the
+latents are byte-identical at every core count.
+
+A block that goes non-finite (a non-finite state, a layer's
+`NonFiniteError` or a non-finite guidance gradient) stops and reports the
+integration step at which it failed. The failure with the smallest (step,
+block) is re-raised, naming its step, which is the failure a loop over steps
+outside and blocks inside would meet first.
+
+Blocks also keep each tape small. A 64-chain tape (about 8 MB at the hard
+config) is reused from the malloc heap from one step to the next, while the
+arrays of one 512-chain tape (4.7 MB per conv activation) are mapped afresh
+and page-faulted on every use. `_keep_tapes_on_heap` makes the reuse hold
+in every process, not only in one that has already freed a large array.
+BLAS may pick a different kernel for a different row count, so a chain's
+bits depend on its block, not on the batch size.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .flow import FlowModel, euler_step
+from .jobs import process_cores, run_jobs
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import params_checksum
@@ -158,6 +174,31 @@ def _keep_tapes_on_heap() -> None:
     np.empty(16 << 20, dtype=np.uint8)
 
 
+def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
+                     predictor: PredictorModel | None, y_cond, needs_guidance: bool):
+    """The final latents of one block of chains after every Euler step and its
+    guidance steps, or (step, exception) for the integration step at which the
+    block went non-finite."""
+    dt = 1.0 / cfg.steps
+    # every non-finite value below ends in a named exception, so numpy's
+    # overflow and invalid-value warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(cfg.steps):
+            t = k * dt
+            try:
+                z = euler_step(flow, z, t, dt, y_cond)
+                if not np.isfinite(z).all():
+                    return k, FloatingPointError(f"non-finite state at integration step {k}")
+                if needs_guidance:
+                    for _ in range(cfg.guidance_steps):
+                        z = guidance_step(z, flow, vae, predictor, cfg.target_y,
+                                          cfg.alpha, t, dt, y_cond=y_cond,
+                                          manifold=(cfg.mode == "manifold"))
+            except (NonFiniteError, FloatingPointError) as exc:
+                return k, exc
+    return z
+
+
 def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel | None) -> dict:
     out = {"flow": params_checksum(flow.net.params),
            "vae_encoder": params_checksum(vae.encoder.params),
@@ -172,12 +213,11 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     """Run `cfg.batch` independent chains and select the top-k unique decoded
     sequences.
 
-    Chains: z0 from per-chain RNG streams; per Euler step and per block of
-    CHAIN_BLOCK chains, advance along the learned field, then apply the
-    configured number of guidance steps (none in unconditional and
-    learned_posterior modes). Blocks are integrated one after another within
-    each step, so a failure names the first integration step at which any
-    chain went non-finite.
+    Chains: z0 from per-chain RNG streams; each block of CHAIN_BLOCK chains,
+    one `run_jobs` job, advances along the learned field and after every
+    Euler step applies the configured number of guidance steps (none in
+    unconditional and learned_posterior modes). A failure names the first
+    integration step at which any chain went non-finite.
     """
     if vae.latent_dim != flow.latent_dim:
         raise ConfigError([f"latent dim mismatch: vae {vae.latent_dim} vs flow {flow.latent_dim}"])
@@ -190,27 +230,19 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
         raise ConfigError([f"length mismatch: predictor {predictor.length} vs decoder {vae.length}"])
 
     y_cond = cfg.target_y if flow.conditional else None
-    z = initial_latents(cfg.seed, cfg.batch, flow.latent_dim)
-    dt = 1.0 / cfg.steps
+    z0 = initial_latents(cfg.seed, cfg.batch, flow.latent_dim)
     _keep_tapes_on_heap()
-    # every non-finite value below ends in a named exception, so numpy's
-    # overflow and invalid-value warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(cfg.steps):
-            t = k * dt
-            try:
-                for s in range(0, cfg.batch, CHAIN_BLOCK):
-                    zb = euler_step(flow, z[s:s + CHAIN_BLOCK], t, dt, y_cond)
-                    if not np.isfinite(zb).all():
-                        raise FloatingPointError(f"non-finite state at integration step {k}")
-                    if needs_guidance:
-                        for _ in range(cfg.guidance_steps):
-                            zb = guidance_step(zb, flow, vae, predictor, cfg.target_y,
-                                               cfg.alpha, t, dt, y_cond=y_cond,
-                                               manifold=(cfg.mode == "manifold"))
-                    z[s:s + CHAIN_BLOCK] = zb
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{exc} at integration step {k}") from exc
+    starts = range(0, cfg.batch, CHAIN_BLOCK)
+    blocks = run_jobs({s: partial(_integrate_block, z0[s:s + CHAIN_BLOCK], cfg, flow, vae,
+                                  predictor, y_cond, needs_guidance)
+                       for s in starts}, process_cores())
+    failures = [(out[0], s, out[1]) for s, out in blocks.items() if isinstance(out, tuple)]
+    if failures:
+        k, _, exc = min(failures)  # the earliest step, then the first block
+        if isinstance(exc, NonFiniteError):
+            raise NonFiniteError(f"{exc} at integration step {k}") from exc
+        raise exc
+    z = np.concatenate([blocks[s] for s in starts])
     raw_sequences = vae.decode_tokens_batch(z)
     sequences, scores, selected, shortfall = _select_top_k(
         raw_sequences, predictor, cfg.top_k)

@@ -355,18 +355,23 @@ def test_ode_step_stability_on_hard_task(hard_run):
 
 
 def test_pinned_parallel_latents_equal_serial(hard_run):
-    """Manifold guidance at 512 chains on one-BLAS-thread workers (the
-    caller's share and a forked worker's) leaves the latents of a serial run
-    with the caller's BLAS threads unchanged, byte for byte."""
+    """Manifold guidance at 512 chains gives the same latents, byte for byte,
+    in three ways: every block in one process with the caller's BLAS threads
+    (a serial `run_jobs`, inside which the blocks run serially), one sample
+    per one-BLAS-thread process (`run_jobs` on 2 processes), and a direct
+    call, whose blocks are spread over the process's cores."""
     bundle = hard_run["bundle"]
     jobs = {s: partial(guided_sample,
                        SamplerConfig(steps=4, guidance_steps=5, alpha=0.5, batch=512,
                                      top_k=128, mode="manifold", seed=s),
                        bundle.flow, bundle.vae, bundle.predictor)
             for s in SAMPLING_SEEDS[:2]}
+    serial = run_jobs(jobs, parallelism=1)
     parallel = run_jobs(jobs, parallelism=2)
     for s, job in jobs.items():
-        assert job().raw_latents.tobytes() == parallel[s].raw_latents.tobytes()
+        latents = serial[s].raw_latents.tobytes()
+        assert parallel[s].raw_latents.tobytes() == latents
+        assert job().raw_latents.tobytes() == latents
 
 
 def test_learned_posterior_in_distribution(hard_run):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqopt import harness
+from seqopt import harness, jobs
 from seqopt.errors import ConfigError
 from seqopt.harness import (TaskAssets, ablation_table,
                             extrapolation_experiment, grid_search, ode_steps_sweep,
@@ -312,8 +312,17 @@ class TestWorkQueue:
         with pytest.raises(ChildProcessError):  # already reaped: no zombie left
             os.waitpid(int(pid_file.read_text()), os.WNOHANG)
 
+    @pytest.mark.parametrize("outer", [1, 2])
+    def test_nested_call_runs_in_its_jobs_process(self, outer):
+        def job():
+            return os.getpid(), run_jobs({j: os.getpid for j in range(2)}, parallelism=2)
+        with time_limit(60):
+            done = run_jobs({k: job for k in range(2)}, parallelism=outer)
+        for pid, inner in done.values():
+            assert inner == {0: pid, 1: pid}
+
     def test_blas_pinned_during_run_and_restored_after(self):
-        blas = harness._openblas_threads()
+        blas = jobs._openblas_threads()
         if blas is None:
             pytest.skip("no OpenBLAS loaded")
         get, set_ = blas
@@ -334,7 +343,7 @@ class TestWorkQueue:
             np.show_config()
         if "openblas" not in shown.getvalue().lower():
             pytest.skip("numpy is not built against OpenBLAS")
-        get, set_ = harness._openblas_threads()
+        get, set_ = jobs._openblas_threads()
         assert get() >= 1
 
 

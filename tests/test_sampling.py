@@ -1,7 +1,10 @@
+import hashlib
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +46,26 @@ cfg = sampling.SamplerConfig(steps=4, guidance_steps=2, alpha=0.5, batch=64, top
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sampling.guided_sample(cfg, flow, vae, pred)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# The sha256 of the latents of a manifold sample on the `stack` fixture's
+# models, in a process pinned to the one CPU argv[1], where the chain blocks
+# run serially.
+ONE_CORE_SAMPLE = """
+import hashlib, os, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+from seqopt import sampling
+from seqopt.flow import FlowModel
+from seqopt.predictor import PredictorConfig, PredictorModel
+from seqopt.vae import VaeConfig, VaeModel
+vae = VaeModel.build(6, 5, VaeConfig(latent_dim=3, beta=0.01, hidden_channels=8), seed=0)
+flow = FlowModel.build(3, seed=1, hidden=16)
+pred = PredictorModel.build(6, 5, PredictorConfig(hidden_channels=8, hidden_dense=16), seed=2)
+assert sampling.process_cores() == 1
+cfg = sampling.SamplerConfig(steps=3, guidance_steps=2, alpha=0.05,
+                             batch=2 * sampling.CHAIN_BLOCK + 5, top_k=4, seed=27)
+res = sampling.guided_sample(cfg, flow, vae, pred)
+print(hashlib.sha256(res.raw_latents.tobytes()).hexdigest())
 """
 
 
@@ -283,6 +306,77 @@ class TestGuidedSample:
                             batch=CHAIN_BLOCK + 5, top_k=4, mode="manifold", seed=24)
         with pytest.raises(NonFiniteError, match=r"non-finite values at integration step 0$"):
             guided_sample(cfg, flow, vae, pred)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="blocks run in one process without fork")
+    @pytest.mark.parametrize("worker_error, expected", [
+        (NonFiniteError("layer 1 (conv1d) produced non-finite values"),
+         "layer 1 (conv1d) produced non-finite values at integration step 0"),
+        (FloatingPointError("non-finite guidance gradient at t=0.0000"),
+         "non-finite guidance gradient at t=0.0000"),
+    ])
+    def test_earliest_step_wins_across_processes(self, stack, monkeypatch,
+                                                 worker_error, expected):
+        # on 2 processes the caller integrates blocks 0 and 2 and a forked
+        # worker block 1; block 0 fails from step 2, block 1 from step 0
+        caller = os.getpid()
+
+        def fail(zb, *args, **kwargs):
+            t, dt = args[5], args[6]
+            if os.getpid() != caller:
+                raise worker_error
+            if len(zb) == CHAIN_BLOCK and t >= 2 * dt:
+                raise NonFiniteError("layer 0 (dense) produced non-finite values")
+            return zb
+
+        monkeypatch.setattr(sampling, "guidance_step", fail)
+        monkeypatch.setattr(sampling, "process_cores", lambda: 2)
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=4, guidance_steps=2, alpha=0.05,
+                            batch=2 * CHAIN_BLOCK + 5, top_k=4, mode="manifold", seed=25)
+        with pytest.raises(type(worker_error)) as raised:
+            guided_sample(cfg, flow, vae, pred)
+        assert type(raised.value) is type(worker_error)
+        assert str(raised.value) == expected
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="blocks run in one process without fork")
+    def test_interrupt_leaves_no_worker(self, stack, monkeypatch):
+        caller = os.getpid()
+
+        def interrupt_or_stall(zb, *args, **kwargs):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(sampling, "guidance_step", interrupt_or_stall)
+        monkeypatch.setattr(sampling, "process_cores", lambda: 2)
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=2, guidance_steps=1, alpha=0.05,
+                            batch=2 * CHAIN_BLOCK, top_k=4, mode="manifold", seed=26)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            guided_sample(cfg, flow, vae, pred)
+        assert time.monotonic() - start < 30  # the stalled worker was terminated
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_one_core_latents_equal_multi_core(self, stack):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("needs at least 2 CPUs")
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=3, guidance_steps=2, alpha=0.05,
+                            batch=2 * CHAIN_BLOCK + 5, top_k=4, seed=27)
+        here = guided_sample(cfg, flow, vae, pred)
+        src = str(Path(sampling.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-c", ONE_CORE_SAMPLE, str(min(cpus))],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == hashlib.sha256(here.raw_latents.tobytes()).hexdigest()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="measures glibc's heap trimming")
