@@ -30,7 +30,7 @@ from .seqs import AMINO_ACIDS, Vocabulary, detokenize, tokenize
 from .tasks import (SyntheticTaskSpec, TaskData, build_csv_task,
                     build_synthetic_task, task_oracle, train_models)
 from .vae import (VaeConfig, VaeModel, load_vae, reconstruction_accuracy,
-                  sample_vae_prior, save_vae, train_vae, vae_loss)
+                  sample_vae_prior, save_vae, train_vae)
 
 __version__ = "0.1.0"
 
@@ -50,5 +50,5 @@ __all__ = [
     "sample_mutants", "sample_vae_prior", "save_flow", "save_predictor",
     "save_vae", "smooth_labels_knn", "synthetic_full_dataset", "task_oracle",
     "tokenize", "train_flow", "train_models", "train_predictor", "train_vae",
-    "vae_loss", "write_csv", "write_range_file",
+    "write_csv", "write_range_file",
 ]

@@ -97,7 +97,10 @@ def _load_run(args) -> RunConfig:
 def _task_data(cfg: RunConfig) -> TaskData:
     if cfg.task_name == "csv":
         return build_csv_task(cfg.data_path, range_file=cfg.range_path)
-    return build_synthetic_task(cfg.task_name, cfg.task_seed, spec=cfg.task_spec)
+    try:
+        return build_synthetic_task(cfg.task_name, cfg.task_seed, spec=cfg.task_spec)
+    except ValueError as exc:  # a [task] spec that builds no task
+        raise ConfigError([f"[task] {exc}"]) from None
 
 
 def _write_report(path: Path, payload: dict) -> None:

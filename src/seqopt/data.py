@@ -149,9 +149,14 @@ def load_csv(path, vocab: Vocabulary, range_file=None) -> Dataset:
     if not np.isfinite(fitness).all():
         raise DataFormatError(f"{path}: non-finite fitness value")
     if range_file is not None:
-        y_min, y_max = _read_range_file(Path(range_file))
+        source = Path(range_file)
+        y_min, y_max = _read_range_file(source)
     else:
+        source = path
         y_min, y_max = float(fitness.min()), float(fitness.max())
+    if not (np.isfinite([y_min, y_max]).all() and y_min < y_max):
+        raise DataFormatError(f"{source}: fitness range needs finite y_min < y_max, "
+                              f"got y_min={y_min!r}, y_max={y_max!r}")
     return Dataset(sequences, fitness, y_min, y_max)
 
 

@@ -156,13 +156,6 @@ def _loss_tape(model: VaeModel, seqs: np.ndarray, noise: np.ndarray):
     return total, recon, kl
 
 
-def vae_loss(model: VaeModel, seqs: np.ndarray, noise: np.ndarray) -> tuple[float, float, float]:
-    """(total, reconstruction, kl): mean cross-entropy per position plus the
-    beta-weighted mean KL to the standard-normal prior."""
-    total, recon, kl = _loss_tape(model, seqs, noise)
-    return float(total.data), float(recon.data), float(kl.data)
-
-
 def train_vae(data: Dataset, cfg: VaeConfig, seed: int, vocab_size: int = 20,
               val_data: Dataset | None = None) -> tuple[VaeModel, TrainReport]:
     """Adam training on the ELBO; deterministic given the seed. Non-finite

@@ -11,6 +11,7 @@ are supplied via SEQOPT_REAL_ASSETS.
 import math
 import os
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -20,16 +21,16 @@ import seqopt.nn.autodiff as ad
 from _gradcheck import network_gradients, numeric_gradient, rel_err
 from seqopt.flow import (FlowModel, FlowTrainConfig, euler_integrate,
                          flow_matching_loss, train_flow)
-from seqopt.harness import run_jobs
+from seqopt.jobs import process_cores, run_jobs
 from seqopt.metrics import diversity, median_normalized_fitness, novelty
 from seqopt.nn import Network
 from seqopt.nn.autodiff import Tensor
 from seqopt.predictor import PredictorConfig, PredictorModel
-from seqopt.sampling import (SamplerConfig, _objective_tape, guided_sample,
-                             initial_latents)
+from seqopt.sampling import (CHAIN_BLOCK, SamplerConfig, _objective_tape,
+                             guided_sample, initial_latents)
 from seqopt.seqs import levenshtein_one_to_many
 from seqopt.tasks import build_synthetic_task, task_oracle, train_models
-from seqopt.vae import VaeConfig, VaeModel, vae_loss
+from seqopt.vae import VaeConfig, VaeModel, _loss_tape as vae_loss_tape
 from test_seqs import brute_levenshtein
 
 MODULE_START = time.monotonic()
@@ -57,35 +58,39 @@ def hard_run():
     results = {"task": task, "bundle": bundle, "oracle": oracle,
                "vae_val_accuracy": bundle.reports["vae"]["val_accuracy"],
                "train_median": float(np.median(task.train.normalized_fitness()))}
-    # the 25 sampling runs share one process pool; their results are the
-    # serial runs' bit for bit
     modes = ("unconditional", "manifold", "naive")
-    jobs = {}
+    configs = {}
     for mode, alpha, j, top_k in (("unconditional", 0.0, 0, 512),
                                   ("manifold", 0.5, 5, 128),
                                   ("naive", 0.5, 5, 128)):
         for s in SAMPLING_SEEDS:
-            cfg = SamplerConfig(steps=32, guidance_steps=j, alpha=alpha, batch=512,
-                                top_k=top_k, mode=mode, seed=s)
-            jobs[mode, s] = partial(guided_sample, cfg, bundle.flow, bundle.vae,
-                                    bundle.predictor)
-    # extrapolation at y=1 on the raw batch (no dedup / top-k), both posteriors
+            configs[mode, s] = SamplerConfig(steps=32, guidance_steps=j, alpha=alpha,
+                                             batch=512, top_k=top_k, mode=mode, seed=s)
+    # extrapolation at y=1 on the raw batch (no dedup / top-k) of the learned
+    # posterior; the manifold side is taken from the manifold runs below
     for s in SAMPLING_SEEDS:
-        cfg = SamplerConfig(steps=32, guidance_steps=5, alpha=0.5, batch=256,
-                            top_k=256, mode="manifold", seed=s, target_y=1.0)
-        jobs["extrap_manifold", s] = partial(guided_sample, cfg, bundle.flow,
-                                             bundle.vae, bundle.predictor)
-    for s in SAMPLING_SEEDS:
-        cfg = SamplerConfig(steps=32, guidance_steps=0, alpha=0.0, batch=256,
-                            top_k=256, mode="learned_posterior", seed=s, target_y=1.0)
-        jobs["extrap_posterior", s] = partial(guided_sample, cfg, bundle.flow_conditional,
-                                              bundle.vae, bundle.predictor)
-    samples = run_jobs(jobs, parallelism=os.cpu_count() or 1)
+        configs["extrap_posterior", s] = SamplerConfig(
+            steps=32, guidance_steps=0, alpha=0.0, batch=256, top_k=256,
+            mode="learned_posterior", seed=s, target_y=1.0)
+    # the 20 sampling runs share one process pool; their results are the
+    # serial runs' bit for bit
+    jobs = {key: partial(guided_sample, cfg,
+                         bundle.flow_conditional if cfg.mode == "learned_posterior"
+                         else bundle.flow, bundle.vae, bundle.predictor)
+            for key, cfg in configs.items()}
+    samples = run_jobs(jobs, parallelism=process_cores())
+    results["configs"] = configs
     results["fits"] = {mode: [fitness_of(samples[mode, s].sequences)
                               for s in SAMPLING_SEEDS] for mode in modes}
-    for kind in ("extrap_manifold", "extrap_posterior"):
-        results[f"{kind}_y1"] = [fitness_of(samples[kind, s].raw_sequences)
-                                 for s in SAMPLING_SEEDS]
+    # manifold guidance at y=1 on a raw batch of 256 chains: each chain has its
+    # own noise stream and runs in a block of CHAIN_BLOCK chains, so a batch
+    # of 256 is the first 256 chains of the batch-512 manifold run, bit for bit
+    # (target_y defaults to 1; top_k only acts after the raw batch)
+    assert 256 % CHAIN_BLOCK == 0 and configs["manifold", 100].target_y == 1.0
+    results["extrap_manifold_y1"] = [
+        fitness_of(samples["manifold", s].raw_sequences[:256]) for s in SAMPLING_SEEDS]
+    results["extrap_posterior_y1"] = [
+        fitness_of(samples["extrap_posterior", s].raw_sequences) for s in SAMPLING_SEEDS]
     return results
 
 
@@ -138,7 +143,6 @@ def test_criterion_2_gradient_suite():
                          seed=2)
     seqs = rng.integers(0, 5, size=(2, 6))
     noise = rng.standard_normal((2, 3))
-    from seqopt.vae import _loss_tape as vae_loss_tape
     vae.encoder.refresh()
     total, _, _ = vae_loss_tape(vae, seqs, noise)
     total.backward()
@@ -148,7 +152,7 @@ def test_criterion_2_gradient_suite():
 
     def f_vae(pv):
         vae.encoder.params.arrays[probe][...] = pv
-        val, _, _ = vae_loss(vae, seqs, noise)
+        val = float(vae_loss_tape(vae, seqs, noise)[0].data)
         vae.encoder.params.arrays[probe][...] = orig
         return val
 
@@ -341,13 +345,11 @@ def test_ode_step_stability_on_hard_task(hard_run):
     bundle = hard_run["bundle"]
     oracle = hard_run["oracle"]
     norm = hard_run["task"].normalizer
-    jobs = {k: partial(guided_sample,
-                       SamplerConfig(steps=k, guidance_steps=5, alpha=0.5, batch=512,
-                                     top_k=128, mode="manifold", seed=100),
-                       bundle.flow, bundle.vae, bundle.predictor)
-            for k in (24, 32)}
-    fits = {k: median_normalized_fitness(res.sequences, oracle, norm)
-            for k, res in run_jobs(jobs, parallelism=os.cpu_count() or 1).items()}
+    # K=32 is the fixture's ("manifold", 100) run; only K=24 is sampled here
+    cfg = replace(hard_run["configs"]["manifold", 100], steps=24)
+    res = guided_sample(cfg, bundle.flow, bundle.vae, bundle.predictor)
+    fits = {24: median_normalized_fitness(res.sequences, oracle, norm),
+            32: hard_run["fits"]["manifold"][SAMPLING_SEEDS.index(100)]}
     rel_change = abs(fits[32] - fits[24]) / abs(fits[32])
     assert rel_change < 0.10
     print(f"\nODE stability: fitness K=24 {fits[24]:.3f} vs K=32 {fits[32]:.3f} "

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqopt
 from seqopt import tasks
 from seqopt.cli import main
 from seqopt.config import config_echo, load_config
@@ -476,6 +480,35 @@ mode = sideways
         assert main([command, str(ini)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: [{section}] {option}")
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("max_mutations = 5\n", ""),  # the default of 12 exceeds length 8
+        ("n_pairs = 8", "n_pairs = 40"),
+        ("[task]\n", "[task]\nedits_per_position = 25\n"),
+        ("gap = 2", "gap = 9"),  # the difficulty filter selects nothing
+    ], ids=["max_mutations", "n_pairs", "edits_per_position", "gap"])
+    def test_task_spec_that_builds_no_task_is_config_error(self, tmp_path, old, new):
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.replace(old, new, 1))
+        src = str(Path(seqopt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-m", "seqopt.cli", "train-vae", str(ini)],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert out.returncode == 1, out.stderr
+        err = out.stderr.splitlines()
+        assert "Traceback" not in out.stderr
+        assert len(err) == 1 and err[0].startswith("config error: [task] "), err
+        assert not (tmp_path / "work").exists()
+
+    def test_degenerate_fitness_range_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("sequence,fitness\nACD,0.5\nACC,0.5\n")
+        ini = tmp_path / "csv.ini"
+        ini.write_text("[task]\nname = csv\n[paths]\ndata = data.csv\nworkdir = work\n")
+        assert main(["train-vae", str(ini)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ") and "y_min=0.5" in err[0]
         assert not (tmp_path / "work").exists()
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):

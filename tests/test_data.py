@@ -66,6 +66,26 @@ class TestLoadCsv:
         ds = load_csv(p, vocab)
         assert (ds.y_min, ds.y_max) == (0.1, 0.4)
 
+    @pytest.mark.parametrize("rows,range_text,named,values", [
+        ("ACD,0.1\nACC,0.2\n", "y_min=1.0\ny_max=0.0\n", "d.range",
+         "y_min=1.0, y_max=0.0"),
+        ("ACD,0.1\nACC,0.2\n", "y_min=nan\ny_max=1.0\n", "d.range",
+         "y_min=nan, y_max=1.0"),
+        ("ACD,0.3\nACC,0.3\n", None, "d.csv", "y_min=0.3, y_max=0.3"),
+    ], ids=["reversed", "nan", "all_equal"])
+    def test_degenerate_range_names_file_and_values(self, tmp_path, vocab, rows,
+                                                     range_text, named, values):
+        p = tmp_path / "d.csv"
+        p.write_text("sequence,fitness\n" + rows)
+        r = None
+        if range_text is not None:
+            r = tmp_path / "d.range"
+            r.write_text(range_text)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(p, vocab, range_file=r)
+        assert str(exc.value).startswith(f"{tmp_path / named}: ")
+        assert values in str(exc.value)
+
     def test_aav_length_28_accepted(self, tmp_path, vocab):
         rng = np.random.default_rng(5)
         rows = ["sequence,fitness"]

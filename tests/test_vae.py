@@ -5,10 +5,15 @@ from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.nn.autodiff import Tensor
 from seqopt.tasks import encode_latents
-from seqopt.vae import (VaeConfig, VaeModel, reconstruction_accuracy,
-                        sample_vae_prior, train_vae, vae_loss)
+from seqopt.vae import (VaeConfig, VaeModel, _loss_tape, reconstruction_accuracy,
+                        sample_vae_prior, train_vae)
 
 rng = np.random.default_rng(77)
+
+
+def loss_values(model, seqs, noise):
+    """(total, reconstruction, kl) of the training loss tape, as floats."""
+    return tuple(float(t.data) for t in _loss_tape(model, seqs, noise))
 
 
 def tiny_model(length=6, vocab=5, latent=3, seed=0, hidden=8):
@@ -154,7 +159,7 @@ class TestVaeLoss:
         model.encoder.params.arrays["5.weight"][...] = 0.0
         model.encoder.params.arrays["5.bias"][...] = 0.0
         seqs = rng.integers(0, 5, size=(3, 6))
-        _, _, kl = vae_loss(model, seqs, np.zeros((3, 3)))
+        _, _, kl = loss_values(model, seqs, np.zeros((3, 3)))
         assert kl == pytest.approx(0.0, abs=1e-9)
 
     def test_kl_closed_form_unit_mean(self):
@@ -163,7 +168,7 @@ class TestVaeLoss:
         model.encoder.params.arrays["5.weight"][...] = 0.0
         model.encoder.params.arrays["5.bias"][...] = [1.0, 0.0]
         seqs = rng.integers(0, 5, size=(2, 6))
-        _, _, kl = vae_loss(model, seqs, np.zeros((2, 1)))
+        _, _, kl = loss_values(model, seqs, np.zeros((2, 1)))
         assert kl == pytest.approx(0.5, abs=1e-9)
 
     def test_uniform_logits_give_log_vocab_reconstruction(self):
@@ -171,24 +176,23 @@ class TestVaeLoss:
         for name, arr in model.decoder.params.arrays.items():
             arr[...] = 0.0  # decoder emits all-zero logits == uniform
         seqs = rng.integers(0, 20, size=(4, 6))
-        _, recon, _ = vae_loss(model, seqs, np.zeros((4, 3)))
+        _, recon, _ = loss_values(model, seqs, np.zeros((4, 3)))
         assert recon == pytest.approx(np.log(20), abs=1e-9)
 
     def test_kl_nonnegative_random_models(self):
         for seed in range(5):
             model = tiny_model(seed=seed)
             seqs = rng.integers(0, 5, size=(3, 6))
-            _, _, kl = vae_loss(model, seqs, rng.standard_normal((3, 3)))
+            _, _, kl = loss_values(model, seqs, rng.standard_normal((3, 3)))
             assert kl >= 0
 
     def test_total_is_recon_plus_beta_kl(self):
         model = tiny_model(seed=11)
         seqs = rng.integers(0, 5, size=(3, 6))
-        total, recon, kl = vae_loss(model, seqs, rng.standard_normal((3, 3)))
+        total, recon, kl = loss_values(model, seqs, rng.standard_normal((3, 3)))
         assert total == pytest.approx(recon + model.config.beta * kl)
 
     def test_loss_gradient_matches_fd_probe_parameter(self):
-        from seqopt.vae import _loss_tape
         model = tiny_model(seed=12)
         seqs = rng.integers(0, 5, size=(2, 6))
         noise = rng.standard_normal((2, 3))
@@ -201,7 +205,7 @@ class TestVaeLoss:
 
         def f(pv):
             model.encoder.params.arrays[name][...] = pv
-            val, _, _ = vae_loss(model, seqs, noise)
+            val, _, _ = loss_values(model, seqs, noise)
             model.encoder.params.arrays[name][...] = orig
             return val
 
