@@ -31,6 +31,7 @@ from .errors import ConfigError, TrainingDivergedError
 from .harness import (TaskAssets, ablation_table, extrapolation_experiment,
                       grid_search, ode_steps_sweep, results_dir, run_benchmark,
                       write_cells_csv, write_samples, write_summary)
+from .jobs import process_cores
 from .nn.checkpoint import CheckpointError
 from .nn.layers import NonFiniteError
 from .predictor import ROLES, load_external_predictor, save_predictor
@@ -51,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", help="path to the run configuration (INI)")
     common.add_argument("--results-dir", dest="paths.results", metavar="DIR",
                         help="override [paths] results")
-    common.add_argument("--parallelism", dest="run.parallelism", type=int, metavar="N",
-                        help="worker count for every experiment's sampling runs")
 
     parser = _Parser(prog="seqopt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -191,7 +190,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
     summary, results = run_benchmark(assets, cfg.sampler, cfg.eval_seeds,
-                                     parallelism=cfg.parallelism, keep_samples=True)
+                                     process_cores(), keep_samples=True)
     out = results_dir(cfg.results, cfg.task_name, "evaluate")
     write_summary(out, {"summary": summary.to_json(), "config_echo": config_echo(cfg)})
     write_samples(out, results, assets.vocab)
@@ -212,8 +211,7 @@ def _write_rows(cfg: RunConfig, experiment: str, key: str, rows: list[dict]) -> 
 
 def cmd_gridsearch(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
-    cells = grid_search(assets, cfg.sampler, cfg.grid_alphas,
-                        cfg.grid_guidance_steps, parallelism=cfg.parallelism)
+    cells = grid_search(assets, cfg.sampler, cfg.grid_alphas, cfg.grid_guidance_steps)
     out = _write_rows(cfg, "gridsearch", "cells", cells)
     failed = sum(1 for c in cells if c["error"])
     print(f"wrote {len(cells)} cells ({failed} failed) to {out}")
@@ -224,8 +222,7 @@ def cmd_extrapolate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, "learned_posterior")
     base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate_batch,
                                top_k=cfg.extrapolate_batch)
-    rows = extrapolation_experiment(assets, cfg.extrapolate_y, base_cfg=base,
-                                    parallelism=cfg.parallelism)
+    rows = extrapolation_experiment(assets, cfg.extrapolate_y, base_cfg=base)
     out = _write_rows(cfg, "extrapolate", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -233,8 +230,7 @@ def cmd_extrapolate(cfg: RunConfig, args) -> int:
 
 def cmd_ode_sweep(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
-    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps,
-                           parallelism=cfg.parallelism)
+    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps)
     out = _write_rows(cfg, "ode-sweep", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -242,8 +238,7 @@ def cmd_ode_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, "learned_posterior")
-    rows = ablation_table(assets, cfg.sampler, cfg.eval_seeds,
-                          parallelism=cfg.parallelism)
+    rows = ablation_table(assets, cfg.sampler, cfg.eval_seeds)
     out = _write_rows(cfg, "ablate", "rows", rows)
     for r in rows:
         print(f"{r['mode']:18s} fitness {r['median_fitness_mean']:.3f} "

@@ -30,7 +30,6 @@ OPTIONS = {
     "task": ("name", "seed", "percentile_low", "percentile_high", "percentile_upper")
     + SPEC_OPTIONS,
     "paths": ("data", "range_file", "oracle_checkpoint", "workdir", "results"),
-    "run": ("parallelism",),
     "vae": None, "flow": None, "predictor": None, "sampler": None,
     "evaluate": ("seeds",),
     "grid": ("alphas", "guidance_steps"),
@@ -49,7 +48,6 @@ class RunConfig:
     oracle_checkpoint: Path | None
     workdir: Path
     results: Path
-    parallelism: int
     vae: VaeConfig
     flow: FlowTrainConfig
     predictor: PredictorConfig
@@ -155,9 +153,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     oracle_ckpt = get_path("paths", "oracle_checkpoint")
     workdir = get_path("paths", "workdir", base / "runs" / name)
     results = get_path("paths", "results", base / "results")
-    parallelism = get("run", "parallelism", int, 1)
-    if parallelism < 1:
-        problems.append("[run] parallelism must be >= 1")
 
     if name == "csv":
         if data_path is None:
@@ -204,6 +199,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     ode_steps = get("ode_sweep", "steps", _ints, [4, 8, 16, 24, 32])
     if not eval_seeds:
         problems.append("[evaluate] seeds must be non-empty")
+    if any(s < 0 for s in eval_seeds):
+        problems.append("[evaluate] seeds must be >= 0")
     if not grid_alphas:
         problems.append("[grid] alphas must be non-empty")
     if not grid_js:
@@ -222,7 +219,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return RunConfig(task_name=name, task_seed=task_seed, task_spec=task_spec,
                      data_path=data_path, range_path=range_path,
                      oracle_checkpoint=oracle_ckpt, workdir=workdir,
-                     results=results, parallelism=parallelism, vae=vae,
+                     results=results, vae=vae,
                      flow=flow, predictor=predictor, sampler=sampler,
                      eval_seeds=eval_seeds, grid_alphas=grid_alphas,
                      grid_guidance_steps=grid_js,
@@ -247,6 +244,5 @@ def config_echo(cfg: RunConfig) -> dict:
         "grid": {"alphas": cfg.grid_alphas, "guidance_steps": cfg.grid_guidance_steps},
         "extrapolate": {"y_values": cfg.extrapolate_y, "batch": cfg.extrapolate_batch},
         "ode_sweep": {"steps": cfg.ode_steps},
-        "parallelism": cfg.parallelism,
     }
 

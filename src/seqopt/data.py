@@ -99,6 +99,8 @@ def _read_range_file(path: Path) -> tuple[float, float]:
         key = key.strip()
         if not sep or key not in ("y_min", "y_max"):
             raise DataFormatError(f"{path}: line {lineno}: expected 'y_min=<real>' or 'y_max=<real>'")
+        if key in values:
+            raise DataFormatError(f"{path}: line {lineno}: {key} declared twice")
         try:
             values[key] = float(val)
         except ValueError:

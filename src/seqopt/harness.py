@@ -7,13 +7,15 @@ the experiment's own measurement inside the same job, so `run_benchmark`'s
 metrics run where its sampling does. `ablation_table` is one `run_benchmark`
 per mode.
 
-The jobs go through `jobs.run_jobs`. With `parallelism` above 1 it deals the
-keys round-robin by position to that many processes, the caller and forked
-workers, each with one BLAS thread. Results are assembled by key and a
-failure re-raises the earliest failing key's exception, so neither the
+The jobs go through `jobs.run_jobs`, on as many processes as the process
+may run on CPUs (`jobs.process_cores`, its scheduler affinity; `taskset`
+bounds it). `run_jobs` deals the keys round-robin by position to the caller
+and forked workers, each with one BLAS thread. Results are assembled by key
+and a failure re-raises the earliest failing key's exception, so neither the
 worker count nor the completion order affects output. Each job's
 `guided_sample` runs its chain blocks serially, because a `run_jobs` call
-inside a job of another runs in that job's process.
+inside a job of another runs in that job's process. `run_benchmark` alone
+takes its process count as an argument.
 
 Results land in <results>/<task>/<experiment>/<timestamp>/ as summary.json
 plus cells.csv (for grids/sweeps) and samples/*.json; every file embeds the
@@ -37,7 +39,7 @@ from .atomic import atomic_open, atomic_write_text
 from .data import Dataset, FitnessNormalizer
 from .errors import ConfigError
 from .flow import FlowModel
-from .jobs import run_jobs
+from .jobs import process_cores, run_jobs
 from .metrics import MetricReport, compute_metrics, median_normalized_fitness
 from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
@@ -107,12 +109,12 @@ class BenchmarkSummary:
         return " | ".join(cells)
 
 
-def _sweep(assets: TaskAssets, configs: dict, measure, parallelism: int = 1,
+def _sweep(assets: TaskAssets, configs: dict, measure, parallelism: int,
            on_error=None) -> dict:
     """Sample each {key: SamplerConfig} with the flow its mode uses and return
-    {key: measure(key, result)}, one `run_jobs` job per key. With `on_error`,
-    a job that fails with one of `_CELL_ERRORS` returns on_error(key, exc)
-    instead of raising."""
+    {key: measure(key, result)}, one `run_jobs` job per key on `parallelism`
+    processes. With `on_error`, a job that fails with one of `_CELL_ERRORS`
+    returns on_error(key, exc) instead of raising."""
     def job(key, cfg):
         try:
             res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae,
@@ -153,8 +155,8 @@ def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
     return (summary, results) if keep_samples else summary
 
 
-def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_steps,
-                parallelism: int = 1) -> list[dict]:
+def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas,
+                guidance_steps) -> list[dict]:
     """One sampling run per (alpha, J) cell, reporting fitness and diversity
     (plus novelty) per cell. Every cell samples and measures with
     `base_cfg.seed`. Cell failures are recorded, not fatal."""
@@ -183,12 +185,12 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas, guidance_st
             configs[i] = replace(base_cfg, alpha=float(alpha), guidance_steps=int(j))
         except _CELL_ERRORS as exc:
             rows[i] = failed(i, exc)
-    rows.update(_sweep(assets, configs, measure, parallelism, on_error=failed))
+    rows.update(_sweep(assets, configs, measure, process_cores(), on_error=failed))
     return [rows[i] for i in range(len(cells))]
 
 
 def extrapolation_experiment(assets: TaskAssets, y_values, *,
-                             base_cfg: SamplerConfig, parallelism: int = 1) -> list[dict]:
+                             base_cfg: SamplerConfig) -> list[dict]:
     """Median oracle fitness of the *raw* decoded batch (no dedup, no top-k)
     as the requested target fitness varies, in the manifold and learned_posterior
     modes, each run seeded with `base_cfg.seed`."""
@@ -202,11 +204,11 @@ def extrapolation_experiment(assets: TaskAssets, y_values, *,
 
     configs = {i: replace(base_cfg.for_mode(mode), target_y=y)
                for i, (mode, y) in enumerate(points)}
-    return list(_sweep(assets, configs, measure, parallelism).values())
+    return list(_sweep(assets, configs, measure, process_cores()).values())
 
 
-def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig, step_counts,
-                    parallelism: int = 1) -> list[dict]:
+def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig,
+                    step_counts) -> list[dict]:
     """One run per ODE step count, reporting fitness and diversity, each run
     seeded with `base_cfg.seed`."""
     step_counts = [int(k) for k in step_counts]
@@ -220,16 +222,15 @@ def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig, step_counts,
                 "diversity": report.diversity}
 
     configs = {i: replace(base_cfg, steps=k) for i, k in enumerate(step_counts)}
-    return list(_sweep(assets, configs, measure, parallelism).values())
+    return list(_sweep(assets, configs, measure, process_cores()).values())
 
 
-def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds,
-                   parallelism: int = 1) -> list[dict]:
+def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds) -> list[dict]:
     """Seed-matched mode comparison shaped like the guidance-variant tables."""
     rows = []
     for mode in ("manifold", "naive", "learned_posterior"):
         summary = run_benchmark(assets, base_cfg.for_mode(mode), seeds,
-                                parallelism=parallelism)
+                                parallelism=process_cores())
         rows.append({"mode": mode,
                      "median_fitness_mean": summary.mean["median_fitness"],
                      "median_fitness_std": summary.std["median_fitness"],

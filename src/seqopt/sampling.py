@@ -79,6 +79,8 @@ class SamplerConfig:
             problems.append("alpha must be >= 0")
         if self.batch < 1 or not (1 <= self.top_k <= self.batch):
             problems.append("need 1 <= top_k <= batch")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}")
         if self.mode == "unconditional" and (self.alpha != 0 or self.guidance_steps != 0):
@@ -175,7 +177,7 @@ def _keep_tapes_on_heap() -> None:
 
 
 def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
-                     predictor: PredictorModel | None, y_cond, needs_guidance: bool):
+                     predictor: PredictorModel, y_cond, needs_guidance: bool):
     """The final latents of one block of chains after every Euler step and its
     guidance steps, or (step, exception) for the integration step at which the
     block went non-finite."""
@@ -199,17 +201,15 @@ def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: Va
     return z
 
 
-def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel | None) -> dict:
-    out = {"flow": params_checksum(flow.net.params),
-           "vae_encoder": params_checksum(vae.encoder.params),
-           "vae_decoder": params_checksum(vae.decoder.params)}
-    if predictor is not None:
-        out["predictor"] = params_checksum(predictor.net.params)
-    return out
+def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel) -> dict:
+    return {"flow": params_checksum(flow.net.params),
+            "vae_encoder": params_checksum(vae.encoder.params),
+            "vae_decoder": params_checksum(vae.decoder.params),
+            "predictor": params_checksum(predictor.net.params)}
 
 
 def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
-                  predictor: PredictorModel | None) -> SampleResult:
+                  predictor: PredictorModel) -> SampleResult:
     """Run `cfg.batch` independent chains and select the top-k unique decoded
     sequences.
 
@@ -224,9 +224,7 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     if cfg.mode == "learned_posterior" and not flow.conditional:
         raise ConfigError(["learned_posterior mode needs a fitness-conditioned flow model"])
     needs_guidance = cfg.mode in ("manifold", "naive") and cfg.guidance_steps > 0 and cfg.alpha > 0
-    if cfg.mode in ("manifold", "naive") and predictor is None:
-        raise ConfigError(["guided modes need a predictor"])
-    if predictor is not None and predictor.length != vae.length:
+    if predictor.length != vae.length:
         raise ConfigError([f"length mismatch: predictor {predictor.length} vs decoder {vae.length}"])
 
     y_cond = cfg.target_y if flow.conditional else None
@@ -257,8 +255,7 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
                         provenance=provenance)
 
 
-def _select_top_k(decoded: np.ndarray, predictor: PredictorModel | None,
-                  top_k: int):
+def _select_top_k(decoded: np.ndarray, predictor: PredictorModel, top_k: int):
     """Dedup (keeping first chain occurrence), rank by predictor score with
     lexicographic tie-break, cut to top_k."""
     first_seen: dict[bytes, int] = {}
@@ -268,10 +265,7 @@ def _select_top_k(decoded: np.ndarray, predictor: PredictorModel | None,
             first_seen[key] = i
     chain_idx = np.array(sorted(first_seen.values()))
     unique = decoded[chain_idx]
-    if predictor is not None:
-        scores = predictor.predict_sequences(unique)
-    else:
-        scores = np.zeros(len(unique))
+    scores = predictor.predict_sequences(unique)
     order = sorted(range(len(unique)),
                    key=lambda i: (-scores[i], tuple(unique[i])))
     order = order[:top_k]

@@ -79,6 +79,17 @@ steps = 4,8
 """
 
 
+# `seqopt ARGS...` in a process pinned to the one CPU argv[1].
+ONE_CPU_COMMAND = """
+import os, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+from seqopt import jobs
+from seqopt.cli import main
+assert jobs.process_cores() == 1
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Config + trained checkpoints shared by all CLI command tests."""
@@ -213,6 +224,33 @@ def test_seed_flag_refused_on_evaluate_and_ablate(workspace, tmp_path, capsys, c
     assert not any(tmp_path.iterdir())
 
 
+def test_parallelism_flag_is_usage_error(workspace, tmp_path, capsys):
+    """Experiments size their pools from the CPUs the process may use."""
+    _, ini = workspace
+    assert main(["evaluate", str(ini), "--parallelism", "2",
+                 "--results-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unrecognized arguments: --parallelism 2"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flags,old,new,problem", [
+    ("sample", ["--seed", "-1"], "", "", "[sampler] seed must be >= 0"),
+    ("gridsearch", ["--seed", "-4"], "", "", "[sampler] seed must be >= 0"),
+    ("evaluate", [], "seeds = 100,101", "seeds = 1, -2", "[evaluate] seeds must be >= 0"),
+], ids=["sample", "gridsearch", "evaluate"])
+def test_negative_seed_is_config_error(workspace, tmp_path, capsys, command, flags,
+                                       old, new, problem):
+    """A negative seed is refused with the config, not inside SeedSequence."""
+    root, _ = workspace
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace("workdir = work", f"workdir = {root / 'work'}")
+                   .replace(old, new))
+    assert main([command, str(ini)] + flags) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not (tmp_path / "results").exists()
+
+
 class TestExperiments:
     def test_evaluate_writes_summary_and_samples(self, workspace, capsys):
         root, ini = workspace
@@ -272,28 +310,36 @@ class TestExperiments:
         assert [r["error"] for r in rows[:3]] == ["", "", ""]
         assert "non-finite" in rows[3]["error"] and rows[3]["n_unique"] == "0"
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
     @pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep",
                                          "evaluate"])
     def test_parallel_cells_match_serial(self, workspace, capsys, command):
-        """A rerun writes byte-identical result files, and a run on two
-        processes differs from them only in config_echo.parallelism."""
+        """A rerun writes byte-identical result files, and so does a run in a
+        process pinned to one CPU, whose jobs all run in that process."""
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("needs at least 2 CPUs")
         root, ini = workspace
-        runs = []
-        for flags in ([], [], ["--parallelism", "2"]):
-            assert main([command, str(ini)] + flags) == 0
-            run_dir = Path(capsys.readouterr().out.strip().split()[-1])
-            runs.append({str(p.relative_to(run_dir)): p.read_bytes()
-                         for p in run_dir.rglob("*") if p.is_file()})
-        serial, rerun, parallel = runs
+        run_dirs = []
+        for _ in range(2):
+            assert main([command, str(ini)]) == 0
+            run_dirs.append(capsys.readouterr().out.strip().split()[-1])
+        src = str(Path(seqopt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-c", ONE_CPU_COMMAND, str(min(cpus)),
+                              command, str(ini)],
+                             capture_output=True, text=True, check=True, env=env)
+        run_dirs.append(out.stdout.strip().split()[-1])
+        default, rerun, one_cpu = [
+            {str(p.relative_to(run_dir)): p.read_bytes()
+             for p in Path(run_dir).rglob("*") if p.is_file()} for run_dir in run_dirs]
         expected = ({"summary.json", "samples/seed-100.json", "samples/seed-101.json"}
                     if command == "evaluate" else {"summary.json", "cells.csv"})
-        assert set(serial) == expected
-        assert rerun == serial
-        summaries = [json.loads(run.pop("summary.json")) for run in (serial, parallel)]
-        assert summaries[1]["config_echo"]["parallelism"] == 2
-        summaries[1]["config_echo"]["parallelism"] = 1
-        assert summaries[0] == summaries[1]
-        assert parallel == serial
+        assert set(default) == expected
+        assert rerun == default
+        assert one_cpu == default
 
 
 def _csv_config(workspace, tmp_path, oracle=""):
@@ -541,8 +587,9 @@ mode = sideways
              "[evaluate] seed: unknown option; the options are seeds"),
             ("[ode_sweep]\nsteps", "[ode_sweep]\nstep",
              "[ode_sweep] step: unknown option; the options are steps"),
-            ("[task]\n", "[run]\nparalellism = 2\n[task]\n",
-             "[run] paralellism: unknown option; the options are parallelism"),
+            ("[task]\n", "[run]\nparallelism = 2\n[task]\n",
+             "[run]: unknown section; the sections are task, paths, vae, flow, "
+             "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
             ("[grid]\n", "[grid]\nalpha = 0.3\n",
              "[grid] alpha: unknown option; the options are alphas, guidance_steps"),
             ("[paths]\n", "[paths]\nresult = x\n",
@@ -551,10 +598,10 @@ mode = sideways
             ("[task]\n", "[task]\ngpa = 9\n", "[task] gpa: unknown option"),
             ("[task]\n", "[task]\npercentile = 30\n", "[task] percentile: unknown option"),
             ("[grid]\n", "[gird]\nalphas = 0.3\n[grid]\n",
-             "[gird]: unknown section; the sections are task, paths, run, vae, flow, "
+             "[gird]: unknown section; the sections are task, paths, vae, flow, "
              "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
             ("[task]\n", "[DEFAULT]\nseed = 3\n[task]\n",
-             "[DEFAULT]: unknown section; the sections are task, paths, run, vae, flow, "
+             "[DEFAULT]: unknown section; the sections are task, paths, vae, flow, "
              "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
         ]
         for old, new, problem in cases:

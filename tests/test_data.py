@@ -86,6 +86,16 @@ class TestLoadCsv:
         assert str(exc.value).startswith(f"{tmp_path / named}: ")
         assert values in str(exc.value)
 
+    def test_range_key_declared_twice_rejected(self, tmp_path, vocab):
+        # an appended line must not silently renormalize every fitness
+        p = tmp_path / "d.csv"
+        p.write_text("sequence,fitness\nACD,0.1\nACC,0.2\n")
+        r = tmp_path / "d.range"
+        r.write_text("y_min=0\ny_max=1\n\ny_max=2\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(p, vocab, range_file=r)
+        assert str(exc.value) == f"{r}: line 4: y_max declared twice"
+
     def test_aav_length_28_accepted(self, tmp_path, vocab):
         rng = np.random.default_rng(5)
         rows = ["sequence,fitness"]

@@ -348,8 +348,8 @@ class TestWorkQueue:
 
 
 class TestSweepDispatch:
-    """The sweeps hand their runs to `run_jobs` with the caller's parallelism
-    and return, in parallel, the rows a serial run returns."""
+    """The sweeps hand their runs to `run_jobs` on as many processes as the
+    process has CPUs, and return on two the rows they return on one."""
 
     @pytest.fixture
     def dispatched(self, monkeypatch):
@@ -363,10 +363,15 @@ class TestSweepDispatch:
         monkeypatch.setattr(harness, "run_jobs", recorder)
         return calls
 
-    def serial_and_parallel(self, dispatched, run):
-        serial, parallel = run(1), run(2)
-        assert [p for _, p in dispatched] == [1, 2]  # one pool call per run
-        assert dispatched[0][0] == dispatched[1][0]
+    def serial_and_parallel(self, dispatched, monkeypatch, run):
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(harness, "process_cores", lambda cores=cores: cores)
+            runs.append(run())
+        serial, parallel = runs
+        n = len(dispatched) // 2  # pool calls per run
+        assert [p for _, p in dispatched] == [1] * n + [2] * n
+        assert [j for j, _ in dispatched[:n]] == [j for j, _ in dispatched[n:]]
         assert same_values(parallel, serial)
         return serial
 
@@ -380,33 +385,41 @@ class TestSweepDispatch:
             return real_sample(cfg, *models)
 
         monkeypatch.setattr(harness, "guided_sample", diverges_at_alpha_0_2)
-        cells = self.serial_and_parallel(dispatched, lambda p: grid_search(
+        cells = self.serial_and_parallel(dispatched, monkeypatch, lambda: grid_search(
             assets, replace(BASE, seed=3), alphas=[0.3, -1.0, 0.2, 0.3],
-            guidance_steps=[2], parallelism=p))
+            guidance_steps=[2]))
         assert [c["alpha"] for c in cells] == [0.3, -1.0, 0.2, 0.3]
-        assert dispatched[0][0] == 3  # the invalid alpha=-1 cell runs no job
+        assert dispatched[0] == (3, 1)  # the invalid alpha=-1 cell runs no job
         assert "alpha must be >= 0" in cells[1]["error"]
         assert cells[2]["error"] == "non-finite state at integration step 3"
         assert np.isnan(cells[2]["median_fitness"]) and cells[2]["n_unique"] == 0
         assert cells[0] == cells[3] and cells[0]["error"] == ""
 
-    def test_extrapolation_experiment(self, tiny_stack, dispatched):
+    def test_extrapolation_experiment(self, tiny_stack, dispatched, monkeypatch):
         _, _, assets = tiny_stack
-        rows = self.serial_and_parallel(dispatched, lambda p: extrapolation_experiment(
-            assets, [0.6, 0.2, 0.6], base_cfg=replace(BASE, seed=4), parallelism=p))
+        rows = self.serial_and_parallel(
+            dispatched, monkeypatch, lambda: extrapolation_experiment(
+                assets, [0.6, 0.2, 0.6], base_cfg=replace(BASE, seed=4)))
         assert [(r["mode"], r["target_y"]) for r in rows] == [
             ("manifold", 0.6), ("manifold", 0.2), ("manifold", 0.6),
             ("learned_posterior", 0.6), ("learned_posterior", 0.2),
             ("learned_posterior", 0.6)]
-        assert dispatched[0][0] == 6
+        assert dispatched[0] == (6, 1)
         assert rows[0] == rows[2] and rows[3] == rows[5]
 
-    def test_ode_steps_sweep(self, tiny_stack, dispatched):
+    def test_ode_steps_sweep(self, tiny_stack, dispatched, monkeypatch):
         _, _, assets = tiny_stack
-        rows = self.serial_and_parallel(dispatched, lambda p: ode_steps_sweep(
-            assets, replace(BASE, seed=5), [8, 4, 8], parallelism=p))
-        assert [r["steps"] for r in rows] == [8, 4, 8] and dispatched[0][0] == 3
+        rows = self.serial_and_parallel(dispatched, monkeypatch, lambda: ode_steps_sweep(
+            assets, replace(BASE, seed=5), [8, 4, 8]))
+        assert [r["steps"] for r in rows] == [8, 4, 8] and dispatched[0] == (3, 1)
         assert rows[0] == rows[2]
+
+    def test_ablation_table(self, tiny_stack, dispatched, monkeypatch):
+        _, _, assets = tiny_stack
+        rows = self.serial_and_parallel(dispatched, monkeypatch, lambda: ablation_table(
+            assets, replace(BASE, seed=6), seeds=[0, 1]))
+        assert [r["mode"] for r in rows] == ["manifold", "naive", "learned_posterior"]
+        assert dispatched[:3] == [(2, 1)] * 3  # one pool call per mode
 
 
 class TestAssetsValidation:
