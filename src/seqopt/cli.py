@@ -94,10 +94,10 @@ def _load_run(args) -> RunConfig:
 
 
 def _task_data(cfg: RunConfig) -> TaskData:
-    if cfg.task_name == "csv":
-        return build_csv_task(cfg.data_path, range_file=cfg.range_path)
+    if cfg.task.name == "csv":
+        return build_csv_task(cfg.paths.data, range_file=cfg.paths.range_file)
     try:
-        return build_synthetic_task(cfg.task_name, cfg.task_seed, spec=cfg.task_spec)
+        return build_synthetic_task(cfg.task.name, cfg.task.seed, spec=cfg.task.spec)
     except ValueError as exc:  # a [task] spec that builds no task
         raise ConfigError([f"[task] {exc}"]) from None
 
@@ -108,11 +108,11 @@ def _write_report(path: Path, payload: dict) -> None:
 
 
 def cmd_train_vae(cfg: RunConfig, args) -> int:
-    model, report = train_vae_stage(_task_data(cfg), cfg.task_seed, cfg.vae)
-    checksums = vaemod.save_vae(model, cfg.workdir)
-    _write_report(cfg.workdir / "vae_report.json",
+    model, report = train_vae_stage(_task_data(cfg), cfg.task.seed, cfg.vae)
+    checksums = vaemod.save_vae(model, cfg.paths.workdir)
+    _write_report(cfg.paths.workdir / "vae_report.json",
                   {"report": report.to_json(), "checksums": checksums})
-    print(f"vae checkpoints written to {cfg.workdir} "
+    print(f"vae checkpoints written to {cfg.paths.workdir} "
           f"(val accuracy {report.val_accuracy:.3f})")
     return 0
 
@@ -120,7 +120,7 @@ def cmd_train_vae(cfg: RunConfig, args) -> int:
 def _checkpoint(cfg: RunConfig, name: str, command: str) -> Path:
     """The workdir checkpoint `name`; a missing one is an i/o error that
     names the `seqopt` command writing it."""
-    path = cfg.workdir / name
+    path = cfg.paths.workdir / name
     if not path.exists():
         raise CheckpointError(f"missing checkpoint {path}; run `seqopt {command}`")
     return path
@@ -129,21 +129,21 @@ def _checkpoint(cfg: RunConfig, name: str, command: str) -> Path:
 def cmd_train_prior(cfg: RunConfig, args) -> int:
     task = _task_data(cfg)
     vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
-    model, losses = train_prior_stage(task, vae, cfg.task_seed, cfg.flow,
+    model, losses = train_prior_stage(task, vae, cfg.task.seed, cfg.flow,
                                       conditional=args.conditional)
     name = "flow_conditional.npz" if args.conditional else "flow.npz"
-    checksum = flowmod.save_flow(model, cfg.workdir / name)
-    _write_report(cfg.workdir / f"{name.removesuffix('.npz')}_report.json",
+    checksum = flowmod.save_flow(model, cfg.paths.workdir / name)
+    _write_report(cfg.paths.workdir / f"{name.removesuffix('.npz')}_report.json",
                   {"per_epoch": losses, "checksum": checksum,
                    "conditional": args.conditional})
-    print(f"flow checkpoint written to {cfg.workdir / name}")
+    print(f"flow checkpoint written to {cfg.paths.workdir / name}")
     return 0
 
 
 def cmd_train_predictor(cfg: RunConfig, args) -> int:
-    model, report = train_predictor_stage(_task_data(cfg), cfg.task_seed, cfg.predictor,
+    model, report = train_predictor_stage(_task_data(cfg), cfg.task.seed, cfg.predictor,
                                           role=args.role)
-    out = cfg.workdir / {"predictor": "predictor.npz", "smoothed": "predictor_smoothed.npz",
+    out = cfg.paths.workdir / {"predictor": "predictor.npz", "smoothed": "predictor_smoothed.npz",
                          "oracle": "oracle.npz"}[args.role]
     checksum = save_predictor(model, out)
     _write_report(out.with_name(out.stem + "_report.json"),
@@ -166,9 +166,9 @@ def _load_assets(cfg: RunConfig, mode: str | None = None,
     if (mode or cfg.sampler.mode) == "learned_posterior":
         flow_conditional = flowmod.load_flow(
             _checkpoint(cfg, "flow_conditional.npz", "train-prior --conditional"))
-    return TaskAssets(name=cfg.task_name, vocab=task.vocab, train=task.train,
+    return TaskAssets(name=cfg.task.name, vocab=task.vocab, train=task.train,
                       normalizer=task.normalizer,
-                      oracle=task_oracle(task, cfg.oracle_checkpoint) if oracle else None,
+                      oracle=task_oracle(task, cfg.paths.oracle_checkpoint) if oracle else None,
                       vae=vae, flow=flow, predictor=predictor,
                       flow_conditional=flow_conditional)
 
@@ -178,7 +178,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, sampler.mode, oracle=False)
     result = guided_sample(sampler, assets.flow_for(sampler.mode), assets.vae,
                            assets.predictor)
-    out = results_dir(cfg.results, cfg.task_name, "sample")
+    out = results_dir(cfg.paths.results, cfg.task.name, "sample")
     payload = result.to_json(assets.vocab)
     payload["config_echo"] = config_echo(dataclasses.replace(cfg, sampler=sampler))
     atomic_write_text(out / "sample.json", json.dumps(payload, indent=2, sort_keys=True))
@@ -189,12 +189,12 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
-    summary, results = run_benchmark(assets, cfg.sampler, cfg.eval_seeds,
+    summary, results = run_benchmark(assets, cfg.sampler, cfg.evaluate.seeds,
                                      process_cores(), keep_samples=True)
-    out = results_dir(cfg.results, cfg.task_name, "evaluate")
+    out = results_dir(cfg.paths.results, cfg.task.name, "evaluate")
     write_summary(out, {"summary": summary.to_json(), "config_echo": config_echo(cfg)})
     write_samples(out, results, assets.vocab)
-    print(f"{cfg.task_name} [{cfg.sampler.mode}]  fitness | diversity | novelty:  "
+    print(f"{cfg.task.name} [{cfg.sampler.mode}]  fitness | diversity | novelty:  "
           f"{summary.format_row()}")
     print(f"results in {out}")
     return 0
@@ -203,7 +203,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 def _write_rows(cfg: RunConfig, experiment: str, key: str, rows: list[dict]) -> Path:
     """A new run directory holding the rows as cells.csv and, under `key`,
     in summary.json beside the config echo."""
-    out = results_dir(cfg.results, cfg.task_name, experiment)
+    out = results_dir(cfg.paths.results, cfg.task.name, experiment)
     write_cells_csv(out, rows)
     write_summary(out, {key: rows, "config_echo": config_echo(cfg)})
     return out
@@ -211,7 +211,7 @@ def _write_rows(cfg: RunConfig, experiment: str, key: str, rows: list[dict]) -> 
 
 def cmd_gridsearch(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
-    cells = grid_search(assets, cfg.sampler, cfg.grid_alphas, cfg.grid_guidance_steps)
+    cells = grid_search(assets, cfg.sampler, cfg.grid.alphas, cfg.grid.guidance_steps)
     out = _write_rows(cfg, "gridsearch", "cells", cells)
     failed = sum(1 for c in cells if c["error"])
     print(f"wrote {len(cells)} cells ({failed} failed) to {out}")
@@ -220,9 +220,9 @@ def cmd_gridsearch(cfg: RunConfig, args) -> int:
 
 def cmd_extrapolate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, "learned_posterior")
-    base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate_batch,
-                               top_k=cfg.extrapolate_batch)
-    rows = extrapolation_experiment(assets, cfg.extrapolate_y, base_cfg=base)
+    base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate.batch,
+                               top_k=cfg.extrapolate.batch)
+    rows = extrapolation_experiment(assets, cfg.extrapolate.y_values, base_cfg=base)
     out = _write_rows(cfg, "extrapolate", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -230,7 +230,7 @@ def cmd_extrapolate(cfg: RunConfig, args) -> int:
 
 def cmd_ode_sweep(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg)
-    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_steps)
+    rows = ode_steps_sweep(assets, cfg.sampler, cfg.ode_sweep.steps)
     out = _write_rows(cfg, "ode-sweep", "rows", rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -238,7 +238,7 @@ def cmd_ode_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     assets = _load_assets(cfg, "learned_posterior")
-    rows = ablation_table(assets, cfg.sampler, cfg.eval_seeds)
+    rows = ablation_table(assets, cfg.sampler, cfg.evaluate.seeds)
     out = _write_rows(cfg, "ablate", "rows", rows)
     for r in rows:
         print(f"{r['mode']:18s} fitness {r['median_fitness_mean']:.3f} "

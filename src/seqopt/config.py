@@ -1,12 +1,16 @@
 """Run configuration: one INI file with sections for the task, paths, model
-hyperparameters, the sampler, and each experiment. The model and sampler
-sections are read field by field from their config dataclasses, whose values
-are the defaults. Validation collects every problem before reporting, and
-paths resolve relative to the config file."""
+hyperparameters, the sampler, and each experiment. `RunConfig` holds one
+dataclass per section. Every section but [task] and [paths] is read field by
+field from its config dataclass, whose values are the defaults and whose
+`__post_init__` holds the checks; [task] and [paths] are read by hand, since
+their values depend on the task name and on the config file's directory.
+Validation collects every problem before reporting, and paths resolve
+relative to the config file."""
 
 from __future__ import annotations
 
 import configparser
+import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -24,48 +28,81 @@ SAMPLER_DEFAULTS = SamplerConfig(guidance_steps=5, alpha=0.5, seed=100)
 # The integer fields of a synthetic task's spec, each read from [task] under its name.
 SPEC_OPTIONS = tuple(f.name for f in fields(SyntheticTaskSpec)
                      if f.name not in ("name", "percentile"))
-# Each section's options; the model and sampler sections (None) take theirs
-# from their config dataclasses' fields.
-OPTIONS = {
-    "task": ("name", "seed", "percentile_low", "percentile_high", "percentile_upper")
-    + SPEC_OPTIONS,
-    "paths": ("data", "range_file", "oracle_checkpoint", "workdir", "results"),
-    "vae": None, "flow": None, "predictor": None, "sampler": None,
-    "evaluate": ("seeds",),
-    "grid": ("alphas", "guidance_steps"),
-    "extrapolate": ("y_values", "batch"),
-    "ode_sweep": ("steps",),
-}
+TASK_OPTIONS = ("name", "seed", "percentile_low", "percentile_high",
+                "percentile_upper") + SPEC_OPTIONS
+
+
+@dataclass(frozen=True)
+class TaskSection:
+    name: str
+    seed: int
+    spec: SyntheticTaskSpec | None      # None for csv tasks
+
+
+@dataclass(frozen=True)
+class PathsSection:
+    data: Path | None
+    range_file: Path | None
+    oracle_checkpoint: Path | None
+    workdir: Path
+    results: Path
+
+
+@dataclass(frozen=True)
+class EvaluateConfig:
+    seeds: tuple[int, ...] = (100, 101, 102, 103, 104)
+
+    def __post_init__(self):
+        if any(s < 0 for s in self.seeds):
+            raise ValueError("seeds must be >= 0")
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    alphas: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5)
+    guidance_steps: tuple[int, ...] = (0, 2, 5)
+
+
+@dataclass(frozen=True)
+class ExtrapolateConfig:
+    y_values: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
+    batch: int = 256
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+
+
+@dataclass(frozen=True)
+class OdeSweepConfig:
+    steps: tuple[int, ...] = (4, 8, 16, 24, 32)
+
+    def __post_init__(self):
+        if any(k < 1 for k in self.steps):
+            raise ValueError("steps must all be >= 1")
 
 
 @dataclass
 class RunConfig:
-    task_name: str
-    task_seed: int
-    task_spec: SyntheticTaskSpec | None      # None for csv tasks
-    data_path: Path | None
-    range_path: Path | None
-    oracle_checkpoint: Path | None
-    workdir: Path
-    results: Path
+    """One field per INI section, in file order."""
+    task: TaskSection
+    paths: PathsSection
     vae: VaeConfig
     flow: FlowTrainConfig
     predictor: PredictorConfig
     sampler: SamplerConfig
-    eval_seeds: list[int]
-    grid_alphas: list[float]
-    grid_guidance_steps: list[int]
-    extrapolate_y: list[float]
-    extrapolate_batch: int
-    ode_steps: list[int]
+    evaluate: EvaluateConfig
+    grid: GridConfig
+    extrapolate: ExtrapolateConfig
+    ode_sweep: OdeSweepConfig
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.replace(",", " ").split()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parser_for(default):
+    """Parse an INI value as the type of `default`; a tuple default reads a
+    comma- or space-separated list of its elements' type."""
+    if isinstance(default, tuple):
+        return lambda text: tuple(map(type(default[0]), text.replace(",", " ").split()))
+    return type(default)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -101,12 +138,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                 problems.append(f"[{section}] {option}: unknown option; the options "
                                 f"are {', '.join(names)}")
 
+    sections = [f.name for f in fields(RunConfig)]
     for section in parser.sections():
-        if section not in OPTIONS:
+        if section not in sections:
             problems.append(f"[{section}]: unknown section; the sections are "
-                            f"{', '.join(OPTIONS)}")
-        elif OPTIONS[section]:
-            check_options(section, OPTIONS[section])
+                            f"{', '.join(sections)}")
+    check_options("task", TASK_OPTIONS)
+    check_options("paths", [f.name for f in fields(PathsSection)])
 
     def get(section, option, cast, default):
         try:
@@ -121,6 +159,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if name not in TASK_NAMES:
         problems.append(f"[task] name must be one of {TASK_NAMES}, got {name!r}")
     task_seed = get("task", "seed", int, 0)
+    if task_seed < 0:
+        problems.append("[task] seed must be >= 0")
 
     task_spec = None
     if name in SYNTHETIC_TASKS:
@@ -148,35 +188,36 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         p = Path(raw)
         return p if p.is_absolute() else base / p
 
-    data_path = get_path("paths", "data")
-    range_path = get_path("paths", "range_file")
-    oracle_ckpt = get_path("paths", "oracle_checkpoint")
-    workdir = get_path("paths", "workdir", base / "runs" / name)
-    results = get_path("paths", "results", base / "results")
+    path_defaults = {"workdir": base / "runs" / name, "results": base / "results"}
+    paths = PathsSection(**{f.name: get_path("paths", f.name, path_defaults.get(f.name))
+                            for f in fields(PathsSection)})
 
     if name == "csv":
-        if data_path is None:
+        if paths.data is None:
             problems.append("[paths] data is required for csv tasks")
-        elif not data_path.exists():
-            problems.append(f"[paths] data file not found: {data_path}")
-        if range_path is not None and not range_path.exists():
-            problems.append(f"[paths] range file not found: {range_path}")
-        if oracle_ckpt is not None and not oracle_ckpt.exists():
-            problems.append(f"[paths] oracle checkpoint not found: {oracle_ckpt}")
+        elif not paths.data.exists():
+            problems.append(f"[paths] data file not found: {paths.data}")
+        if paths.range_file is not None and not paths.range_file.exists():
+            problems.append(f"[paths] range file not found: {paths.range_file}")
+        if paths.oracle_checkpoint is not None and not paths.oracle_checkpoint.exists():
+            problems.append(f"[paths] oracle checkpoint not found: {paths.oracle_checkpoint}")
 
     def read(section, default, skip=()):
         """`default` with each field not in `skip` read from [section] under its
-        own name and cast to its default's type; None if the dataclass refuses.
+        own name and parsed as its default's type; None if the dataclass refuses.
         A key that is no field, or is in `skip` ({field: why it is not read}),
-        is a problem."""
+        is a problem, and so is a non-finite float or an empty list."""
         names = [f.name for f in fields(default) if f.name not in skip]
         check_options(section, names, skip)
         values = {}
         for name in names:
             fallback = getattr(default, name)
-            value = get(section, name, type(fallback), fallback)
+            value = get(section, name, _parser_for(fallback), fallback)
             if isinstance(value, float) and not math.isfinite(value):
                 problems.append(f"[{section}] {name}: must be finite, got {value}")
+                value = fallback
+            elif value == ():
+                problems.append(f"[{section}] {name} must be non-empty")
                 value = fallback
             values[name] = value
         try:
@@ -185,64 +226,22 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             problems.append(f"[{section}] {exc}")
             return None
 
-    vae = read("vae", VaeConfig())
-    flow = read("flow", FlowTrainConfig(seed=task_seed),
-                skip={"seed": "not read; the flow is seeded with [task] seed"})
-    predictor = read("predictor", PredictorConfig())
-    sampler = read("sampler", SAMPLER_DEFAULTS)
-
-    eval_seeds = get("evaluate", "seeds", _ints, [100, 101, 102, 103, 104])
-    grid_alphas = get("grid", "alphas", _floats, [0.0, 0.1, 0.3, 0.5])
-    grid_js = get("grid", "guidance_steps", _ints, [0, 2, 5])
-    extrap_y = get("extrapolate", "y_values", _floats, [0.2, 0.4, 0.6, 0.8, 1.0])
-    extrap_batch = get("extrapolate", "batch", int, 256)
-    ode_steps = get("ode_sweep", "steps", _ints, [4, 8, 16, 24, 32])
-    if not eval_seeds:
-        problems.append("[evaluate] seeds must be non-empty")
-    if any(s < 0 for s in eval_seeds):
-        problems.append("[evaluate] seeds must be >= 0")
-    if not grid_alphas:
-        problems.append("[grid] alphas must be non-empty")
-    if not grid_js:
-        problems.append("[grid] guidance_steps must be non-empty")
-    if not extrap_y:
-        problems.append("[extrapolate] y_values must be non-empty")
-    if extrap_batch < 1:
-        problems.append("[extrapolate] batch must be >= 1")
-    if not ode_steps:
-        problems.append("[ode_sweep] steps must be non-empty")
-    if any(k < 1 for k in ode_steps):
-        problems.append("[ode_sweep] steps must all be >= 1")
+    read_sections = [read("vae", VaeConfig()),
+                     read("flow", FlowTrainConfig(seed=task_seed),
+                          skip={"seed": "not read; the flow is seeded with [task] seed"}),
+                     read("predictor", PredictorConfig()),
+                     read("sampler", SAMPLER_DEFAULTS),
+                     read("evaluate", EvaluateConfig()),
+                     read("grid", GridConfig()),
+                     read("extrapolate", ExtrapolateConfig()),
+                     read("ode_sweep", OdeSweepConfig())]
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(task_name=name, task_seed=task_seed, task_spec=task_spec,
-                     data_path=data_path, range_path=range_path,
-                     oracle_checkpoint=oracle_ckpt, workdir=workdir,
-                     results=results, vae=vae,
-                     flow=flow, predictor=predictor, sampler=sampler,
-                     eval_seeds=eval_seeds, grid_alphas=grid_alphas,
-                     grid_guidance_steps=grid_js,
-                     extrapolate_y=extrap_y, extrapolate_batch=extrap_batch,
-                     ode_steps=ode_steps)
+    return RunConfig(TaskSection(name, task_seed, task_spec), paths, *read_sections)
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """JSON-friendly snapshot of the effective configuration."""
-    return {
-        "task": {"name": cfg.task_name, "seed": cfg.task_seed,
-                 "spec": asdict(cfg.task_spec) if cfg.task_spec else None},
-        "paths": {"data": str(cfg.data_path) if cfg.data_path else None,
-                  "range_file": str(cfg.range_path) if cfg.range_path else None,
-                  "oracle_checkpoint": str(cfg.oracle_checkpoint) if cfg.oracle_checkpoint else None,
-                  "workdir": str(cfg.workdir), "results": str(cfg.results)},
-        "vae": asdict(cfg.vae),
-        "flow": asdict(cfg.flow),
-        "predictor": asdict(cfg.predictor),
-        "sampler": asdict(cfg.sampler),
-        "evaluate": {"seeds": cfg.eval_seeds},
-        "grid": {"alphas": cfg.grid_alphas, "guidance_steps": cfg.grid_guidance_steps},
-        "extrapolate": {"y_values": cfg.extrapolate_y, "batch": cfg.extrapolate_batch},
-        "ode_sweep": {"steps": cfg.ode_steps},
-    }
-
+    """JSON-friendly snapshot of the effective configuration: each section's
+    fields, with tuples as lists and paths as strings."""
+    return json.loads(json.dumps(asdict(cfg), default=str))

@@ -38,6 +38,7 @@ bits depend on its block, not on the batch size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -75,8 +76,10 @@ class SamplerConfig:
             problems.append("steps must be >= 1")
         if self.guidance_steps < 0:
             problems.append("guidance_steps must be >= 0")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN too
             problems.append("alpha must be >= 0")
+        if not math.isfinite(self.target_y):
+            problems.append("target_y must be finite")
         if self.batch < 1 or not (1 <= self.top_k <= self.batch):
             problems.append("need 1 <= top_k <= batch")
         if self.seed < 0:

@@ -19,6 +19,8 @@ from seqopt.flow import FlowTrainConfig
 from seqopt.predictor import PredictorConfig
 from seqopt.vae import VaeConfig
 
+from golden.update import GOLDEN, environment, experiment_hashes
+
 TINY_INI = """
 [task]
 name = synthetic-medium
@@ -138,9 +140,9 @@ class TestTraining:
         from seqopt.vae import load_vae
         root, ini = workspace
         cfg = load_config(ini)
-        task = tasks.build_synthetic_task(cfg.task_name, cfg.task_seed,
-                                          spec=cfg.task_spec)
-        bundle = tasks.train_models(task, cfg.task_seed, vae_cfg=cfg.vae,
+        task = tasks.build_synthetic_task(cfg.task.name, cfg.task.seed,
+                                          spec=cfg.task.spec)
+        bundle = tasks.train_models(task, cfg.task.seed, vae_cfg=cfg.vae,
                                     flow_cfg=cfg.flow, pred_cfg=cfg.predictor,
                                     conditional=True)
         work = root / "work"
@@ -238,7 +240,9 @@ def test_parallelism_flag_is_usage_error(workspace, tmp_path, capsys):
     ("sample", ["--seed", "-1"], "", "", "[sampler] seed must be >= 0"),
     ("gridsearch", ["--seed", "-4"], "", "", "[sampler] seed must be >= 0"),
     ("evaluate", [], "seeds = 100,101", "seeds = 1, -2", "[evaluate] seeds must be >= 0"),
-], ids=["sample", "gridsearch", "evaluate"])
+    ("train-vae", ["--seed", "-1"], "", "", "[task] seed must be >= 0"),
+    ("train-vae", [], "seed = 5", "seed = -1", "[task] seed must be >= 0"),
+], ids=["sample", "gridsearch", "evaluate", "train-vae-flag", "train-vae-ini"])
 def test_negative_seed_is_config_error(workspace, tmp_path, capsys, command, flags,
                                        old, new, problem):
     """A negative seed is refused with the config, not inside SeedSequence."""
@@ -309,6 +313,33 @@ class TestExperiments:
             [("0.3", "0"), ("0.3", "2"), ("inf", "0"), ("inf", "2")]
         assert [r["error"] for r in rows[:3]] == ["", "", ""]
         assert "non-finite" in rows[3]["error"] and rows[3]["n_unique"] == "0"
+
+    def test_gridsearch_nan_alpha_is_an_error_row(self, workspace, capsys):
+        """alpha = nan is refused per cell, as a negative alpha is, rather than
+        sampled unguided."""
+        root, ini = workspace
+        grid = root / "nan-grid.ini"
+        grid.write_text(TINY_INI.replace("alphas = 0,0.3", "alphas = 0, nan"))
+        assert main(["gridsearch", str(grid)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("wrote 4 cells (2 failed)")
+        with open(Path(out.strip().split()[-1]) / "cells.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == ["", "", "alpha must be >= 0",
+                                              "alpha must be >= 0"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_extrapolate_non_finite_target_is_config_error(self, workspace, tmp_path,
+                                                           capsys, value):
+        """A non-finite [extrapolate] y_values entry is refused before sampling."""
+        root, _ = workspace
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI.replace("workdir = work", f"workdir = {root / 'work'}")
+                       .replace("y_values = 0.3,1.0", f"y_values = 0.3, {value}"))
+        assert main(["extrapolate", str(ini)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: target_y must be finite"]
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
@@ -696,5 +727,23 @@ class TestShippedConfigs:
         del shipped["paths"], default["paths"]
         assert shipped == default
 
-        assert load_config(self.CONFIGS / "synthetic-medium.ini").task_name == \
+        assert load_config(self.CONFIGS / "synthetic-medium.ini").task.name == \
             "synthetic-medium"
+
+
+def test_tiny_pipeline_matches_golden(workspace, tmp_path):
+    """The ten commands on TINY_INI write the files whose sha256 the golden
+    file holds (`python tests/golden/update.py` rewrites it). Where this
+    host's numpy or BLAS differs from the file's, a difference skips the test,
+    naming the files and both environments."""
+    root, _ = workspace
+    shutil.copytree(root / "work", tmp_path / "work")
+    (tmp_path / "run.ini").write_text(TINY_INI)
+    golden = json.loads(GOLDEN.read_text())
+    files = experiment_hashes(tmp_path, main)
+    differing = sorted(name for name in golden["files"].keys() | files.keys()
+                       if golden["files"].get(name) != files.get(name))
+    if differing and golden["environment"] != environment():
+        pytest.skip(f"hashes made under {golden['environment']}, this host has "
+                    f"{environment()}; differing: {', '.join(differing)}")
+    assert not differing, f"files differing from {GOLDEN}: {differing}"
