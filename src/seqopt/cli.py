@@ -111,7 +111,7 @@ def cmd_train_vae(cfg: RunConfig, args) -> int:
     model, report = train_vae_stage(_task_data(cfg), cfg.task.seed, cfg.vae)
     checksums = vaemod.save_vae(model, cfg.paths.workdir)
     _write_report(cfg.paths.workdir / "vae_report.json",
-                  {"report": report.to_json(), "checksums": checksums})
+                  {"report": dataclasses.asdict(report), "checksums": checksums})
     print(f"vae checkpoints written to {cfg.paths.workdir} "
           f"(val accuracy {report.val_accuracy:.3f})")
     return 0
@@ -126,9 +126,15 @@ def _checkpoint(cfg: RunConfig, name: str, command: str) -> Path:
     return path
 
 
+def _load_vae(cfg: RunConfig) -> vaemod.VaeModel:
+    for name in ("vae_encoder.npz", "vae_decoder.npz"):
+        _checkpoint(cfg, name, "train-vae")
+    return vaemod.load_vae(cfg.paths.workdir)
+
+
 def cmd_train_prior(cfg: RunConfig, args) -> int:
     task = _task_data(cfg)
-    vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
+    vae = _load_vae(cfg)
     model, losses = train_prior_stage(task, vae, cfg.task.seed, cfg.flow,
                                       conditional=args.conditional)
     name = "flow_conditional.npz" if args.conditional else "flow.npz"
@@ -147,7 +153,7 @@ def cmd_train_predictor(cfg: RunConfig, args) -> int:
                          "oracle": "oracle.npz"}[args.role]
     checksum = save_predictor(model, out)
     _write_report(out.with_name(out.stem + "_report.json"),
-                  {"report": report.to_json(), "checksum": checksum, "role": args.role})
+                  {"report": dataclasses.asdict(report), "checksum": checksum, "role": args.role})
     print(f"{args.role} checkpoint written to {out}")
     return 0
 
@@ -159,7 +165,7 @@ def _load_assets(cfg: RunConfig, mode: str | None = None,
     when the command samples in `mode` (by default `[sampler] mode`)
     learned_posterior."""
     task = _task_data(cfg)
-    vae = vaemod.load_vae(_checkpoint(cfg, "vae_encoder.npz", "train-vae").parent)
+    vae = _load_vae(cfg)
     flow = flowmod.load_flow(_checkpoint(cfg, "flow.npz", "train-prior"))
     predictor = load_external_predictor(_checkpoint(cfg, "predictor.npz", "train-predictor"))
     flow_conditional = None

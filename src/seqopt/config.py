@@ -69,6 +69,8 @@ class ExtrapolateConfig:
     batch: int = 256
 
     def __post_init__(self):
+        if not all(math.isfinite(y) for y in self.y_values):
+            raise ValueError("y_values must be finite")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
 

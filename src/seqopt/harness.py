@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -100,7 +101,7 @@ class BenchmarkSummary:
     config: dict
 
     def to_json(self) -> dict:
-        return {"per_seed": [r.to_json() for r in self.reports],
+        return {"per_seed": [dataclasses.asdict(r) for r in self.reports],
                 "mean": self.mean, "std": self.std, "config": self.config}
 
     def format_row(self) -> str:
@@ -258,8 +259,11 @@ def results_dir(root, task: str, experiment: str, timestamp: str | None = None) 
 
 
 def write_summary(path: Path, payload: dict) -> Path:
+    """summary.json, strict JSON: a non-finite float (a failed cell's metrics,
+    a NaN alpha) is written as null."""
     out = Path(path) / "summary.json"
-    atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True, default=_jsonify))
+    atomic_write_text(out, json.dumps(_strict_json(payload), indent=2, sort_keys=True,
+                                      allow_nan=False))
     return out
 
 
@@ -284,9 +288,15 @@ def write_samples(path: Path, results: dict, vocab: Vocabulary) -> list[Path]:
     return written
 
 
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _strict_json(obj):
+    """`obj` in plain JSON values, with numpy values as Python ones and each
+    non-finite float as None."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj

@@ -3,7 +3,7 @@ fitness, within-set diversity, and novelty against the training data."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,6 @@ class MetricReport:
     n_sequences: int
     seed: int
     exact_train_matches: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def median_normalized_fitness(seqs: np.ndarray, oracle,

@@ -144,9 +144,6 @@ class Network:
                 raise NonFiniteError(f"layer {i} ({kind}) produced non-finite values")
         return x
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(Tensor(x, requires_grad=False)).data
-
     def collect_grads(self) -> dict[str, np.ndarray]:
         """Parameter gradients of the last tape; ends the gradient step by
         freezing the parameter leaves again."""

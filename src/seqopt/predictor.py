@@ -42,10 +42,6 @@ class PredictorTrainReport:
     final_train_mse: float | None = None
     val_mse: float | None = None
 
-    def to_json(self) -> dict:
-        return {"per_epoch_mse": self.per_epoch_mse,
-                "final_train_mse": self.final_train_mse, "val_mse": self.val_mse}
-
 
 def predictor_descriptor(length: int, vocab_size: int, cfg: PredictorConfig) -> list[dict]:
     h = cfg.hidden_channels

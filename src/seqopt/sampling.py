@@ -56,6 +56,7 @@ from .seqs import detokenize
 from .vae import VaeModel
 
 MODES = ("manifold", "naive", "unconditional", "learned_posterior")
+UNGUIDED = ("unconditional", "learned_posterior")  # modes that take alpha=0, J=0
 CHAIN_BLOCK = 64  # chains integrated together; see the module docstring
 
 
@@ -86,15 +87,15 @@ class SamplerConfig:
             problems.append("seed must be >= 0")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}")
-        if self.mode == "unconditional" and (self.alpha != 0 or self.guidance_steps != 0):
-            problems.append("unconditional mode requires alpha=0 and guidance_steps=0")
+        if self.mode in UNGUIDED and (self.alpha != 0 or self.guidance_steps != 0):
+            problems.append(f"{self.mode} mode requires alpha=0 and guidance_steps=0")
         if problems:
             raise ConfigError(problems)
 
     def for_mode(self, mode: str) -> "SamplerConfig":
-        """This config in `mode`. The unguided modes (unconditional and
-        learned_posterior) run with alpha=0 and no guidance steps."""
-        if mode in ("unconditional", "learned_posterior"):
+        """This config in `mode`, with alpha=0 and no guidance steps in the
+        unguided modes."""
+        if mode in UNGUIDED:
             return replace(self, mode=mode, alpha=0.0, guidance_steps=0)
         return replace(self, mode=mode)
 
@@ -180,7 +181,7 @@ def _keep_tapes_on_heap() -> None:
 
 
 def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
-                     predictor: PredictorModel, y_cond, needs_guidance: bool):
+                     predictor: PredictorModel, y_cond):
     """The final latents of one block of chains after every Euler step and its
     guidance steps, or (step, exception) for the integration step at which the
     block went non-finite."""
@@ -194,11 +195,10 @@ def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: Va
                 z = euler_step(flow, z, t, dt, y_cond)
                 if not np.isfinite(z).all():
                     return k, FloatingPointError(f"non-finite state at integration step {k}")
-                if needs_guidance:
-                    for _ in range(cfg.guidance_steps):
-                        z = guidance_step(z, flow, vae, predictor, cfg.target_y,
-                                          cfg.alpha, t, dt, y_cond=y_cond,
-                                          manifold=(cfg.mode == "manifold"))
+                for _ in range(cfg.guidance_steps):
+                    z = guidance_step(z, flow, vae, predictor, cfg.target_y,
+                                      cfg.alpha, t, dt, y_cond=y_cond,
+                                      manifold=(cfg.mode == "manifold"))
             except (NonFiniteError, FloatingPointError) as exc:
                 return k, exc
     return z
@@ -226,7 +226,6 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
         raise ConfigError([f"latent dim mismatch: vae {vae.latent_dim} vs flow {flow.latent_dim}"])
     if cfg.mode == "learned_posterior" and not flow.conditional:
         raise ConfigError(["learned_posterior mode needs a fitness-conditioned flow model"])
-    needs_guidance = cfg.mode in ("manifold", "naive") and cfg.guidance_steps > 0 and cfg.alpha > 0
     if predictor.length != vae.length:
         raise ConfigError([f"length mismatch: predictor {predictor.length} vs decoder {vae.length}"])
 
@@ -235,7 +234,7 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     _keep_tapes_on_heap()
     starts = range(0, cfg.batch, CHAIN_BLOCK)
     blocks = run_jobs({s: partial(_integrate_block, z0[s:s + CHAIN_BLOCK], cfg, flow, vae,
-                                  predictor, y_cond, needs_guidance)
+                                  predictor, y_cond)
                        for s in starts}, process_cores())
     failures = [(out[0], s, out[1]) for s, out in blocks.items() if isinstance(out, tuple)]
     if failures:

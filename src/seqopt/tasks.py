@@ -9,7 +9,7 @@ function per stage, which `train_models` and the `seqopt train-*` commands share
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -184,9 +184,9 @@ def train_models(task: TaskData, seed: int,
     predictor, pred_report = train_predictor_stage(
         task, seed, pred_cfg or default_predictor_config())
     bundle = ModelBundle(vae=vae, flow=flow, predictor=predictor,
-                         reports={"vae": vae_report.to_json(),
+                         reports={"vae": asdict(vae_report),
                                   "flow": {"per_epoch": flow_losses},
-                                  "predictor": pred_report.to_json()})
+                                  "predictor": asdict(pred_report)})
     if conditional:
         bundle.flow_conditional, cond_losses = train_prior_stage(
             task, vae, seed, flow_cfg, conditional=True)

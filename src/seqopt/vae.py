@@ -49,10 +49,6 @@ class TrainReport:
     final_accuracy: float | None = None
     val_accuracy: float | None = None
 
-    def to_json(self) -> dict:
-        return {"per_epoch": self.per_epoch, "final_accuracy": self.final_accuracy,
-                "val_accuracy": self.val_accuracy}
-
 
 def encoder_descriptor(length: int, vocab_size: int, cfg: VaeConfig) -> list[dict]:
     h = cfg.hidden_channels

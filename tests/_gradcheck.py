@@ -32,7 +32,7 @@ def rel_err(analytic, numeric):
 
 
 def network_gradients(net, x, adjoint):
-    """Reverse-mode derivatives of `net.forward` at `x`, seeded with the output
+    """Reverse-mode derivatives of `net.apply` at `x`, seeded with the output
     adjoint, taken the way training takes them: (parameter grads, input grad)."""
     net.refresh()
     xt = Tensor(x)

@@ -80,6 +80,11 @@ batch = 32
 steps = 4,8
 """
 
+# TINY_INI sampling in learned_posterior mode, which takes no guidance
+POSTERIOR_INI = TINY_INI.replace(
+    "guidance_steps = 2\nalpha = 0.3\n", "guidance_steps = 0\nalpha = 0\n").replace(
+    "mode = manifold", "mode = learned_posterior")
+
 
 # `seqopt ARGS...` in a process pinned to the one CPU argv[1].
 ONE_CPU_COMMAND = """
@@ -135,7 +140,7 @@ class TestTraining:
     def test_checkpoints_equal_train_models(self, workspace):
         """The train-* commands run the stages `train_models` runs."""
         from seqopt.flow import load_flow
-        from seqopt.nn import params_checksum
+        from seqopt.nn.checkpoint import params_checksum
         from seqopt.predictor import load_external_predictor
         from seqopt.vae import load_vae
         root, ini = workspace
@@ -316,29 +321,36 @@ class TestExperiments:
 
     def test_gridsearch_nan_alpha_is_an_error_row(self, workspace, capsys):
         """alpha = nan is refused per cell, as a negative alpha is, rather than
-        sampled unguided."""
+        sampled unguided. summary.json stays strict JSON: the NaN alpha and the
+        failed cells' metrics are null."""
         root, ini = workspace
         grid = root / "nan-grid.ini"
         grid.write_text(TINY_INI.replace("alphas = 0,0.3", "alphas = 0, nan"))
         assert main(["gridsearch", str(grid)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("wrote 4 cells (2 failed)")
-        with open(Path(out.strip().split()[-1]) / "cells.csv", newline="") as fh:
+        run_dir = Path(out.strip().split()[-1])
+        with open(run_dir / "cells.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["error"] for r in rows] == ["", "", "alpha must be >= 0",
                                               "alpha must be >= 0"]
 
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        summary = json.loads((run_dir / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["config_echo"]["grid"]["alphas"] == [0.0, None]
+        assert [(c["alpha"], c["median_fitness"]) for c in summary["cells"][2:]] == [
+            (None, None), (None, None)]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_extrapolate_non_finite_target_is_config_error(self, workspace, tmp_path,
-                                                           capsys, value):
-        """A non-finite [extrapolate] y_values entry is refused before sampling."""
-        root, _ = workspace
+    def test_extrapolate_non_finite_target_is_config_error(self, tmp_path, capsys, value):
+        """A non-finite [extrapolate] y_values entry is refused when the config
+        loads, before any checkpoint is looked for (this workdir has none)."""
         ini = tmp_path / "run.ini"
-        ini.write_text(TINY_INI.replace("workdir = work", f"workdir = {root / 'work'}")
-                       .replace("y_values = 0.3,1.0", f"y_values = 0.3, {value}"))
+        ini.write_text(TINY_INI.replace("y_values = 0.3,1.0", f"y_values = 0.3, {value}"))
         assert main(["extrapolate", str(ini)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "config error: target_y must be finite"]
+            "config error: [extrapolate] y_values must be finite"]
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -414,8 +426,7 @@ class TestCheckpoints:
         work, ini = _workdir_copy(workspace, tmp_path)
         shutil.copy(work / f"{impostor}.npz", work / name)
         if command == "evaluate":  # evaluate samples in [sampler] mode
-            ini.write_text(TINY_INI.replace("mode = manifold", f"mode = {flags[1]}")
-                           if flags else TINY_INI)
+            ini.write_text(POSTERIOR_INI if flags else TINY_INI)
             flags = []
         assert main([command, str(ini)] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -473,6 +484,7 @@ class TestCheckpoints:
         ("predictor.npz", "train-predictor", []),
         ("flow_conditional.npz", "train-prior --conditional",
          ["--mode", "learned_posterior"]),
+        ("vae_decoder.npz", "train-vae", []),
     ])
     def test_missing_checkpoint_names_command(self, workspace, tmp_path, capsys, name,
                                               writer, flags):
@@ -487,8 +499,7 @@ class TestCheckpoints:
                                                             capsys, command):
         """A command that samples in [sampler] mode = learned_posterior needs the
         conditional flow before it starts."""
-        work, ini = _workdir_copy(workspace, tmp_path, TINY_INI.replace(
-            "mode = manifold", "mode = learned_posterior"))
+        work, ini = _workdir_copy(workspace, tmp_path, POSTERIOR_INI)
         (work / "flow_conditional.npz").unlink()
         assert main([command, str(ini)]) == 3
         assert capsys.readouterr().err.splitlines() == [

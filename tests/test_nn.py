@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from _gradcheck import network_gradients, numeric_gradient, rel_err
-from seqopt.nn import (AdamState, CheckpointError, Network, NonFiniteError,
-                       ParamStore, Tensor, adam_step, fit, load_checkpoint,
-                       params_checksum, save_checkpoint, validate_descriptor)
 from seqopt.nn import autodiff as ad
-from seqopt.nn.optim import BETA1, BETA2, EPSILON
+from seqopt.nn.autodiff import Tensor
+from seqopt.nn.checkpoint import (CheckpointError, load_checkpoint, params_checksum,
+                                  save_checkpoint)
+from seqopt.nn.layers import Network, NonFiniteError, ParamStore, validate_descriptor
+from seqopt.nn.optim import BETA1, BETA2, EPSILON, AdamState, adam_step, fit
 
 TOL = 1e-4
 rng = np.random.default_rng(20240612)
@@ -212,7 +213,7 @@ class TestNetwork:
         net.params.arrays["0.bias"][...] = 0.0
         net.refresh()
         x = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(net.forward(x), x)
+        np.testing.assert_allclose(net.apply(Tensor(x, requires_grad=False)).data, x)
 
     def test_zero_weight_net_outputs_bias(self):
         desc = [{"kind": "dense", "in": 3, "out": 2}]
@@ -220,7 +221,7 @@ class TestNetwork:
         net.params.arrays["0.weight"][...] = 0.0
         net.params.arrays["0.bias"][...] = [1.0, -2.0]
         net.refresh()
-        out = net.forward(rng.standard_normal((5, 3)))
+        out = net.apply(Tensor(rng.standard_normal((5, 3)), requires_grad=False)).data
         np.testing.assert_allclose(out, np.tile([1.0, -2.0], (5, 1)))
 
     def test_two_layer_matches_hand_computation(self):
@@ -239,7 +240,7 @@ class TestNetwork:
         net.refresh()
         x = np.array([[0.3, -0.7]])
         want = np.tanh(x @ W1 + b1) @ W2 + b2
-        np.testing.assert_allclose(net.forward(x), want)
+        np.testing.assert_allclose(net.apply(Tensor(x, requires_grad=False)).data, want)
 
     def test_every_layer_kind_gradient_matches_fd(self):
         desc = [{"kind": "conv1d", "in_ch": 3, "out_ch": 4, "kernel": 3},
@@ -259,7 +260,7 @@ class TestNetwork:
         grads, xg = network_gradients(net, x, adjoint)
 
         def loss_wrt_input(xv):
-            return float((net.forward(xv) * adjoint).sum())
+            return float((net.apply(Tensor(xv, requires_grad=False)).data * adjoint).sum())
 
         assert rel_err(xg, numeric_gradient(loss_wrt_input, x.copy())) < TOL
         for name in grads:
@@ -268,7 +269,7 @@ class TestNetwork:
             def loss_wrt_param(pv, name=name, orig=orig):
                 net.params.arrays[name][...] = pv
                 net.refresh()
-                val = float((net.forward(x) * adjoint).sum())
+                val = float((net.apply(Tensor(x, requires_grad=False)).data * adjoint).sum())
                 net.params.arrays[name][...] = orig
                 net.refresh()
                 return val
@@ -289,8 +290,8 @@ class TestNetwork:
                 {"kind": "dense", "in": 4, "out": 2}]
         a = Network.build(desc, seed=5)
         b = Network.build(desc, seed=5)
-        x = rng.standard_normal((7, 6))
-        assert np.array_equal(a.forward(x), b.forward(x))
+        x = Tensor(rng.standard_normal((7, 6)), requires_grad=False)
+        assert np.array_equal(a.apply(x).data, b.apply(x).data)
 
     def test_non_finite_diagnostic_names_layer(self):
         desc = [{"kind": "dense", "in": 2, "out": 2}, {"kind": "relu"}]
@@ -298,7 +299,7 @@ class TestNetwork:
         net.params.arrays["0.weight"][0, 0] = np.inf
         net.refresh()
         with pytest.raises(NonFiniteError, match=r"layer 0 \(dense\)"):
-            net.forward(np.ones((1, 2)))
+            net.apply(Tensor(np.ones((1, 2)), requires_grad=False))
 
     def test_bad_descriptor_listed(self):
         problems = validate_descriptor([{"kind": "dense", "in": 0, "out": 2},
@@ -375,8 +376,8 @@ class TestCheckpoint:
         for name in net.params.arrays:
             assert np.array_equal(params2.arrays[name], net.params.arrays[name])
         net2 = Network(desc2, params2)
-        x = rng.standard_normal((5, 3))
-        assert np.array_equal(net.forward(x), net2.forward(x))
+        x = Tensor(rng.standard_normal((5, 3)), requires_grad=False)
+        assert np.array_equal(net.apply(x).data, net2.apply(x).data)
 
     def test_corrupted_checksum_refused(self, tmp_path):
         import json

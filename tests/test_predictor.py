@@ -6,7 +6,7 @@ from seqopt.data import Dataset
 from seqopt.errors import ConfigError
 from seqopt.landscape import make_landscape, synthetic_full_dataset
 from seqopt.nn.autodiff import Tensor
-from seqopt.nn import CheckpointError
+from seqopt.nn.checkpoint import CheckpointError
 from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                               load_external_predictor, save_predictor,
                               smooth_labels_knn, train_predictor)
@@ -158,7 +158,8 @@ class TestCheckpointing:
                                       model.predict_sequences(seqs))
 
     def test_wrong_kind_refused(self, tmp_path):
-        from seqopt.nn import Network, save_checkpoint
+        from seqopt.nn.checkpoint import save_checkpoint
+        from seqopt.nn.layers import Network
         net = Network.build([{"kind": "dense", "in": 2, "out": 2}], seed=0)
         p = tmp_path / "x.npz"
         save_checkpoint(p, "flow", net.descriptor, net.params)

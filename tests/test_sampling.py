@@ -124,6 +124,13 @@ class TestForMode:
         cfg = self.GUIDED.for_mode(mode)
         assert cfg == replace(self.GUIDED, mode=mode, alpha=0.0, guidance_steps=0)
 
+    @pytest.mark.parametrize("mode", ["unconditional", "learned_posterior"])
+    def test_unguided_modes_refuse_guidance(self, mode):
+        """An unguided mode would sample without guidance while its provenance
+        reported the alpha and J it was given."""
+        with pytest.raises(ConfigError, match=f"{mode} mode requires alpha=0"):
+            SamplerConfig(mode=mode, alpha=0.5, guidance_steps=5)
+
     @pytest.mark.parametrize("mode", ["manifold", "naive"])
     def test_guided_modes_keep_guidance(self, mode):
         cfg = self.GUIDED.for_mode(mode)

@@ -4,6 +4,7 @@ weights it trains."""
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ import seqopt.nn.layers as layers
 from seqopt.data import Dataset
 from seqopt.errors import TrainingDivergedError
 from seqopt.flow import FlowTrainConfig, train_flow
-from seqopt.nn import Network, NonFiniteError, Tensor, fit, params_checksum
 from seqopt.nn import autodiff as ad
+from seqopt.nn.autodiff import Tensor
+from seqopt.nn.checkpoint import params_checksum
+from seqopt.nn.layers import Network, NonFiniteError
+from seqopt.nn.optim import fit
 from seqopt.predictor import PredictorConfig, train_predictor
 from seqopt.vae import VaeConfig, train_vae
 
@@ -60,7 +64,7 @@ def test_trained_weights_pinned():
            "predictor": params_checksum(pred.net.params)[:16],
            "flow": params_checksum(flow.net.params)[:16],
            "flow_conditional": params_checksum(cond.net.params)[:16],
-           "reports": [h(vae_report.to_json()), h(pred_report.to_json()),
+           "reports": [h(asdict(vae_report)), h(asdict(pred_report)),
                        h(flow_losses), h(cond_losses)]}
     assert got == {"vae_encoder": "3841aa4343f83501", "vae_decoder": "7e74a4e31be0812e",
                    "predictor": "0ff1589980b58d42", "flow": "6029ef72e99e32b9",
