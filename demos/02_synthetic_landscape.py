@@ -41,7 +41,7 @@ print(f"raw fitness range [{full.y_min:.3f}, {full.y_max:.3f}], "
       f"median normalized {np.median(full.normalized_fitness()):.3f}")
 
 print("\n== difficulty filtering ==")
-for name, band, gap in (("medium", (20, 40), 6), ("hard", 30, 7)):
+for name, band, gap in (("medium", (20, 40), 6), ("hard", (30,), 7)):
     subset = difficulty_filter(full, band, gap)
     muts = (subset.sequences != landscape.target).sum(axis=1)
     top = full.sequences[full.fitness >= np.percentile(full.fitness, 99)]

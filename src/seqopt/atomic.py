@@ -1,13 +1,18 @@
 """Crash-safe file writes: data goes to a temporary file in the target's
 directory and is moved onto the target with os.replace, so a reader sees the
-old file or the complete new one, never a partial write."""
+old file or the complete new one, never a partial write. Every JSON file is
+written by `atomic_write_json`."""
 
 from __future__ import annotations
 
 import contextlib
+import json
+import math
 import os
 import secrets
 from pathlib import Path
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -36,3 +41,23 @@ def atomic_open(path, mode: str = "w", **kwargs):
 def atomic_write_text(path, text: str) -> None:
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def atomic_write_json(path, payload) -> None:
+    """`payload` as strict JSON with sorted keys, indented by two: numpy values
+    are written as Python ones and a non-finite float (a failed cell's
+    metrics, a NaN alpha) as null."""
+    atomic_write_text(path, json.dumps(_strict_json(payload), indent=2, sort_keys=True,
+                                       allow_nan=False))
+
+
+def _strict_json(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj

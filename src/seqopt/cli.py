@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
 
 from . import flow as flowmod
 from . import vae as vaemod
-from .atomic import atomic_write_text
+from .atomic import atomic_write_json
 from .config import RunConfig, config_echo, load_config
 from .data import DataFormatError
 from .errors import ConfigError, TrainingDivergedError
@@ -102,16 +101,11 @@ def _task_data(cfg: RunConfig) -> TaskData:
         raise ConfigError([f"[task] {exc}"]) from None
 
 
-def _write_report(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
 def cmd_train_vae(cfg: RunConfig, args) -> int:
     model, report = train_vae_stage(_task_data(cfg), cfg.task.seed, cfg.vae)
     checksums = vaemod.save_vae(model, cfg.paths.workdir)
-    _write_report(cfg.paths.workdir / "vae_report.json",
-                  {"report": dataclasses.asdict(report), "checksums": checksums})
+    atomic_write_json(cfg.paths.workdir / "vae_report.json",
+                      {"report": dataclasses.asdict(report), "checksums": checksums})
     print(f"vae checkpoints written to {cfg.paths.workdir} "
           f"(val accuracy {report.val_accuracy:.3f})")
     return 0
@@ -139,9 +133,9 @@ def cmd_train_prior(cfg: RunConfig, args) -> int:
                                       conditional=args.conditional)
     name = "flow_conditional.npz" if args.conditional else "flow.npz"
     checksum = flowmod.save_flow(model, cfg.paths.workdir / name)
-    _write_report(cfg.paths.workdir / f"{name.removesuffix('.npz')}_report.json",
-                  {"per_epoch": losses, "checksum": checksum,
-                   "conditional": args.conditional})
+    atomic_write_json(cfg.paths.workdir / f"{name.removesuffix('.npz')}_report.json",
+                      {"per_epoch": losses, "checksum": checksum,
+                       "conditional": args.conditional})
     print(f"flow checkpoint written to {cfg.paths.workdir / name}")
     return 0
 
@@ -152,8 +146,9 @@ def cmd_train_predictor(cfg: RunConfig, args) -> int:
     out = cfg.paths.workdir / {"predictor": "predictor.npz", "smoothed": "predictor_smoothed.npz",
                          "oracle": "oracle.npz"}[args.role]
     checksum = save_predictor(model, out)
-    _write_report(out.with_name(out.stem + "_report.json"),
-                  {"report": dataclasses.asdict(report), "checksum": checksum, "role": args.role})
+    atomic_write_json(out.with_name(out.stem + "_report.json"),
+                      {"report": dataclasses.asdict(report), "checksum": checksum,
+                       "role": args.role})
     print(f"{args.role} checkpoint written to {out}")
     return 0
 
@@ -187,7 +182,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     out = results_dir(cfg.paths.results, cfg.task.name, "sample")
     payload = result.to_json(assets.vocab)
     payload["config_echo"] = config_echo(dataclasses.replace(cfg, sampler=sampler))
-    atomic_write_text(out / "sample.json", json.dumps(payload, indent=2, sort_keys=True))
+    atomic_write_json(out / "sample.json", payload)
     print(f"wrote {out / 'sample.json'} ({len(result.sequences)} sequences"
           f"{', SHORTFALL' if result.shortfall else ''})")
     return 0

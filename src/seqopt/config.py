@@ -1,17 +1,19 @@
 """Run configuration: one INI file with sections for the task, paths, model
 hyperparameters, the sampler, and each experiment. `RunConfig` holds one
-dataclass per section. Every section but [task] and [paths] is read field by
-field from its config dataclass, whose values are the defaults and whose
-`__post_init__` holds the checks; [task] and [paths] are read by hand, since
-their values depend on the task name and on the config file's directory.
-Validation collects every problem before reporting, and paths resolve
-relative to the config file."""
+dataclass per section, and one reader reads every section field by field: a
+field's name is its key, its default the key's default, its declared type the
+key's parser, and its dataclass's `__post_init__` holds the checks. [task]
+also holds a synthetic task's `SyntheticTaskSpec` fields, which default to the
+named task's entry in `SYNTHETIC_TASKS`. Validation collects every problem
+before reporting, and paths, defaults included, are relative to the config
+file's directory."""
 
 from __future__ import annotations
 
 import configparser
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -25,27 +27,36 @@ from .vae import VaeConfig
 TASK_NAMES = tuple(sorted(SYNTHETIC_TASKS)) + ("csv",)
 # [sampler] defaults to the guided sampler; SamplerConfig() itself is unguided.
 SAMPLER_DEFAULTS = SamplerConfig(guidance_steps=5, alpha=0.5, seed=100)
-# The integer fields of a synthetic task's spec, each read from [task] under its name.
-SPEC_OPTIONS = tuple(f.name for f in fields(SyntheticTaskSpec)
-                     if f.name not in ("name", "percentile"))
-TASK_OPTIONS = ("name", "seed", "percentile_low", "percentile_high",
-                "percentile_upper") + SPEC_OPTIONS
+CSV_PATHS = ("data", "range_file", "oracle_checkpoint")   # [paths] keys of csv tasks
 
 
 @dataclass(frozen=True)
 class TaskSection:
-    name: str
-    seed: int
-    spec: SyntheticTaskSpec | None      # None for csv tasks
+    name: str = "synthetic-medium"
+    seed: int = 0
+    spec: SyntheticTaskSpec | None = None   # read from [task] too; None for csv tasks
+
+    def __post_init__(self):
+        if self.name not in TASK_NAMES:
+            raise ValueError(f"name must be one of {TASK_NAMES}, got {self.name!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
 class PathsSection:
-    data: Path | None
-    range_file: Path | None
-    oracle_checkpoint: Path | None
-    workdir: Path
-    results: Path
+    data: Path | None = None
+    range_file: Path | None = None
+    oracle_checkpoint: Path | None = None
+    workdir: Path = Path("runs", "synthetic-medium")    # runs/<[task] name>
+    results: Path = Path("results")
+
+    def __post_init__(self):
+        paths = {name: getattr(self, name) for name in CSV_PATHS}
+        missing = [f"{name} not found: {path}" for name, path in paths.items()
+                   if path is not None and not path.exists()]
+        if missing:
+            raise ConfigError(missing)
 
 
 @dataclass(frozen=True)
@@ -99,12 +110,18 @@ class RunConfig:
     ode_sweep: OdeSweepConfig
 
 
-def _parser_for(default):
-    """Parse an INI value as the type of `default`; a tuple default reads a
-    comma- or space-separated list of its elements' type."""
-    if isinstance(default, tuple):
-        return lambda text: tuple(map(type(default[0]), text.replace(",", " ").split()))
-    return type(default)
+def _parse(hint, text: str):
+    """An INI value as the declared type `hint`: `X | None` reads X, or None
+    when empty; `tuple[X, ...]` a comma- or space-separated list of X; any
+    other type is called on the text, which must not be empty."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return _parse(args[0], text) if text else None
+    if typing.get_origin(hint) is tuple:
+        return tuple(_parse(args[0], item) for item in text.replace(",", " ").split())
+    if not text:
+        raise ValueError("empty value")
+    return hint(text)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -128,108 +145,64 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         parser.set(section, option, str(value))
 
     problems: list[str] = []
-    base = path.parent
-
-    def check_options(section, names, skip=()):
-        """A key of [section] that is not in `names`, or is in `skip` ({option:
-        why it is not read}), is a problem."""
-        for option in parser.options(section) if parser.has_section(section) else ():
-            if option in skip:
-                problems.append(f"[{section}] {option}: {skip[option]}")
-            elif option not in names:
-                problems.append(f"[{section}] {option}: unknown option; the options "
-                                f"are {', '.join(names)}")
-
     sections = [f.name for f in fields(RunConfig)]
     for section in parser.sections():
         if section not in sections:
             problems.append(f"[{section}]: unknown section; the sections are "
                             f"{', '.join(sections)}")
-    check_options("task", TASK_OPTIONS)
-    check_options("paths", [f.name for f in fields(PathsSection)])
+    # {section: {key: None where a field reads it, else why it is not read}}
+    known: dict[str, dict] = {}
 
-    def get(section, option, cast, default):
-        try:
-            if parser.has_option(section, option):
-                return cast(parser.get(section, option))
-            return default
-        except ValueError:
-            problems.append(f"[{section}] {option}: cannot parse {parser.get(section, option)!r}")
-            return default
-
-    name = get("task", "name", str, "synthetic-medium")
-    if name not in TASK_NAMES:
-        problems.append(f"[task] name must be one of {TASK_NAMES}, got {name!r}")
-    task_seed = get("task", "seed", int, 0)
-    if task_seed < 0:
-        problems.append("[task] seed must be >= 0")
-
-    task_spec = None
-    if name in SYNTHETIC_TASKS:
-        default_spec = SYNTHETIC_TASKS[name]
-        has_band = parser.has_option("task", "percentile_low") or \
-            parser.has_option("task", "percentile_high")
-        has_upper = parser.has_option("task", "percentile_upper")
-        if has_band and has_upper:
-            problems.append("[task] percentile_low/high and percentile_upper are exclusive")
-        if has_upper:
-            percentile = get("task", "percentile_upper", float, 30.0)
-        elif has_band:
-            percentile = (get("task", "percentile_low", float, 20.0),
-                          get("task", "percentile_high", float, 40.0))
-        else:
-            percentile = default_spec.percentile
-        task_spec = replace(default_spec, percentile=percentile,
-                            **{option: get("task", option, int, getattr(default_spec, option))
-                               for option in SPEC_OPTIONS})
-
-    def get_path(section, option, default=None):
-        raw = get(section, option, str, None)
-        if raw is None or raw == "":
-            return default
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
-    path_defaults = {"workdir": base / "runs" / name, "results": base / "results"}
-    paths = PathsSection(**{f.name: get_path("paths", f.name, path_defaults.get(f.name))
-                            for f in fields(PathsSection)})
-
-    if name == "csv":
-        if paths.data is None:
-            problems.append("[paths] data is required for csv tasks")
-        elif not paths.data.exists():
-            problems.append(f"[paths] data file not found: {paths.data}")
-        if paths.range_file is not None and not paths.range_file.exists():
-            problems.append(f"[paths] range file not found: {paths.range_file}")
-        if paths.oracle_checkpoint is not None and not paths.oracle_checkpoint.exists():
-            problems.append(f"[paths] oracle checkpoint not found: {paths.oracle_checkpoint}")
-
-    def read(section, default, skip=()):
-        """`default` with each field not in `skip` read from [section] under its
-        own name and parsed as its default's type; None if the dataclass refuses.
-        A key that is no field, or is in `skip` ({field: why it is not read}),
-        is a problem, and so is a non-finite float or an empty list."""
-        names = [f.name for f in fields(default) if f.name not in skip]
-        check_options(section, names, skip)
+    def read(section, default, skip={}):
+        """`default` with each field not in `skip` read from [section] under
+        its own name and parsed by its declared type; None if the dataclass
+        refuses. `skip` maps a field to why its key is not read, or to None
+        where the field is no key. A non-finite float or an empty list is a
+        problem, and a path is relative to the config file's directory."""
+        hints = typing.get_type_hints(type(default))
+        keys = known.setdefault(section, {})
+        keys.update((name, why) for name, why in skip.items() if why)
         values = {}
-        for name in names:
-            fallback = getattr(default, name)
-            value = get(section, name, _parser_for(fallback), fallback)
-            if isinstance(value, float) and not math.isfinite(value):
-                problems.append(f"[{section}] {name}: must be finite, got {value}")
-                value = fallback
-            elif value == ():
-                problems.append(f"[{section}] {name} must be non-empty")
-                value = fallback
-            values[name] = value
+        for name in (f.name for f in fields(default) if f.name not in skip):
+            keys[name] = None
+            value = getattr(default, name)
+            if parser.has_option(section, name):
+                text = parser.get(section, name)
+                try:
+                    value = _parse(hints[name], text)
+                except ValueError:
+                    problems.append(f"[{section}] {name}: cannot parse {text!r}")
+                    continue
+                if isinstance(value, float) and not math.isfinite(value):
+                    problems.append(f"[{section}] {name}: must be finite, got {value}")
+                    continue
+                if value == ():
+                    problems.append(f"[{section}] {name} must be non-empty")
+                    continue
+            values[name] = path.parent / value if isinstance(value, Path) else value
         try:
             return replace(default, **values)
         except (ValueError, ConfigError) as exc:
             problems.append(f"[{section}] {exc}")
             return None
 
+    task = read("task", TaskSection(), skip={"spec": None})
+    paths = None
+    if task is None:  # the keys [task] and [paths] take depend on the task
+        del known["task"]
+    elif task.name == "csv":
+        known["task"].update((f.name, "not read for csv tasks")
+                             for f in fields(SyntheticTaskSpec) if f.name != "name")
+        paths = read("paths", PathsSection(workdir=Path("runs", task.name)))
+        if paths is not None and paths.data is None:
+            problems.append("[paths] data is required for csv tasks")
+    else:
+        task = replace(task, spec=read("task", SYNTHETIC_TASKS[task.name],
+                                       skip={"name": None}))
+        paths = read("paths", PathsSection(workdir=Path("runs", task.name)),
+                     skip=dict.fromkeys(CSV_PATHS, "not read for synthetic tasks"))
     read_sections = [read("vae", VaeConfig()),
-                     read("flow", FlowTrainConfig(seed=task_seed),
+                     read("flow", FlowTrainConfig(seed=task.seed if task else 0),
                           skip={"seed": "not read; the flow is seeded with [task] seed"}),
                      read("predictor", PredictorConfig()),
                      read("sampler", SAMPLER_DEFAULTS),
@@ -238,9 +211,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                      read("extrapolate", ExtrapolateConfig()),
                      read("ode_sweep", OdeSweepConfig())]
 
+    for section, keys in known.items():
+        options = ", ".join(name for name, why in keys.items() if why is None)
+        for option in parser.options(section) if parser.has_section(section) else ():
+            why = keys.get(option, f"unknown option; the options are {options}")
+            if why is not None:
+                problems.append(f"[{section}] {option}: {why}")
     if problems:
         raise ConfigError(problems)
-    return RunConfig(TaskSection(name, task_seed, task_spec), paths, *read_sections)
+    return RunConfig(task, paths, *read_sections)
 
 
 def config_echo(cfg: RunConfig) -> dict:

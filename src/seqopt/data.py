@@ -175,28 +175,32 @@ def write_range_file(dataset: Dataset, path) -> None:
     atomic_write_text(path, f"y_min={dataset.y_min!r}\ny_max={dataset.y_max!r}\n")
 
 
-def difficulty_filter(full: Dataset, percentile_range, gap: int) -> Dataset:
+def check_percentile(percentile) -> None:
+    """Raise ValueError unless `percentile` is (upper,) with 0 <= upper <= 100
+    or (low, high) with 0 <= low < high <= 100."""
+    p = tuple(percentile)
+    if not (len(p) == 1 and 0 <= p[0] <= 100 or len(p) == 2 and 0 <= p[0] < p[1] <= 100):
+        raise ValueError("percentile must be one bound, 0 <= upper <= 100, or two, "
+                         f"0 <= low < high <= 100, got {p}")
+
+
+def difficulty_filter(full: Dataset, percentile: tuple[float, ...], gap: int) -> Dataset:
     """Select a training subset of limited difficulty.
 
-    Keeps records whose fitness falls in the given percentile band
-    (a (low, high) pair, or a scalar upper bound meaning "< upper") AND whose
-    minimum edit distance to every member of the full set's 99th-percentile
-    top group is at least `gap` mutations.
+    Keeps records whose fitness falls in the percentile band `percentile`,
+    (upper,) meaning below the upper-th percentile and (low, high) the low-th
+    to the high-th inclusive, AND whose minimum edit distance to every member
+    of the full set's 99th-percentile top group is at least `gap` mutations.
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
+    check_percentile(percentile)
     fitness = full.fitness
-    if np.isscalar(percentile_range):
-        hi_val = np.percentile(fitness, float(percentile_range))
-        in_band = fitness < hi_val
-        band_desc = f"<{percentile_range}"
+    bounds = np.percentile(fitness, [float(p) for p in percentile])
+    if len(bounds) == 1:
+        in_band = fitness < bounds[0]
     else:
-        low, high = percentile_range
-        if not (0 <= low < high <= 100):
-            raise ValueError(f"bad percentile range ({low}, {high})")
-        lo_val, hi_val = np.percentile(fitness, [float(low), float(high)])
-        in_band = (fitness >= lo_val) & (fitness <= hi_val)
-        band_desc = f"{low}-{high}"
+        in_band = (fitness >= bounds[0]) & (fitness <= bounds[1])
     candidates = np.flatnonzero(in_band)
     if gap > 0 and candidates.size:
         top = full.sequences[fitness >= np.percentile(fitness, 99.0)]
@@ -204,6 +208,6 @@ def difficulty_filter(full: Dataset, percentile_range, gap: int) -> Dataset:
         candidates = candidates[dists >= gap]
     if candidates.size == 0:
         raise ValueError(
-            f"difficulty filter (percentiles {band_desc}, gap {gap}) selected nothing; "
-            "widen the percentile band or lower the gap")
+            f"difficulty filter (percentile {tuple(percentile)}, gap {gap}) selected "
+            "nothing; widen the percentile band or lower the gap")
     return full.subset(candidates)

@@ -27,8 +27,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
-import json
-import math
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -36,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open, atomic_write_text
+from .atomic import atomic_open, atomic_write_json
 from .data import Dataset, FitnessNormalizer
 from .errors import ConfigError
 from .flow import FlowModel
@@ -190,11 +188,21 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas,
     return [rows[i] for i in range(len(cells))]
 
 
+def _check_guided(base_cfg: SamplerConfig) -> None:
+    """Refuse a base config whose alpha or J is 0: the guided rows of the
+    extrapolation sweep and the ablation table take both from it."""
+    if base_cfg.alpha == 0 or base_cfg.guidance_steps == 0:
+        raise ConfigError(["[sampler] alpha and guidance_steps must be > 0 for the "
+                           "guided manifold and naive rows, got alpha="
+                           f"{base_cfg.alpha}, guidance_steps={base_cfg.guidance_steps}"])
+
+
 def extrapolation_experiment(assets: TaskAssets, y_values, *,
                              base_cfg: SamplerConfig) -> list[dict]:
     """Median oracle fitness of the *raw* decoded batch (no dedup, no top-k)
     as the requested target fitness varies, in the manifold and learned_posterior
     modes, each run seeded with `base_cfg.seed`."""
+    _check_guided(base_cfg)
     points = [(mode, float(y)) for mode in ("manifold", "learned_posterior") for y in y_values]
 
     def measure(i, res):
@@ -228,6 +236,7 @@ def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig,
 
 def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds) -> list[dict]:
     """Seed-matched mode comparison shaped like the guidance-variant tables."""
+    _check_guided(base_cfg)
     rows = []
     for mode in ("manifold", "naive", "learned_posterior"):
         summary = run_benchmark(assets, base_cfg.for_mode(mode), seeds,
@@ -259,11 +268,9 @@ def results_dir(root, task: str, experiment: str, timestamp: str | None = None) 
 
 
 def write_summary(path: Path, payload: dict) -> Path:
-    """summary.json, strict JSON: a non-finite float (a failed cell's metrics,
-    a NaN alpha) is written as null."""
+    """`payload` as summary.json in the run directory `path`."""
     out = Path(path) / "summary.json"
-    atomic_write_text(out, json.dumps(_strict_json(payload), indent=2, sort_keys=True,
-                                      allow_nan=False))
+    atomic_write_json(out, payload)
     return out
 
 
@@ -283,20 +290,6 @@ def write_samples(path: Path, results: dict, vocab: Vocabulary) -> list[Path]:
     written = []
     for key, res in sorted(results.items(), key=lambda kv: str(kv[0])):
         out = sample_dir / f"seed-{key}.json"
-        atomic_write_text(out, json.dumps(res.to_json(vocab), indent=2, sort_keys=True))
+        atomic_write_json(out, res.to_json(vocab))
         written.append(out)
     return written
-
-
-def _strict_json(obj):
-    """`obj` in plain JSON values, with numpy values as Python ones and each
-    non-finite float as None."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {key: _strict_json(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(value) for value in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj

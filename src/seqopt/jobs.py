@@ -137,11 +137,11 @@ class _WorkerTraceback(Exception):
 def _one_blas_thread():
     """Pin the OpenBLAS numpy loaded to one thread, and restore the caller's
     count on exit; forked workers inherit the pin. Without OpenBLAS, a no-op."""
-    blas = _openblas_threads()
+    blas = openblas()
     if blas is None:
         yield
         return
-    get, set_ = blas
+    get, set_ = blas("get_num_threads"), blas("set_num_threads")
     before = get()
     set_(1)
     try:
@@ -151,14 +151,15 @@ def _one_blas_thread():
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS mapped into this process,
-    or None. numpy 2 wheels export scipy_openblas_*64_, older wheels
+def openblas():
+    """The OpenBLAS mapped into this process as a function from a name
+    ("get_num_threads") to the ctypes function of that name, or None without
+    OpenBLAS. numpy 2 wheels export scipy_openblas_*64_, older wheels
     openblas_*64_, a system OpenBLAS plain openblas_*."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
+    except OSError:  # no /proc on this platform
         return None
     paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
     for path in paths:
@@ -167,10 +168,7 @@ def _openblas_threads():
         except OSError:  # e.g. a mapping whose file was replaced since
             continue
         for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+            if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                return lambda name: getattr(lib, f"{prefix}_{name}{suffix}")
     return None
+

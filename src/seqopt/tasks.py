@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, FitnessNormalizer, difficulty_filter, load_csv
+from .data import Dataset, FitnessNormalizer, check_percentile, difficulty_filter, load_csv
 from .errors import ConfigError
 from .flow import FlowModel, FlowTrainConfig, train_flow
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
@@ -26,8 +26,12 @@ from .vae import VaeConfig, VaeModel, train_vae
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
+    """A synthetic task's landscape, reference set and training-set filter:
+    `percentile` and `gap` go to `difficulty_filter`, so (upper,) keeps the
+    records below the upper-th fitness percentile and (low, high) those from
+    the low-th to the high-th."""
     name: str
-    percentile: object            # (low, high) band or scalar upper bound
+    percentile: tuple[float, ...]
     gap: int
     length: int = 20
     full_size: int = 20000
@@ -37,10 +41,13 @@ class SyntheticTaskSpec:
     max_mutations: int = 12
     n_pairs: int | None = None    # defaults to 2 * length inside the builder
 
+    def __post_init__(self):
+        check_percentile(self.percentile)
+
 
 SYNTHETIC_TASKS = {
     "synthetic-medium": SyntheticTaskSpec("synthetic-medium", percentile=(20, 40), gap=6),
-    "synthetic-hard": SyntheticTaskSpec("synthetic-hard", percentile=30, gap=7),
+    "synthetic-hard": SyntheticTaskSpec("synthetic-hard", percentile=(30,), gap=7),
 }
 
 
@@ -51,7 +58,6 @@ class TaskData:
     full: Dataset
     train: Dataset
     landscape: SyntheticLandscape | None = None
-    edit_pool: np.ndarray | None = None
 
     @property
     def normalizer(self) -> FitnessNormalizer:
@@ -80,8 +86,7 @@ def build_synthetic_task(name: str, seed: int,
         keep = np.random.default_rng(seed + 3).choice(train.n, size=spec.max_train,
                                                       replace=False)
         train = train.subset(np.sort(keep))
-    return TaskData(name=name, vocab=vocab, full=full, train=train,
-                    landscape=landscape, edit_pool=pool)
+    return TaskData(name=name, vocab=vocab, full=full, train=train, landscape=landscape)
 
 
 def build_csv_task(path, range_file=None) -> TaskData:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -32,23 +31,13 @@ def environment() -> dict:
     """What the hashes depend on besides the source: the numpy version and
     the OpenBLAS numpy runs on (name, version, the core kernel it picked and
     its thread count), all None without OpenBLAS."""
+    from seqopt.jobs import openblas
+
     env = {"numpy": np.__version__, "blas": None, "blas_version": None,
            "blas_core": None, "blas_threads": None}
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:  # no /proc on this platform
-        fields = []
-    libs = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
-    for path, prefix, suffix in itertools.product(libs, ("scipy_openblas", "openblas"),
-                                                  ("64_", "")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a mapping whose file was replaced since
-            continue
-        if not hasattr(lib, f"{prefix}_get_config{suffix}"):
-            continue
-        config, corename, threads = (getattr(lib, f"{prefix}_{name}{suffix}") for name in
+    blas = openblas()
+    if blas is not None:
+        config, corename, threads = (blas(name) for name in
                                      ("get_config", "get_corename", "get_num_threads"))
         config.argtypes = corename.argtypes = threads.argtypes = []
         config.restype = corename.restype = ctypes.c_char_p
@@ -56,7 +45,6 @@ def environment() -> dict:
         name, version = config().decode().split()[:2]  # "OpenBLAS 0.3.31 ..."
         env.update(blas=name, blas_version=version, blas_core=corename().decode(),
                    blas_threads=threads())
-        break
     return env
 
 

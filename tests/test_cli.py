@@ -29,8 +29,7 @@ length = 8
 full_size = 1500
 max_train = 400
 max_mutations = 5
-percentile_low = 20
-percentile_high = 50
+percentile = 20, 50
 gap = 2
 n_pairs = 8
 
@@ -353,6 +352,19 @@ class TestExperiments:
             "config error: [extrapolate] y_values must be finite"]
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("command", ["extrapolate", "ablate"])
+    def test_unguided_sampler_refused_for_guided_rows(self, workspace, tmp_path, capsys,
+                                                      command):
+        """The manifold and naive rows take alpha and J from [sampler], so a
+        [sampler] without guidance (as learned_posterior mode needs) is refused
+        rather than sampled unguided under those labels."""
+        _, ini = _workdir_copy(workspace, tmp_path, POSTERIOR_INI)
+        assert main([command, str(ini)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "config error: [sampler] alpha and guidance_steps must be > 0"), err
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
     @pytest.mark.parametrize("command", ["gridsearch", "extrapolate", "ode-sweep",
@@ -590,6 +602,17 @@ mode = sideways
         assert len(err) == 1 and err[0].startswith("config error: [task] "), err
         assert not (tmp_path / "work").exists()
 
+    def test_spec_keys_refused_for_csv_tasks(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("")
+        ini = tmp_path / "csv.ini"
+        ini.write_text("[task]\nname = csv\ngap = 3\npercentile = 30\n"
+                       "[paths]\ndata = data.csv\nworkdir = work\n")
+        assert main(["train-vae", str(ini)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [task] gap: not read for csv tasks",
+            "config error: [task] percentile: not read for csv tasks"]
+        assert not (tmp_path / "work").exists()
+
     def test_degenerate_fitness_range_is_io_error(self, tmp_path, capsys):
         (tmp_path / "data.csv").write_text("sequence,fitness\nACD,0.5\nACC,0.5\n")
         ini = tmp_path / "csv.ini"
@@ -617,8 +640,9 @@ mode = sideways
             "steps, guidance_steps, alpha, target_y, batch, top_k, mode, seed"]
         assert not (tmp_path / "work").exists()
 
-        # unknown [sampler] options, the sections read by hand, and
-        # the section names themselves
+        # unknown [sampler] options, unknown keys of every other section, keys
+        # the task does not read, a bad percentile, and the section names
+        # themselves
         cases = [
             ("[sampler]\n", "[sampler]\ntemperature = 1.0\n",
              "[sampler] temperature: unknown option; the options are steps, "
@@ -635,10 +659,19 @@ mode = sideways
             ("[grid]\n", "[grid]\nalpha = 0.3\n",
              "[grid] alpha: unknown option; the options are alphas, guidance_steps"),
             ("[paths]\n", "[paths]\nresult = x\n",
-             "[paths] result: unknown option; the options are data, range_file, "
-             "oracle_checkpoint, workdir, results"),
+             "[paths] result: unknown option; the options are workdir, results"),
             ("[task]\n", "[task]\ngpa = 9\n", "[task] gpa: unknown option"),
-            ("[task]\n", "[task]\npercentile = 30\n", "[task] percentile: unknown option"),
+            ("[task]\n", "[task]\npercentile_upper = 30\n",
+             "[task] percentile_upper: unknown option"),
+            ("percentile = 20, 50", "percentile = 40 20", "[task] percentile must be "),
+            ("percentile = 20, 50", "percentile = 10 20 30", "[task] percentile must be "),
+            ("percentile = 20, 50", "percentile = 150", "[task] percentile must be "),
+            ("[paths]\n", "[paths]\ndata = data.csv\n",
+             "[paths] data: not read for synthetic tasks"),
+            ("[paths]\n", "[paths]\nrange_file = data.range\n",
+             "[paths] range_file: not read for synthetic tasks"),
+            ("[paths]\n", "[paths]\noracle_checkpoint = oracle.npz\n",
+             "[paths] oracle_checkpoint: not read for synthetic tasks"),
             ("[grid]\n", "[gird]\nalphas = 0.3\n[grid]\n",
              "[gird]: unknown section; the sections are task, paths, vae, flow, "
              "predictor, sampler, evaluate, grid, extrapolate, ode_sweep"),
@@ -740,6 +773,55 @@ class TestShippedConfigs:
 
         assert load_config(self.CONFIGS / "synthetic-medium.ini").task.name == \
             "synthetic-medium"
+
+    def test_echo_pinned(self, tmp_path):
+        """The config echo of TINY_INI and of synthetic-medium.ini, key by key;
+        unlike the golden hashes, this holds on every numpy and BLAS."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(TINY_INI)
+        assert config_echo(load_config(ini)) == {
+            "task": {"name": "synthetic-medium", "seed": 5, "spec": {
+                "name": "synthetic-medium", "percentile": [20.0, 50.0], "gap": 2,
+                "length": 8, "full_size": 1500, "max_train": 400,
+                "edits_per_position": 3, "min_mutations": 1, "max_mutations": 5,
+                "n_pairs": 8}},
+            "paths": {"data": None, "range_file": None, "oracle_checkpoint": None,
+                      "workdir": str(tmp_path / "work"),
+                      "results": str(tmp_path / "results")},
+            "vae": {"latent_dim": 6, "beta": 0.002, "learning_rate": 0.001, "epochs": 25,
+                    "batch_size": 64, "hidden_channels": 24},
+            "flow": {"learning_rate": 0.001, "batch_size": 128, "epochs": 100, "seed": 5,
+                     "hidden": 64},
+            "predictor": {"learning_rate": 0.001, "epochs": 40, "batch_size": 64,
+                          "hidden_channels": 12, "hidden_dense": 32},
+            "sampler": {"steps": 8, "guidance_steps": 2, "alpha": 0.3, "target_y": 1.0,
+                        "batch": 48, "top_k": 16, "mode": "manifold", "seed": 100},
+            "evaluate": {"seeds": [100, 101]},
+            "grid": {"alphas": [0.0, 0.3], "guidance_steps": [0, 2]},
+            "extrapolate": {"y_values": [0.3, 1.0], "batch": 32},
+            "ode_sweep": {"steps": [4, 8]}}
+
+        assert config_echo(load_config(self.CONFIGS / "synthetic-medium.ini")) == {
+            "task": {"name": "synthetic-medium", "seed": 0, "spec": {
+                "name": "synthetic-medium", "percentile": [20.0, 40.0], "gap": 6,
+                "length": 20, "full_size": 20000, "max_train": 2500,
+                "edits_per_position": 3, "min_mutations": 1, "max_mutations": 12,
+                "n_pairs": None}},
+            "paths": {"data": None, "range_file": None, "oracle_checkpoint": None,
+                      "workdir": str(self.CONFIGS / "../runs/synthetic-medium"),
+                      "results": str(self.CONFIGS / "../results")},
+            "vae": {"latent_dim": 14, "beta": 0.0015, "learning_rate": 0.001,
+                    "epochs": 90, "batch_size": 128, "hidden_channels": 48},
+            "flow": {"learning_rate": 0.001, "batch_size": 256, "epochs": 300, "seed": 0,
+                     "hidden": 128},
+            "predictor": {"learning_rate": 0.001, "epochs": 100, "batch_size": 128,
+                          "hidden_channels": 24, "hidden_dense": 64},
+            "sampler": {"steps": 32, "guidance_steps": 5, "alpha": 0.5, "target_y": 1.0,
+                        "batch": 512, "top_k": 128, "mode": "manifold", "seed": 100},
+            "evaluate": {"seeds": [100, 101, 102, 103, 104]},
+            "grid": {"alphas": [0.0, 0.1, 0.3, 0.5], "guidance_steps": [0, 2, 5]},
+            "extrapolate": {"y_values": [0.2, 0.4, 0.6, 0.8, 1.0], "batch": 256},
+            "ode_sweep": {"steps": [4, 8, 16, 24, 32]}}
 
 
 def test_tiny_pipeline_matches_golden(workspace, tmp_path):

@@ -202,7 +202,7 @@ class TestDifficultyFilter:
 
     def test_upper_bound_form(self):
         full = _toy_full_set()
-        sub = difficulty_filter(full, 30, gap=0)
+        sub = difficulty_filter(full, (30,), gap=0)
         hi = np.percentile(full.fitness, 30)
         assert (sub.fitness < hi).all()
 

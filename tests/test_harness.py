@@ -322,10 +322,10 @@ class TestWorkQueue:
             assert inner == {0: pid, 1: pid}
 
     def test_blas_pinned_during_run_and_restored_after(self):
-        blas = jobs._openblas_threads()
+        blas = jobs.openblas()
         if blas is None:
             pytest.skip("no OpenBLAS loaded")
-        get, set_ = blas
+        get, set_ = blas("get_num_threads"), blas("set_num_threads")
         original = get()
         set_(3)
         try:
@@ -343,8 +343,7 @@ class TestWorkQueue:
             np.show_config()
         if "openblas" not in shown.getvalue().lower():
             pytest.skip("numpy is not built against OpenBLAS")
-        get, set_ = jobs._openblas_threads()
-        assert get() >= 1
+        assert jobs.openblas()("get_num_threads")() >= 1
 
 
 class TestSweepDispatch:
