@@ -27,7 +27,7 @@ from .atomic import atomic_write_json
 from .config import RunConfig, config_echo, load_config
 from .data import DataFormatError
 from .errors import ConfigError, TrainingDivergedError
-from .harness import (TaskAssets, ablation_table, extrapolation_experiment,
+from .harness import (TaskAssets, ablation_table, check_guided, extrapolation_experiment,
                       grid_search, ode_steps_sweep, results_dir, run_benchmark,
                       write_cells_csv, write_samples, write_summary)
 from .jobs import process_cores
@@ -220,6 +220,7 @@ def cmd_gridsearch(cfg: RunConfig, args) -> int:
 
 
 def cmd_extrapolate(cfg: RunConfig, args) -> int:
+    check_guided(cfg.sampler)  # before the checkpoints load
     assets = _load_assets(cfg, "learned_posterior")
     base = dataclasses.replace(cfg.sampler, batch=cfg.extrapolate.batch,
                                top_k=cfg.extrapolate.batch)
@@ -238,6 +239,7 @@ def cmd_ode_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
+    check_guided(cfg.sampler)  # before the checkpoints load
     assets = _load_assets(cfg, "learned_posterior")
     rows = ablation_table(assets, cfg.sampler, cfg.evaluate.seeds)
     out = _write_rows(cfg, "ablate", "rows", rows)

@@ -52,9 +52,8 @@ class PathsSection:
     results: Path = Path("results")
 
     def __post_init__(self):
-        paths = {name: getattr(self, name) for name in CSV_PATHS}
-        missing = [f"{name} not found: {path}" for name, path in paths.items()
-                   if path is not None and not path.exists()]
+        missing = [f"{name} not found: {path}" for name in CSV_PATHS
+                   if (path := getattr(self, name)) is not None and not path.exists()]
         if missing:
             raise ConfigError(missing)
 
@@ -182,14 +181,14 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             values[name] = path.parent / value if isinstance(value, Path) else value
         try:
             return replace(default, **values)
-        except (ValueError, ConfigError) as exc:
-            problems.append(f"[{section}] {exc}")
+        except ValueError as exc:  # a ConfigError lists each of its problems
+            problems.extend(f"[{section}] {p}" for p in getattr(exc, "problems", [exc]))
             return None
 
     task = read("task", TaskSection(), skip={"spec": None})
-    paths = None
-    if task is None:  # the keys [task] and [paths] take depend on the task
-        del known["task"]
+    if task is None:  # check [task] and [paths] against the keys any task takes
+        known["task"].update(dict.fromkeys(f.name for f in fields(SyntheticTaskSpec)))
+        paths = read("paths", PathsSection())
     elif task.name == "csv":
         known["task"].update((f.name, "not read for csv tasks")
                              for f in fields(SyntheticTaskSpec) if f.name != "name")

@@ -188,7 +188,7 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas,
     return [rows[i] for i in range(len(cells))]
 
 
-def _check_guided(base_cfg: SamplerConfig) -> None:
+def check_guided(base_cfg: SamplerConfig) -> None:
     """Refuse a base config whose alpha or J is 0: the guided rows of the
     extrapolation sweep and the ablation table take both from it."""
     if base_cfg.alpha == 0 or base_cfg.guidance_steps == 0:
@@ -202,7 +202,7 @@ def extrapolation_experiment(assets: TaskAssets, y_values, *,
     """Median oracle fitness of the *raw* decoded batch (no dedup, no top-k)
     as the requested target fitness varies, in the manifold and learned_posterior
     modes, each run seeded with `base_cfg.seed`."""
-    _check_guided(base_cfg)
+    check_guided(base_cfg)
     points = [(mode, float(y)) for mode in ("manifold", "learned_posterior") for y in y_values]
 
     def measure(i, res):
@@ -236,7 +236,7 @@ def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig,
 
 def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds) -> list[dict]:
     """Seed-matched mode comparison shaped like the guidance-variant tables."""
-    _check_guided(base_cfg)
+    check_guided(base_cfg)
     rows = []
     for mode in ("manifold", "naive", "learned_posterior"):
         summary = run_benchmark(assets, base_cfg.for_mode(mode), seeds,

@@ -171,4 +171,3 @@ def openblas():
             if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
                 return lambda name: getattr(lib, f"{prefix}_{name}{suffix}")
     return None
-

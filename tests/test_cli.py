@@ -357,13 +357,20 @@ class TestExperiments:
                                                       command):
         """The manifold and naive rows take alpha and J from [sampler], so a
         [sampler] without guidance (as learned_posterior mode needs) is refused
-        rather than sampled unguided under those labels."""
+        rather than sampled unguided under those labels. The refusal comes
+        before any checkpoint is looked for, so a workdir without them gives
+        the same error."""
         _, ini = _workdir_copy(workspace, tmp_path, POSTERIOR_INI)
-        assert main([command, str(ini)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "config error: [sampler] alpha and guidance_steps must be > 0"), err
-        assert not (tmp_path / "results").exists()
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "run.ini").write_text(POSTERIOR_INI)
+        for config in (ini, bare / "run.ini"):
+            assert main([command, str(config)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(
+                "config error: [sampler] alpha and guidance_steps must be > 0"), err
+            assert not (config.parent / "results").exists()
+        assert not (bare / "work").exists()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
@@ -554,9 +561,10 @@ mode = sideways
         ini.write_text(TINY_INI.replace("top_k = 16\nmode = manifold",
                                         "top_k = 64\nmode = magic"))
         assert main(["evaluate", str(ini)]) == 1
-        err = capsys.readouterr().err
-        assert "config error: [sampler] need 1 <= top_k <= batch" in err
-        assert "mode must be one of" in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert err[0] == "config error: [sampler] need 1 <= top_k <= batch"
+        assert err[1].startswith("config error: [sampler] mode must be one of")
 
     @pytest.mark.parametrize("command,section,option,value", [
         ("train-vae", "vae", "beta", "inf"),
@@ -708,7 +716,35 @@ mode = sideways
         ini = tmp_path / "csv.ini"
         ini.write_text("[task]\nname = csv\n")
         assert main(["train-vae", str(ini)]) == 1
-        assert "data" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [paths] data is required for csv tasks"]
+
+    def test_missing_csv_paths_reported_one_line_each(self, tmp_path, capsys):
+        ini = tmp_path / "csv.ini"
+        ini.write_text("[task]\nname = csv\n[paths]\ndata = nope.csv\n"
+                       "range_file = nope.range\noracle_checkpoint = nope.npz\n"
+                       "workdir = work\n")
+        assert main(["train-vae", str(ini)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: [paths] data not found: {tmp_path / 'nope.csv'}",
+            f"config error: [paths] range_file not found: {tmp_path / 'nope.range'}",
+            f"config error: [paths] oracle_checkpoint not found: {tmp_path / 'nope.npz'}"]
+        assert not (tmp_path / "work").exists()
+
+    def test_keys_checked_when_task_refused(self, tmp_path, capsys):
+        """A refused [task] (here its seed) does not hide a misspelt key of
+        [task] or [paths]; the keys are checked against those any task takes."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[task]\nseed = -1\ngap = 2\ngpa = 2\n"
+                       "[paths]\nworkdri = work\nresults = out\n")
+        assert main(["train-vae", str(ini)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3, err
+        assert err[0] == "config error: [task] seed must be >= 0"
+        assert err[1].startswith("config error: [task] gpa: unknown option; "
+                                 "the options are name, seed, ")
+        assert err[2] == ("config error: [paths] workdri: unknown option; the options "
+                          "are data, range_file, oracle_checkpoint, workdir, results")
 
     def test_csv_echo_names_range_file_and_oracle(self, tmp_path):
         for name in ("data.csv", "data.range", "oracle.npz"):
