@@ -8,6 +8,7 @@ an exact oracle; criterion 9 runs the real-data comparison only when assets
 are supplied via SEQOPT_REAL_ASSETS.
 """
 
+import json
 import math
 import os
 import time
@@ -19,6 +20,7 @@ import pytest
 
 import seqopt.nn.autodiff as ad
 from _gradcheck import network_gradients, numeric_gradient, rel_err
+from golden.update import HARD_GOLDEN, environment, hard_values
 from seqopt.flow import (FlowModel, FlowTrainConfig, euler_integrate,
                          flow_matching_loss, train_flow)
 from seqopt.jobs import process_cores, run_jobs
@@ -45,8 +47,9 @@ def _report(n, detail):
 # criterion 7/8 share one trained stack on the hard synthetic task
 # --------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def hard_run():
+def run_hard() -> dict:
+    """Train the stack on the hard synthetic task (seed 0) and sample every
+    mode at the sampling seeds; tests/golden/update.py pins what this gives."""
     task = build_synthetic_task("synthetic-hard", seed=0)
     bundle = train_models(task, seed=0, conditional=True)
     oracle = task_oracle(task)
@@ -92,6 +95,11 @@ def hard_run():
     results["extrap_posterior_y1"] = [
         fitness_of(samples["extrap_posterior", s].raw_sequences) for s in SAMPLING_SEEDS]
     return results
+
+
+@pytest.fixture(scope="module")
+def hard_run():
+    return run_hard()
 
 
 def test_criterion_1_scope_note():
@@ -311,6 +319,25 @@ def test_criterion_8_ablation_directions(hard_run):
                f"({np.mean(man):.3f} vs {np.mean(naive):.3f}); manifold y_gt at y=1 "
                f">= learned posterior in {wins_posterior}/5 "
                f"({np.mean(ex_man):.3f} vs {np.mean(ex_pos):.3f})")
+
+
+def test_hard_run_matches_golden(hard_run):
+    """The hard run's five checkpoint checksums and the values criteria 7-8
+    check equal those tests/golden/hard.json holds (`python
+    tests/golden/update.py` rewrites it), so drift shows even where the
+    criteria's bounds still pass; those bounds stay the gate. Where this
+    host's numpy or BLAS differs from the file's, a difference skips the test,
+    naming the values and both environments."""
+    golden = json.loads(HARD_GOLDEN.read_text())
+    values = hard_values(hard_run, SAMPLING_SEEDS)
+    differing = sorted(key for key in golden["values"].keys() | values.keys()
+                       if golden["values"].get(key) != values.get(key))
+    if differing and golden["environment"] != environment():
+        pytest.skip(f"values made under {golden['environment']}, this host has "
+                    f"{environment()}; differing: {', '.join(differing)}")
+    assert not differing, "\n".join(
+        f"{key}: {HARD_GOLDEN.name} has {golden['values'].get(key)}, this run "
+        f"{values.get(key)}" for key in differing)
 
 
 @pytest.mark.skipif("SEQOPT_REAL_ASSETS" not in os.environ,

@@ -19,7 +19,7 @@ from seqopt.flow import FlowTrainConfig
 from seqopt.predictor import PredictorConfig
 from seqopt.vae import VaeConfig
 
-from golden.update import GOLDEN, environment, experiment_hashes
+from golden.update import TINY_GOLDEN, environment, experiment_hashes
 
 TINY_INI = """
 [task]
@@ -868,11 +868,11 @@ def test_tiny_pipeline_matches_golden(workspace, tmp_path):
     root, _ = workspace
     shutil.copytree(root / "work", tmp_path / "work")
     (tmp_path / "run.ini").write_text(TINY_INI)
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(TINY_GOLDEN.read_text())
     files = experiment_hashes(tmp_path, main)
     differing = sorted(name for name in golden["files"].keys() | files.keys()
                        if golden["files"].get(name) != files.get(name))
     if differing and golden["environment"] != environment():
         pytest.skip(f"hashes made under {golden['environment']}, this host has "
                     f"{environment()}; differing: {', '.join(differing)}")
-    assert not differing, f"files differing from {GOLDEN}: {differing}"
+    assert not differing, f"files differing from {TINY_GOLDEN}: {differing}"
