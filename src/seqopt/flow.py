@@ -179,10 +179,10 @@ def save_flow(model: FlowModel, path) -> str:
 
 
 def load_flow(path) -> FlowModel:
-    descriptor, params, extra = load_checkpoint(path, "flow")
-    return FlowModel(Network(descriptor, params), int(extra["latent_dim"]),
-                     int(extra["time_embed_dim"]), int(extra["fitness_embed_dim"]),
-                     float(extra.get("max_freq", 64.0)))
+    descriptor, params, extra = load_checkpoint(
+        path, "flow", {"latent_dim": int, "time_embed_dim": int, "fitness_embed_dim": int})
+    return FlowModel(Network(descriptor, params), extra["latent_dim"], extra["time_embed_dim"],
+                     extra["fitness_embed_dim"], float(extra.get("max_freq", 64.0)))
 
 
 def euler_step(model, z: np.ndarray, t: float, dt: float, y=None) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Versioned model checkpoints: one .npz holding a JSON meta record (kind,
-descriptor, extras, content checksum) plus the named parameter arrays."""
+descriptor, extras, content checksum) plus the named parameter arrays.
+
+A load refuses a file whose arrays do not have exactly the names and shapes
+its descriptor lays out (`layers.param_shapes`), or whose extras lack a field
+the loader reads, naming the file and the array or field."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_open
-from .layers import ParamStore, validate_descriptor
+from .layers import ParamStore, param_shapes, validate_descriptor
 
 FORMAT_VERSION = 1
 
@@ -52,12 +56,14 @@ def save_checkpoint(path, kind: str, descriptor, params: ParamStore,
     return checksum
 
 
-def load_checkpoint(path, kind: str):
+def load_checkpoint(path, kind: str, fields: dict | None = None):
     """Read and verify a checkpoint of the given kind.
 
-    Returns (descriptor, ParamStore, extra). Refuses files of another kind,
-    files whose stored checksum does not match the recomputed one, and
-    descriptors containing unsupported layer kinds.
+    Returns (descriptor, ParamStore, extra), the arrays in descriptor order
+    and each extra named in `fields` ({name: type}) converted to its type.
+    Refuses files of another kind, files whose stored checksum does not match
+    the recomputed one, descriptors containing unsupported layer kinds, arrays
+    the descriptor does not lay out, and extras lacking one of `fields`.
     """
     path = Path(path)
     if not path.exists():
@@ -78,7 +84,26 @@ def load_checkpoint(path, kind: str):
     problems = validate_descriptor(meta.get("descriptor"))
     if problems:
         raise CheckpointError(f"{path}: " + "; ".join(problems))
-    params = ParamStore(arrays, int(meta.get("rng_seed", 0)))
+    shapes = param_shapes(meta["descriptor"])
+    for name in sorted(shapes.keys() | arrays.keys()):
+        if name not in shapes:
+            raise CheckpointError(f"{path}: parameter array {name!r} is not in the descriptor")
+        if name not in arrays:
+            raise CheckpointError(f"{path}: parameter array {name!r} of shape "
+                                  f"{shapes[name]} is missing")
+        if arrays[name].shape != shapes[name]:
+            raise CheckpointError(f"{path}: parameter array {name!r} has shape "
+                                  f"{arrays[name].shape}, the descriptor gives {shapes[name]}")
+    params = ParamStore({name: arrays[name] for name in shapes}, int(meta.get("rng_seed", 0)))
     if params_checksum(params) != meta.get("checksum"):
         raise CheckpointError(f"{path}: checksum mismatch (file corrupted or tampered)")
-    return meta["descriptor"], params, meta.get("extra", {})
+    extra = meta.get("extra", {})
+    for name, parse in (fields or {}).items():
+        if name not in extra:
+            raise CheckpointError(f"{path}: metadata field {name!r} is missing")
+        try:
+            extra[name] = parse(extra[name])
+        except (TypeError, ValueError):
+            raise CheckpointError(f"{path}: metadata field {name!r} is not "
+                                  f"{parse.__name__}: {extra[name]!r}") from None
+    return meta["descriptor"], params, extra

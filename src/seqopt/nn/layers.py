@@ -3,8 +3,9 @@
 A descriptor is a JSON-friendly list of layer dicts; the frozen layer set is
 exactly what the models here need (dense, stride-1 same-padding 1-D conv,
 relu/leaky_relu/tanh, softmax, global average pooling, flatten/reshape).
-Parameters live in a ParamStore keyed "layerindex.name" and initialize
-deterministically from the store's seed.
+A network's parameters are views named "layerindex.name", in descriptor
+order, into one float64 buffer (a ParamStore's `flat`) initialized
+deterministically from the store's seed; their gradient is one such buffer.
 """
 
 from __future__ import annotations
@@ -59,10 +60,37 @@ def validate_descriptor(descriptor) -> list[str]:
 
 @dataclass
 class ParamStore:
-    """Named parameter arrays plus the seed they were initialized from."""
+    """Named parameter arrays plus the seed they were initialized from. The
+    arrays are copied, in insertion order, into one contiguous float64 buffer
+    `flat` and become views of it, so an in-place update of `flat` reaches
+    every array."""
 
     arrays: dict[str, np.ndarray]
     rng_seed: int
+
+    def __post_init__(self):
+        self.flat = np.concatenate([np.zeros(0)] + [np.ravel(a) for a in self.arrays.values()])
+        self.arrays = self.views(self.flat)
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Cut a buffer laid out like `flat` into the named arrays' shapes."""
+        ends = np.cumsum([arr.size for arr in self.arrays.values()], dtype=int)
+        return {name: part.reshape(arr.shape) for (name, arr), part
+                in zip(self.arrays.items(), np.split(buffer, ends[:-1]))}
+
+
+def param_shapes(descriptor) -> dict[str, tuple[int, ...]]:
+    """The shape of each named parameter array of a valid descriptor, in
+    layer order: the layout of a network's `ParamStore.flat`."""
+    shapes = {}
+    for i, layer in enumerate(descriptor):
+        if layer["kind"] == "dense":
+            shapes[f"{i}.weight"] = (layer["in"], layer["out"])
+            shapes[f"{i}.bias"] = (layer["out"],)
+        elif layer["kind"] == "conv1d":
+            shapes[f"{i}.weight"] = (layer["out_ch"], layer["in_ch"], layer["kernel"])
+            shapes[f"{i}.bias"] = (layer["out_ch"],)
+    return shapes
 
 
 def init_params(descriptor, seed: int) -> ParamStore:
@@ -73,18 +101,12 @@ def init_params(descriptor, seed: int) -> ParamStore:
         raise ValueError("bad descriptor: " + "; ".join(problems))
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(descriptor):
-        kind = layer["kind"]
-        if kind == "dense":
-            fan_in, fan_out = layer["in"], layer["out"]
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            arrays[f"{i}.weight"] = rng.uniform(-s, s, size=(fan_in, fan_out))
-            arrays[f"{i}.bias"] = np.zeros(fan_out)
-        elif kind == "conv1d":
-            cin, cout, k = layer["in_ch"], layer["out_ch"], layer["kernel"]
-            s = np.sqrt(6.0 / (cin * k + cout * k))
-            arrays[f"{i}.weight"] = rng.uniform(-s, s, size=(cout, cin, k))
-            arrays[f"{i}.bias"] = np.zeros(cout)
+    for name, shape in param_shapes(descriptor).items():
+        if name.endswith(".bias"):
+            arrays[name] = np.zeros(shape)
+        else:  # Glorot: fan_in + fan_out, times the kernel of a conv1d (out_ch, in_ch, kernel)
+            s = np.sqrt(6.0 / ((shape[0] + shape[1]) * np.prod(shape[2:], dtype=int)))
+            arrays[name] = rng.uniform(-s, s, size=shape)
     return ParamStore(arrays, seed)
 
 
@@ -144,10 +166,13 @@ class Network:
                 raise NonFiniteError(f"layer {i} ({kind}) produced non-finite values")
         return x
 
-    def collect_grads(self) -> dict[str, np.ndarray]:
-        """Parameter gradients of the last tape; ends the gradient step by
-        freezing the parameter leaves again."""
-        grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for name, t in self._tensors.items()}
+    def collect_grads(self) -> np.ndarray:
+        """Parameter gradients of the last tape as one array laid out like
+        `params.flat`, zero where the tape did not reach a parameter; ends the
+        gradient step by freezing the parameter leaves again."""
+        grad = np.zeros_like(self.params.flat)
+        for name, view in self.params.views(grad).items():
+            if self._tensors[name].grad is not None:
+                view[...] = self._tensors[name].grad
         self._wrap(requires_grad=False)
-        return grads
+        return grad

@@ -1,9 +1,8 @@
-"""Adam with bias correction, operating in place on ParamStore arrays, and
-the one training loop every model here runs through."""
+"""Adam with bias correction, one elementwise pass over a network's flat
+parameter buffer (`ParamStore.flat`) and its flat gradient, and the one
+training loop every model here runs through."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,36 +13,29 @@ from .layers import NonFiniteError, ParamStore
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates over a flat parameter buffer of `size`
+    entries, plus the step counter."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
+    def __init__(self, size: int):
+        self.m, self.v, self.step_count = np.zeros(size), np.zeros(size), 0
 
 
-def adam_step(params: ParamStore, grads: dict[str, np.ndarray], learning_rate: float,
+def adam_step(params: ParamStore, grad: np.ndarray, learning_rate: float,
               state: AdamState) -> AdamState:
-    """One bias-corrected Adam update; mutates `params.arrays` in place so any
-    live views of the arrays observe the new values."""
+    """One bias-corrected Adam update from a gradient laid out like
+    `params.flat`; mutates `params.flat` in place so its named views, and the
+    networks wrapping them, observe the new values."""
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.flat.shape}")
     state.step_count += 1
-    t = state.step_count
-    for name, arr in params.arrays.items():
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {name!r} shape {arr.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        m, v = state.m[name], state.v[name]
-        m *= BETA1
-        m += (1 - BETA1) * g
-        v *= BETA2
-        v += (1 - BETA2) * g * g
-        m_hat = m / (1 - BETA1 ** t)
-        v_hat = v / (1 - BETA2 ** t)
-        arr -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    state.m *= BETA1
+    state.m += (1 - BETA1) * grad
+    state.v *= BETA2
+    state.v += (1 - BETA2) * grad * grad
+    m_hat = state.m / (1 - BETA1 ** state.step_count)
+    v_hat = state.v / (1 - BETA2 ** state.step_count)
+    params.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return state
 
 
@@ -68,7 +60,7 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int) -> list[tup
     parameter leaves are frozen again when this returns."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
-    states = [AdamState() for _ in nets]
+    states = [AdamState(net.params.flat.size) for net in nets]
     history = []
     for epoch in range(epochs):
         sums, count = (), 0

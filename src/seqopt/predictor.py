@@ -13,7 +13,7 @@ from .data import Dataset
 from .landscape import SyntheticLandscape
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import check_training_fields, fit
 from .seqs import levenshtein_one_to_many, one_hot_batch
@@ -149,9 +149,13 @@ def save_predictor(model: PredictorModel, path) -> str:
 def load_external_predictor(path) -> PredictorModel:
     """Load a frozen predictor checkpoint (checksum-verified); role and shape
     come from the stored metadata."""
-    descriptor, params, extra = load_checkpoint(path, "predictor")
-    return PredictorModel(Network(descriptor, params), int(extra["length"]),
-                          int(extra["vocab_size"]), extra.get("role", "predictor"))
+    descriptor, params, extra = load_checkpoint(path, "predictor",
+                                                {"length": int, "vocab_size": int})
+    role = extra.get("role", "predictor")
+    if role not in ROLES:
+        raise CheckpointError(f"{path}: metadata field 'role' is {role!r}, not one of {ROLES}")
+    return PredictorModel(Network(descriptor, params), extra["length"], extra["vocab_size"],
+                          role)
 
 
 def smooth_labels_knn(data: Dataset, k: int = 10) -> Dataset:

@@ -217,11 +217,15 @@ def save_vae(model: VaeModel, directory) -> dict:
 
 def load_vae(directory) -> VaeModel:
     directory = Path(directory)
-    desc_e, params_e, extra = load_checkpoint(directory / "vae_encoder.npz", "vae_encoder")
-    desc_d, params_d, extra_d = load_checkpoint(directory / "vae_decoder.npz", "vae_decoder")
+    fields = {"length": int, "vocab_size": int, "latent_dim": int, "beta": float,
+              "hidden_channels": int}
+    desc_e, params_e, extra = load_checkpoint(directory / "vae_encoder.npz", "vae_encoder",
+                                              fields)
+    desc_d, params_d, extra_d = load_checkpoint(directory / "vae_decoder.npz", "vae_decoder",
+                                                fields)
     if extra != extra_d:
         raise CheckpointError("encoder/decoder checkpoints disagree on model shape")
-    cfg = VaeConfig(latent_dim=int(extra["latent_dim"]), beta=float(extra["beta"]),
-                    hidden_channels=int(extra["hidden_channels"]))
+    cfg = VaeConfig(latent_dim=extra["latent_dim"], beta=extra["beta"],
+                    hidden_channels=extra["hidden_channels"])
     return VaeModel(Network(desc_e, params_e), Network(desc_d, params_d), cfg,
-                    int(extra["length"]), int(extra["vocab_size"]))
+                    extra["length"], extra["vocab_size"])

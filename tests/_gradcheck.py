@@ -33,8 +33,9 @@ def rel_err(analytic, numeric):
 
 def network_gradients(net, x, adjoint):
     """Reverse-mode derivatives of `net.apply` at `x`, seeded with the output
-    adjoint, taken the way training takes them: (parameter grads, input grad)."""
+    adjoint, taken the way training takes them: (parameter grads by name,
+    input grad)."""
     net.refresh()
     xt = Tensor(x)
     net.apply(xt).backward(adjoint)
-    return net.collect_grads(), xt.grad
+    return net.params.views(net.collect_grads()), xt.grad

@@ -155,7 +155,7 @@ def test_criterion_2_gradient_suite():
     total, _, _ = vae_loss_tape(vae, seqs, noise)
     total.backward()
     probe = "0.weight"
-    analytic = vae.encoder.collect_grads()[probe]
+    analytic = vae.encoder.params.views(vae.encoder.collect_grads())[probe]
     orig = vae.encoder.params.arrays[probe].copy()
 
     def f_vae(pv):
@@ -176,7 +176,7 @@ def test_criterion_2_gradient_suite():
     flow.net.refresh()
     loss = flow_loss_tape(flow, z1, z0, tt, None)
     loss.backward()
-    analytic = flow.net.collect_grads()[probe]
+    analytic = flow.net.params.views(flow.net.collect_grads())[probe]
     orig = flow.net.params.arrays[probe].copy()
 
     def f_flow(pv):

@@ -16,6 +16,8 @@ from seqopt.cli import main
 from seqopt.config import config_echo, load_config
 from seqopt.errors import ConfigError
 from seqopt.flow import FlowTrainConfig
+from seqopt.nn.checkpoint import load_checkpoint, save_checkpoint
+from seqopt.nn.layers import ParamStore
 from seqopt.predictor import PredictorConfig
 from seqopt.vae import VaeConfig
 
@@ -450,6 +452,55 @@ class TestCheckpoints:
         assert main([command, str(ini)] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {work / name}: checkpoint kind '{impostor}' is not '{kind}'"]
+
+    @pytest.mark.parametrize("names,field", [
+        (["vae_encoder.npz", "vae_decoder.npz"], "length"),
+        (["flow.npz"], "latent_dim"),
+        (["predictor.npz"], "length"),
+    ])
+    def test_checkpoint_without_metadata_is_io_error(self, workspace, tmp_path, capsys,
+                                                      names, field):
+        """Each loader names the file and the first field it reads that the
+        checkpoint's metadata lacks."""
+        work, ini = _workdir_copy(workspace, tmp_path)
+        for name in names:
+            kind = Path(name).stem
+            descriptor, params, _ = load_checkpoint(work / name, kind)
+            save_checkpoint(work / name, kind, descriptor, params)
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / names[0]}: metadata field {field!r} is missing"]
+
+    def test_unknown_predictor_role_is_io_error(self, workspace, tmp_path, capsys):
+        work, ini = _workdir_copy(workspace, tmp_path)
+        descriptor, params, extra = load_checkpoint(work / "predictor.npz", "predictor")
+        save_checkpoint(work / "predictor.npz", "predictor", descriptor, params,
+                        {**extra, "role": "smoothie"})
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / 'predictor.npz'}: metadata field 'role' is 'smoothie', "
+            "not one of ('predictor', 'smoothed', 'oracle')"]
+
+    @pytest.mark.parametrize("edit", ["reshape", "drop"])
+    def test_arrays_disagreeing_with_descriptor_are_io_error(self, workspace, tmp_path,
+                                                             capsys, edit):
+        """A checkpoint whose checksum matches its arrays, but whose arrays
+        are not the ones its descriptor lays out, is refused when it loads."""
+        work, ini = _workdir_copy(workspace, tmp_path)
+        descriptor, params, extra = load_checkpoint(work / "flow.npz", "flow")
+        arrays = dict(params.arrays)
+        shape = arrays["0.weight"].shape
+        if edit == "reshape":
+            arrays["0.weight"] = np.zeros((shape[0] + 1, shape[1]))
+            problem = f"has shape {(shape[0] + 1, shape[1])}, the descriptor gives {shape}"
+        else:
+            del arrays["0.bias"]
+            problem = f"of shape {(shape[1],)} is missing"
+        array = "0.weight" if edit == "reshape" else "0.bias"
+        save_checkpoint(work / "flow.npz", "flow", descriptor, ParamStore(arrays, 0), extra)
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / 'flow.npz'}: parameter array {array!r} {problem}"]
 
     @pytest.mark.parametrize("command", ["sample", "evaluate"])
     def test_unused_conditional_flow_not_loaded(self, workspace, tmp_path, capsys,

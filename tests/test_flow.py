@@ -94,7 +94,7 @@ class TestLoss:
         loss = _loss_tape(model, z1, z0, t, None)
         loss.backward()
         name = "0.weight"
-        analytic = model.net.collect_grads()[name]
+        analytic = model.net.params.views(model.net.collect_grads())[name]
         orig = model.net.params.arrays[name].copy()
 
         def f(pv):

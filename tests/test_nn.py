@@ -199,7 +199,7 @@ class TestNetwork:
         net.refresh()
         ad.tsum(net.apply(x)).backward()
         leaves = list(net._tensors.values())
-        grads = net.collect_grads()
+        grads = net.params.views(net.collect_grads())
         np.testing.assert_allclose(grads["0.weight"], np.tile(x.data.sum(0)[:, None], (1, 2)))
         assert all(t.grad is not None for t in leaves)
         assert all(not t.requires_grad and t.grad is None
@@ -307,11 +307,56 @@ class TestNetwork:
         assert len(problems) == 2
 
 
+class TestFlatLayout:
+    DESCRIPTORS = {"built": [{"kind": "conv1d", "in_ch": 3, "out_ch": 4, "kernel": 3},
+                             {"kind": "relu"}, {"kind": "global_avg_pool"},
+                             {"kind": "dense", "in": 4, "out": 2}],
+                   "parameter_free": [{"kind": "relu"}]}
+
+    @pytest.mark.parametrize("source", ["built", "loaded", "parameter_free"])
+    def test_arrays_are_views_of_one_buffer(self, tmp_path, source):
+        net = Network.build(self.DESCRIPTORS.get(source, self.DESCRIPTORS["built"]), seed=3)
+        if source != "built":  # the parameter-free network round-trips too
+            save_checkpoint(tmp_path / "net.npz", "flow", net.descriptor, net.params)
+            desc, params, _ = load_checkpoint(tmp_path / "net.npz", "flow")
+            net = Network(desc, params)
+        params = net.params
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert sum(arr.size for arr in params.arrays.values()) == params.flat.size
+        assert all(np.shares_memory(arr, params.flat) for arr in params.arrays.values())
+        assert (params.flat.size == 0) == (source == "parameter_free")
+
+    def test_adam_on_flat_reaches_apply_without_refresh(self):
+        net = Network.build(self.DESCRIPTORS["built"], seed=3)
+        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=False)
+        before = net.apply(x).data
+        adam_step(net.params, np.ones_like(net.params.flat), 0.1,
+                  AdamState(net.params.flat.size))
+        assert not np.array_equal(net.apply(x).data, before)
+
+    def test_collect_grads_is_flat_with_zeros_where_tape_did_not_reach(self):
+        net = Network.build(self.DESCRIPTORS["built"], seed=3)
+        net.refresh()
+        ad.tsum(net._tensors["3.bias"] * 2.0).backward()  # reaches one leaf only
+        grad = net.collect_grads()
+        assert isinstance(grad, np.ndarray) and grad.shape == net.params.flat.shape
+        by_name = net.params.views(grad)
+        np.testing.assert_array_equal(by_name["3.bias"], [2.0, 2.0])
+        assert all(not g.any() for name, g in by_name.items() if name != "3.bias")
+
+    def test_views_cut_any_buffer_in_layout_order(self):
+        params = ParamStore({"w": np.ones((2, 3)), "b": np.zeros(2)}, 0)
+        views = params.views(np.arange(8.0))
+        assert list(views) == ["w", "b"]
+        np.testing.assert_array_equal(views["w"], [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(views["b"], [6, 7])
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = ParamStore({"w": np.array([1.0, -2.0])}, 0)
         before = params.arrays["w"].copy()
-        state = adam_step(params, {"w": np.zeros(2)}, 1e-3, AdamState())
+        state = adam_step(params, np.zeros(2), 1e-3, AdamState(2))
         np.testing.assert_array_equal(params.arrays["w"], before)
         assert state.step_count == 1
 
@@ -319,34 +364,64 @@ class TestAdam:
         # bias-corrected first step: lr * g/|g| up to epsilon
         for g in (1e-4, 3.7, -250.0):
             params = ParamStore({"w": np.array([0.0])}, 0)
-            adam_step(params, {"w": np.array([g])}, 0.01, AdamState())
+            adam_step(params, np.array([g]), 0.01, AdamState(1))
             assert abs(abs(params.arrays["w"][0]) - 0.01) < 1e-5
             assert np.sign(params.arrays["w"][0]) == -np.sign(g)
 
-    def test_moments_allocated_on_first_step_only(self, monkeypatch):
+    def test_moments_updated_in_place(self, monkeypatch):
         params = ParamStore({"w": np.ones(3), "b": np.zeros(2)}, 0)
-        grads = {"w": np.full(3, 0.5), "b": np.ones(2)}
-        state = adam_step(params, grads, 1e-3, AdamState())
-        moments = [state.m["w"], state.v["w"], state.m["b"], state.v["b"]]
+        grad = np.array([0.5, 0.5, 0.5, 1.0, 1.0])
+        state = AdamState(params.flat.size)
+        moments = state.m, state.v
         calls = []
-        zeros_like = np.zeros_like
-        monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a) or zeros_like(a))
+        for name in ("zeros", "zeros_like"):
+            original = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, original=original, **k:
+                                calls.append(a) or original(*a, **k))
         for _ in range(3):
-            adam_step(params, grads, 1e-3, state)
+            adam_step(params, grad, 1e-3, state)
         assert calls == []
-        assert all(a is b for a, b in zip(moments, [state.m["w"], state.v["w"],
-                                                     state.m["b"], state.v["b"]]))
+        assert state.m is moments[0] and state.v is moments[1]
+        assert state.m.any() and state.v.any()
+
+    def test_wrong_gradient_shape_refused(self):
+        params = ParamStore({"w": np.ones(3), "b": np.zeros(2)}, 0)
+        with pytest.raises(ValueError, match=r"gradient shape \(3,\) != parameter shape \(5,\)"):
+            adam_step(params, np.ones(3), 1e-3, AdamState(5))
+
+    def test_one_pass_matches_per_array_reference_bitwise(self):
+        """The flat update gives, bit for bit, the per-array update rule
+        written out here, on a network with conv and dense arrays."""
+        net = Network.build(TestFlatLayout.DESCRIPTORS["built"], seed=4)
+        params, lr = net.params, 3e-3
+        ref = {name: arr.copy() for name, arr in params.arrays.items()}
+        m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        state = AdamState(params.flat.size)
+        for t in range(1, 8):
+            grad = rng.standard_normal(params.flat.size) * 10.0 ** rng.integers(-6, 3)
+            adam_step(params, grad, lr, state)
+            for name, g in params.views(grad).items():
+                m[name] *= BETA1
+                m[name] += (1 - BETA1) * g
+                v[name] *= BETA2
+                v[name] += (1 - BETA2) * g * g
+                m_hat = m[name] / (1 - BETA1 ** t)
+                v_hat = v[name] / (1 - BETA2 ** t)
+                ref[name] -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+            for name, arr in params.arrays.items():
+                assert arr.tobytes() == ref[name].tobytes(), (t, name)
 
     def test_constant_gradient_moves_monotonically(self):
         # scalar simulation: independently replay the update rule
         lr = 0.05
         params = ParamStore({"w": np.array([0.0])}, 0)
-        state = AdamState()
+        state = AdamState(1)
         m = v = 0.0
         w_ref = 0.0
         history = []
         for t in range(1, 51):
-            adam_step(params, {"w": np.array([2.5])}, lr, state)
+            adam_step(params, np.array([2.5]), lr, state)
             m = BETA1 * m + (1 - BETA1) * 2.5
             v = BETA2 * v + (1 - BETA2) * 2.5 ** 2
             w_ref -= lr * (m / (1 - BETA1 ** t)) / (np.sqrt(v / (1 - BETA2 ** t)) + EPSILON)
@@ -401,6 +476,37 @@ class TestCheckpoint:
         save_checkpoint(p, "predictor", bad_desc, net.params)
         with pytest.raises(CheckpointError, match="unsupported"):
             load_checkpoint(p, "predictor")
+
+    @pytest.mark.parametrize("edit,problem", [
+        ("reshape", "parameter array '0.weight' has shape (4, 4), the descriptor gives (3, 4)"),
+        ("drop", "parameter array '2.bias' of shape (1,) is missing"),
+        ("add", "parameter array '1.weight' is not in the descriptor"),
+    ])
+    def test_arrays_must_match_descriptor(self, tmp_path, edit, problem):
+        desc, net = self._net()
+        arrays = dict(net.params.arrays)
+        if edit == "reshape":
+            arrays["0.weight"] = np.zeros((4, 4))
+        elif edit == "drop":
+            del arrays["2.bias"]
+        else:
+            arrays["1.weight"] = np.zeros(2)
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, ParamStore(arrays, 9))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(p, "predictor")
+        assert str(info.value) == f"{p}: {problem}"
+
+    def test_metadata_fields_required_and_converted(self, tmp_path):
+        desc, net = self._net()
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, net.params, extra={"length": 8, "beta": "x"})
+        assert load_checkpoint(p, "predictor", {"length": float})[2]["length"] == 8.0
+        for fields, problem in (({"vocab_size": int}, "metadata field 'vocab_size' is missing"),
+                                ({"beta": float}, "metadata field 'beta' is not float: 'x'")):
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(p, "predictor", fields)
+            assert str(info.value) == f"{p}: {problem}"
 
     def test_checksum_tracks_content(self):
         _, net = self._net()

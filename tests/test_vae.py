@@ -200,7 +200,7 @@ class TestVaeLoss:
         total, _, _ = _loss_tape(model, seqs, noise)
         total.backward()
         name = "0.weight"  # encoder conv probe
-        analytic = model.encoder.collect_grads()[name]
+        analytic = model.encoder.params.views(model.encoder.collect_grads())[name]
         orig = model.encoder.params.arrays[name].copy()
 
         def f(pv):
