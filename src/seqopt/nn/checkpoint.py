@@ -77,6 +77,8 @@ def load_checkpoint(path, kind: str, fields: dict | None = None):
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
+    if not (isinstance(meta, dict) and isinstance(meta.get("extra", {}), dict)):
+        raise CheckpointError(f"{path}: metadata is not an object with an 'extra' object")
     if meta.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')}")
     if meta.get("kind") != kind:

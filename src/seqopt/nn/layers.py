@@ -74,9 +74,11 @@ class ParamStore:
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
         """Cut a buffer laid out like `flat` into the named arrays' shapes."""
-        ends = np.cumsum([arr.size for arr in self.arrays.values()], dtype=int)
-        return {name: part.reshape(arr.shape) for (name, arr), part
-                in zip(self.arrays.items(), np.split(buffer, ends[:-1]))}
+        out, start = {}, 0
+        for name, arr in self.arrays.items():
+            out[name] = buffer[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+        return out
 
 
 def param_shapes(descriptor) -> dict[str, tuple[int, ...]]:
@@ -170,9 +172,9 @@ class Network:
         """Parameter gradients of the last tape as one array laid out like
         `params.flat`, zero where the tape did not reach a parameter; ends the
         gradient step by freezing the parameter leaves again."""
-        grad = np.zeros_like(self.params.flat)
+        grad = np.empty_like(self.params.flat)
         for name, view in self.params.views(grad).items():
-            if self._tensors[name].grad is not None:
-                view[...] = self._tensors[name].grad
+            leaf_grad = self._tensors[name].grad
+            view[...] = 0.0 if leaf_grad is None else leaf_grad
         self._wrap(requires_grad=False)
         return grad

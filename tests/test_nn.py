@@ -508,6 +508,16 @@ class TestCheckpoint:
                 load_checkpoint(p, "predictor", fields)
             assert str(info.value) == f"{p}: {problem}"
 
+    @pytest.mark.parametrize("meta", [[1, 2], {"version": 1, "kind": "predictor", "extra": None}])
+    def test_metadata_not_an_object_refused(self, tmp_path, meta):
+        import json
+        p = tmp_path / "model.npz"
+        with open(p, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(p, "predictor", {"length": int})
+        assert str(info.value) == f"{p}: metadata is not an object with an 'extra' object"
+
     def test_checksum_tracks_content(self):
         _, net = self._net()
         c1 = params_checksum(net.params)
