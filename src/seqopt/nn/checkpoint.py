@@ -96,16 +96,21 @@ def load_checkpoint(path, kind: str, fields: dict | None = None):
         if arrays[name].shape != shapes[name]:
             raise CheckpointError(f"{path}: parameter array {name!r} has shape "
                                   f"{arrays[name].shape}, the descriptor gives {shapes[name]}")
-    params = ParamStore({name: arrays[name] for name in shapes}, int(meta.get("rng_seed", 0)))
+    params = ParamStore({name: arrays[name] for name in shapes},
+                        _convert(path, "rng_seed", meta.get("rng_seed", 0), int))
     if params_checksum(params) != meta.get("checksum"):
         raise CheckpointError(f"{path}: checksum mismatch (file corrupted or tampered)")
     extra = meta.get("extra", {})
     for name, parse in (fields or {}).items():
         if name not in extra:
             raise CheckpointError(f"{path}: metadata field {name!r} is missing")
-        try:
-            extra[name] = parse(extra[name])
-        except (TypeError, ValueError):
-            raise CheckpointError(f"{path}: metadata field {name!r} is not "
-                                  f"{parse.__name__}: {extra[name]!r}") from None
+        extra[name] = _convert(path, name, extra[name], parse)
     return meta["descriptor"], params, extra
+
+
+def _convert(path, name: str, value, parse):
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise CheckpointError(f"{path}: metadata field {name!r} is not "
+                              f"{parse.__name__}: {value!r}") from None

@@ -168,6 +168,15 @@ class Network:
                 raise NonFiniteError(f"layer {i} ({kind}) produced non-finite values")
         return x
 
+    def move_params(self, buffer: np.ndarray) -> None:
+        """Copy the parameters into `buffer`, a float64 array laid out like
+        `params.flat`, and keep them there: it becomes `params.flat`, the named
+        arrays become its views, and the leaves wrap them, frozen."""
+        buffer[...] = self.params.flat
+        self.params.flat = buffer
+        self.params.arrays = self.params.views(buffer)
+        self._wrap(requires_grad=False)
+
     def collect_grads(self) -> np.ndarray:
         """Parameter gradients of the last tape as one array laid out like
         `params.flat`, zero where the tape did not reach a parameter; ends the

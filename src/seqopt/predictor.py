@@ -103,16 +103,19 @@ def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
         order = rng.permutation(data.n)
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            yield one_hot_batch(data.sequences[idx], vocab_size), labels[idx]
+            yield data.sequences[idx], labels[idx], idx.size
 
-    def loss_tape(x, y):
+    def loss_tape(seqs, y, rows):
+        x = one_hot_batch(seqs, vocab_size)  # in the chunk's process: sequences pickle small
         resid = model.predict_tape(Tensor(x, requires_grad=False)) - y
         loss = ad.tmean(resid * resid)
-        return loss, (float(loss.data) * y.size, y.size)
+        # the batch's squared-error sum and size; `fit` weights a chunk's report
+        # by its share of the batch's `rows`
+        return loss, (float(loss.data) * rows, rows)
 
     report = PredictorTrainReport()
     for (sq_sum, count), _ in fit([model.net], batches, loss_tape, cfg.learning_rate,
-                                  cfg.epochs):
+                                  cfg.epochs, chunked=True):
         report.per_epoch_mse.append(sq_sum / count)
     report.final_train_mse = _mse(model, data, labels)
     if val_data is not None:

@@ -171,7 +171,8 @@ def train_vae(data: Dataset, cfg: VaeConfig, seed: int, vocab_size: int = 20,
 
     report = TrainReport()
     for (total, recon, kl), n_batches in fit([model.encoder, model.decoder], batches,
-                                             loss_tape, cfg.learning_rate, cfg.epochs):
+                                             loss_tape, cfg.learning_rate, cfg.epochs,
+                                             chunked=True):
         report.per_epoch.append({"total": total / n_batches,
                                  "reconstruction": recon / n_batches,
                                  "kl": kl / n_batches})
@@ -219,12 +220,15 @@ def load_vae(directory) -> VaeModel:
     directory = Path(directory)
     fields = {"length": int, "vocab_size": int, "latent_dim": int, "beta": float,
               "hidden_channels": int}
-    desc_e, params_e, extra = load_checkpoint(directory / "vae_encoder.npz", "vae_encoder",
-                                              fields)
-    desc_d, params_d, extra_d = load_checkpoint(directory / "vae_decoder.npz", "vae_decoder",
-                                                fields)
-    if extra != extra_d:
-        raise CheckpointError("encoder/decoder checkpoints disagree on model shape")
+    paths = directory / "vae_encoder.npz", directory / "vae_decoder.npz"
+    desc_e, params_e, extra = load_checkpoint(paths[0], "vae_encoder", fields)
+    desc_d, params_d, extra_d = load_checkpoint(paths[1], "vae_decoder", fields)
+    differing = sorted(name for name in extra.keys() | extra_d.keys()
+                       if extra.get(name) != extra_d.get(name))
+    if differing:
+        raise CheckpointError(f"{paths[0]} and {paths[1]} disagree: " + "; ".join(
+            f"{name!r} is {extra.get(name)!r} against {extra_d.get(name)!r}"
+            for name in differing))
     cfg = VaeConfig(latent_dim=extra["latent_dim"], beta=extra["beta"],
                     hidden_channels=extra["hidden_channels"])
     return VaeModel(Network(desc_e, params_e), Network(desc_d, params_d), cfg,

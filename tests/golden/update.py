@@ -34,22 +34,20 @@ EXPERIMENTS = ("sample", "evaluate", "gridsearch", "extrapolate", "ode-sweep", "
 
 def environment() -> dict:
     """What the hashes depend on besides the source: the numpy version and
-    the OpenBLAS numpy runs on (name, version, the core kernel it picked and
-    its thread count), all None without OpenBLAS."""
+    the OpenBLAS numpy runs on (name, version and the core kernel it picked),
+    all None without OpenBLAS. Not its thread count: the VAE and predictor
+    train in chunks on one BLAS thread each, and the flows' training and
+    sampling give the same bits on 1 and 2 threads."""
     from seqopt.jobs import openblas
 
-    env = {"numpy": np.__version__, "blas": None, "blas_version": None,
-           "blas_core": None, "blas_threads": None}
+    env = {"numpy": np.__version__, "blas": None, "blas_version": None, "blas_core": None}
     blas = openblas()
     if blas is not None:
-        config, corename, threads = (blas(name) for name in
-                                     ("get_config", "get_corename", "get_num_threads"))
-        config.argtypes = corename.argtypes = threads.argtypes = []
+        config, corename = blas("get_config"), blas("get_corename")
+        config.argtypes = corename.argtypes = []
         config.restype = corename.restype = ctypes.c_char_p
-        threads.restype = ctypes.c_int
         name, version = config().decode().split()[:2]  # "OpenBLAS 0.3.31 ..."
-        env.update(blas=name, blas_version=version, blas_core=corename().decode(),
-                   blas_threads=threads())
+        env.update(blas=name, blas_version=version, blas_core=corename().decode())
     return env
 
 

@@ -471,6 +471,15 @@ class TestCheckpoints:
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {work / names[0]}: metadata field {field!r} is missing"]
 
+    def test_rng_seed_not_an_int_is_io_error(self, workspace, tmp_path, capsys):
+        work, ini = _workdir_copy(workspace, tmp_path)
+        descriptor, params, extra = load_checkpoint(work / "predictor.npz", "predictor")
+        params.rng_seed = "x"
+        save_checkpoint(work / "predictor.npz", "predictor", descriptor, params, extra)
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / 'predictor.npz'}: metadata field 'rng_seed' is not int: 'x'"]
+
     def test_unknown_predictor_role_is_io_error(self, workspace, tmp_path, capsys):
         work, ini = _workdir_copy(workspace, tmp_path)
         descriptor, params, extra = load_checkpoint(work / "predictor.npz", "predictor")

@@ -346,6 +346,57 @@ class TestWorkQueue:
         assert jobs.openblas()("get_num_threads")() >= 1
 
 
+class TestPool:
+    """`jobs.pool`: workers forked once for a block, tasks dealt k mod n, and
+    memory shared before the fork written both ways."""
+
+    def test_workers_kept_for_the_block_and_reaped(self):
+        source, shared = jobs.shared_array(1), jobs.shared_array((7, 2))
+
+        def task(k, value):
+            shared[k] = value, source[0]
+            return os.getpid()
+
+        with time_limit(60):
+            with jobs.pool(task, 4) as run:  # more processes than this host's cores
+                runs = []
+                for value in range(1, 21):
+                    source[0] = -value
+                    pids = run([(k, value) for k in range(7)])
+                    assert shared.tolist() == [[value, -value]] * 7
+                    runs.append(pids)
+        pids = runs[0]
+        assert all(later == pids for later in runs)
+        assert pids[0] == pids[4] == os.getpid()
+        assert pids[1] == pids[5] and pids[2] == pids[6] and len(set(pids[:4])) == 4
+        for pid in pids[1:4]:
+            with pytest.raises(ChildProcessError):  # reaped: neither running nor a zombie
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_earliest_failing_task_wins(self):
+        def task(k):
+            if k in (2, 3):
+                raise ValueError(f"task {k}")
+            return k
+
+        with time_limit(60), jobs.pool(task, 2) as run:
+            assert run([(k,) for k in range(2)]) == [0, 1]
+            with pytest.raises(ValueError, match="^task 2$"):
+                run([(k,) for k in range(5)])
+            assert run([(4,)]) == [4]  # the workers are still there
+
+    @pytest.mark.parametrize("outer", [1, 2])
+    def test_serial_inside_a_job(self, outer):
+        def job():
+            with jobs.pool(lambda k: os.getpid(), 2) as run:
+                return os.getpid(), run([(k,) for k in range(3)])
+
+        with time_limit(60):
+            done = run_jobs({k: job for k in range(2)}, parallelism=outer)
+        for pid, inner in done.values():
+            assert inner == [pid] * 3
+
+
 class TestSweepDispatch:
     """The sweeps hand their runs to `run_jobs` on as many processes as the
     process has CPUs, and return on two the rows they return on one."""

@@ -508,6 +508,15 @@ class TestCheckpoint:
                 load_checkpoint(p, "predictor", fields)
             assert str(info.value) == f"{p}: {problem}"
 
+    def test_rng_seed_not_an_int_refused(self, tmp_path):
+        desc, net = self._net()
+        net.params.rng_seed = "x"
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, net.params)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(p, "predictor")
+        assert str(info.value) == f"{p}: metadata field 'rng_seed' is not int: 'x'"
+
     @pytest.mark.parametrize("meta", [[1, 2], {"version": 1, "kind": "predictor", "extra": None}])
     def test_metadata_not_an_object_refused(self, tmp_path, meta):
         import json

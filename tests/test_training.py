@@ -1,25 +1,35 @@
 """The one training loop (`nn.optim.fit`) under the VAE, predictor and flow:
-its divergence policy, the state it leaves the parameters in, and the exact
-weights it trains."""
+its divergence policy, the state it leaves the parameters in, the exact
+weights it trains, and its chunked form, whose bits depend on neither the BLAS
+thread count nor the number of processes."""
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqopt.nn.layers as layers
+from seqopt import jobs
 from seqopt.data import Dataset
 from seqopt.errors import TrainingDivergedError
 from seqopt.flow import FlowTrainConfig, train_flow
+from seqopt.jobs import run_jobs
 from seqopt.nn import autodiff as ad
+from seqopt.nn import optim
 from seqopt.nn.autodiff import Tensor
 from seqopt.nn.checkpoint import params_checksum
 from seqopt.nn.layers import Network, NonFiniteError
 from seqopt.nn.optim import fit
 from seqopt.predictor import PredictorConfig, train_predictor
 from seqopt.vae import VaeConfig, train_vae
+from test_harness import time_limit
 
 VAE_CFG = VaeConfig(latent_dim=3, beta=0.01, epochs=3, batch_size=16, hidden_channels=8)
 PRED_CFG = PredictorConfig(hidden_channels=4, hidden_dense=8, epochs=3, batch_size=16)
@@ -179,3 +189,169 @@ class TestFit:
         with pytest.raises(TrainingDivergedError,
                            match=r"^epoch 1: layer 0 \(dense\) produced non-finite values$"):
             fit([net], lambda: iter([()]), loss_tape, 0.1, 3)
+
+
+def hard_shape_data():
+    """202 sequences of length 20 over 20 tokens: batches of 128 and 74 rows."""
+    rng = np.random.default_rng(11)
+    return Dataset.from_arrays(rng.integers(0, 20, size=(202, 20)), rng.random(202))
+
+
+def hard_shape_training(epochs=1):
+    """A VAE and a predictor of the hard config's widths (48 and 24 channels)
+    trained at its batch size of 128 on `hard_shape_data`: the networks'
+    checksums and the per-epoch reports."""
+    data = hard_shape_data()
+    vae, vae_report = train_vae(data, VaeConfig(epochs=epochs), seed=0, vocab_size=20)
+    pred, pred_report = train_predictor(data, PredictorConfig(epochs=epochs), seed=1,
+                                        vocab_size=20)
+    checksums = {name: params_checksum(net.params) for name, net in
+                 (("vae_encoder", vae.encoder), ("vae_decoder", vae.decoder),
+                  ("predictor", pred.net))}
+    return checksums, vae_report.per_epoch, pred_report.per_epoch_mse
+
+
+# Print hard_shape_training()'s checksums from a process pinned to the one CPU argv[1].
+ONE_CPU_TRAINING = """
+import json, os, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+from seqopt import jobs
+from test_training import hard_shape_training
+assert jobs.process_cores() == 1
+print(json.dumps(hard_shape_training()[0]))
+"""
+
+
+@pytest.fixture
+def blas_threads():
+    """Set OpenBLAS's thread count for the test; the original is restored after."""
+    blas = jobs.openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, set_ = blas("get_num_threads"), blas("set_num_threads")
+    original = get()
+    yield set_
+    set_(original)
+
+
+class TestChunkedFit:
+    """`fit(..., chunked=True)`, the VAE's and the predictor's: 64-row chunks,
+    one BLAS thread each, on the process's cores."""
+
+    def test_bits_independent_of_threads_and_cores(self, blas_threads):
+        """Batches of 128 and 74 rows at the hard config's widths: at these
+        sizes one tape over the batch gives other bits on 2 BLAS threads than
+        on 1, and the 64-row chunks give the same bits on 2 threads (with the
+        chunks on this process's cores), on 1, and in a process on one CPU."""
+        blas_threads(2)
+        two_threads = hard_shape_training()[0]
+        blas_threads(1)
+        one_thread = hard_shape_training()[0]
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])}
+        cpu = min(os.sched_getaffinity(0))
+        done = subprocess.run([sys.executable, "-c", ONE_CPU_TRAINING, str(cpu)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        one_cpu = json.loads(done.stdout.splitlines()[-1])
+        assert two_threads == one_thread == one_cpu
+
+    def test_reports_match_one_tape_per_batch(self, monkeypatch):
+        _, vae_chunked, pred_chunked = hard_shape_training(epochs=2)
+        monkeypatch.setattr(optim, "CHUNK_ROWS", 10 ** 9)  # every batch one tape
+        _, vae_whole, pred_whole = hard_shape_training(epochs=2)
+        assert len(vae_chunked) == len(pred_chunked) == 2
+        for chunked, whole in zip(vae_chunked, vae_whole):
+            assert chunked.keys() == whole.keys()
+            for key in chunked:
+                assert chunked[key] == pytest.approx(whole[key], rel=1e-12, abs=0)
+        assert pred_chunked == pytest.approx(pred_whole, rel=1e-12, abs=0)
+
+
+class TestChunkPoolLifetime:
+    """No worker of a chunked `fit` outlives it, and the caller's BLAS thread
+    count is restored, whether it returns, diverges or is interrupted."""
+
+    BATCH = np.arange(8.0).reshape(4, 2)  # two 2-row chunks; chunk 1 runs on worker 1
+
+    @pytest.fixture
+    def forked(self, monkeypatch, blas_threads):
+        """Two processes and 2-row chunks, whatever this host's cores; yields
+        the pids the fit forks, and checks afterwards that each was reaped and
+        that BLAS is back at the 3 threads the test set."""
+        monkeypatch.setattr(optim, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(jobs, "process_cores", lambda: 2)
+        pids, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        blas_threads(3)
+        with time_limit(60):
+            yield pids
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # reaped: neither running nor a zombie
+                os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+        assert jobs.openblas()("get_num_threads")() == 3
+
+    def fit(self, batches, epochs=3, poison_epoch=None):
+        """Fit a dense net on `batches`; from epoch `poison_epoch` on, the rows
+        of the batch's second chunk are NaN, and loss_tape checks that they
+        reach it in a forked worker, not in the caller."""
+        net = Network.build([{"kind": "dense", "in": 2, "out": 1}], seed=0)
+        caller, epoch = os.getpid(), [-1]
+
+        def loss_tape(x):
+            if np.isnan(x).any() and os.getpid() == caller:
+                raise AssertionError("the poisoned chunk ran in the caller")
+            return ad.tmean(net.apply(Tensor(x, requires_grad=False))), (float(x.sum()),)
+
+        def counted():
+            epoch[0] += 1
+            for batch in batches():
+                if poison_epoch is not None and epoch[0] >= poison_epoch:
+                    batch = (np.concatenate([batch[0][:2], np.full((2, 2), np.nan)]),)
+                yield batch
+        return fit([net], counted, loss_tape, 0.1, epochs, chunked=True)
+
+    def test_returns(self, forked):
+        history = self.fit(lambda: iter([(self.BATCH,)]))
+        # each chunk's report, the sum of its rows, is weighted by its share, 1/2
+        assert history == [((self.BATCH.sum() / 2,), 1)] * 3
+
+    def test_worker_chunk_diverges(self, forked):
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^epoch 1: layer 0 \(dense\) produced non-finite values$"):
+            self.fit(lambda: iter([(self.BATCH,)]), poison_epoch=1)
+
+    def test_parameters_private_again(self, forked):
+        """After the fit, the parameters are out of the shared mapping: a
+        worker forked later writes only its own copy, and the network's leaves
+        wrap the private buffer."""
+        net = Network.build([{"kind": "dense", "in": 2, "out": 1}], seed=0)
+        x = Tensor(self.BATCH, requires_grad=False)
+        fit([net], lambda: iter([(self.BATCH,)]),
+            lambda xb: (ad.tmean(net.apply(Tensor(xb, requires_grad=False))), ()),
+            0.1, 2, chunked=True)
+        trained, out = net.params.flat.copy(), net.apply(x).data.copy()
+
+        def clobber():
+            net.params.flat[:] = 0.0
+        run_jobs({0: lambda: None, 1: clobber}, parallelism=2)
+        assert net.params.flat.tobytes() == trained.tobytes()
+        net.params.arrays["0.bias"][0] += 1.0
+        assert np.allclose(net.apply(x).data, out + 1.0, rtol=0.0, atol=1e-12)
+
+    def test_interrupted_while_drawing_a_batch(self, forked):
+        def batches():
+            yield (self.BATCH,)
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            self.fit(batches)

@@ -4,9 +4,10 @@ import pytest
 from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.nn.autodiff import Tensor
+from seqopt.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from seqopt.tasks import encode_latents
-from seqopt.vae import (VaeConfig, VaeModel, _loss_tape, reconstruction_accuracy,
-                        sample_vae_prior, train_vae)
+from seqopt.vae import (VaeConfig, VaeModel, _loss_tape, load_vae, reconstruction_accuracy,
+                        sample_vae_prior, save_vae, train_vae)
 
 rng = np.random.default_rng(77)
 
@@ -280,3 +281,26 @@ class TestPriorSampling:
         np.testing.assert_array_equal(a, b)
         c = sample_vae_prior(model, 20, seed=6)
         assert not np.array_equal(a, c)
+
+
+class TestCheckpoints:
+    def test_round_trip_bitwise(self, tmp_path):
+        model = tiny_model()
+        save_vae(model, tmp_path)
+        loaded = load_vae(tmp_path)
+        assert loaded.config == model.config
+        assert (loaded.length, loaded.vocab_size) == (model.length, model.vocab_size)
+        for a, b in ((model.encoder, loaded.encoder), (model.decoder, loaded.decoder)):
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
+
+    def test_disagreement_names_both_files_and_each_field(self, tmp_path):
+        save_vae(tiny_model(), tmp_path)
+        decoder = tmp_path / "vae_decoder.npz"
+        descriptor, params, extra = load_checkpoint(decoder, "vae_decoder")
+        save_checkpoint(decoder, "vae_decoder", descriptor, params,
+                        {**extra, "beta": 0.5, "hidden_channels": 9})
+        with pytest.raises(CheckpointError) as info:
+            load_vae(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / 'vae_encoder.npz'} and {decoder} disagree: "
+            "'beta' is 0.01 against 0.5; 'hidden_channels' is 8 against 9")
