@@ -9,13 +9,15 @@ learned conditional sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import check_training_fields, fit
 
@@ -42,9 +44,17 @@ def sinusoidal_embedding(values: np.ndarray, dim: int, max_freq: float = 64.0) -
     if dim % 2 != 0:
         raise ValueError("embedding dim must be even")
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    freqs = np.geomspace(1.0, max_freq, dim // 2) * np.pi
-    angles = values[:, None] * freqs[None, :]
+    angles = values[:, None] * _frequencies(dim // 2, float(max_freq))[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _frequencies(count: int, max_freq: float) -> np.ndarray:
+    """The embedding's angular frequencies, computed once per (count,
+    max_freq) and shared read-only by every caller."""
+    freqs = np.geomspace(1.0, max_freq, count) * np.pi
+    freqs.flags.writeable = False
+    return freqs
 
 
 def trunk_descriptor(latent_dim: int, time_embed_dim: int, fitness_embed_dim: int,
@@ -87,17 +97,24 @@ class FlowModel:
                 "fitness_embed_dim": self.fitness_embed_dim, "max_freq": self.max_freq,
                 "conditional": self.conditional, "time_embedding": "sinusoidal"}
 
+    def _embed(self, values, dim: int, rows: int) -> Tensor:
+        """(rows, dim) embedding of a scalar, or of one value per row. A
+        scalar is embedded once and broadcast, which gives the same bits as
+        embedding it per row."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 0:
+            emb = np.broadcast_to(sinusoidal_embedding(values, dim, self.max_freq), (rows, dim))
+        else:
+            emb = sinusoidal_embedding(np.broadcast_to(values, (rows,)), dim, self.max_freq)
+        return Tensor(emb, requires_grad=False)
+
     def _features(self, z: Tensor, t, y) -> Tensor:
         b = z.shape[0]
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (b,))
-        parts = [z, Tensor(sinusoidal_embedding(t, self.time_embed_dim, self.max_freq),
-                           requires_grad=False)]
+        parts = [z, self._embed(t, self.time_embed_dim, b)]
         if self.conditional:
             if y is None:
                 raise ValueError("conditional flow model needs a fitness value y")
-            y = np.broadcast_to(np.asarray(y, dtype=np.float64), (b,))
-            parts.append(Tensor(sinusoidal_embedding(y, self.fitness_embed_dim, self.max_freq),
-                                requires_grad=False))
+            parts.append(self._embed(y, self.fitness_embed_dim, b))
         elif y is not None:
             raise ValueError("unconditional flow model got a fitness value")
         return ad.concat(parts, axis=1)
@@ -179,10 +196,20 @@ def save_flow(model: FlowModel, path) -> str:
 
 
 def load_flow(path) -> FlowModel:
+    """Load a flow checkpoint. Embedding widths must be even and a recorded
+    `max_freq` a finite number > 0; a file without one gets the default."""
     descriptor, params, extra = load_checkpoint(
         path, "flow", {"latent_dim": int, "time_embed_dim": int, "fitness_embed_dim": int})
+    for name in ("time_embed_dim", "fitness_embed_dim"):
+        if extra[name] % 2:
+            raise CheckpointError(f"{path}: metadata field {name!r} is {extra[name]!r}, "
+                                  "not an even width")
+    max_freq = extra.get("max_freq", 64.0)
+    if not (type(max_freq) in (int, float) and math.isfinite(max_freq) and max_freq > 0):
+        raise CheckpointError(f"{path}: metadata field 'max_freq' is {max_freq!r}, "
+                              "not a finite number > 0")
     return FlowModel(Network(descriptor, params), extra["latent_dim"], extra["time_embed_dim"],
-                     extra["fitness_embed_dim"], float(extra.get("max_freq", 64.0)))
+                     extra["fitness_embed_dim"], float(max_freq))
 
 
 def euler_step(model, z: np.ndarray, t: float, dt: float, y=None) -> np.ndarray:

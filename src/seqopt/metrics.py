@@ -39,18 +39,24 @@ def diversity(seqs: np.ndarray) -> float:
     return float(np.median(pairwise_distances(seqs)))
 
 
-def novelty(seqs: np.ndarray, train: Dataset | np.ndarray) -> float:
-    """Median over generated sequences of the minimum edit distance to the
-    training set. A generated sequence that already exists in the training
-    set contributes distance 0."""
+def _train_distances(seqs: np.ndarray, train: Dataset | np.ndarray) -> np.ndarray:
+    """Per generated sequence, the minimum edit distance to the training set."""
     seqs = np.atleast_2d(np.asarray(seqs))
     train_seqs = train.sequences if isinstance(train, Dataset) else np.atleast_2d(train)
     if seqs.shape[0] == 0 or train_seqs.shape[0] == 0:
         raise ValueError("novelty needs non-empty generated and training sets")
-    return float(np.median(min_distance_to_set(seqs, train_seqs)))
+    return min_distance_to_set(seqs, train_seqs)
+
+
+def novelty(seqs: np.ndarray, train: Dataset | np.ndarray) -> float:
+    """Median over generated sequences of the minimum edit distance to the
+    training set. A generated sequence that already exists in the training
+    set contributes distance 0."""
+    return float(np.median(_train_distances(seqs, train)))
 
 
 def count_exact_train_matches(seqs: np.ndarray, train: Dataset | np.ndarray) -> int:
+    """Generated rows, duplicates included, that equal a training row."""
     seqs = np.atleast_2d(np.asarray(seqs))
     train_seqs = train.sequences if isinstance(train, Dataset) else np.atleast_2d(train)
     rows = {t.tobytes() for t in np.asarray(train_seqs, dtype=np.int64)}
@@ -59,12 +65,17 @@ def count_exact_train_matches(seqs: np.ndarray, train: Dataset | np.ndarray) -> 
 
 def compute_metrics(seqs: np.ndarray, oracle, normalizer: FitnessNormalizer,
                     train: Dataset, seed: int) -> MetricReport:
+    """All metrics of one generated set. Novelty and the exact training
+    matches come from one pass of distances: its median, and its zeros."""
     seqs = np.atleast_2d(np.asarray(seqs))
+    median_fitness = median_normalized_fitness(seqs, oracle, normalizer)
+    spread = diversity(seqs) if seqs.shape[0] >= 2 else 0.0
+    distances = _train_distances(seqs, train)
     return MetricReport(
-        median_fitness=median_normalized_fitness(seqs, oracle, normalizer),
-        diversity=diversity(seqs) if seqs.shape[0] >= 2 else 0.0,
-        novelty=novelty(seqs, train),
+        median_fitness=median_fitness,
+        diversity=spread,
+        novelty=float(np.median(distances)),
         n_sequences=int(seqs.shape[0]),
         seed=seed,
-        exact_train_matches=count_exact_train_matches(seqs, train),
+        exact_train_matches=int(np.count_nonzero(distances == 0)),
     )

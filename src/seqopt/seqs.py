@@ -77,26 +77,33 @@ def one_hot_batch(seqs: np.ndarray, vocab_size: int) -> np.ndarray:
     return out
 
 
-_M1, _M2, _M4, _H01 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
-                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+# SWAR popcount masks per word type, all ones divided by 3, 5, 17 and 255:
+# 0x5555..., 0x3333..., 0x0F0F..., 0x0101...
+_SWAR = {word: tuple(word(((1 << bits) - 1) // k) for k in (3, 5, 17, 255))
+         for word, bits in ((np.uint32, 32), (np.uint64, 64))}
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per column of a (w, m) uint64 matrix.
+    """Set bits per column of a (w, m) uint32 or uint64 matrix.
 
     SWAR count: bit pairs, then nibbles, then bytes hold their own counts; the
-    multiply by 0x0101...01 sums the eight byte counts into the top byte, which
-    the shift by 56 brings down. The multiply wraps modulo 2**64 by design."""
-    x = words - ((words >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return ((x * _H01) >> np.uint64(56)).sum(axis=0, dtype=np.int64)
+    multiply by 0x0101...01 sums the byte counts into the top byte, which the
+    shift by the word's bits less 8 brings down. The multiply wraps modulo the
+    word size by design."""
+    word = words.dtype.type
+    m1, m2, m4, h01 = _SWAR[word]
+    x = words - ((words >> word(1)) & m1)
+    x = (x & m2) + ((x >> word(2)) & m2)
+    x = (x + (x >> word(4))) & m4
+    return ((x * h01) >> word(8 * words.itemsize - 8)).sum(axis=0, dtype=np.int64)
 
 
 # Lanes (target rows) that the kernel advances together, so that a block's
-# match tables and DP words stay in cache. On a 2-vCPU Haswell VM, distinct
-# per-lane queries cost about 1.4 times as much per lane in one block of 16k
-# lanes as in blocks of 4k.
+# match tables and DP words stay in cache: (words, lanes * alphabet) match
+# bits for per-lane queries, at 4 bytes a word for queries of up to 32
+# positions and 8 bytes beyond. On a 2-vCPU Haswell VM, distinct per-lane
+# queries cost about 1.4 times as much per lane in one block of 16k lanes as
+# in blocks of 4k.
 _LANE_BLOCK = 4096
 # (query, ref) pairs per block of queries in `min_distance_to_set`, which
 # bounds the size of each transient (block, refs) array.
@@ -111,13 +118,14 @@ def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarra
 
     Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's multi-word
     block form. For every target row (a lane), the DP column over the d query
-    positions is held as vertical +1/-1 delta bits in ceil(d/64) uint64
-    words; each target position then advances all lanes at once with a fixed
-    number of whole-array integer ops per word. A word passes the horizontal
-    delta on its top row to the word above (h_in/h_out). The distance is the
-    last column's bottom cell, n plus the +1 deltas minus the -1 deltas.
-    Lanes run in blocks of `_LANE_BLOCK`, so working memory is
-    O(_LANE_BLOCK * words * alphabet) for a 2-D query and less for a 1-D one.
+    positions is held as vertical +1/-1 delta bits: in one uint32 word when
+    d <= 32, else in ceil(d/64) uint64 words. Each target position then
+    advances all lanes at once with a fixed number of whole-array integer ops
+    per word. A word passes the horizontal delta on its top row to the word
+    above (h_in/h_out). The distance is the last column's bottom cell, n plus
+    the +1 deltas minus the -1 deltas. Lanes run in blocks of `_LANE_BLOCK`,
+    so working memory is O(_LANE_BLOCK * words * alphabet) words of 4 or 8
+    bytes for a 2-D query and less for a 1-D one.
     """
     query = np.asarray(query)
     targets = np.asarray(targets)
@@ -140,10 +148,13 @@ def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarra
 
 
 def _myers(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """`levenshtein_one_to_many` on one block of lanes, d > 0 and n > 0."""
+    """`levenshtein_one_to_many` on one block of lanes, d > 0 and n > 0. A
+    query of up to 32 positions fits one 32-bit word, which halves the bytes
+    every op moves; longer ones run on 64-bit words."""
     m = targets.shape[0]
     d = query.shape[-1]
-    words = -(-d // 64)
+    word, bits = (np.uint32, 32) if d <= 32 else (np.uint64, 64)
+    words = -(-d // bits)
     alphabet = max(int(query.max()), int(targets.max())) + 1
     if query.ndim == 1:  # one match table that every lane reads
         keys, offset = query[:, None], 0
@@ -153,16 +164,17 @@ def _myers(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
         np.any(query_t[:, 1:] != query_t[:, :-1], axis=0, out=first[1:])
         offset = (np.cumsum(first) - 1) * alphabet
         keys = query_t.compress(first, axis=1) + offset[first]
-    # peq[w, key]: bit i of word w is set where query[64 * w + i] is the key's
-    # token. Within one position every table has its own key, so |= on the
-    # fancy index sets each bit once.
-    peq = np.zeros((words, keys.shape[1] * alphabet), dtype=np.uint64)
+    # peq[w, key]: bit i of word w is set where query[bits * w + i] is the
+    # key's token. Within one position every table has its own key, so |= on
+    # the fancy index sets each bit once.
+    peq = np.zeros((words, keys.shape[1] * alphabet), dtype=word)
     for i in range(d):
-        peq[i // 64, keys[i]] |= np.uint64(1 << (i % 64))
-    pv = np.full((words, m), ~np.uint64(0))  # column 0 is D[i][0] = i: all +1
-    mv = np.zeros((words, m), dtype=np.uint64)
-    ones = np.ones(m, dtype=np.uint64)
-    zeros = np.zeros(m, dtype=np.uint64)
+        peq[i // bits, keys[i]] |= word(1 << (i % bits))
+    pv = np.full((words, m), ~word(0))  # column 0 is D[i][0] = i: all +1
+    mv = np.zeros((words, m), dtype=word)
+    ones = np.ones(m, dtype=word)
+    zeros = np.zeros(m, dtype=word)
+    one, top = word(1), word(bits - 1)
     # a transposed view of (n, m) rows, as `_pair_distances` passes, needs no copy
     for col in np.ascontiguousarray(targets.T) + offset:
         hp, hn = ones, zeros  # row 0 is D[0][j] = j: a +1 horizontal delta
@@ -179,10 +191,10 @@ def _myers(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
             ph |= mm
             mh = p & xh
             if w + 1 < words:
-                hp_out, hn_out = ph >> 63, mh >> 63
-            ph <<= 1
+                hp_out, hn_out = ph >> top, mh >> top
+            ph <<= one
             ph |= hp
-            mh <<= 1
+            mh <<= one
             mh |= hn
             np.bitwise_or(xv, ph, out=p)
             np.invert(p, out=p)
@@ -190,8 +202,8 @@ def _myers(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
             np.bitwise_and(ph, xv, out=mm)
             if w + 1 < words:
                 hp, hn = hp_out, hn_out
-    if d % 64:  # bits above the last query position hold no DP rows
-        keep = np.uint64((1 << (d % 64)) - 1)
+    if d % bits:  # bits above the last query position hold no DP rows
+        keep = word((1 << (d % bits)) - 1)
         pv[-1] &= keep
         mv[-1] &= keep
     return targets.shape[1] + _popcount(pv) - _popcount(mv)

@@ -490,6 +490,21 @@ class TestCheckpoints:
             f"i/o error: {work / 'predictor.npz'}: metadata field 'role' is 'smoothie', "
             "not one of ('predictor', 'smoothed', 'oracle')"]
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("max_freq", "x", "'x', not a finite number > 0"),
+        ("max_freq", 0.0, "0.0, not a finite number > 0"),
+        ("time_embed_dim", 15, "15, not an even width"),
+    ])
+    def test_bad_flow_embedding_field_is_io_error(self, workspace, tmp_path, capsys,
+                                                  field, value, problem):
+        work, ini = _workdir_copy(workspace, tmp_path)
+        descriptor, params, extra = load_checkpoint(work / "flow.npz", "flow")
+        save_checkpoint(work / "flow.npz", "flow", descriptor, params,
+                        {**extra, field: value})
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / 'flow.npz'}: metadata field {field!r} is {problem}"]
+
     @pytest.mark.parametrize("edit", ["reshape", "drop"])
     def test_arrays_disagreeing_with_descriptor_are_io_error(self, workspace, tmp_path,
                                                              capsys, edit):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from _gradcheck import numeric_gradient, rel_err
-from seqopt.flow import (FlowModel, FlowTrainConfig, euler_integrate,
-                         flow_matching_loss, interpolate, sinusoidal_embedding,
-                         train_flow)
+from seqopt.flow import (FlowModel, FlowTrainConfig, _frequencies, euler_integrate,
+                         flow_matching_loss, interpolate, load_flow, save_flow,
+                         sinusoidal_embedding, train_flow)
+from seqopt.nn import autodiff as ad
+from seqopt.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 rng = np.random.default_rng(55)
 
@@ -229,3 +231,86 @@ class TestEmbedding:
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             sinusoidal_embedding(np.zeros(2), dim=7)
+
+    def test_frequencies_cached_read_only(self):
+        freqs = _frequencies(8, 64.0)
+        assert freqs is _frequencies(8, 64.0)
+        np.testing.assert_array_equal(freqs, np.geomspace(1.0, 64.0, 8) * np.pi)
+        assert not freqs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            freqs[0] = 0.0
+
+
+class TestScalarTime:
+    """A scalar t (and y) is embedded once and broadcast to the batch; the
+    result must equal embedding it per row, to the bit."""
+
+    @pytest.mark.parametrize("t", [0.0, 1.0 / 3.0, 0.71875, 1.0])
+    def test_plain_flow_scalar_equals_per_row(self, t):
+        model = FlowModel.build(3, seed=22, hidden=8)
+        z = np.random.default_rng(23).standard_normal((5, 3))
+        rows = np.full(5, t)
+        np.testing.assert_array_equal(model.velocity(z, t), model.velocity(z, rows))
+        np.testing.assert_array_equal(model.velocity(z, t), model.velocity(z, np.array([t])))
+        tape = model.velocity_tape(ad.Tensor(z, requires_grad=False), t).data
+        np.testing.assert_array_equal(
+            tape, model.velocity_tape(ad.Tensor(z, requires_grad=False), rows).data)
+
+    @pytest.mark.parametrize("t, y", [(0.0, 0.9), (0.40625, -1.5), (0.999, 2.0 / 3.0)])
+    def test_conditional_flow_scalar_equals_per_row(self, t, y):
+        model = FlowModel.build(3, seed=24, conditional=True, hidden=8)
+        z = np.random.default_rng(25).standard_normal((6, 3))
+        t_rows, y_rows = np.full(6, t), np.full(6, y)
+        np.testing.assert_array_equal(model.velocity(z, t, y),
+                                      model.velocity(z, t_rows, y_rows))
+        runs = []
+        for tt, yy in ((t, y), (t_rows, y_rows)):
+            zt = ad.Tensor(z)
+            v = model.velocity_tape(zt, tt, yy)
+            ad.tsum(v * v).backward()
+            runs.append((v.data, zt.grad))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+
+class TestCheckpoint:
+    def _saved(self, tmp_path, conditional=False):
+        path = tmp_path / "flow.npz"
+        save_flow(FlowModel.build(3, seed=28, conditional=conditional, hidden=8), path)
+        return path
+
+    def _resave(self, path, **fields):
+        descriptor, params, extra = load_checkpoint(path, "flow")
+        extra.update(fields)
+        save_checkpoint(path, "flow", descriptor, params, extra)
+
+    def test_absent_max_freq_defaults(self, tmp_path):
+        path = self._saved(tmp_path)
+        descriptor, params, extra = load_checkpoint(path, "flow")
+        del extra["max_freq"]
+        save_checkpoint(path, "flow", descriptor, params, extra)
+        assert load_flow(path).max_freq == 64.0
+
+    def test_integer_max_freq_accepted(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._resave(path, max_freq=32)
+        model = load_flow(path)
+        assert model.max_freq == 32.0 and type(model.max_freq) is float
+
+    @pytest.mark.parametrize("value", ["x", None, 0.0, -64.0, float("nan"), float("inf"),
+                                       True, "64.0"])
+    def test_bad_max_freq_refused(self, tmp_path, value):
+        path = self._saved(tmp_path)
+        self._resave(path, max_freq=value)
+        with pytest.raises(CheckpointError) as info:
+            load_flow(path)
+        assert str(info.value) == (f"{path}: metadata field 'max_freq' is {value!r}, "
+                                   "not a finite number > 0")
+
+    @pytest.mark.parametrize("name", ["time_embed_dim", "fitness_embed_dim"])
+    def test_odd_embedding_width_refused(self, tmp_path, name):
+        path = self._saved(tmp_path, conditional=True)
+        self._resave(path, **{name: 15})
+        with pytest.raises(CheckpointError) as info:
+            load_flow(path)
+        assert str(info.value) == f"{path}: metadata field {name!r} is 15, not an even width"

@@ -137,3 +137,37 @@ class TestComputeMetrics:
         assert report.median_fitness == shuffled.median_fitness
         assert report.diversity == shuffled.diversity
         assert report.novelty == shuffled.novelty
+
+    @pytest.mark.parametrize("case", ["duplicates_and_matches", "no_matches", "all_matches"])
+    def test_novelty_and_matches_agree_with_the_functions(self, case):
+        """compute_metrics takes novelty and the exact matches from one pass
+        of distances; both must equal what the standalone functions give."""
+        r = np.random.default_rng(910)
+        train = Dataset.from_arrays(r.integers(0, 4, size=(25, 6)), r.uniform(0, 1, 25))
+        if case == "duplicates_and_matches":
+            # training rows, some repeated, a repeated non-member and fresh rows
+            seqs = np.vstack([train.sequences[[3, 3, 8, 20, 3]],
+                              np.full((2, 6), 3), r.integers(0, 4, size=(6, 6))])
+        elif case == "no_matches":
+            # token 4 never occurs in training, so no row can match
+            seqs = np.vstack([np.full((3, 6), 4), r.integers(0, 5, size=(4, 6))])
+            seqs[3:, 0] = 4
+        else:
+            seqs = train.sequences[[0, 1, 1, 2, 2, 2]]
+        oracle = ArrayOracle(r.uniform(0, 1, size=5))
+        report = compute_metrics(seqs, oracle, train.normalizer(), train, seed=1)
+        assert report.novelty == novelty(seqs, train)
+        assert report.exact_train_matches == count_exact_train_matches(seqs, train)
+        expected = {"duplicates_and_matches": 5, "no_matches": 0, "all_matches": 6}[case]
+        assert report.exact_train_matches == expected
+
+    def test_errors_in_order(self):
+        """Fitness checks the generated set before novelty checks both sets."""
+        oracle = ArrayOracle(np.ones(4))
+        normalizer = Dataset.from_arrays(np.zeros((3, 5), dtype=int),
+                                         np.arange(3.0)).normalizer()
+        no_train = np.empty((0, 5), dtype=int)
+        with pytest.raises(ValueError, match="empty sequence set"):
+            compute_metrics(np.empty((0, 5), dtype=int), oracle, normalizer, no_train, 0)
+        with pytest.raises(ValueError, match="novelty needs non-empty"):
+            compute_metrics(np.zeros((2, 5), dtype=int), oracle, normalizer, no_train, 0)

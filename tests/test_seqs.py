@@ -143,13 +143,14 @@ class TestLevenshtein:
         np.testing.assert_array_equal(np.sort(pd), np.sort(want_pd))
 
 
-KERNEL_LENGTHS = (0, 1, 20, 63, 64, 65, 128, 237)
+KERNEL_LENGTHS = (0, 1, 20, 31, 32, 33, 63, 64, 65, 128, 237)
 
 
 class TestBitParallelKernel:
     """The bit-parallel kernel against the full-table DP, at the lengths where
-    its word layout changes: empty, one bit, the task length, and either side
-    of each 64-bit word boundary up to the GFP length."""
+    its word layout changes: empty, one bit, the task length, either side of
+    the end of the one 32-bit word, and either side of each 64-bit word
+    boundary up to the GFP length."""
 
     @pytest.mark.parametrize("d", KERNEL_LENGTHS)
     def test_exact_at_word_boundaries(self, d):
@@ -202,7 +203,7 @@ class TestBitParallelKernel:
             np.testing.assert_array_equal(got, want, err_msg=f"{a.shape} vs {b.shape}")
 
 
-BATCH_LENGTHS = (0, 1, 5, 63, 64, 65, 100, 130)
+BATCH_LENGTHS = (0, 1, 5, 31, 32, 33, 63, 64, 65, 100, 130)
 
 
 def near_copies(rng, rows, n, edits):
