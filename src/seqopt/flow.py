@@ -48,7 +48,7 @@ def sinusoidal_embedding(values: np.ndarray, dim: int, max_freq: float = 64.0) -
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _frequencies(count: int, max_freq: float) -> np.ndarray:
     """The embedding's angular frequencies, computed once per (count,
     max_freq) and shared read-only by every caller."""
@@ -98,15 +98,11 @@ class FlowModel:
                 "conditional": self.conditional, "time_embedding": "sinusoidal"}
 
     def _embed(self, values, dim: int, rows: int) -> Tensor:
-        """(rows, dim) embedding of a scalar, or of one value per row. A
-        scalar is embedded once and broadcast, which gives the same bits as
-        embedding it per row."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 0:
-            emb = np.broadcast_to(sinusoidal_embedding(values, dim, self.max_freq), (rows, dim))
-        else:
-            emb = sinusoidal_embedding(np.broadcast_to(values, (rows,)), dim, self.max_freq)
-        return Tensor(emb, requires_grad=False)
+        """(rows, dim) embedding of a scalar or of one value per row. A scalar
+        is embedded once and broadcast, which gives the same bits as embedding
+        it per row."""
+        emb = sinusoidal_embedding(values, dim, self.max_freq)
+        return Tensor(np.broadcast_to(emb, (rows, dim)), requires_grad=False)
 
     def _features(self, z: Tensor, t, y) -> Tensor:
         b = z.shape[0]
