@@ -192,14 +192,25 @@ def save_flow(model: FlowModel, path) -> str:
 
 
 def load_flow(path) -> FlowModel:
-    """Load a flow checkpoint. Embedding widths must be even and a recorded
-    `max_freq` a finite number > 0; a file without one gets the default."""
+    """Load a flow checkpoint. Embedding widths must be even, the latent and
+    embedding widths must sum to the trunk's input width, the latent width
+    must be its output width, and a recorded `max_freq` must be a finite
+    number > 0; a file without one gets the default."""
     descriptor, params, extra = load_checkpoint(
         path, "flow", {"latent_dim": int, "time_embed_dim": int, "fitness_embed_dim": int})
     for name in ("time_embed_dim", "fitness_embed_dim"):
         if extra[name] % 2:
             raise CheckpointError(f"{path}: metadata field {name!r} is {extra[name]!r}, "
                                   "not an even width")
+    dense = [layer for layer in descriptor if layer["kind"] == "dense"] or [{}]
+    in_dim = extra["latent_dim"] + extra["time_embed_dim"] + extra["fitness_embed_dim"]
+    if dense[0].get("in") != in_dim:
+        raise CheckpointError(f"{path}: metadata fields 'latent_dim', 'time_embed_dim' and "
+                              f"'fitness_embed_dim' sum to {in_dim}, not the first dense "
+                              f"layer's 'in' width {dense[0].get('in')}")
+    if dense[-1].get("out") != extra["latent_dim"]:
+        raise CheckpointError(f"{path}: metadata field 'latent_dim' is {extra['latent_dim']}, "
+                              f"not the last dense layer's 'out' width {dense[-1].get('out')}")
     max_freq = extra.get("max_freq", 64.0)
     if not (type(max_freq) in (int, float) and math.isfinite(max_freq) and max_freq > 0):
         raise CheckpointError(f"{path}: metadata field 'max_freq' is {max_freq!r}, "

@@ -22,6 +22,8 @@ import numpy as np
 from .data import Dataset
 from .seqs import Vocabulary
 
+ROW_BLOCK = 4096  # mutants drawn together in `sample_mutants`, to bound its transients
+
 
 @dataclass(frozen=True)
 class SyntheticLandscape:
@@ -127,7 +129,18 @@ def sample_mutants(landscape: SyntheticLandscape, count: int, seed: int,
                    min_mutations: int = 1, max_mutations: int | None = None) -> np.ndarray:
     """Draw `count` mutants of the target with a uniform mutation load in
     [min_mutations, max_mutations]. Substitutions come from `edit_tokens`
-    (the per-position pool) when given, else uniformly from the other tokens."""
+    (the per-position pool) when given, else uniformly from the other tokens.
+
+    The draws are those of a per-row loop over one `default_rng(seed)`:
+    first every row's load k, then per row `choice(d, k, replace=False)` for
+    the positions and k bounded integers for the substitutions (a pool
+    column in [0, width), or a shift in [1, |V|)). Rows are drawn ROW_BLOCK
+    at a time, each block with one array-bound `integers` call that makes
+    the rows' draws in that order; `choice`'s Floyd draws and Fisher–Yates
+    shuffle are then replayed over the block. The positions equal
+    `Generator.choice`'s whenever it uses Floyd's algorithm, that is for
+    d <= 10,000 or k <= d // 50; above that numpy shuffles a tail instead,
+    and this sampler keeps Floyd's rule."""
     rng = np.random.default_rng(seed)
     d, v = landscape.length, vocab.size
     if max_mutations is None:
@@ -136,15 +149,51 @@ def sample_mutants(landscape: SyntheticLandscape, count: int, seed: int,
         raise ValueError("need 1 <= min_mutations <= max_mutations <= length")
     seqs = np.tile(landscape.target, (count, 1))
     n_mut = rng.integers(min_mutations, max_mutations + 1, size=count)
-    for i in range(count):
-        pos = rng.choice(d, size=n_mut[i], replace=False)
+    low, high = (1, v) if edit_tokens is None else (0, edit_tokens.shape[1])
+    for start in range(0, count, ROW_BLOCK):
+        k = n_mut[start:start + ROW_BLOCK]
+        rows, pos, pick = _draw_block(rng, d, k, low, high)
         if edit_tokens is None:
-            shift = rng.integers(1, v, size=n_mut[i])
-            seqs[i, pos] = (seqs[i, pos] + shift) % v
+            seqs[start + rows, pos] = (landscape.target[pos] + pick) % v
         else:
-            pick = rng.integers(0, edit_tokens.shape[1], size=n_mut[i])
-            seqs[i, pos] = edit_tokens[pos, pick]
+            seqs[start + rows, pos] = edit_tokens[pos, pick]
     return seqs
+
+
+def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, low: int,
+                high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of `sample_mutants`' rows, row r with k[r] >= 1 positions.
+    Row r's draws, in order: `choice`'s Floyd draws in [0, j] for
+    j = d-k … d-1, its shuffle's in [0, i] for i = k-1 … 1, then k picks in
+    [low, high). Returns the (row, position, pick) of every substitution."""
+    n, kmax = k.size, int(k.max())
+    count = 3 * k - 1
+    first = np.cumsum(count) - count      # each row's first draw
+    kr = np.repeat(k, count)
+    t = np.arange(kr.size) - np.repeat(first, count)
+    in_choice = t < 2 * kr - 1
+    bound = np.where(t < kr, d - kr + 1 + t, np.where(in_choice, 2 * kr - t, high))
+    draws = rng.integers(np.where(in_choice, 0, low), bound)
+
+    # Floyd: the i-th draw, in [0, j], or j when that position is taken
+    idx = np.arange(n)
+    taken = np.zeros((n, d), dtype=bool)
+    pos = np.empty((n, kmax), dtype=np.int64)
+    for i in range(kmax):
+        r = idx[i < k]
+        j = d - k[r] + i
+        val = draws[first[r] + i]
+        val = np.where(taken[r, val], j, val)
+        taken[r, val] = True
+        pos[r, i] = val
+    # Fisher–Yates: swap position i with the row's draw in [0, i]
+    for i in range(kmax - 1, 0, -1):
+        r = idx[i < k]
+        other = draws[first[r] + 2 * k[r] - 1 - i]
+        pos[r, i], pos[r, other] = pos[r, other], pos[r, i]
+
+    rows, col = np.nonzero(np.arange(kmax) < k[:, None])
+    return rows, pos[rows, col], draws[first[rows] + 2 * k[rows] - 1 + col]
 
 
 def synthetic_full_dataset(landscape: SyntheticLandscape, count: int, seed: int,

@@ -505,6 +505,21 @@ class TestCheckpoints:
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {work / 'flow.npz'}: metadata field {field!r} is {problem}"]
 
+    def test_flow_widths_disagreeing_with_trunk_are_io_error(self, workspace, tmp_path,
+                                                             capsys):
+        """A flow re-saved with a narrower time embedding is refused when it
+        loads, not at its first velocity."""
+        work, ini = _workdir_copy(workspace, tmp_path)
+        descriptor, params, extra = load_checkpoint(work / "flow.npz", "flow")
+        save_checkpoint(work / "flow.npz", "flow", descriptor, params,
+                        {**extra, "time_embed_dim": 14})
+        assert main(["sample", str(ini)]) == 3
+        width = descriptor[0]["in"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / 'flow.npz'}: metadata fields 'latent_dim', 'time_embed_dim' "
+            f"and 'fitness_embed_dim' sum to {width - 2}, not the first dense layer's 'in' "
+            f"width {width}"]
+
     @pytest.mark.parametrize("edit", ["reshape", "drop"])
     def test_arrays_disagreeing_with_descriptor_are_io_error(self, workspace, tmp_path,
                                                              capsys, edit):

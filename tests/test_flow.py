@@ -314,3 +314,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as info:
             load_flow(path)
         assert str(info.value) == f"{path}: metadata field {name!r} is 15, not an even width"
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    @pytest.mark.parametrize("name", ["time_embed_dim", "fitness_embed_dim", "latent_dim"])
+    def test_widths_disagreeing_with_trunk_input_refused(self, tmp_path, conditional, name):
+        path = self._saved(tmp_path, conditional=conditional)
+        descriptor, _, extra = load_checkpoint(path, "flow")
+        self._resave(path, **{name: extra[name] + 2})
+        given = descriptor[0]["in"] + 2
+        with pytest.raises(CheckpointError) as info:
+            load_flow(path)
+        assert str(info.value) == (
+            f"{path}: metadata fields 'latent_dim', 'time_embed_dim' and 'fitness_embed_dim' "
+            f"sum to {given}, not the first dense layer's 'in' width {given - 2}")
+
+    def test_latent_width_disagreeing_with_trunk_output_refused(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._resave(path, latent_dim=5, time_embed_dim=14)
+        with pytest.raises(CheckpointError) as info:
+            load_flow(path)
+        assert str(info.value) == (f"{path}: metadata field 'latent_dim' is 5, "
+                                   "not the last dense layer's 'out' width 3")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seqopt.landscape import make_landscape, sample_mutants, synthetic_full_dataset
+from seqopt.landscape import (ROW_BLOCK, make_edit_pool, make_landscape, sample_mutants,
+                              synthetic_full_dataset)
 from seqopt.seqs import Vocabulary
 
 
@@ -61,7 +62,43 @@ class TestLandscape:
             ls.fitness_many(np.zeros((1, 5), dtype=np.int64))
 
 
+def _loop_mutants(landscape, count, seed, vocab, edit_tokens=None, min_mutations=1,
+                 max_mutations=None):
+    """Reference sampler: one `choice` and one `integers` call per row."""
+    rng = np.random.default_rng(seed)
+    d, v = landscape.length, vocab.size
+    if max_mutations is None:
+        max_mutations = d
+    seqs = np.tile(landscape.target, (count, 1))
+    n_mut = rng.integers(min_mutations, max_mutations + 1, size=count)
+    for i in range(count):
+        pos = rng.choice(d, size=n_mut[i], replace=False)
+        if edit_tokens is None:
+            shift = rng.integers(1, v, size=n_mut[i])
+            seqs[i, pos] = (seqs[i, pos] + shift) % v
+        else:
+            pick = rng.integers(0, edit_tokens.shape[1], size=n_mut[i])
+            seqs[i, pos] = edit_tokens[pos, pick]
+    return seqs
+
+
 class TestMutantSampling:
+    @pytest.mark.parametrize("d", [1, 2, 20, 33])
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    @pytest.mark.parametrize("load", ["one_to_d", "d", "half_to_d"])
+    def test_equals_per_row_loop(self, vocab, d, width, load):
+        """The block sampler makes the per-row loop's draws: array-bound
+        `integers` draws element by element, as the scalar calls and
+        small-population `choice` do."""
+        ls = make_landscape(seed=d, length=d, vocab=vocab, n_pairs=0)
+        pool = None if width is None else make_edit_pool(d + 1, ls.target, vocab, width)
+        bounds = {"one_to_d": (1, d), "d": (d, d), "half_to_d": ((d + 1) // 2, d)}[load]
+        for count in (0, 1, 2 * ROW_BLOCK + 3):
+            got = sample_mutants(ls, count, 21, vocab, pool, *bounds)
+            want = _loop_mutants(ls, count, 21, vocab, pool, *bounds)
+            assert got.shape == (count, d) and got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
     def test_full_dataset_shape_and_extremes(self, vocab):
         ls = make_landscape(seed=8, length=10, vocab=vocab)
         ds = synthetic_full_dataset(ls, count=300, seed=9, vocab=vocab)
@@ -84,7 +121,6 @@ class TestMutantSampling:
 
 class TestEditPool:
     def test_pool_avoids_target_and_is_deterministic(self, vocab):
-        from seqopt.landscape import make_edit_pool
         ls = make_landscape(seed=14, length=10, vocab=vocab)
         pool = make_edit_pool(seed=15, target=ls.target, vocab=vocab, edits_per_position=3)
         assert pool.shape == (10, 3)
@@ -93,7 +129,6 @@ class TestEditPool:
         np.testing.assert_array_equal(pool, pool2)
 
     def test_pool_mutants_only_use_pool_tokens(self, vocab):
-        from seqopt.landscape import make_edit_pool
         ls = make_landscape(seed=16, length=10, vocab=vocab)
         pool = make_edit_pool(seed=17, target=ls.target, vocab=vocab)
         muts = sample_mutants(ls, 200, seed=18, vocab=vocab, edit_tokens=pool,
@@ -105,7 +140,6 @@ class TestEditPool:
                 assert row[pos] in pool[pos]
 
     def test_decoy_weights_live_on_pool(self, vocab):
-        from seqopt.landscape import make_edit_pool
         base = make_landscape(seed=19, length=8, vocab=vocab)
         pool = make_edit_pool(seed=20, target=base.target, vocab=vocab)
         ls = make_landscape(seed=19, length=8, vocab=vocab, decoy_tokens=pool,

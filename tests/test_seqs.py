@@ -326,3 +326,16 @@ def test_hard_task_training_set_pinned():
     assert seqs.shape == (2500, 20) and seqs.dtype == np.int64
     assert hashlib.sha256(np.ascontiguousarray(seqs).tobytes()).hexdigest() == \
         "0d5af6a26262a2b0e2614fb7d5a7522ac0108614f11a678dc66a1cdea84f00bf"
+
+
+def test_hard_task_full_set_pinned():
+    """The hard task's whole reference set is pinned, rows the difficulty
+    filter drops included: a wrong mutant draw anywhere moves these hashes."""
+    from seqopt.tasks import build_synthetic_task
+    full = build_synthetic_task("synthetic-hard", 0).full
+    assert full.sequences.shape == (20000, 20) and full.sequences.dtype == np.int64
+    assert full.fitness.shape == (20000,) and full.fitness.dtype == np.float64
+    assert hashlib.sha256(np.ascontiguousarray(full.sequences).tobytes()).hexdigest() == \
+        "7f714941c355453ba71a61306e20c2461950b6cff7d6acefd7f88d11e46af213"
+    assert hashlib.sha256(np.ascontiguousarray(full.fitness).tobytes()).hexdigest() == \
+        "8b599039b61c8b68ed27cccd6213131b541805a7bc378b2b579c7ab7e0dff2d1"
