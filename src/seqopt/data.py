@@ -191,6 +191,8 @@ def difficulty_filter(full: Dataset, percentile: tuple[float, ...], gap: int) ->
     (upper,) meaning below the upper-th percentile and (low, high) the low-th
     to the high-th inclusive, AND whose minimum edit distance to every member
     of the full set's 99th-percentile top group is at least `gap` mutations.
+    That test needs no distance beyond the gap, so the set distance is capped
+    there (`min_distance_to_set(..., cap=gap)`).
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
@@ -204,7 +206,7 @@ def difficulty_filter(full: Dataset, percentile: tuple[float, ...], gap: int) ->
     candidates = np.flatnonzero(in_band)
     if gap > 0 and candidates.size:
         top = full.sequences[fitness >= np.percentile(fitness, 99.0)]
-        dists = min_distance_to_set(full.sequences[candidates], top)
+        dists = min_distance_to_set(full.sequences[candidates], top, cap=gap)
         candidates = candidates[dists >= gap]
     if candidates.size == 0:
         raise ValueError(

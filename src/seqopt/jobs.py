@@ -5,9 +5,10 @@
 the others. The jobs reach the workers by fork, as the closures they are, so
 only results and exceptions are pickled. BLAS is pinned to one thread for
 the duration, because one BLAS thread pool per process oversubscribes the
-cores. Results are assembled by key and a failure re-raises the earliest
-failing key's exception, so neither the worker count nor the completion
-order affects output.
+cores; only the outermost pin calls OpenBLAS, and a pin nested in a job or
+a worker leaves it be. Results are assembled by key and a failure re-raises
+the earliest failing key's exception, so neither the worker count nor the
+completion order affects output.
 
 A `run_jobs` call made inside a job of another, in the caller's share or in
 a forked worker, runs its jobs serially in that process. So a sweep on N
@@ -39,6 +40,9 @@ import numpy as np
 
 # True while a run_jobs call or a pool runs its jobs; forked workers inherit it.
 _running_jobs = False
+# True while the outermost `one_blas_thread` block holds BLAS at one thread;
+# forked workers inherit it.
+_blas_pinned = False
 
 
 def process_cores() -> int:
@@ -250,17 +254,23 @@ def shared_array(shape) -> np.ndarray:
 @contextlib.contextmanager
 def one_blas_thread():
     """Pin the OpenBLAS numpy loaded to one thread, and restore the caller's
-    count on exit; forked workers inherit the pin. Without OpenBLAS, a no-op."""
-    blas = openblas()
+    count on exit; forked workers inherit the pin. Inside another such block,
+    in this process or in a worker forked within one, the pin is in force and
+    this is a no-op: OpenBLAS's `set_num_threads` in a forked child starts a
+    thread that busy-waits beside the work. Without OpenBLAS, a no-op."""
+    global _blas_pinned
+    blas = None if _blas_pinned else openblas()
     if blas is None:
         yield
         return
     get, set_ = blas("get_num_threads"), blas("set_num_threads")
     before = get()
     set_(1)
+    _blas_pinned = True
     try:
         yield
     finally:
+        _blas_pinned = False
         set_(before)
 
 

@@ -15,7 +15,7 @@ which substitutions were chosen, not only with how many.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,20 @@ class SyntheticLandscape:
     pair_weight: np.ndarray     # (P,) float64, >= 0
     raw_min: float
     raw_max: float
+    # the distinct (position, token) keys of the pairs, as positions and
+    # tokens, and per pair column the index of its key: see `fitness_many`
+    _keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("target", "linear", "pair_pos", "pair_tok", "pair_weight"):
             getattr(self, name).setflags(write=False)
         if not (self.raw_min < self.raw_max):
             raise ValueError("degenerate landscape: raw_min == raw_max")
+        pairs = np.stack([self.pair_pos.ravel(), self.pair_tok.ravel()], axis=1)
+        keys, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # numpy versions differ in the inverse's shape; its order is the pairs'
+        inverse = inverse.ravel().reshape(-1, 2)
+        object.__setattr__(self, "_keys", (keys[:, 0], keys[:, 1], inverse[:, 0], inverse[:, 1]))
 
     @property
     def length(self) -> int:
@@ -52,14 +60,21 @@ class SyntheticLandscape:
 
     def fitness_many(self, seqs: np.ndarray) -> np.ndarray:
         """Rescaled fitness of each row of an (n, d) matrix: known optimum -> 1,
-        known minimum -> 0."""
+        known minimum -> 0.
+
+        The linear terms come from one flat gather of `linear`, summed per
+        row. A pair fires where both its (position, token) keys match; each
+        distinct key is compared once, as one boolean column, and the pairs
+        gather their two columns from those."""
         seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
         if seqs.shape[1] != self.length:
             raise ValueError(f"sequence length {seqs.shape[1]} != landscape length {self.length}")
-        raw = self.linear[np.arange(self.length)[None, :], seqs].sum(axis=1)
+        offsets = np.arange(0, self.linear.size, self.vocab_size)
+        raw = self.linear.ravel().take(seqs + offsets).sum(axis=1)
         if self.pair_weight.size:
-            hit = ((seqs[:, self.pair_pos[:, 0]] == self.pair_tok[None, :, 0])
-                   & (seqs[:, self.pair_pos[:, 1]] == self.pair_tok[None, :, 1]))
+            key_pos, key_tok, first, second = self._keys
+            match = seqs.take(key_pos, axis=1) == key_tok
+            hit = match.take(first, axis=1) & match.take(second, axis=1)
             raw = raw + hit @ self.pair_weight
         return (raw - self.raw_min) / (self.raw_max - self.raw_min)
 
@@ -136,11 +151,12 @@ def sample_mutants(landscape: SyntheticLandscape, count: int, seed: int,
     the positions and k bounded integers for the substitutions (a pool
     column in [0, width), or a shift in [1, |V|)). Rows are drawn ROW_BLOCK
     at a time, each block with one array-bound `integers` call that makes
-    the rows' draws in that order; `choice`'s Floyd draws and Fisher–Yates
-    shuffle are then replayed over the block. The positions equal
-    `Generator.choice`'s whenever it uses Floyd's algorithm, that is for
-    d <= 10,000 or k <= d // 50; above that numpy shuffles a tail instead,
-    and this sampler keeps Floyd's rule."""
+    the rows' draws in that order, its bounds gathered from one template per
+    load; `choice`'s Floyd draws and Fisher–Yates shuffle are then replayed
+    over the block's rows sorted by load (`_draw_block`). The positions
+    equal `Generator.choice`'s whenever it uses Floyd's algorithm, that is
+    for d <= 10,000 or k <= d // 50; above that numpy shuffles a tail
+    instead, and this sampler keeps Floyd's rule."""
     rng = np.random.default_rng(seed)
     d, v = landscape.length, vocab.size
     if max_mutations is None:
@@ -150,50 +166,84 @@ def sample_mutants(landscape: SyntheticLandscape, count: int, seed: int,
     seqs = np.tile(landscape.target, (count, 1))
     n_mut = rng.integers(min_mutations, max_mutations + 1, size=count)
     low, high = (1, v) if edit_tokens is None else (0, edit_tokens.shape[1])
+    templates = _draw_templates(d, min_mutations, max_mutations, low, high)
+    cells = seqs.ravel()
     for start in range(0, count, ROW_BLOCK):
-        k = n_mut[start:start + ROW_BLOCK]
-        rows, pos, pick = _draw_block(rng, d, k, low, high)
+        rows, pos, pick = _draw_block(rng, d, n_mut[start:start + ROW_BLOCK], *templates)
         if edit_tokens is None:
-            seqs[start + rows, pos] = (landscape.target[pos] + pick) % v
+            cells[(start + rows) * d + pos] = (landscape.target[pos] + pick) % v
         else:
-            seqs[start + rows, pos] = edit_tokens[pos, pick]
+            cells[(start + rows) * d + pos] = edit_tokens[pos, pick]
     return seqs
 
 
-def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, low: int,
-                high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block of `sample_mutants`' rows, row r with k[r] >= 1 positions.
-    Row r's draws, in order: `choice`'s Floyd draws in [0, j] for
-    j = d-k … d-1, its shuffle's in [0, i] for i = k-1 … 1, then k picks in
-    [low, high). Returns the (row, position, pick) of every substitution."""
-    n, kmax = k.size, int(k.max())
+def _draw_templates(d: int, kmin: int, kmax: int, low: int,
+                    high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (low, high) bounds of a row's 3k - 1 draws for each load k in
+    [kmin, kmax], laid end to end, and per k the index of its first draw
+    (0 below kmin): `choice`'s Floyd draws in [0, j] for j = d-k … d-1, its
+    shuffle's in [0, i] for i = k-1 … 1, then k picks in [low, high)."""
+    loads = np.arange(kmin, kmax + 1)
+    count = 3 * loads - 1
+    first = np.zeros(kmax + 1, dtype=np.int64)
+    first[kmin:] = np.cumsum(count) - count
+    k = np.repeat(loads, count)
+    t = np.arange(k.size) - first[k]
+    in_choice = t < 2 * k - 1
+    bound = np.where(t < k, d - k + 1 + t, np.where(in_choice, 2 * k - t, high))
+    return np.where(in_choice, 0, low), bound, first
+
+
+def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, lows: np.ndarray,
+                highs: np.ndarray, first_of_load: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of `sample_mutants`' rows, row r with k[r] >= 1 positions,
+    its draws those of `_draw_templates`' load k[r]. Returns the (row,
+    position, pick) of every substitution, in no particular row order.
+
+    The draws come from one `integers` call in row order. The replay then
+    runs on the rows stably sorted by load, largest first, so that the rows
+    still drawing at step i (those with i < k) are a prefix of them; a
+    (rows * d) taken-mask and a (rows * kmax) position array are read and
+    written through flat indices."""
+    n = k.size
     count = 3 * k - 1
     first = np.cumsum(count) - count      # each row's first draw
-    kr = np.repeat(k, count)
-    t = np.arange(kr.size) - np.repeat(first, count)
-    in_choice = t < 2 * kr - 1
-    bound = np.where(t < kr, d - kr + 1 + t, np.where(in_choice, 2 * kr - t, high))
-    draws = rng.integers(np.where(in_choice, 0, low), bound)
+    draw = np.arange(first[-1] + count[-1]) + np.repeat(first_of_load[k] - first, count)
+    draws = rng.integers(lows.take(draw), highs.take(draw))
 
-    # Floyd: the i-th draw, in [0, j], or j when that position is taken
-    idx = np.arange(n)
-    taken = np.zeros((n, d), dtype=bool)
+    order = np.argsort(-k, kind="stable")
+    k = k[order]
+    kmax = int(k[0])
+    alive = np.searchsorted(-k, -np.arange(kmax))  # rows with i < k, per step i
+    # a row's Floyd draw i is at floyd + i, its shuffle draw in [0, i] at
+    # shuffle - i and its pick c at shuffle + c
+    floyd = first[order]
+    shuffle = floyd + 2 * k - 1
+    # Floyd: the i-th draw, in [0, j] for j = d - k + i, or j when that
+    # position is taken
+    taken = np.zeros(n * d, dtype=bool)
+    row_cell = np.arange(n) * d
+    top = d - k
     pos = np.empty((n, kmax), dtype=np.int64)
-    for i in range(kmax):
-        r = idx[i < k]
-        j = d - k[r] + i
-        val = draws[first[r] + i]
-        val = np.where(taken[r, val], j, val)
-        taken[r, val] = True
-        pos[r, i] = val
+    for i, m in enumerate(alive):
+        val = draws.take(floyd[:m] + i)
+        val = np.where(taken.take(row_cell[:m] + val), top[:m] + i, val)
+        taken[row_cell[:m] + val] = True
+        pos[:m, i] = val
     # Fisher–Yates: swap position i with the row's draw in [0, i]
+    flat = pos.ravel()
+    row_pos = np.arange(n) * kmax
     for i in range(kmax - 1, 0, -1):
-        r = idx[i < k]
-        other = draws[first[r] + 2 * k[r] - 1 - i]
-        pos[r, i], pos[r, other] = pos[r, other], pos[r, i]
+        m = alive[i]
+        other = row_pos[:m] + draws.take(shuffle[:m] - i)
+        swap = pos[:m, i].copy()
+        pos[:m, i] = flat.take(other)
+        flat[other] = swap
 
-    rows, col = np.nonzero(np.arange(kmax) < k[:, None])
-    return rows, pos[rows, col], draws[first[rows] + 2 * k[rows] - 1 + col]
+    subs = np.flatnonzero(np.arange(kmax) < k[:, None])
+    rows = subs // kmax
+    return order[rows], flat.take(subs), draws.take(shuffle[rows] + subs - row_pos[rows])
 
 
 def synthetic_full_dataset(landscape: SyntheticLandscape, count: int, seed: int,

@@ -9,7 +9,9 @@ all i < j pairs through it, one call per lane block. `min_distance_to_set`
 deduplicates both sides and brackets every pair between two cheap bounds, the
 equal positions of the common prefix above and the bag distance below; only
 the pairs whose lower bound beats their row's best upper bound run the
-kernel."""
+kernel. Given a cap, it returns min(distance, cap) per row, and a pair whose
+lower bound reaches the cap skips the kernel too: a threshold test such as
+`distance >= gap` needs no distance beyond the gap."""
 
 from __future__ import annotations
 
@@ -225,8 +227,10 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, ai: np.ndarray,
     return out
 
 
-def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Per row of (n, d) seqs, the minimum edit distance to any row of refs.
+def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray,
+                        cap: int | None = None) -> np.ndarray:
+    """Per row of (n, d) seqs, the minimum edit distance to any row of refs,
+    or with a cap, the smaller of that minimum and the cap.
 
     Both sides are deduplicated first. For every (query, ref) pair two cheap
     bounds bracket the exact distance D, with L = max(d, n):
@@ -235,34 +239,42 @@ def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray) -> np.ndarray:
       lower: bag distance, L minus the tokens the two rows share as
              multisets (Bartolini, Ciaccia & Patella, 2002), so D >= lower.
     With U the query's smallest upper bound, only pairs whose lower bound is
-    below U can beat it, and only those run the kernel, in its 2-D form. The
-    answer is the smaller of U and those exact distances. With no refs, every
-    row gets the int64 identity of min.
+    below min(U, cap) can change the answer, and only those run the kernel,
+    in its 2-D form. The answer is the smaller of U, those exact distances
+    and the cap. With no refs, every row gets the cap, or without one the
+    int64 identity of min. A negative cap raises ValueError.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     seqs = np.atleast_2d(np.asarray(seqs))
     refs = np.atleast_2d(np.asarray(refs))
     if seqs.shape[0] == 0 or refs.shape[0] == 0:
-        return np.full(seqs.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
+        return np.full(seqs.shape[0], np.iinfo(np.int64).max if cap is None else cap,
+                       dtype=np.int64)
     queries, inverse = _distinct_rows(seqs)
     refs = _distinct_rows(refs)[0]
+    # D <= L, so min(D, cap) = min(D, min(cap, L)), and a cap clamped to L
+    # fits the bounds' unsigned type
+    longer = max(queries.shape[1], refs.shape[1])
+    cap = longer if cap is None else min(cap, longer)
     best = np.empty(queries.shape[0], dtype=np.int64)
     step = max(1, _PAIR_BLOCK // refs.shape[0])
     for start in range(0, queries.shape[0], step):
         block = queries[start:start + step]
         lower, upper = _bounds(block, refs)
-        survivors = lower < upper.min(axis=1, keepdims=True)
+        survivors = lower < np.minimum(upper.min(axis=1, keepdims=True), cap)
         # An exact distance never exceeds its pair's upper bound, so writing
         # the survivors' distances over their bounds leaves each row's minimum
-        # the answer. The pairs are ordered by the side with fewer rows and
-        # that side is the kernel's query, so its rows come in long runs,
-        # which share match tables.
+        # the answer, up to the cap. The pairs are ordered by the side with
+        # fewer rows and that side is the kernel's query, so its rows come in
+        # long runs, which share match tables.
         if block.shape[0] <= refs.shape[0]:
             qi, ri = np.nonzero(survivors)
             upper[qi, ri] = _pair_distances(block, refs, qi, ri)
         else:
             ri, qi = np.nonzero(survivors.T)
             upper[qi, ri] = _pair_distances(refs, block, ri, qi)
-        best[start:start + step] = upper.min(axis=1)
+        best[start:start + step] = np.minimum(upper.min(axis=1), cap)
     return best[inverse]
 
 

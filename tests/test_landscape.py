@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,64 @@ class TestLandscape:
             ls.fitness_many(np.zeros((1, 5), dtype=np.int64))
 
 
+def formula_fitness(landscape, seqs):
+    """`fitness_many`'s sums in their first written form: a 2-D gather of
+    the linear terms, and both keys of every pair compared per pair."""
+    seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
+    raw = landscape.linear[np.arange(landscape.length)[None, :], seqs].sum(axis=1)
+    if landscape.pair_weight.size:
+        hit = ((seqs[:, landscape.pair_pos[:, 0]] == landscape.pair_tok[None, :, 0])
+               & (seqs[:, landscape.pair_pos[:, 1]] == landscape.pair_tok[None, :, 1]))
+        raw = raw + hit @ landscape.pair_weight
+    return (raw - landscape.raw_min) / (landscape.raw_max - landscape.raw_min)
+
+
+class TestFitnessBits:
+    """`fitness_many` gives the formula's bits, whatever the pairs' keys."""
+
+    @staticmethod
+    def rows(rng, ls, count, vocab):
+        """Random rows, and mutants of the target, where pairs fire."""
+        mutants = sample_mutants(ls, count, int(rng.integers(100)), vocab)
+        return np.concatenate([rng.integers(0, vocab.size, size=(count, ls.length)), mutants])
+
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_pairs_off_target_and_repeated_keys(self, vocab, count):
+        """Pair tokens drawn at random, not the target's, over few positions,
+        so that (position, token) keys repeat within and across pairs."""
+        rng = np.random.default_rng(40 + count)
+        base = make_landscape(seed=41, length=9, vocab=vocab)
+        pos = np.sort(rng.choice(3, size=(30, 2)), axis=1)
+        pos[pos[:, 0] == pos[:, 1], 1] += 1
+        tok = np.where(rng.random((30, 2)) < 0.5, base.target[pos],
+                       rng.integers(0, 3, size=(30, 2)))
+        ls = dataclasses.replace(base, pair_pos=pos, pair_tok=tok,
+                                 pair_weight=rng.uniform(0.25, 1.0, size=30))
+        seqs = self.rows(rng, ls, count, vocab)
+        seqs[: len(seqs) // 2, :4] = rng.integers(0, 3, size=(len(seqs) // 2, 4))
+        keys = {(p, t) for p, t in zip(pos.ravel(), tok.ravel())}
+        assert len(keys) < pos.size and (tok != base.target[pos]).any()
+        got = ls.fitness_many(seqs)
+        assert got.shape == (2 * count,) and got.dtype == np.float64
+        assert got.tobytes() == formula_fitness(ls, seqs).tobytes()
+        if count == 300:  # some pairs fire, others do not
+            fired = (seqs[:, pos[:, 0]] == tok[:, 0]) & (seqs[:, pos[:, 1]] == tok[:, 1])
+            assert 0 < fired.sum() < fired.size
+
+    @pytest.mark.parametrize("length,n_pairs", [(1, 0), (6, 0), (20, None)])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_generated_landscapes(self, vocab, length, n_pairs, count):
+        rng = np.random.default_rng(50 + length + count)
+        pool = make_edit_pool(51, make_landscape(52, length, vocab, n_pairs=0).target, vocab)
+        ls = make_landscape(52, length, vocab, n_pairs=n_pairs, decoy_tokens=pool)
+        seqs = self.rows(rng, ls, count, vocab)
+        got = ls.fitness_many(seqs)
+        assert got.shape == (2 * count,)
+        assert got.tobytes() == formula_fitness(ls, seqs).tobytes()
+        if count:
+            assert ls.fitness_many(seqs[0]).tobytes() == got[:1].tobytes()
+
+
 def _loop_mutants(landscape, count, seed, vocab, edit_tokens=None, min_mutations=1,
                  max_mutations=None):
     """Reference sampler: one `choice` and one `integers` call per row."""
@@ -98,6 +158,20 @@ class TestMutantSampling:
             want = _loop_mutants(ls, count, 21, vocab, pool, *bounds)
             assert got.shape == (count, d) and got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 20, 33])
+    @pytest.mark.parametrize("width", [None, 3])
+    @pytest.mark.parametrize("load", ["one", "half", "d"])
+    def test_equals_per_row_loop_at_one_load(self, vocab, d, width, load):
+        """Every row with the same load: k = 1 (so kmax = 1), a middle k,
+        and k = d, over a whole block and a part of one."""
+        ls = make_landscape(seed=d, length=d, vocab=vocab, n_pairs=0)
+        pool = None if width is None else make_edit_pool(d + 1, ls.target, vocab, width)
+        k = {"one": 1, "half": (d + 1) // 2, "d": d}[load]
+        got = sample_mutants(ls, ROW_BLOCK + 5, 22, vocab, pool, k, k)
+        want = _loop_mutants(ls, ROW_BLOCK + 5, 22, vocab, pool, k, k)
+        np.testing.assert_array_equal(got, want)
+        assert ((got != ls.target).sum(axis=1) <= k).all()
 
     def test_full_dataset_shape_and_extremes(self, vocab):
         ls = make_landscape(seed=8, length=10, vocab=vocab)

@@ -304,6 +304,71 @@ class TestBatchedKernel:
             [kernel(rows[i], rows[i + 1:]) for i in range(63)]))
 
 
+class TestCappedSetDistance:
+    """`min_distance_to_set(..., cap=c)` is min(distance, c) per row, the
+    filter's threshold form: pairs whose lower bound reaches the cap skip
+    the kernel, and the answer does not move."""
+
+    @staticmethod
+    def amino_rows(rng, count, length):
+        """Rows tokenized from random amino-acid strings."""
+        vocab = Vocabulary.amino_acids()
+        return np.array([tokenize("".join(rng.choice(list(AMINO_ACIDS), size=length)), vocab)
+                         for _ in range(count)]).reshape(count, length)
+
+    @pytest.mark.parametrize("d,n", [(12, 9), (9, 12), (20, 20), (40, 33)])
+    def test_equals_exact_minimum_capped(self, d, n):
+        rng = np.random.default_rng(500 + d + n)
+        refs = self.amino_rows(rng, 6, n)
+        refs = refs[[0, 1, 2, 1, 3, 4, 5, 0]]  # duplicated refs
+        queries = np.concatenate([near_copies(rng, refs[:4], d, 2) % 20,
+                                  self.amino_rows(rng, 5, d)])
+        queries = queries[[0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 2, 5]]  # duplicated queries
+        exact = np.array([[brute_levenshtein(q, r) for r in refs] for q in queries]).min(axis=1)
+        np.testing.assert_array_equal(min_distance_to_set(queries, refs), exact)
+        for cap in (0, 1, 7, max(d, n), 10 ** 6):
+            for a, b in ((queries, refs), (refs[:3], queries)):
+                want = (exact if a is queries else np.array(
+                    [[brute_levenshtein(q, r) for r in b] for q in a]).min(axis=1))
+                got = min_distance_to_set(a, b, cap=cap)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, np.minimum(want, cap), err_msg=f"cap={cap}")
+
+    def test_empty_refs_give_the_cap(self):
+        rows = np.random.default_rng(34).integers(0, 20, size=(4, 6))
+        none = np.empty((0, 6), dtype=np.int64)
+        for cap in (0, 7, 10 ** 6):
+            got = min_distance_to_set(rows, none, cap=cap)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, [cap] * 4)
+        assert min_distance_to_set(none, rows, cap=7).shape == (0,)
+
+    def test_negative_cap_refused(self):
+        rows = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="cap"):
+            min_distance_to_set(rows, rows, cap=-1)
+
+    def test_pairs_at_the_cap_skip_the_kernel(self, monkeypatch):
+        """Rows at least the cap away by their bag distance run no kernel."""
+        lanes = []
+        kernel = seqs.levenshtein_one_to_many
+
+        def counted(query, targets):
+            lanes.append(len(targets))
+            return kernel(query, targets)
+        monkeypatch.setattr(seqs, "levenshtein_one_to_many", counted)
+        refs = np.zeros((3, 10), dtype=np.int64)
+        refs[1, 0], refs[2, :2] = 1, 2
+        far = np.full((5, 10), 5, dtype=np.int64)  # no shared token: lower bound 10
+        far[:, 9] = np.arange(5)
+        np.testing.assert_array_equal(min_distance_to_set(far, refs, cap=9), [9] * 5)
+        assert lanes == []
+        exact = [min(brute_levenshtein(f, r) for r in refs) for f in far]
+        assert min(exact) == 9
+        np.testing.assert_array_equal(min_distance_to_set(far, refs), exact)
+        assert lanes  # without the cap, pairs whose lower bound is 9 run it
+
+
 def test_popcount_matches_bin_count():
     rng = np.random.default_rng(25)
     special = [0, 1, 2 ** 63, 2 ** 64 - 1, 2 ** 63 - 1, 0x0101010101010101]

@@ -199,15 +199,23 @@ def hard_shape_data():
 
 def hard_shape_training(epochs=1):
     """A VAE and a predictor of the hard config's widths (48 and 24 channels)
-    trained at its batch size of 128 on `hard_shape_data`: the networks'
-    checksums and the per-epoch reports."""
+    trained at its batch size of 128 on `hard_shape_data`, and an
+    unconditional and a conditional flow of its width (a 128-wide trunk)
+    trained at its batch size of 256 on 600 latents of its 14 dimensions
+    (batches of 256, 256 and 88 rows): the networks' checksums, and the VAE's
+    and the predictor's per-epoch reports."""
     data = hard_shape_data()
     vae, vae_report = train_vae(data, VaeConfig(epochs=epochs), seed=0, vocab_size=20)
     pred, pred_report = train_predictor(data, PredictorConfig(epochs=epochs), seed=1,
                                         vocab_size=20)
+    rng = np.random.default_rng(13)
+    z, y = rng.standard_normal((600, 14)), rng.random(600)
+    flow_cfg = FlowTrainConfig(epochs=epochs, seed=2)
+    flow, cond_flow = train_flow(z, flow_cfg)[0], train_flow(z, flow_cfg, labels=y)[0]
     checksums = {name: params_checksum(net.params) for name, net in
                  (("vae_encoder", vae.encoder), ("vae_decoder", vae.decoder),
-                  ("predictor", pred.net))}
+                  ("predictor", pred.net), ("flow", flow.net),
+                  ("conditional_flow", cond_flow.net))}
     return checksums, vae_report.per_epoch, pred_report.per_epoch_mse
 
 
@@ -242,7 +250,9 @@ class TestChunkedFit:
         """Batches of 128 and 74 rows at the hard config's widths: at these
         sizes one tape over the batch gives other bits on 2 BLAS threads than
         on 1, and the 64-row chunks give the same bits on 2 threads (with the
-        chunks on this process's cores), on 1, and in a process on one CPU."""
+        chunks on this process's cores), on 1, and in a process on one CPU.
+        The flows, one tape per batch of up to 256 rows, give the same bits
+        in all three as well."""
         blas_threads(2)
         two_threads = hard_shape_training()[0]
         blas_threads(1)
@@ -355,3 +365,67 @@ class TestChunkPoolLifetime:
             raise KeyboardInterrupt
         with pytest.raises(KeyboardInterrupt):
             self.fit(batches)
+
+
+class TestBlasPinnedOnce:
+    """Only the outermost `jobs.one_blas_thread` calls OpenBLAS. A pin inside
+    a forked worker would start a thread that busy-waits beside the work, so
+    a chunked `fit` in a forked job, or a pool inside a pool, leaves the pin
+    it inherits alone."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """OpenBLAS replaced by a stub at 3 threads: the calls the caller
+        makes, as (name, args), and a shared count of the calls made in any
+        other process."""
+        caller, threads, elsewhere, mine = os.getpid(), [3], jobs.shared_array(1), []
+
+        def blas(name):
+            def call(*args):
+                if os.getpid() == caller:
+                    mine.append((name, args))
+                else:
+                    elsewhere[0] += 1
+                if name == "set_num_threads":
+                    threads[0] = args[0]
+                return threads[0]
+            return call
+
+        monkeypatch.setattr(jobs, "openblas", lambda: blas)
+        return mine, elsewhere
+
+    @staticmethod
+    def outermost_only(calls):
+        """The caller made the outermost pin's read, set and restore, and no
+        process made any other call."""
+        mine, elsewhere = calls
+        assert elsewhere[0] == 0
+        assert mine == [("get_num_threads", ()), ("set_num_threads", (1,)),
+                        ("set_num_threads", (3,))]
+
+    def test_chunked_fit_in_a_forked_job(self, calls, monkeypatch):
+        monkeypatch.setattr(optim, "CHUNK_ROWS", 2)
+        batch = np.arange(8.0).reshape(4, 2)  # two 2-row chunks
+
+        def job():
+            net = Network.build([{"kind": "dense", "in": 2, "out": 1}], seed=0)
+            fit([net], lambda: iter([(batch,)]),
+                lambda xb: (ad.tmean(net.apply(Tensor(xb, requires_grad=False))), ()),
+                0.1, 2, chunked=True)
+            return os.getpid()
+
+        with time_limit(60):
+            pids = run_jobs({0: job, 1: job}, parallelism=2)
+        assert pids[0] == os.getpid() != pids[1]  # job 1 ran in a forked worker
+        self.outermost_only(calls)
+
+    def test_pool_in_a_pool(self, calls):
+        def outer(k):
+            with jobs.pool(lambda j: os.getpid(), 2) as run:
+                return run([(j,) for j in range(3)])
+
+        with time_limit(60), jobs.pool(outer, 2) as run:
+            done = run([(0,), (1,)])
+        # task 0 opened its pool in the caller, task 1 in a forked worker
+        assert done[0] == [os.getpid()] * 3 and done[1][0] != os.getpid()
+        self.outermost_only(calls)
