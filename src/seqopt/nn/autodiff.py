@@ -171,8 +171,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
-    slope = np.array([alpha, 1.0])[(x.data > 0).view(np.uint8)]
-    return _result(x.data * slope, (x,), lambda g: x._accumulate(g * slope))
+    """x * slope, slope 1 where x > 0 and alpha elsewhere. For 0 < alpha <= 1
+    max(x, alpha * x) is that product bit for bit, signed zeros, infinities
+    and NaNs included, so only the backward builds the slope. At alpha = 0 it
+    is not (0 * inf is NaN), so that alpha, like any outside (0, 1], raises
+    ValueError."""
+    if not 0 < alpha <= 1:  # NaN too
+        raise ValueError(f"leaky_relu alpha must be in (0, 1], got {alpha}")
+    y = alpha * x.data
+    np.maximum(x.data, y, out=y)
+
+    def backward(g):
+        slope = (x.data > 0).astype(np.float64)
+        np.maximum(slope, alpha, out=slope)
+        slope *= g
+        x._accumulate(slope)
+
+    return _result(y, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:

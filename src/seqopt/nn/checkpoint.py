@@ -25,13 +25,14 @@ class CheckpointError(RuntimeError):
 
 
 def params_checksum(params: ParamStore) -> str:
-    """sha256 over (name, shape, raw bytes) in sorted name order."""
+    """sha256 over (name, shape, raw bytes) in sorted name order. sha256
+    reads the bytes from each C-contiguous array's own buffer, not a copy."""
     h = hashlib.sha256()
     for name in sorted(params.arrays):
         arr = np.ascontiguousarray(params.arrays[name], dtype=np.float64)
         h.update(name.encode())
         h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
+        h.update(arr)
     return h.hexdigest()
 
 

@@ -49,8 +49,10 @@ def validate_descriptor(descriptor) -> list[str]:
             if not ok or layer.get("kernel", 0) % 2 != 1:
                 problems.append(f"layer {i}: conv1d needs positive int 'in_ch'/'out_ch' and odd 'kernel'")
         elif kind == "leaky_relu":
-            if not isinstance(layer.get("alpha", 0.01), (int, float)):
-                problems.append(f"layer {i}: leaky_relu 'alpha' must be numeric")
+            alpha = layer.get("alpha", 0.01)
+            if not (isinstance(alpha, (int, float)) and 0 < alpha <= 1):
+                problems.append(f"layer {i}: leaky_relu 'alpha' must be a number "
+                                f"in (0, 1], got {alpha!r}")
         elif kind == "reshape":
             shape = layer.get("shape")
             if not (isinstance(shape, (list, tuple)) and all(isinstance(s, int) for s in shape)):

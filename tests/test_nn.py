@@ -61,22 +61,41 @@ class TestOpGradients:
     @pytest.mark.parametrize("n", [*range(1, 34), 1000, 1001])
     def test_activations_special_values_match_where_reference(self, n):
         # every SIMD tail length, each ending in -0.0, where the scalar and
-        # vector loops of a max-like ufunc may pick different zeros
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5])
+        # vector loops of a max-like ufunc may pick different zeros; the
+        # smallest subnormals, whose leaky products round to zero; alphas from
+        # the smallest subnormal to 1
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5,
+                            5e-324, -5e-324])
         x = np.resize(special, n)
         x[-1] = -0.0
         g = rng.standard_normal(n)
         mask = x > 0
-        for op, y_ref, slope_ref in (
-                (ad.relu, np.where(mask, x, 0.0), mask.astype(float)),
-                (lambda t: ad.leaky_relu(t, 0.1), np.where(mask, x, 0.1 * x),
-                 np.where(mask, 1.0, 0.1))):
+        cases = [(ad.relu, np.where(mask, x, 0.0), mask.astype(float))]
+        for alpha in (5e-324, 0.01, 0.1, 1):
+            cases.append((lambda t, alpha=alpha: ad.leaky_relu(t, alpha),
+                          np.where(mask, x, alpha * x), np.where(mask, 1.0, alpha)))
+        for op, y_ref, slope_ref in cases:
             t = Tensor(x.copy())
             y = op(t)
             y.backward(g)
             for got, want in ((y.data, y_ref), (t.grad, g * slope_ref)):
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_leaky_relu_on_a_constant(self):
+        x = np.array([[-3.0, -0.0, 0.0, 2.0], [np.inf, -np.inf, 1e-300, -1e-300]])
+        for alpha in (0.01, 1):
+            y = ad.leaky_relu(Tensor(x.copy(), requires_grad=False), alpha)
+            assert not y.requires_grad
+            want = np.where(x > 0, x, alpha * x)
+            np.testing.assert_array_equal(y.data, want)
+            np.testing.assert_array_equal(np.signbit(y.data), np.signbit(want))
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), 0.0])
+    def test_leaky_relu_alpha_outside_unit_interval_refused(self, alpha):
+        # at alpha = 0, max(x, alpha * x) is NaN for x = inf, not x * 1
+        with pytest.raises(ValueError, match="alpha"):
+            ad.leaky_relu(Tensor(np.ones(3)), alpha)
 
     def test_softmax_logsumexp(self):
         x = rng.standard_normal((4, 6))
@@ -306,6 +325,16 @@ class TestNetwork:
                                         {"kind": "warp"}])
         assert len(problems) == 2
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), 0, "0.1"])
+    def test_leaky_relu_alpha_outside_unit_interval_listed(self, alpha):
+        desc = [{"kind": "dense", "in": 2, "out": 2}, {"kind": "leaky_relu", "alpha": alpha}]
+        assert validate_descriptor(desc) == [
+            f"layer 1: leaky_relu 'alpha' must be a number in (0, 1], got {alpha!r}"]
+        with pytest.raises(ValueError, match="layer 1: leaky_relu"):
+            Network.build(desc, seed=0)
+        assert validate_descriptor([{"kind": "leaky_relu", "alpha": 1},
+                                    {"kind": "leaky_relu"}]) == []
+
 
 class TestFlatLayout:
     DESCRIPTORS = {"built": [{"kind": "conv1d", "in_ch": 3, "out_ch": 4, "kernel": 3},
@@ -526,6 +555,45 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(p, "predictor", {"length": int})
         assert str(info.value) == f"{p}: metadata is not an object with an 'extra' object"
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_leaky_relu_alpha_outside_unit_interval_refused(self, tmp_path, alpha):
+        desc = [{"kind": "dense", "in": 3, "out": 4}, {"kind": "leaky_relu", "alpha": alpha},
+                {"kind": "dense", "in": 4, "out": 1}]
+        p = tmp_path / "model.npz"
+        save_checkpoint(p, "predictor", desc, self._net()[1].params)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(p, "predictor")
+        assert str(info.value) == (f"{p}: layer 1: leaky_relu 'alpha' must be a number "
+                                   f"in (0, 1], got {alpha!r}")
+
+    def test_checksum_hashes_name_shape_and_bytes(self):
+        """The checksum reads each array's bytes in place; it equals sha256 over
+        copies of them, for a store as built and after its buffer moved."""
+        import hashlib
+
+        def reference(params):
+            h = hashlib.sha256()
+            for name in sorted(params.arrays):
+                arr = params.arrays[name]
+                h.update(name.encode())
+                h.update(str(arr.shape).encode())
+                h.update(arr.tobytes())
+            return h.hexdigest()
+
+        desc = [{"kind": "conv1d", "in_ch": 3, "out_ch": 4, "kernel": 3}, {"kind": "relu"},
+                {"kind": "global_avg_pool"}, {"kind": "dense", "in": 4, "out": 2}]
+        net = Network.build(desc, seed=5)
+        assert params_checksum(net.params) == reference(net.params)
+        size = net.params.flat.size
+        larger = np.full(size + 11, np.nan)
+        net.move_params(larger[7:7 + size])
+        assert np.shares_memory(net.params.arrays["0.weight"], larger)
+        assert params_checksum(net.params) == reference(net.params)
+        store = ParamStore({"w": rng.standard_normal((2, 5)), "empty": np.zeros((0, 3)),
+                            "b": rng.standard_normal(5)}, 0)
+        store.arrays["w"] = store.arrays["w"].T  # a strided view
+        assert params_checksum(store) == reference(store)
 
     def test_checksum_tracks_content(self):
         _, net = self._net()

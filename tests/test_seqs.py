@@ -369,6 +369,98 @@ class TestCappedSetDistance:
         assert lanes  # without the cap, pairs whose lower bound is 9 run it
 
 
+def bounds_int64(queries, refs):
+    """`_bounds` as it was before tokens were narrowed: int64 token compares
+    for the upper bound, int64 bag counts for the lower."""
+    queries, refs = queries.astype(np.int64), refs.astype(np.int64)
+    d, n = queries.shape[1], refs.shape[1]
+    longer = max(d, n)
+    upper = np.full((queries.shape[0], refs.shape[0]), longer, dtype=np.int64)
+    refs_t = np.ascontiguousarray(refs.T)
+    for k in range(min(d, n)):
+        upper -= queries[:, k, None] == refs_t[k]
+    alphabet = max(int(queries.max(initial=0)), int(refs.max(initial=0))) + 1
+    query_bags = np.array([np.bincount(r, minlength=alphabet) for r in queries])
+    ref_bags = np.array([np.bincount(r, minlength=alphabet) for r in refs])
+    lower = longer - np.minimum(query_bags[:, None, :], ref_bags[None, :, :]).sum(axis=2)
+    return lower, upper
+
+
+class TestNarrowTokens:
+    """Bounds and distances compare tokens in the narrowest unsigned type that
+    holds them: uint8 up to token 255, uint16 from token 256. Every figure
+    equals its int64 computation, for queries shorter and longer than refs."""
+
+    SHAPES = [(12, 9), (9, 12), (10, 10)]
+
+    @staticmethod
+    def rows(rng, alphabet, count, length):
+        """Random rows over `alphabet` tokens; each row also holds token 0 and
+        the alphabet's largest token, and 255 and 256 where it has them, which
+        the wrong type would wrap onto small tokens."""
+        out = rng.integers(0, alphabet, size=(count, length))
+        special = sorted({t for t in (0, 255, 256, alphabet - 1) if t < alphabet})
+        cells = rng.integers(0, length, size=(count, len(special)))
+        out[np.arange(count)[:, None], cells] = special
+        return out
+
+    def sides(self, alphabet, d, n):
+        """(queries, refs): refs include near copies of the queries, with
+        substitutions drawn from the whole alphabet, and duplicated rows."""
+        rng = np.random.default_rng(alphabet + 31 * d + n)
+        queries = self.rows(rng, alphabet, 8, d)
+        refs = self.rows(rng, alphabet, 6, n)
+        k = min(d, n)
+        refs[:4, :k] = queries[:4, :k]
+        for _ in range(2):
+            refs[np.arange(4), rng.integers(0, n, size=4)] = rng.integers(0, alphabet, size=4)
+        return queries[[0, 1, 2, 3, 4, 5, 6, 7, 1, 5]], refs[[0, 1, 2, 3, 4, 5, 2]]
+
+    @staticmethod
+    def min_distances_int64(queries, refs):
+        return np.array([levenshtein_one_to_many(q.astype(np.int64), refs.astype(np.int64)).min()
+                         for q in queries])
+
+    @pytest.mark.parametrize("alphabet", [20, 256, 300])
+    @pytest.mark.parametrize("d,n", SHAPES)
+    def test_bounds_equal_int64(self, alphabet, d, n):
+        queries, refs = self.sides(alphabet, d, n)
+        for a, b in ((queries, refs), (refs, queries)):
+            lower, upper = _bounds(a, b)
+            want_lower, want_upper = bounds_int64(a, b)
+            assert lower.dtype == upper.dtype == np.min_scalar_type(max(d, n))
+            np.testing.assert_array_equal(lower, want_lower)
+            np.testing.assert_array_equal(upper, want_upper)
+
+    @pytest.mark.parametrize("alphabet", [20, 256, 300])
+    @pytest.mark.parametrize("d,n", SHAPES)
+    def test_min_distance_equals_int64(self, alphabet, d, n, monkeypatch):
+        queries, refs = self.sides(alphabet, d, n)
+        token_types = set()
+        kernel = seqs.levenshtein_one_to_many
+
+        def recorded(query, targets):
+            token_types.update((query.dtype, targets.dtype))
+            return kernel(query, targets)
+        monkeypatch.setattr(seqs, "levenshtein_one_to_many", recorded)
+        for a, b in ((queries, refs), (refs, queries)):
+            want = self.min_distances_int64(a, b)
+            np.testing.assert_array_equal(min_distance_to_set(a, b), want)
+            for cap in (0, 3, max(d, n), 10 ** 6):
+                np.testing.assert_array_equal(min_distance_to_set(a, b, cap=cap),
+                                              np.minimum(want, cap), err_msg=f"cap={cap}")
+        assert token_types == {np.dtype(np.uint8 if alphabet <= 256 else np.uint16)}
+
+    @pytest.mark.parametrize("alphabet", [20, 256, 300])
+    @pytest.mark.parametrize("length", [9, 12])
+    def test_pairwise_equals_int64(self, alphabet, length):
+        rows = np.concatenate(self.sides(alphabet, length, length))
+        rows64 = rows.astype(np.int64)
+        want = np.concatenate([levenshtein_one_to_many(rows64[i], rows64[i + 1:])
+                               for i in range(len(rows) - 1)])
+        np.testing.assert_array_equal(pairwise_distances(rows), want)
+
+
 def test_popcount_matches_bin_count():
     rng = np.random.default_rng(25)
     special = [0, 1, 2 ** 63, 2 ** 64 - 1, 2 ** 63 - 1, 0x0101010101010101]
