@@ -62,20 +62,27 @@ class SyntheticLandscape:
         """Rescaled fitness of each row of an (n, d) matrix: known optimum -> 1,
         known minimum -> 0.
 
-        The linear terms come from one flat gather of `linear`, summed per
-        row. A pair fires where both its (position, token) keys match; each
+        The rows are scored 1,024 at a time, to bound the transients. The
+        linear terms come from one flat gather of `linear`, summed per row.
+        A pair fires where both its (position, token) keys match; each
         distinct key is compared once, as one boolean column, and the pairs
-        gather their two columns from those."""
+        gather their two columns from those into a float64 hit matrix, which
+        the matmul with `pair_weight` would otherwise copy to float64."""
         seqs = np.atleast_2d(np.asarray(seqs, dtype=np.int64))
         if seqs.shape[1] != self.length:
             raise ValueError(f"sequence length {seqs.shape[1]} != landscape length {self.length}")
         offsets = np.arange(0, self.linear.size, self.vocab_size)
-        raw = self.linear.ravel().take(seqs + offsets).sum(axis=1)
-        if self.pair_weight.size:
-            key_pos, key_tok, first, second = self._keys
-            match = seqs.take(key_pos, axis=1) == key_tok
-            hit = match.take(first, axis=1) & match.take(second, axis=1)
-            raw = raw + hit @ self.pair_weight
+        key_pos, key_tok, first, second = self._keys
+        raw = np.empty(len(seqs))
+        for start in range(0, len(seqs), 1024):
+            rows = seqs[start:start + 1024]
+            sums = self.linear.ravel().take(rows + offsets).sum(axis=1)
+            if self.pair_weight.size:
+                match = rows.take(key_pos, axis=1) == key_tok
+                hit = np.logical_and(match.take(first, axis=1), match.take(second, axis=1),
+                                     out=np.empty((len(rows), first.size)))
+                sums += hit @ self.pair_weight
+            raw[start:start + 1024] = sums
         return (raw - self.raw_min) / (self.raw_max - self.raw_min)
 
 

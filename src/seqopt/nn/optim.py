@@ -22,27 +22,37 @@ CHUNK_ROWS = 64
 
 class AdamState:
     """First/second moment estimates over a flat parameter buffer of `size`
-    entries, plus the step counter."""
+    entries, the step counter, and a (2, size) scratch buffer for the update."""
 
     def __init__(self, size: int):
         self.m, self.v, self.step_count = np.zeros(size), np.zeros(size), 0
+        self.scratch = np.empty((2, size))
 
 
 def adam_step(params: ParamStore, grad: np.ndarray, learning_rate: float,
               state: AdamState) -> AdamState:
     """One bias-corrected Adam update from a gradient laid out like
     `params.flat`; mutates `params.flat` in place so its named views, and the
-    networks wrapping them, observe the new values."""
+    networks wrapping them, observe the new values.
+
+    The update is `m = b1 m + (1 - b1) g`, `v = b2 v + (1 - b2) g g` and
+    `p -= lr m_hat / (sqrt(v_hat) + eps)`, evaluated in that order of
+    operations through `state.scratch`, so it allocates no array."""
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.flat.shape}")
     state.step_count += 1
+    step, denom = state.scratch
     state.m *= BETA1
-    state.m += (1 - BETA1) * grad
+    state.m += np.multiply(grad, 1 - BETA1, out=step)
     state.v *= BETA2
-    state.v += (1 - BETA2) * grad * grad
-    m_hat = state.m / (1 - BETA1 ** state.step_count)
-    v_hat = state.v / (1 - BETA2 ** state.step_count)
-    params.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    np.multiply(grad, 1 - BETA2, out=step)
+    state.v += np.multiply(step, grad, out=step)
+    np.divide(state.m, 1 - BETA1 ** state.step_count, out=step)  # m_hat
+    step *= learning_rate
+    np.divide(state.v, 1 - BETA2 ** state.step_count, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += EPSILON
+    params.flat -= np.divide(step, denom, out=step)
     return state
 
 

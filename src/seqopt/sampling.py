@@ -13,27 +13,33 @@ the hard one-hot encoding, and cut to the top k.
 Chains are independent rows and the guidance objective is a sum over them,
 so each chain's gradient depends on its own row alone. The batch is cut
 into blocks of CHAIN_BLOCK rows, and each block runs its whole trajectory,
-every Euler step with its guidance steps, as one `jobs.run_jobs` job. The
-blocks are dealt to as many processes as the process may run on CPUs
-(`jobs.process_cores`, its scheduler affinity), each with one BLAS thread;
-inside a job of another `run_jobs` call, such as a sweep's, they run
-serially in that job's process. Guidance computes no weight gradient, and
-at 64 rows the one-thread and default-thread runs give equal bits, so the
-latents are byte-identical at every core count.
+every Euler step with its guidance steps, and then decodes its final
+latents, as one `jobs.run_jobs` job. The blocks are dealt to as many
+processes as the process may run on CPUs (`jobs.process_cores`, its
+scheduler affinity), each with one BLAS thread; inside a job of another
+`run_jobs` call, such as a sweep's, they run serially in that job's
+process. Guidance computes no weight gradient, and at 64 rows the
+one-thread and default-thread runs give equal bits, so the latents and
+their decoded sequences are byte-identical at every core count. The unique
+decodes are then scored in the caller, CHAIN_BLOCK rows at a time.
 
 A block that goes non-finite (a non-finite state, a layer's
 `NonFiniteError` or a non-finite guidance gradient) stops and reports the
 integration step at which it failed. The failure with the smallest (step,
 block) is re-raised, naming its step, which is the failure a loop over steps
-outside and blocks inside would meet first.
+outside and blocks inside would meet first. A decoder layer that goes
+non-finite on a block's final latents counts as a failure after the last
+step, and is re-raised as the layer named it.
 
 Blocks also keep each tape small. A 64-chain tape (about 8 MB at the hard
 config) is reused from the malloc heap from one step to the next, while the
 arrays of one 512-chain tape (4.7 MB per conv activation) are mapped afresh
 and page-faulted on every use. `_keep_tapes_on_heap` makes the reuse hold
 in every process, not only in one that has already freed a large array.
-BLAS may pick a different kernel for a different row count, so a chain's
-bits depend on its block, not on the batch size.
+Decoding and scoring at the same width keep the forward-only passes as
+small. BLAS may pick a different kernel for a different row count, so a
+chain's latent and decoded sequence depend on its block, as its score
+depends on its 64-row piece of the unique decodes, not on the batch size.
 """
 
 from __future__ import annotations
@@ -182,9 +188,10 @@ def _keep_tapes_on_heap() -> None:
 
 def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
                      predictor: PredictorModel, y_cond):
-    """The final latents of one block of chains after every Euler step and its
-    guidance steps, or (step, exception) for the integration step at which the
-    block went non-finite."""
+    """(final latents, decoded tokens) of one block of chains after every
+    Euler step and its guidance steps, or (step, exception) for the
+    integration step at which the block went non-finite; a decoder layer
+    that goes non-finite on the final latents fails at step `cfg.steps`."""
     dt = 1.0 / cfg.steps
     # every non-finite value below ends in a named exception, so numpy's
     # overflow and invalid-value warnings would only repeat it
@@ -201,7 +208,10 @@ def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: Va
                                       manifold=(cfg.mode == "manifold"))
             except (NonFiniteError, FloatingPointError) as exc:
                 return k, exc
-    return z
+        try:
+            return z, vae.decode_tokens_batch(z)
+        except NonFiniteError as exc:
+            return cfg.steps, exc
 
 
 def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel) -> dict:
@@ -219,8 +229,11 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     Chains: z0 from per-chain RNG streams; each block of CHAIN_BLOCK chains,
     one `run_jobs` job, advances along the learned field and after every
     Euler step applies the configured number of guidance steps (none in
-    unconditional and learned_posterior modes). A failure names the first
-    integration step at which any chain went non-finite.
+    unconditional and learned_posterior modes), then decodes its own final
+    latents. The blocks' latents and decoded sequences are concatenated in
+    chain order, and the unique decodes are scored CHAIN_BLOCK rows at a
+    time. A failure names the first integration step at which any chain
+    went non-finite.
     """
     if vae.latent_dim != flow.latent_dim:
         raise ConfigError([f"latent dim mismatch: vae {vae.latent_dim} vs flow {flow.latent_dim}"])
@@ -236,14 +249,14 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     blocks = run_jobs({s: partial(_integrate_block, z0[s:s + CHAIN_BLOCK], cfg, flow, vae,
                                   predictor, y_cond)
                        for s in starts}, process_cores())
-    failures = [(out[0], s, out[1]) for s, out in blocks.items() if isinstance(out, tuple)]
+    failures = [(k, s, exc) for s, (k, exc) in blocks.items() if isinstance(exc, Exception)]
     if failures:
         k, _, exc = min(failures)  # the earliest step, then the first block
-        if isinstance(exc, NonFiniteError):
+        if isinstance(exc, NonFiniteError) and k < cfg.steps:
             raise NonFiniteError(f"{exc} at integration step {k}") from exc
         raise exc
-    z = np.concatenate([blocks[s] for s in starts])
-    raw_sequences = vae.decode_tokens_batch(z)
+    z = np.concatenate([blocks[s][0] for s in starts])
+    raw_sequences = np.concatenate([blocks[s][1] for s in starts])
     sequences, scores, selected, shortfall = _select_top_k(
         raw_sequences, predictor, cfg.top_k)
     provenance = {
@@ -259,7 +272,8 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
 
 def _select_top_k(decoded: np.ndarray, predictor: PredictorModel, top_k: int):
     """Dedup (keeping first chain occurrence), rank by predictor score with
-    lexicographic tie-break, cut to top_k."""
+    lexicographic tie-break, cut to top_k. The unique rows are scored in
+    pieces of CHAIN_BLOCK rows."""
     first_seen: dict[bytes, int] = {}
     for i, row in enumerate(decoded):
         key = row.tobytes()
@@ -267,7 +281,8 @@ def _select_top_k(decoded: np.ndarray, predictor: PredictorModel, top_k: int):
             first_seen[key] = i
     chain_idx = np.array(sorted(first_seen.values()))
     unique = decoded[chain_idx]
-    scores = predictor.predict_sequences(unique)
+    scores = np.concatenate([predictor.predict_sequences(unique[s:s + CHAIN_BLOCK])
+                             for s in range(0, len(unique), CHAIN_BLOCK)])
     order = sorted(range(len(unique)),
                    key=lambda i: (-scores[i], tuple(unique[i])))
     order = order[:top_k]

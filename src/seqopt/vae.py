@@ -9,16 +9,18 @@ instead relaxed with a softmax so predictors can be differentiated through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
+from .jobs import process_cores, run_jobs
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
-from .nn.optim import check_training_fields, fit
+from .nn.optim import CHUNK_ROWS, check_training_fields, fit
 from .seqs import one_hot_batch
 
 LOGVAR_BOUND = 10.0  # |log-variance| cap, applied smoothly via tanh
@@ -183,16 +185,23 @@ def train_vae(data: Dataset, cfg: VaeConfig, seed: int, vocab_size: int = 20,
 
 
 def reconstruction_accuracy(model: VaeModel, data: Dataset) -> float:
-    """Fraction of positions recovered by noise-free encode/decode (z = mean)."""
+    """Fraction of positions recovered by noise-free encode/decode (z = mean).
+
+    The records are encoded and decoded in pieces of CHUNK_ROWS rows, as
+    `jobs.run_jobs` jobs on the process's cores (serially on one core or
+    inside another job), and the pieces' counts of correct positions are
+    summed."""
     if data.n == 0:
         raise ValueError("empty dataset")
-    correct = 0
-    for start in range(0, data.n, 512):
-        seqs = data.sequences[start:start + 512]
-        mean, _ = model.encode_batch(seqs)
-        decoded = model.decode_tokens_batch(mean)
-        correct += int((decoded == seqs).sum())
-    return correct / (data.n * data.length)
+    counts = run_jobs({start: partial(_correct_positions, model,
+                                      data.sequences[start:start + CHUNK_ROWS])
+                       for start in range(0, data.n, CHUNK_ROWS)}, process_cores())
+    return sum(counts.values()) / (data.n * data.length)
+
+
+def _correct_positions(model: VaeModel, seqs: np.ndarray) -> int:
+    mean, _ = model.encode_batch(seqs)
+    return int((model.decode_tokens_batch(mean) == seqs).sum())
 
 
 def sample_vae_prior(model: VaeModel, count: int, seed: int) -> np.ndarray:

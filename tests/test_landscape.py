@@ -121,6 +121,20 @@ class TestFitnessBits:
         if count:
             assert ls.fitness_many(seqs[0]).tobytes() == got[:1].tobytes()
 
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049])
+    def test_block_boundaries(self, vocab, count):
+        """`fitness_many` scores 1,024 rows at a time; every cut gives the
+        one-shot formula's bits."""
+        rng = np.random.default_rng(60 + count)
+        pool = make_edit_pool(61, make_landscape(62, 20, vocab, n_pairs=0).target, vocab)
+        ls = make_landscape(62, 20, vocab, decoy_tokens=pool)
+        mutants = sample_mutants(ls, count, 63, vocab, edit_tokens=pool, max_mutations=6)
+        seqs = np.where(rng.random((count, 1)) < 0.25,
+                        rng.integers(0, vocab.size, size=(count, 20)), mutants)
+        got = ls.fitness_many(seqs)
+        assert got.shape == (count,)
+        assert got.tobytes() == formula_fitness(ls, seqs).tobytes()
+
 
 def _loop_mutants(landscape, count, seed, vocab, edit_tokens=None, min_mutations=1,
                  max_mutations=None):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,6 +441,34 @@ class TestAdam:
                 ref[name] -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
             for name, arr in params.arrays.items():
                 assert arr.tobytes() == ref[name].tobytes(), (t, name)
+
+    @pytest.mark.parametrize("size", [22_286, 30_800, 43_300])
+    def test_allocation_free_update_matches_formula_bitwise(self, size):
+        """Twenty steps on one flat buffer give the update written as one
+        expression per line, bit for bit, and allocate no array."""
+        gen = np.random.default_rng(size)
+        params = ParamStore({"w": gen.standard_normal(size)}, 0)
+        ref, lr = params.flat.copy(), 1e-3
+        m, v = np.zeros(size), np.zeros(size)
+        state = AdamState(size)
+        for t in range(1, 21):
+            grad = gen.standard_normal(size) * 10.0 ** gen.integers(-6, 3)
+            tracemalloc.start()
+            try:
+                adam_step(params, grad, lr, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < size  # bytes: not one float64 array of the parameters
+            m *= BETA1
+            m += (1 - BETA1) * grad
+            v *= BETA2
+            v += (1 - BETA2) * grad * grad
+            m_hat = m / (1 - BETA1 ** t)
+            v_hat = v / (1 - BETA2 ** t)
+            ref -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+            assert params.flat.tobytes() == ref.tobytes(), t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_constant_gradient_moves_monotonically(self):
         # scalar simulation: independently replay the update rule

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,6 +225,24 @@ class TestSelection:
         seqs, _, _, short = _select_top_k(decoded, self.SumScore(), top_k=3)
         assert short and len(seqs) == 2
 
+    def test_scores_in_pieces_at_the_hard_config(self):
+        # 512 unique rows through the hard config's predictor: one 512-row
+        # call holds about 10 MB of activations at once, 64-row pieces 1.5 MB
+        pred = PredictorModel.build(20, 20, PredictorConfig(hidden_channels=24,
+                                                            hidden_dense=64), seed=2)
+        decoded = np.random.default_rng(31).integers(0, 20, size=(8 * CHAIN_BLOCK, 20))
+        assert len(np.unique(decoded, axis=0)) == len(decoded)
+        tracemalloc.start()
+        try:
+            seqs, scores, chains, _ = _select_top_k(decoded, pred, top_k=len(decoded))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+        np.testing.assert_array_equal(seqs, decoded[chains])
+        np.testing.assert_allclose(scores, pred.predict_sequences(decoded)[chains],
+                                   rtol=0, atol=1e-12)
+
 
 class TestGuidedSample:
     def test_reduction_identity_bit_exact(self, stack):
@@ -286,6 +305,43 @@ class TestGuidedSample:
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(blocked.raw_sequences, whole.raw_sequences)
         np.testing.assert_array_equal(blocked.sequences, whole.sequences)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("batch", [8 * CHAIN_BLOCK, CHAIN_BLOCK + 36])
+    def test_blocks_decode_their_own_latents(self, stack, monkeypatch, cores, batch):
+        monkeypatch.setattr(sampling, "process_cores", lambda: cores)
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=2, guidance_steps=1, alpha=0.05, batch=batch,
+                            top_k=4, mode="manifold", seed=28)
+        res = guided_sample(cfg, flow, vae, pred)
+        assert res.raw_sequences.shape == (batch, D)
+        np.testing.assert_array_equal(res.raw_sequences,
+                                      vae.decode_tokens_batch(res.raw_latents))
+
+    def test_non_finite_decode_fails_after_the_last_step(self, stack, monkeypatch):
+        # the first block's decoder fails after its last step, the second
+        # (partial) block at its last step: the step failure comes first
+        vae, flow, pred = stack
+        cfg = SamplerConfig(steps=2, guidance_steps=1, alpha=0.05,
+                            batch=CHAIN_BLOCK + 5, top_k=4, mode="manifold", seed=29)
+        decode_error = NonFiniteError("layer 0 (dense) produced non-finite values")
+
+        def fail_decode(z):
+            raise decode_error
+
+        def fail_partial_late(zb, *args, **kwargs):
+            if args[5] > 0 and len(zb) < CHAIN_BLOCK:
+                raise NonFiniteError("layer 1 (conv1d) produced non-finite values")
+            return zb
+
+        monkeypatch.setattr(vae, "decode_tokens_batch", fail_decode)
+        with pytest.raises(NonFiniteError) as raised:
+            guided_sample(cfg, flow, vae, pred)
+        assert str(raised.value) == str(decode_error)  # no step named
+        monkeypatch.setattr(sampling, "guidance_step", fail_partial_late)
+        with pytest.raises(NonFiniteError, match=r"conv1d\) produced non-finite values "
+                                                 r"at integration step 1$"):
+            guided_sample(cfg, flow, vae, pred)
 
     def test_chain_bits_depend_only_on_their_block(self, stack):
         vae, flow, pred = stack

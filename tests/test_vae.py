@@ -4,7 +4,9 @@ import pytest
 from _gradcheck import numeric_gradient, rel_err
 from seqopt.data import Dataset
 from seqopt.nn.autodiff import Tensor
+from seqopt import vae as vae_module
 from seqopt.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from seqopt.nn.optim import CHUNK_ROWS
 from seqopt.tasks import encode_latents
 from seqopt.vae import (VaeConfig, VaeModel, _loss_tape, load_vae, reconstruction_accuracy,
                         sample_vae_prior, save_vae, train_vae)
@@ -257,6 +259,16 @@ class TestTraining:
         shuffled = data.subset(np.random.default_rng(8).permutation(data.n))
         assert reconstruction_accuracy(model, shuffled) == \
             reconstruction_accuracy(model, data)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_accuracy_in_pieces_equals_whole_batch_count(self, monkeypatch, cores):
+        monkeypatch.setattr(vae_module, "process_cores", lambda: cores)
+        model = tiny_model(seed=16)
+        data = random_records(3 * CHUNK_ROWS + 17)
+        decoded = model.decode_tokens_batch(model.encode_batch(data.sequences)[0])
+        correct = int((decoded == data.sequences).sum())
+        assert 0 < correct < data.sequences.size
+        assert reconstruction_accuracy(model, data) == correct / data.sequences.size
 
     def test_constant_decoder_accuracy_equals_token_frequency(self):
         model = tiny_model(vocab=5, seed=13)
