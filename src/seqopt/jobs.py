@@ -1,27 +1,32 @@
-"""The process pools every parallel path runs on: `run_jobs` and `pool`.
+"""The process pool every parallel path runs on: `pool`, and `run_jobs`, one
+run of a pool.
 
-`run_jobs` deals {key: zero-arg callable} round-robin by position to up to
-`parallelism` processes: the caller runs one share and forked workers run
-the others. The jobs reach the workers by fork, as the closures they are, so
-only results and exceptions are pickled. BLAS is pinned to one thread for
-the duration, because one BLAS thread pool per process oversubscribes the
-cores; only the outermost pin calls OpenBLAS, and a pin nested in a job or
-a worker leaves it be. Results are assembled by key and a failure re-raises
-the earliest failing key's exception, so neither the worker count nor the
-completion order affects output.
+`pool(work, processes)` keeps up to `processes` processes for the life of a
+`with` block and yields `run(tasks)`, which returns
+[work(*task) for task in tasks]: task k runs on worker k mod n, where the
+caller is worker 0 and the n - 1 others are forked on entry. `nn.optim.fit`
+runs each training batch's 64-sequence chunks on a pool kept over the fit.
+`run_jobs` runs {key: zero-arg callable} as one run of a pool of as many
+processes as it has jobs, up to `parallelism`, whose workers exit as soon as
+they have sent their share; the sweeps, the sampler's chain blocks and the
+VAE's accuracy pass run on it.
 
-A `run_jobs` call made inside a job of another, in the caller's share or in
-a forked worker, runs its jobs serially in that process. So a sweep on N
-processes stays on N processes when each of its jobs samples through a
-pool of its own.
+A worker reads the caller's memory as it was at the fork, so the callables
+reach it as the closures they are. A task's arguments and its result or
+exception are pickled, one message per worker per run; what a worker writes
+for the caller beyond that goes to memory mapped before the fork
+(`shared_array`). While a pool has forked workers, BLAS runs on one thread in
+every process, because one BLAS thread pool per process oversubscribes the
+cores; only the outermost pin calls OpenBLAS, and a pin nested in a job or a
+worker leaves it be. Results are assembled by task, and a failure re-raises
+the earliest failing task's exception, so neither the worker count nor the
+completion order affects output. A worker that dies, or whose result does
+not pickle, is named in a RuntimeError with its exit code.
 
-`pool` keeps its forked workers for the life of a `with` block, for a loop
-that hands them small tasks many times over: `nn.optim.fit` runs each
-training batch's 64-sequence chunks on it. A task's inputs reach its worker
-over a pipe, and what a worker writes for the caller beyond its pickled
-result goes to memory mapped before the fork (`shared_array`). The same rules
-hold: BLAS on one thread in every process, the earliest failing task's
-exception re-raised, serial inside a job of another pool or `run_jobs` call.
+A pool or `run_jobs` call made inside a task of another, in the caller's
+share or in a forked worker, runs its tasks serially in that process, as
+does every pool where `fork` does not exist. So a sweep on N processes stays
+on N processes when each of its jobs samples through a pool of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import traceback
 
 import numpy as np
 
-# True while a run_jobs call or a pool runs its jobs; forked workers inherit it.
+# True while a pool runs its tasks; forked workers inherit it.
 _running_jobs = False
 # True while the outermost `one_blas_thread` block holds BLAS at one thread;
 # forked workers inherit it.
@@ -55,103 +60,14 @@ def process_cores() -> int:
 
 def run_jobs(jobs: dict, parallelism: int = 1) -> dict:
     """Execute {key: zero-arg callable} and return {key: result}, assembled by
-    key. With parallelism > 1, worker w of n = min(parallelism, len(jobs))
-    runs keys[w::n]: the caller is worker 0 and the others are forked
-    processes, all with one BLAS thread. A failing job ends its worker's share,
-    and the exception of the earliest failing key is re-raised, as in a serial
-    run. The jobs run serially where `fork` does not exist and inside a job of
-    another `run_jobs` call."""
-    global _running_jobs
+    key, as one run of a `pool` of min(parallelism, len(jobs)) processes:
+    worker w of n runs the keys at positions w, w + n, ..., and the caller is
+    worker 0. A failing job ends its worker's share, and the exception of the
+    earliest failing key is re-raised, as in a serial run. Where the pool
+    runs serially, so do the jobs."""
     keys = list(jobs)
-    workers = min(parallelism, len(keys))
-    nested, _running_jobs = _running_jobs, True
-    try:
-        if nested or workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            return {key: jobs[key]() for key in keys}
-        return _run_forked(jobs, keys, workers)
-    finally:
-        _running_jobs = nested
-
-
-def _run_forked(jobs: dict, keys: list, workers: int) -> dict:
-    context = multiprocessing.get_context("fork")
-    with one_blas_thread():
-        started = []
-        try:
-            for w in range(1, workers):
-                receive, send = context.Pipe(duplex=False)
-                proc = context.Process(target=_worker, args=(jobs, keys[w::workers], send),
-                                       name=f"run_jobs worker {w}")
-                proc.start()
-                send.close()  # the worker now holds the only writing end
-                started.append((proc, receive))
-            shares = [_run_share(jobs, keys[::workers])]
-            shares += [_receive(proc, receive) for proc, receive in started]
-        except BaseException:
-            for proc, _ in started:
-                proc.terminate()
-            raise
-        finally:
-            for proc, receive in started:
-                receive.close()
-                proc.join()
-    return _assemble(shares, keys)
-
-
-def _assemble(shares: list, keys: list) -> dict:
-    """{key: result} from the workers' shares, in key order, or the exception
-    of the earliest failing key."""
-    done, failures = {}, {}
-    position = {key: i for i, key in enumerate(keys)}
-    for results, failure in shares:
-        done.update(results)
-        if failure is not None:
-            key, exc, text = failure
-            failures[position[key]] = exc, text
-    if failures:
-        exc, text = failures[min(failures)]
-        if exc.__traceback__ is not None:  # raised in this process
-            raise exc
-        raise exc from _WorkerTraceback(text)
-    return {key: done[key] for key in keys}
-
-
-def _run_share(jobs: dict, keys: list):
-    """({key: result}, None), or the results before the first failing key and
-    (key, exception, its traceback as text)."""
-    results = {}
-    for key in keys:
-        try:
-            results[key] = jobs[key]()
-        except Exception as exc:
-            return results, (key, exc, traceback.format_exc())
-    return results, None
-
-
-def _worker(jobs: dict, keys: list, send) -> None:
-    """Body of a forked worker: run its share, send it back and exit at once,
-    without the interpreter shutdown the caller waits for in `join`. A result
-    or exception that does not pickle ends the worker before anything is sent."""
-    send.send(_run_share(jobs, keys))
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(0)
-
-
-def _receive(proc, receive):
-    try:
-        return receive.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"{proc.name} (pid {proc.pid}) exited with code "
-                           f"{proc.exitcode} before returning its results") from None
-
-
-class _WorkerTraceback(Exception):
-    """The traceback, as text, of a job that failed in a forked worker."""
-
-    def __str__(self):
-        return "\n" + self.args[0]
+    with pool(lambda key: jobs[key](), min(parallelism, len(keys))) as run:
+        return dict(zip(keys, run([(key,) for key in keys], _last=True)))
 
 
 @contextlib.contextmanager
@@ -159,34 +75,30 @@ def pool(work, processes: int):
     """Yield `run(tasks)`, which returns [work(*task) for task in tasks], on
     up to `processes` processes kept for the life of the block: task k runs on
     worker k mod n, where the caller is worker 0 and the n - 1 others are
-    forked on entry. BLAS runs on one thread in every process inside the block.
-    The tasks go to the workers pickled, one message per worker per `run`, and
-    the results come back the same way; a worker reads the caller's memory as
-    it was at the fork, except for `shared_array`s made before entry, which
-    both sides see written. A failing task ends its worker's share of that
-    `run`, and the exception of the earliest failing task is re-raised. The
-    tasks run serially where `fork` does not exist and inside a job of a
-    `run_jobs` call or another pool. No worker outlives the block: on a normal
-    exit each reads the end of its pipe and exits, on an exception it is
-    terminated, and either way it is reaped."""
+    forked on entry, every process then on one BLAS thread. A failing task
+    ends its worker's share of that `run`, and the exception of the earliest
+    failing task is re-raised. The tasks run serially where `fork` does not
+    exist and inside a task of another pool. No worker outlives the block: on
+    a normal exit each reads the end of its pipe and exits, on an exception
+    it is terminated, and either way it is reaped."""
     global _running_jobs
+    fork = (not _running_jobs and processes > 1
+            and "fork" in multiprocessing.get_all_start_methods())
     nested, _running_jobs = _running_jobs, True
     workers = []
     try:
-        with one_blas_thread():
-            if not nested and processes > 1 and "fork" in multiprocessing.get_all_start_methods():
-                _keep_heap()
-                context = multiprocessing.get_context("fork")
-                for w in range(1, processes):
-                    mine, theirs = context.Pipe()
-                    # the worker closes the caller's end of every pipe it inherits,
-                    # so it reads end-of-file once the caller closes its own
-                    proc = context.Process(target=_pool_worker, name=f"pool worker {w}",
-                                           args=(work, theirs, [c for _, c in workers] + [mine]))
-                    proc.start()
-                    theirs.close()
-                    workers.append((proc, mine))
-            yield functools.partial(_run_pool, work, workers)
+        with one_blas_thread() if fork else contextlib.nullcontext():
+            for w in range(1, processes if fork else 1):
+                mine, theirs = multiprocessing.Pipe()
+                # the worker closes the caller's end of every pipe it inherits,
+                # so it reads end-of-file once the caller closes its own
+                proc = multiprocessing.get_context("fork").Process(
+                    target=_worker, name=f"pool worker {w}",
+                    args=(work, theirs, [c for _, c in workers] + [mine]))
+                proc.start()
+                theirs.close()
+                workers.append((proc, mine))
+            yield functools.partial(_run, work, workers)
     except BaseException:
         for proc, _ in workers:
             proc.terminate()
@@ -198,50 +110,76 @@ def pool(work, processes: int):
         _running_jobs = nested
 
 
-def _run_pool(work, workers: list, tasks: list) -> list:
-    n = len(workers) + 1
-    keys = list(range(len(tasks)))
-    busy = workers[:len(keys) - 1]  # worker w runs keys[w::n]
+def _run(work, workers: list, tasks: list, _last: bool = False) -> list:
+    """One `run` of a pool. `_last` says the pool runs nothing more: each
+    worker then exits as soon as it has sent its share, instead of waiting
+    for the end of the block, so the caller's `join` finds it exiting."""
+    n, numbered = len(workers) + 1, list(enumerate(tasks))
+    busy = workers[:len(tasks) - 1]
     for w, (_, conn) in enumerate(busy, 1):
-        conn.send([(k, tasks[k]) for k in keys[w::n]])
-    shares = [_run_share({k: functools.partial(work, *tasks[k]) for k in keys[::n]}, keys[::n])]
+        conn.send((numbered[w::n], _last))
+    shares = [_run_share(work, numbered[::n])]
     shares += [_receive(proc, conn) for proc, conn in busy]
-    return list(_assemble(shares, keys).values())
+    done, failures = {}, {}
+    for results, failure in shares:
+        done.update(results)
+        if failure is not None:
+            failures[failure[0]] = failure
+    if failures:
+        _, exc, text = failures[min(failures)]
+        if exc.__traceback__ is not None:  # raised in this process
+            raise exc
+        raise exc from _WorkerTraceback(text)
+    return [done[k] for k in range(len(tasks))]
 
 
-def _pool_worker(work, conn, inherited: list) -> None:
-    """Body of a pool worker: run each share the caller sends and send back
-    its results, until the caller closes its end of the pipe."""
+def _run_share(work, share: list):
+    """({k: result}, None) for the numbered tasks [(k, task)], or the results
+    before the first failing task and (k, exception, its traceback as text)."""
+    results = {}
+    for k, task in share:
+        try:
+            results[k] = work(*task)
+        except Exception as exc:
+            return results, (k, exc, traceback.format_exc())
+    return results, None
+
+
+def _worker(work, conn, inherited: list) -> None:
+    """Body of a forked worker: run each share the caller sends and send back
+    its results, until the caller closes its end of the pipe or marks a share
+    the last; then exit at once, without the interpreter shutdown the caller
+    waits for in `join`. A result or exception that does not pickle raises
+    out of `send`, which ends the worker with code 1 and the traceback on
+    stderr."""
     for end in inherited:
         end.close()
+    last = False
+    while not last:
+        try:
+            share, last = conn.recv()
+        except EOFError:
+            break
+        conn.send(_run_share(work, share))
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
+
+
+def _receive(proc, conn):
     try:
-        while True:
-            try:
-                tasks = conn.recv()
-            except EOFError:
-                break
-            conn.send(_run_share({k: functools.partial(work, *task) for k, task in tasks},
-                                 [k for k, _ in tasks]))
-    finally:
-        sys.stdout.flush()
-        sys.stderr.flush()
-        os._exit(0)
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"{proc.name} (pid {proc.pid}) exited with code "
+                           f"{proc.exitcode} before returning its results") from None
 
 
-def _keep_heap() -> None:
-    """Have glibc's malloc keep up to 64 MiB of freed memory at the top of
-    the heap and serve requests under 32 MiB from the heap: the values its
-    dynamic rule settles at once a 32 MiB block has been freed. Without this,
-    the heap gives a training step's temporaries back to the kernel and takes
-    them again every step, and while a forked child shares the heap each
-    page of that comes back as a 4 KiB fault, on both sides: about 120,000
-    faults per hard-config VAE fit, against 5,000 with it. A no-op without
-    glibc."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of a task that failed in a forked worker."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
 
 
 def shared_array(shape) -> np.ndarray:

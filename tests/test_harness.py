@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -307,10 +308,21 @@ class TestWorkQueue:
             pid_file.write_text(str(os.getpid()))
             os._exit(3)
         jobs = {0: lambda: 0, 1: die, 2: lambda: 2}
-        with time_limit(60), pytest.raises(RuntimeError, match="run_jobs worker 1 .*code 3"):
+        with time_limit(60), pytest.raises(RuntimeError, match="pool worker 1 .*code 3"):
             run_jobs(jobs, parallelism=2)
         with pytest.raises(ChildProcessError):  # already reaped: no zombie left
             os.waitpid(int(pid_file.read_text()), os.WNOHANG)
+
+    def test_result_that_does_not_pickle_named_with_its_cause(self, capfd):
+        lock = threading.Lock()
+        with time_limit(60), pytest.raises(RuntimeError, match="pool worker 1 .*code 1"):
+            run_jobs({0: lambda: 0, 1: lambda: lock}, parallelism=2)
+        assert "cannot pickle '_thread.lock' object" in capfd.readouterr().err
+
+    def test_no_jobs_or_no_parallelism(self):
+        assert run_jobs({}, parallelism=2) == {}
+        pids = run_jobs({k: os.getpid for k in range(3)}, parallelism=0)
+        assert pids == {k: os.getpid() for k in range(3)}  # serially, in the caller
 
     @pytest.mark.parametrize("outer", [1, 2])
     def test_nested_call_runs_in_its_jobs_process(self, outer):
@@ -372,6 +384,28 @@ class TestPool:
         for pid in pids[1:4]:
             with pytest.raises(ChildProcessError):  # reaped: neither running nor a zombie
                 os.waitpid(pid, os.WNOHANG)
+
+    def test_fewer_tasks_than_workers_then_more(self):
+        with time_limit(60), jobs.pool(lambda k: os.getpid(), 4) as run:
+            few = run([(k,) for k in range(2)])
+            pids = run([(k,) for k in range(7)])
+        assert few == pids[:2]
+        assert pids[0] == pids[4] == os.getpid()
+        assert pids[1] == pids[5] and pids[2] == pids[6] and len(set(pids[:4])) == 4
+        for pid in pids[1:4]:
+            with pytest.raises(ChildProcessError):  # reaped: neither running nor a zombie
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_no_tasks(self):
+        with time_limit(60), jobs.pool(lambda k: k, 3) as run:
+            assert run([]) == []
+
+    def test_result_that_does_not_pickle_named_with_its_cause(self, capfd):
+        lock = threading.Lock()
+        with time_limit(60), pytest.raises(RuntimeError, match="pool worker 1 .*code 1"):
+            with jobs.pool(lambda k: lock if k else 0, 2) as run:
+                run([(0,), (1,)])
+        assert "cannot pickle '_thread.lock' object" in capfd.readouterr().err
 
     def test_earliest_failing_task_wins(self):
         def task(k):

@@ -3,6 +3,7 @@ its divergence policy, the state it leaves the parameters in, the exact
 weights it trains, and its chunked form, whose bits depend on neither the BLAS
 thread count nor the number of processes."""
 
+import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -19,7 +20,8 @@ import seqopt.nn.layers as layers
 from seqopt import jobs
 from seqopt.data import Dataset
 from seqopt.errors import TrainingDivergedError
-from seqopt.flow import FlowTrainConfig, train_flow
+from seqopt import sampling
+from seqopt.flow import FlowModel, FlowTrainConfig, train_flow
 from seqopt.jobs import run_jobs
 from seqopt.nn import autodiff as ad
 from seqopt.nn import optim
@@ -27,8 +29,8 @@ from seqopt.nn.autodiff import Tensor
 from seqopt.nn.checkpoint import params_checksum
 from seqopt.nn.layers import Network, NonFiniteError
 from seqopt.nn.optim import fit
-from seqopt.predictor import PredictorConfig, train_predictor
-from seqopt.vae import VaeConfig, train_vae
+from seqopt.predictor import PredictorConfig, PredictorModel, train_predictor
+from seqopt.vae import VaeConfig, VaeModel, train_vae
 from test_harness import time_limit
 
 VAE_CFG = VaeConfig(latent_dim=3, beta=0.01, epochs=3, batch_size=16, hidden_channels=8)
@@ -429,3 +431,59 @@ class TestBlasPinnedOnce:
         # task 0 opened its pool in the caller, task 1 in a forked worker
         assert done[0] == [os.getpid()] * 3 and done[1][0] != os.getpid()
         self.outermost_only(calls)
+
+
+class TestHeapRule:
+    """glibc's heap rule (`optim._keep_heap`, two `mallopt` calls) is set
+    where a chunked `fit` starts its pool and nowhere else: it made guided
+    sampling slower, so no fork of `run_jobs`, under the sweeps and the
+    sampler's chain blocks, calls `mallopt`."""
+
+    @pytest.fixture
+    def mallopts(self, monkeypatch):
+        """The C library as ctypes loads it, but with each `mallopt` counted,
+        in any process, instead of made."""
+        count, cdll = jobs.shared_array(1), ctypes.CDLL
+
+        def mallopt(*args):
+            count[0] += 1
+            return 1
+
+        class Counted:
+            def __init__(self, *args, **kwargs):
+                self.lib = cdll(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return mallopt if name == "mallopt" else getattr(self.lib, name)
+
+        monkeypatch.setattr(ctypes, "CDLL", Counted)
+        return count
+
+    def test_none_in_run_jobs(self, mallopts):
+        with time_limit(60):
+            pids = run_jobs({0: os.getpid, 1: os.getpid}, parallelism=2)
+        assert pids[0] != pids[1] and mallopts[0] == 0
+
+    def test_none_in_guided_sample_on_two_cores(self, mallopts, monkeypatch):
+        monkeypatch.setattr(sampling, "process_cores", lambda: 2)
+        vae = VaeModel.build(6, 5, VaeConfig(latent_dim=3, hidden_channels=8), seed=0)
+        flow = FlowModel.build(3, seed=1, hidden=16)
+        pred = PredictorModel.build(6, 5, PredictorConfig(hidden_channels=8, hidden_dense=16),
+                                    seed=2)
+        cfg = sampling.SamplerConfig(steps=2, guidance_steps=1, alpha=0.05,
+                                     batch=2 * sampling.CHAIN_BLOCK, top_k=4)
+        with time_limit(60):
+            sampling.guided_sample(cfg, flow, vae, pred)  # two blocks, one in a worker
+        assert mallopts[0] == 0
+
+    def test_once_per_training_pool_start(self, mallopts, monkeypatch):
+        monkeypatch.setattr(optim, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(jobs, "process_cores", lambda: 2)
+        net = Network.build([{"kind": "dense", "in": 2, "out": 1}], seed=0)
+        # 2 chunks start a pool, 2 reuse it, 3 start another, 1 is one tape
+        rows = (4, 4, 6, 2)
+        with time_limit(60):
+            fit([net], lambda: iter([(np.ones((n, 2)),) for n in rows]),
+                lambda xb: (ad.tmean(net.apply(Tensor(xb, requires_grad=False))), ()),
+                0.1, 1, chunked=True)
+        assert mallopts[0] == 2 * 2
