@@ -143,8 +143,7 @@ def cmd_train_prior(cfg: RunConfig, args) -> int:
 def cmd_train_predictor(cfg: RunConfig, args) -> int:
     model, report = train_predictor_stage(_task_data(cfg), cfg.task.seed, cfg.predictor,
                                           role=args.role)
-    out = cfg.paths.workdir / {"predictor": "predictor.npz", "smoothed": "predictor_smoothed.npz",
-                         "oracle": "oracle.npz"}[args.role]
+    out = cfg.paths.workdir / f"{args.role}.npz"
     checksum = save_predictor(model, out)
     atomic_write_json(out.with_name(out.stem + "_report.json"),
                       {"report": dataclasses.asdict(report), "checksum": checksum,

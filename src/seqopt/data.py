@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open, atomic_write_text
-from .seqs import Vocabulary, detokenize, min_distance_to_set, tokenize
+from .seqs import Vocabulary, min_distance_to_set, tokenize
 
 
 class DataFormatError(ValueError):
@@ -160,19 +159,6 @@ def load_csv(path, vocab: Vocabulary, range_file=None) -> Dataset:
         raise DataFormatError(f"{source}: fitness range needs finite y_min < y_max, "
                               f"got y_min={y_min!r}, y_max={y_max!r}")
     return Dataset(sequences, fitness, y_min, y_max)
-
-
-def write_csv(dataset: Dataset, path, vocab: Vocabulary) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence", "fitness"])
-        for i in range(dataset.n):
-            writer.writerow([detokenize(dataset.sequences[i], vocab),
-                             repr(float(dataset.fitness[i]))])
-
-
-def write_range_file(dataset: Dataset, path) -> None:
-    atomic_write_text(path, f"y_min={dataset.y_min!r}\ny_max={dataset.y_max!r}\n")
 
 
 def check_percentile(percentile) -> None:

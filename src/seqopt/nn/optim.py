@@ -6,7 +6,6 @@ in fixed chunks on the process's cores."""
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 
 import numpy as np
@@ -128,10 +127,11 @@ def _tape_gradients(nets, loss_tape, batch, share: float = 1.0):
 class _Chunks:
     """`fit`'s chunked gradient of a batch. The first batch of more than one
     chunk moves the parameters into memory shared with the pool it then
-    starts under glibc's heap rule (`_keep_heap`), next to a (chunks,
-    parameters) buffer whose row k receives chunk k's gradient; a later
-    batch of more chunks than that starts them anew. Leaving the block ends
-    the pool and moves the parameters back to private memory."""
+    starts, next to a (chunks, parameters) buffer whose row k receives chunk
+    k's gradient; a later batch of more chunks than that starts them anew.
+    The pool sets the heap rule on entry, serial or not, so each chunk's
+    tape is reused from the malloc heap (`jobs._keep_heap`). Leaving the
+    block ends the pool and moves the parameters back to private memory."""
 
     def __init__(self, nets, loss_tape):
         self.nets, self.loss_tape = nets, loss_tape
@@ -170,7 +170,6 @@ class _Chunks:
             self.stack.callback(net.move_params, np.empty(size))
             net.move_params(shared[start:start + size])
         self.rows = jobs.shared_array((chunks, shared.size))
-        _keep_heap()
         self.run = self.stack.enter_context(jobs.pool(self._chunk,
                                                       min(jobs.process_cores(), chunks)))
 
@@ -178,19 +177,3 @@ class _Chunks:
         grads, report = _tape_gradients(self.nets, self.loss_tape, chunk, share)
         np.concatenate(grads, out=self.rows[k])
         return report
-
-
-def _keep_heap() -> None:
-    """Have glibc's malloc keep up to 64 MiB of freed memory at the top of
-    the heap and serve requests under 32 MiB from the heap: the values its
-    dynamic rule settles at once a 32 MiB block has been freed. Without this,
-    the heap gives a training step's temporaries back to the kernel and takes
-    them again every step, and while a forked child shares the heap each
-    page of that comes back as a 4 KiB fault, on both sides: about 120,000
-    faults per hard-config VAE fit, against 5,000 with it. A no-op without
-    glibc."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD

@@ -1,6 +1,6 @@
 """Scalar fitness models: trainable predictors over relaxed one-hot input,
 an exact landscape-backed oracle for synthetic mode, checkpoint plug-in for
-externally trained weights, and a simple k-NN label smoother.
+externally trained weights.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from .nn.autodiff import Tensor
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import check_training_fields, fit
-from .seqs import levenshtein_one_to_many, one_hot_batch
+from .seqs import one_hot_batch
 
-ROLES = ("predictor", "smoothed", "oracle")
+ROLES = ("predictor", "oracle")
 
 
 @dataclass(frozen=True)
@@ -159,18 +159,3 @@ def load_external_predictor(path) -> PredictorModel:
         raise CheckpointError(f"{path}: metadata field 'role' is {role!r}, not one of {ROLES}")
     return PredictorModel(Network(descriptor, params), extra["length"], extra["vocab_size"],
                           role)
-
-
-def smooth_labels_knn(data: Dataset, k: int = 10) -> Dataset:
-    """Replace each label by the mean of itself and its k nearest neighbors
-    (edit distance). A lightweight smoothing stand-in, NOT the graph-diffusion
-    procedure externally trained smoothed predictors come from."""
-    if not (1 <= k < data.n):
-        raise ValueError("need 1 <= k < n")
-    smoothed = np.empty(data.n)
-    for i in range(data.n):
-        dists = levenshtein_one_to_many(data.sequences[i], data.sequences)
-        dists[i] = np.iinfo(np.int64).max
-        nn = np.argpartition(dists, k)[:k]
-        smoothed[i] = (data.fitness[i] + data.fitness[nn].sum()) / (k + 1)
-    return Dataset(data.sequences.copy(), smoothed, data.y_min, data.y_max)

@@ -34,10 +34,10 @@ step, and is re-raised as the layer named it.
 Blocks also keep each tape small. A 64-chain tape (about 8 MB at the hard
 config) is reused from the malloc heap from one step to the next, while the
 arrays of one 512-chain tape (4.7 MB per conv activation) are mapped afresh
-and page-faulted on every use. `_keep_tapes_on_heap` makes the reuse hold
-in every process, not only in one that has already freed a large array.
-Decoding and scoring at the same width keep the forward-only passes as
-small. BLAS may pick a different kernel for a different row count, so a
+and page-faulted on every use. The heap rule every `jobs.pool` sets on
+entry makes the reuse hold in every process, not only in one that has
+already freed a large array. Decoding and scoring at the same width keep
+the forward-only passes as small. BLAS may pick a different kernel for a different row count, so a
 chain's latent and decoded sequence depend on its block, as its score
 depends on its 64-row piece of the unique decodes, not on the batch size.
 """
@@ -171,21 +171,6 @@ def guidance_step(z: np.ndarray, flow: FlowModel, vae: VaeModel,
     return zt.data - alpha * grad
 
 
-def _keep_tapes_on_heap() -> None:
-    """Allocate and free one 16 MB buffer, never written.
-
-    glibc returns the top of its heap to the OS whenever more than its trim
-    threshold lies free there. The threshold starts at 128 KB and rises to
-    twice the size of the largest mmapped buffer freed so far. In a process
-    that has freed no array of about 8 MB or more, each block's tape would
-    be unmapped when it is released and page-faulted in again by the next
-    block: a fresh-process sample at the hard config then ran 1.45x slower
-    than the unblocked loop. Freeing a 16 MB buffer raises the threshold to
-    32 MB, as freeing any large array would. Under another allocator this
-    is one unused allocation."""
-    np.empty(16 << 20, dtype=np.uint8)
-
-
 def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
                      predictor: PredictorModel, y_cond):
     """(final latents, decoded tokens) of one block of chains after every
@@ -244,7 +229,6 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
 
     y_cond = cfg.target_y if flow.conditional else None
     z0 = initial_latents(cfg.seed, cfg.batch, flow.latent_dim)
-    _keep_tapes_on_heap()
     starts = range(0, cfg.batch, CHAIN_BLOCK)
     blocks = run_jobs({s: partial(_integrate_block, z0[s:s + CHAIN_BLOCK], cfg, flow, vae,
                                   predictor, y_cond)

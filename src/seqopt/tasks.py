@@ -19,7 +19,7 @@ from .flow import FlowModel, FlowTrainConfig, train_flow
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
                         synthetic_full_dataset)
 from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
-                        load_external_predictor, smooth_labels_knn, train_predictor)
+                        load_external_predictor, train_predictor)
 from .seqs import Vocabulary
 from .vae import VaeConfig, VaeModel, train_vae
 
@@ -161,16 +161,14 @@ def train_prior_stage(task: TaskData, vae: VaeModel, seed: int, cfg: FlowTrainCo
 def train_predictor_stage(task: TaskData, seed: int, cfg: PredictorConfig,
                           role: str = "predictor"):
     """A fitness model in one of `predictor.ROLES`: on the fit part of the
-    training set, on its k-NN smoothed labels, or on the full set's raw labels
-    (oracle; synthetic tasks refuse it). Returns (model, report)."""
+    training set, or on the full set's raw labels (oracle; synthetic tasks
+    refuse it). Returns (model, report)."""
     if role == "oracle":
         if task.landscape is not None:
             raise ConfigError(["synthetic tasks use the exact landscape oracle; "
                                "no oracle training is needed"])
         return train_predictor(task.full, cfg, seed, vocab_size=task.vocab.size, role=role)
     fit, val = split_train_val(task.train, seed)
-    if role == "smoothed":
-        fit = smooth_labels_knn(fit, k=10)
     return train_predictor(fit, cfg, seed, vocab_size=task.vocab.size, role=role,
                            val_data=val)
 

@@ -166,6 +166,14 @@ class TestTraining:
         _, ini = workspace
         assert main(["train-predictor", str(ini), "--role", "oracle"]) == 1
 
+    def test_smoothed_role_is_usage_error(self, workspace, capsys):
+        _, ini = workspace
+        assert main(["train-predictor", str(ini), "--role", "smoothed"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        listed = err[0].partition("choose from")[2]
+        assert "predictor" in listed and "oracle" in listed
+
 
 class TestSample:
     def test_sample_writes_result(self, workspace, capsys):
@@ -409,7 +417,7 @@ class TestExperiments:
 def _csv_config(workspace, tmp_path, oracle=""):
     """A csv task's config that samples with the workspace's checkpoints;
     `oracle` is its [paths] oracle_checkpoint line, if any."""
-    from seqopt.data import write_csv
+    from _datafiles import write_csv
     from seqopt.landscape import make_landscape, synthetic_full_dataset
     from seqopt.seqs import Vocabulary
     root, _ = workspace
@@ -483,12 +491,13 @@ class TestCheckpoints:
     def test_unknown_predictor_role_is_io_error(self, workspace, tmp_path, capsys):
         work, ini = _workdir_copy(workspace, tmp_path)
         descriptor, params, extra = load_checkpoint(work / "predictor.npz", "predictor")
-        save_checkpoint(work / "predictor.npz", "predictor", descriptor, params,
-                        {**extra, "role": "smoothie"})
-        assert main(["sample", str(ini)]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"i/o error: {work / 'predictor.npz'}: metadata field 'role' is 'smoothie', "
-            "not one of ('predictor', 'smoothed', 'oracle')"]
+        for role in ("smoothie", "smoothed"):
+            save_checkpoint(work / "predictor.npz", "predictor", descriptor, params,
+                            {**extra, "role": role})
+            assert main(["sample", str(ini)]) == 3
+            assert capsys.readouterr().err.splitlines() == [
+                f"i/o error: {work / 'predictor.npz'}: metadata field 'role' is {role!r}, "
+                "not one of ('predictor', 'oracle')"]
 
     @pytest.mark.parametrize("field, value, problem", [
         ("max_freq", "x", "'x', not a finite number > 0"),
@@ -850,7 +859,7 @@ mode = sideways
         assert paths["range_file"] is None and paths["oracle_checkpoint"] is None
 
     def test_csv_task_trains(self, tmp_path):
-        from seqopt.data import write_csv, write_range_file
+        from _datafiles import write_csv, write_range_file
         from seqopt.landscape import make_landscape, synthetic_full_dataset
         from seqopt.seqs import Vocabulary
         vocab = Vocabulary.amino_acids()

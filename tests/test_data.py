@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _datafiles import write_csv, write_range_file
 from seqopt.data import (DataFormatError, Dataset, FitnessNormalizer,
-                         difficulty_filter, load_csv, write_csv, write_range_file)
+                         difficulty_filter, load_csv)
 from seqopt.seqs import Vocabulary, levenshtein_one_to_many
 
 

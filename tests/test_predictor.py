@@ -8,8 +8,7 @@ from seqopt.landscape import make_landscape, synthetic_full_dataset
 from seqopt.nn.autodiff import Tensor
 from seqopt.nn.checkpoint import CheckpointError
 from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
-                              load_external_predictor, save_predictor,
-                              smooth_labels_knn, train_predictor)
+                              load_external_predictor, save_predictor, train_predictor)
 from seqopt.seqs import Vocabulary
 from seqopt.tasks import TaskData, task_oracle, train_predictor_stage
 
@@ -165,17 +164,3 @@ class TestCheckpointing:
         save_checkpoint(p, "flow", net.descriptor, net.params)
         with pytest.raises(CheckpointError, match="kind 'flow' is not 'predictor'"):
             load_external_predictor(p)
-
-
-class TestLabelSmoothing:
-    def test_smoothing_averages_neighbors(self):
-        seqs = np.array([[0, 0, 0], [0, 0, 1], [5, 5, 5], [5, 5, 4]])
-        data = Dataset(seqs, np.array([0.0, 1.0, 10.0, 12.0]), 0.0, 12.0)
-        sm = smooth_labels_knn(data, k=1)
-        np.testing.assert_allclose(sm.fitness, [0.5, 0.5, 11.0, 11.0])
-        assert (sm.y_min, sm.y_max) == (0.0, 12.0)
-
-    def test_k_bounds(self):
-        data = Dataset(np.zeros((3, 2), dtype=int), np.arange(3.0), 0.0, 2.0)
-        with pytest.raises(ValueError):
-            smooth_labels_knn(data, k=3)

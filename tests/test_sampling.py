@@ -29,16 +29,16 @@ rng = np.random.default_rng(606)
 D, V, L = 6, 5, 3
 
 # Minor page faults of one 64-chain guided sample at the hard config's model
-# shapes, in a process that has freed no large array; argv[1] "skip" leaves
-# out the freed buffer that keeps block tapes on the heap.
+# shapes, in a process that has freed no large array; argv[1] "skip" stubs
+# out the heap rule that every pool, the chain blocks' included, sets on entry.
 FRESH_PROCESS_SAMPLE = """
 import resource, sys
-from seqopt import sampling
+from seqopt import jobs, sampling
 from seqopt.flow import FlowModel
 from seqopt.predictor import PredictorConfig, PredictorModel
 from seqopt.vae import VaeConfig, VaeModel
 if sys.argv[1] == "skip":
-    sampling._keep_tapes_on_heap = lambda: None
+    jobs._keep_heap = lambda: None
 vae = VaeModel.build(20, 20, VaeConfig(latent_dim=14, hidden_channels=48), seed=0)
 flow = FlowModel.build(14, seed=1, hidden=128)
 pred = PredictorModel.build(20, 20, PredictorConfig(hidden_channels=24, hidden_dense=64),

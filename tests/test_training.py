@@ -3,11 +3,11 @@ its divergence policy, the state it leaves the parameters in, the exact
 weights it trains, and its chunked form, whose bits depend on neither the BLAS
 thread count nor the number of processes."""
 
-import ctypes
 import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import asdict
@@ -231,6 +231,27 @@ assert jobs.process_cores() == 1
 print(json.dumps(hard_shape_training()[0]))
 """
 
+# Minor page faults of the caller in a 2-epoch VAE fit at the hard config's
+# shapes, 16 batches of 128 rows in two 64-row chunks on 2 processes, in a
+# process that has freed no large array; argv[1] "skip" stubs out the heap
+# rule that every pool sets on entry.
+FRESH_PROCESS_FIT = """
+import resource, sys
+import numpy as np
+from seqopt import jobs
+from seqopt.data import Dataset
+from seqopt.vae import VaeConfig, train_vae
+if sys.argv[1] == "skip":
+    jobs._keep_heap = lambda: None
+jobs.process_cores = lambda: 2
+rng = np.random.default_rng(0)
+data = Dataset.from_arrays(rng.integers(0, 20, size=(2048, 20)), rng.uniform(size=2048))
+cfg = VaeConfig(latent_dim=14, hidden_channels=48, epochs=2, batch_size=128)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_vae(data, cfg, seed=0, vocab_size=20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
 
 @pytest.fixture
 def blas_threads():
@@ -434,37 +455,35 @@ class TestBlasPinnedOnce:
 
 
 class TestHeapRule:
-    """glibc's heap rule (`optim._keep_heap`, two `mallopt` calls) is set
-    where a chunked `fit` starts its pool and nowhere else: it made guided
-    sampling slower, so no fork of `run_jobs`, under the sweeps and the
-    sampler's chain blocks, calls `mallopt`."""
+    """Every `jobs.pool`, serial and nested ones included, sets the heap rule
+    (`jobs._keep_heap`) once on entry, in the process that opens it and
+    before it forks, so its workers inherit it; nothing else sets it."""
 
     @pytest.fixture
-    def mallopts(self, monkeypatch):
-        """The C library as ctypes loads it, but with each `mallopt` counted,
-        in any process, instead of made."""
-        count, cdll = jobs.shared_array(1), ctypes.CDLL
+    def rules(self, monkeypatch):
+        """The rule, counted in any process instead of set."""
+        count = jobs.shared_array(1)
 
-        def mallopt(*args):
+        def keep_heap():
             count[0] += 1
-            return 1
 
-        class Counted:
-            def __init__(self, *args, **kwargs):
-                self.lib = cdll(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return mallopt if name == "mallopt" else getattr(self.lib, name)
-
-        monkeypatch.setattr(ctypes, "CDLL", Counted)
+        monkeypatch.setattr(jobs, "_keep_heap", keep_heap)
         return count
 
-    def test_none_in_run_jobs(self, mallopts):
+    def test_once_per_run_jobs(self, rules):
+        def nested():
+            return run_jobs({0: os.getpid, 1: os.getpid}, parallelism=2)
+
         with time_limit(60):
             pids = run_jobs({0: os.getpid, 1: os.getpid}, parallelism=2)
-        assert pids[0] != pids[1] and mallopts[0] == 0
+            assert pids[0] != pids[1] and rules[0] == 1
+            run_jobs({0: os.getpid}, parallelism=1)  # a serial pool
+            assert rules[0] == 2
+            # one outer pool, and a serial inner one in the caller and a worker
+            run_jobs({0: nested, 1: nested}, parallelism=2)
+        assert rules[0] == 2 + 3
 
-    def test_none_in_guided_sample_on_two_cores(self, mallopts, monkeypatch):
+    def test_once_in_guided_sample_on_two_cores(self, rules, monkeypatch):
         monkeypatch.setattr(sampling, "process_cores", lambda: 2)
         vae = VaeModel.build(6, 5, VaeConfig(latent_dim=3, hidden_channels=8), seed=0)
         flow = FlowModel.build(3, seed=1, hidden=16)
@@ -474,9 +493,9 @@ class TestHeapRule:
                                      batch=2 * sampling.CHAIN_BLOCK, top_k=4)
         with time_limit(60):
             sampling.guided_sample(cfg, flow, vae, pred)  # two blocks, one in a worker
-        assert mallopts[0] == 0
+        assert rules[0] == 1
 
-    def test_once_per_training_pool_start(self, mallopts, monkeypatch):
+    def test_once_per_training_pool_start(self, rules, monkeypatch):
         monkeypatch.setattr(optim, "CHUNK_ROWS", 2)
         monkeypatch.setattr(jobs, "process_cores", lambda: 2)
         net = Network.build([{"kind": "dense", "in": 2, "out": 1}], seed=0)
@@ -486,4 +505,21 @@ class TestHeapRule:
             fit([net], lambda: iter([(np.ones((n, 2)),) for n in rows]),
                 lambda xb: (ad.tmean(net.apply(Tensor(xb, requires_grad=False))), ()),
                 0.1, 1, chunked=True)
-        assert mallopts[0] == 2 * 2
+        assert rules[0] == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="measures glibc's heap trimming")
+    def test_fresh_process_chunked_fit_reuses_tapes(self):
+        # without the rule, each chunk's tape is returned to the OS when
+        # released and faulted in again by the next step (about 3.8k faults
+        # per step here, against about 7k for the whole fit)
+        src = str(Path(jobs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        faults = {}
+        for variant in ("keep", "skip"):
+            out = subprocess.run([sys.executable, "-c", FRESH_PROCESS_FIT, variant],
+                                 capture_output=True, text=True, check=True, env=env,
+                                 timeout=300)
+            faults[variant] = int(out.stdout)
+        assert 10 * faults["keep"] < faults["skip"], faults
