@@ -18,6 +18,9 @@ from .layers import NonFiniteError, ParamStore
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 # rows of a training batch per chunk in a chunked `fit`; the trained bits depend on it
 CHUNK_ROWS = 64
+# rows per forward pass of `tasks.encode_latents` and the predictor's MSE; not CHUNK_ROWS,
+# as a short 64-row last piece takes another BLAS kernel, moving bits the golden files pin
+FORWARD_ROWS = 512
 
 
 class AdamState:
@@ -87,7 +90,8 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int,
     The chunk gradients are summed in chunk order before the one Adam step,
     so the trained bits depend on CHUNK_ROWS but not on the BLAS thread
     count, on P or on which process ran a chunk. A batch of CHUNK_ROWS rows
-    or fewer is one tape, as without `chunked`."""
+    or fewer is one tape, as without `chunked`. On return the pool has
+    unmapped its shared buffers and dropped `nets` and `loss_tape`."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     states = [AdamState(net.params.flat.size) for net in nets]
@@ -131,7 +135,9 @@ class _Chunks:
     k's gradient; a later batch of more chunks than that starts them anew.
     The pool sets the heap rule on entry, serial or not, so each chunk's
     tape is reused from the malloc heap (`jobs._keep_heap`). Leaving the
-    block ends the pool and moves the parameters back to private memory."""
+    block ends the pool and moves the parameters back to private memory.
+    Nothing the pool holds refers back to this object, so once `fit` returns,
+    reference counting alone unmaps the buffers and frees the networks."""
 
     def __init__(self, nets, loss_tape):
         self.nets, self.loss_tape = nets, loss_tape
@@ -170,10 +176,12 @@ class _Chunks:
             self.stack.callback(net.move_params, np.empty(size))
             net.move_params(shared[start:start + size])
         self.rows = jobs.shared_array((chunks, shared.size))
-        self.run = self.stack.enter_context(jobs.pool(self._chunk,
-                                                      min(jobs.process_cores(), chunks)))
+        work = functools.partial(_chunk, self.nets, self.loss_tape, self.rows)
+        self.run = self.stack.enter_context(jobs.pool(work, min(jobs.process_cores(), chunks)))
 
-    def _chunk(self, k: int, share: float, chunk: tuple) -> tuple:
-        grads, report = _tape_gradients(self.nets, self.loss_tape, chunk, share)
-        np.concatenate(grads, out=self.rows[k])
-        return report
+
+def _chunk(nets, loss_tape, rows: np.ndarray, k: int, share: float, chunk: tuple) -> tuple:
+    """Chunk k's report; its gradient goes to `rows[k]`."""
+    grads, report = _tape_gradients(nets, loss_tape, chunk, share)
+    np.concatenate(grads, out=rows[k])
+    return report

@@ -15,7 +15,7 @@ from .nn import autodiff as ad
 from .nn.autodiff import Tensor
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.layers import Network
-from .nn.optim import check_training_fields, fit
+from .nn.optim import FORWARD_ROWS, check_training_fields, fit
 from .seqs import one_hot_batch
 
 ROLES = ("predictor", "oracle")
@@ -125,8 +125,8 @@ def train_predictor(data: Dataset, cfg: PredictorConfig, seed: int,
 
 
 def _mse(model: PredictorModel, data: Dataset, labels: np.ndarray) -> float:
-    preds = np.concatenate([model.predict_sequences(data.sequences[s:s + 512])
-                            for s in range(0, data.n, 512)])
+    preds = np.concatenate([model.predict_sequences(data.sequences[s:s + FORWARD_ROWS])
+                            for s in range(0, data.n, FORWARD_ROWS)])
     return float(np.mean((preds - labels) ** 2))
 
 

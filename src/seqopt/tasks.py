@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .flow import FlowModel, FlowTrainConfig, train_flow
 from .landscape import (SyntheticLandscape, make_edit_pool, make_landscape,
                         synthetic_full_dataset)
+from .nn.optim import FORWARD_ROWS
 from .predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                         load_external_predictor, train_predictor)
 from .seqs import Vocabulary
@@ -110,8 +111,8 @@ def encode_latents(vae: VaeModel, data: Dataset, seed: int) -> np.ndarray:
     """One sampled posterior draw per record (z = mean + sigma * eps)."""
     rng = np.random.default_rng(seed)
     out = np.empty((data.n, vae.latent_dim))
-    for start in range(0, data.n, 512):
-        seqs = data.sequences[start:start + 512]
+    for start in range(0, data.n, FORWARD_ROWS):
+        seqs = data.sequences[start:start + FORWARD_ROWS]
         mean, logvar = vae.encode_batch(seqs)
         eps = rng.standard_normal(mean.shape)
         out[start:start + len(seqs)] = mean + np.exp(0.5 * logvar) * eps

@@ -3,6 +3,8 @@ its divergence policy, the state it leaves the parameters in, the exact
 weights it trains, and its chunked form, whose bits depend on neither the BLAS
 thread count nor the number of processes."""
 
+import collections
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -17,11 +19,11 @@ import numpy as np
 import pytest
 
 import seqopt.nn.layers as layers
-from seqopt import jobs
+from seqopt import jobs, sampling
 from seqopt.data import Dataset
 from seqopt.errors import TrainingDivergedError
-from seqopt import sampling
 from seqopt.flow import FlowModel, FlowTrainConfig, train_flow
+from seqopt.harness import run_benchmark
 from seqopt.jobs import run_jobs
 from seqopt.nn import autodiff as ad
 from seqopt.nn import optim
@@ -30,8 +32,8 @@ from seqopt.nn.checkpoint import params_checksum
 from seqopt.nn.layers import Network, NonFiniteError
 from seqopt.nn.optim import fit
 from seqopt.predictor import PredictorConfig, PredictorModel, train_predictor
-from seqopt.vae import VaeConfig, VaeModel, train_vae
-from test_harness import time_limit
+from seqopt.vae import VaeConfig, VaeModel, reconstruction_accuracy, train_vae
+from test_harness import BASE, time_limit
 
 VAE_CFG = VaeConfig(latent_dim=3, beta=0.01, epochs=3, batch_size=16, hidden_channels=8)
 PRED_CFG = PredictorConfig(hidden_channels=4, hidden_dense=8, epochs=3, batch_size=16)
@@ -45,6 +47,34 @@ def records(n=40):
 
 def latents(n=40):
     return np.random.default_rng(9).standard_normal((n, 3))
+
+
+def cyclic_garbage(call) -> collections.Counter:
+    """The objects, counted by type, that `call()`, run with the collector
+    off, leaves for a garbage collection to free: those in reference cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        gc.enable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def shared_mappings() -> set:
+    """The address ranges of this process's shared writable mappings; none
+    where there is no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return {fields[0] for fields in map(str.split, fh) if fields[1] == "rw-s"}
+    except FileNotFoundError:
+        return set()
 
 
 @pytest.fixture
@@ -388,6 +418,53 @@ class TestChunkPoolLifetime:
             raise KeyboardInterrupt
         with pytest.raises(KeyboardInterrupt):
             self.fit(batches)
+
+    @pytest.mark.parametrize("train", [
+        lambda: train_vae(records(), VAE_CFG, seed=3, vocab_size=5),
+        lambda: train_predictor(records(), PRED_CFG, seed=4, vocab_size=5),
+    ], ids=["train_vae", "train_predictor"])
+    def test_leaves_no_cycle(self, forked, train):
+        """Once a chunked fit returns, reference counting alone has freed its
+        pool's buffers and networks: a collection finds nothing, and no shared
+        mapping the fit made is left."""
+        before = shared_mappings()
+        assert cyclic_garbage(train) == {}
+        assert shared_mappings() - before == set()
+
+
+@pytest.mark.parametrize("entry", ["train_flow", "reconstruction_accuracy", "guided_sample",
+                                   "run_benchmark"])
+def test_other_entry_points_leave_no_cycle(entry, monkeypatch, request):
+    """Nor do the flow's unchunked fit and the pools of the VAE's accuracy
+    pass, of a two-block guided sample and of a two-seed benchmark, each on 2
+    processes, leave anything for a garbage collection to free."""
+    monkeypatch.setattr("seqopt.vae.process_cores", lambda: 2)
+    monkeypatch.setattr(sampling, "process_cores", lambda: 2)
+    model = VaeModel.build(6, 5, VaeConfig(latent_dim=3, hidden_channels=8), seed=0)
+    if entry == "train_flow":
+        def call():
+            train_flow(latents(), FLOW_CFG)
+    elif entry == "reconstruction_accuracy":
+        data = records(3 * optim.CHUNK_ROWS)  # three pieces
+
+        def call():
+            reconstruction_accuracy(model, data)
+    elif entry == "guided_sample":
+        flow = FlowModel.build(3, seed=1, hidden=16)
+        pred = PredictorModel.build(6, 5, PredictorConfig(hidden_channels=8, hidden_dense=16),
+                                    seed=2)
+        cfg = sampling.SamplerConfig(steps=2, guidance_steps=1, alpha=0.05,
+                                     batch=2 * sampling.CHAIN_BLOCK, top_k=4)
+
+        def call():
+            sampling.guided_sample(cfg, flow, model, pred)
+    else:
+        assets = request.getfixturevalue("tiny_stack")[2]
+
+        def call():
+            run_benchmark(assets, BASE, [0, 1], parallelism=2)
+    with time_limit(120):
+        assert cyclic_garbage(call) == {}
 
 
 class TestBlasPinnedOnce:
