@@ -42,7 +42,7 @@ from .jobs import process_cores, run_jobs
 from .metrics import MetricReport, compute_metrics, median_normalized_fitness
 from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
-from .sampling import SamplerConfig, guided_sample
+from .sampling import SamplerConfig, check_stack, guided_sample
 from .seqs import Vocabulary
 from .vae import VaeModel
 
@@ -67,21 +67,9 @@ class TaskAssets:
     flow_conditional: FlowModel | None = None
 
     def __post_init__(self):
-        problems = []
-        if self.vae.latent_dim != self.flow.latent_dim:
-            problems.append(f"latent dim mismatch: vae {self.vae.latent_dim} "
-                            f"vs flow {self.flow.latent_dim}")
-        if self.predictor.length != self.vae.length:
-            problems.append(f"length mismatch: predictor {self.predictor.length} "
-                            f"vs vae {self.vae.length}")
-        if self.oracle is not None and self.oracle.length != self.vae.length:
-            problems.append(f"length mismatch: oracle {self.oracle.length} "
-                            f"vs vae {self.vae.length}")
-        if self.flow_conditional is not None and \
-                self.flow_conditional.latent_dim != self.vae.latent_dim:
-            problems.append("conditional flow latent dim mismatch")
-        if problems:
-            raise ConfigError(problems)
+        check_stack(self.vae, self.predictor,
+                    {"flow": self.flow, "conditional flow": self.flow_conditional},
+                    self.oracle)
 
     def flow_for(self, mode: str) -> FlowModel:
         if mode == "learned_posterior":

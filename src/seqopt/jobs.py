@@ -149,12 +149,18 @@ def _run(work, workers: list, tasks: list, _last: bool = False) -> list:
         done.update(results)
         if failure is not None:
             failures[failure[0]] = failure
-    if failures:
-        _, exc, text = failures[min(failures)]
+    if not failures:
+        return [done[k] for k in range(len(tasks))]
+    _, exc, text = failures[min(failures)]
+    # the raised exception's traceback holds this frame, so the frame keeps no
+    # reference to it, which would make a cycle only a collection frees
+    del shares, failure, failures
+    try:
         if exc.__traceback__ is not None:  # raised in this process
             raise exc
         raise exc from _WorkerTraceback(text)
-    return [done[k] for k in range(len(tasks))]
+    finally:
+        del exc
 
 
 def _run_share(work, share: list):

@@ -72,31 +72,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return add(self, mul(as_tensor(other), as_tensor(-1.0)))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, as_tensor(-1.0)))
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division only supported by plain scalars")
-        return mul(self, as_tensor(1.0 / float(other)))
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def __getitem__(self, key):
         return take_slice(self, key)

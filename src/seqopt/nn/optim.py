@@ -91,7 +91,8 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int,
     so the trained bits depend on CHUNK_ROWS but not on the BLAS thread
     count, on P or on which process ran a chunk. A batch of CHUNK_ROWS rows
     or fewer is one tape, as without `chunked`. On return the pool has
-    unmapped its shared buffers and dropped `nets` and `loss_tape`."""
+    unmapped its shared buffers and dropped `nets` and `loss_tape`, and a
+    raised error holds no shared buffer either."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     states = [AdamState(net.params.flat.size) for net in nets]
@@ -104,10 +105,14 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int,
         for epoch in range(epochs):
             sums, count = (), 0
             for batch in batches():
+                diverged = None
                 try:
                     grads, report = gradients(batch)
                 except NonFiniteError as exc:
-                    raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
+                    diverged = f"epoch {epoch}: {exc}"
+                # raised outside `except`, it has no context whose traceback holds the pool
+                if diverged is not None:
+                    raise TrainingDivergedError(diverged)
                 for net, grad, state in zip(nets, grads, states):
                     adam_step(net.params, grad, learning_rate, state)
                 sums = tuple(a + b for a, b in zip(sums, report)) if sums else tuple(report)
@@ -135,9 +140,10 @@ class _Chunks:
     k's gradient; a later batch of more chunks than that starts them anew.
     The pool sets the heap rule on entry, serial or not, so each chunk's
     tape is reused from the malloc heap (`jobs._keep_heap`). Leaving the
-    block ends the pool and moves the parameters back to private memory.
-    Nothing the pool holds refers back to this object, so once `fit` returns,
-    reference counting alone unmaps the buffers and frees the networks."""
+    block ends the pool, moves the parameters back to private memory and
+    drops the buffer and the pool. Nothing the pool holds refers back to this
+    object, so once `fit` returns or raises, reference counting alone unmaps
+    the buffers and frees the networks."""
 
     def __init__(self, nets, loss_tape):
         self.nets, self.loss_tape = nets, loss_tape
@@ -149,6 +155,7 @@ class _Chunks:
         return self
 
     def __exit__(self, *exc):
+        self.rows = self.run = None  # a raised fit's traceback holds this object
         return self.stack.__exit__(*exc)
 
     def __call__(self, batch):
@@ -162,8 +169,9 @@ class _Chunks:
         if len(tasks) > len(self.rows):
             self._start(len(tasks))
         reports = self.run(tasks)
-        grad = self.rows[0]  # the caller's own row, rewritten next step
-        for row in self.rows[1:len(tasks)]:
+        # a private sum, as a raised fit's traceback holds `fit`'s last gradients
+        grad = self.rows[0] + self.rows[1]
+        for row in self.rows[2:len(tasks)]:
             grad += row
         report = tuple(sum(share * value for (_, share, _), value in zip(tasks, column))
                        for column in zip(*reports))

@@ -58,7 +58,7 @@ from .nn.autodiff import Tensor
 from .nn.checkpoint import params_checksum
 from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
-from .seqs import detokenize
+from .seqs import detokenize, distinct_rows
 from .vae import VaeModel
 
 MODES = ("manifold", "naive", "unconditional", "learned_posterior")
@@ -199,6 +199,19 @@ def _integrate_block(z: np.ndarray, cfg: SamplerConfig, flow: FlowModel, vae: Va
             return cfg.steps, exc
 
 
+def check_stack(vae: VaeModel, predictor: PredictorModel, flows: dict, oracle=None) -> None:
+    """Raise ConfigError listing each {name: flow} (None skipped) of another
+    latent width than the VAE's, and a predictor or oracle of another length."""
+    problems = [f"latent dim mismatch: vae {vae.latent_dim} vs {name} {flow.latent_dim}"
+                for name, flow in flows.items()
+                if flow is not None and flow.latent_dim != vae.latent_dim]
+    problems += [f"length mismatch: {name} {model.length} vs vae {vae.length}"
+                 for name, model in (("predictor", predictor), ("oracle", oracle))
+                 if model is not None and model.length != vae.length]
+    if problems:
+        raise ConfigError(problems)
+
+
 def _checksums(flow: FlowModel, vae: VaeModel, predictor: PredictorModel) -> dict:
     return {"flow": params_checksum(flow.net.params),
             "vae_encoder": params_checksum(vae.encoder.params),
@@ -220,12 +233,9 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
     time. A failure names the first integration step at which any chain
     went non-finite.
     """
-    if vae.latent_dim != flow.latent_dim:
-        raise ConfigError([f"latent dim mismatch: vae {vae.latent_dim} vs flow {flow.latent_dim}"])
+    check_stack(vae, predictor, {"flow": flow})
     if cfg.mode == "learned_posterior" and not flow.conditional:
         raise ConfigError(["learned_posterior mode needs a fitness-conditioned flow model"])
-    if predictor.length != vae.length:
-        raise ConfigError([f"length mismatch: predictor {predictor.length} vs decoder {vae.length}"])
 
     y_cond = cfg.target_y if flow.conditional else None
     z0 = initial_latents(cfg.seed, cfg.batch, flow.latent_dim)
@@ -257,18 +267,12 @@ def guided_sample(cfg: SamplerConfig, flow: FlowModel, vae: VaeModel,
 def _select_top_k(decoded: np.ndarray, predictor: PredictorModel, top_k: int):
     """Dedup (keeping first chain occurrence), rank by predictor score with
     lexicographic tie-break, cut to top_k. The unique rows are scored in
-    pieces of CHAIN_BLOCK rows."""
-    first_seen: dict[bytes, int] = {}
-    for i, row in enumerate(decoded):
-        key = row.tobytes()
-        if key not in first_seen:
-            first_seen[key] = i
-    chain_idx = np.array(sorted(first_seen.values()))
+    chain order, in pieces of CHAIN_BLOCK rows."""
+    chain_idx = np.sort(distinct_rows(decoded)[1])
     unique = decoded[chain_idx]
     scores = np.concatenate([predictor.predict_sequences(unique[s:s + CHAIN_BLOCK])
                              for s in range(0, len(unique), CHAIN_BLOCK)])
-    order = sorted(range(len(unique)),
-                   key=lambda i: (-scores[i], tuple(unique[i])))
-    order = order[:top_k]
+    # lexsort's last key is its first: -score, then the tokens left to right
+    order = np.lexsort((*unique.T[::-1], -scores))[:top_k]
     shortfall = len(unique) < top_k
     return unique[order], scores[order], chain_idx[order], shortfall

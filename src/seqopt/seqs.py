@@ -253,8 +253,8 @@ def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray,
     if seqs.shape[0] == 0 or refs.shape[0] == 0:
         return np.full(seqs.shape[0], np.iinfo(np.int64).max if cap is None else cap,
                        dtype=np.int64)
-    queries, inverse = _distinct_rows(seqs)
-    refs = _distinct_rows(refs)[0]
+    queries, _, inverse = distinct_rows(seqs)
+    refs = distinct_rows(refs)[0]
     # D <= L, so min(D, cap) = min(D, min(cap, L)), and a cap clamped to L
     # fits the bounds' unsigned type
     longer = max(queries.shape[1], refs.shape[1])
@@ -321,17 +321,17 @@ def _bags(rows: np.ndarray, alphabet: int) -> np.ndarray:
     return np.bincount(keys.ravel(), minlength=rows.shape[0] * alphabet).reshape(-1, alphabet)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array, in no particular order, and per input
-    row its index among them. Rows are compared as raw bytes, which sorts far
-    faster than np.unique(axis=0). An array with no elements (no rows, or
-    zero-length rows) has nothing to reduce and is returned whole."""
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in no particular order, each one's first
+    index, and per input row its index among them. Rows compare as raw bytes,
+    which sorts far faster than np.unique(axis=0). An array with no elements (no
+    rows, or zero-length rows) has nothing to reduce and is returned whole."""
     if rows.size == 0:
-        return rows, np.arange(rows.shape[0])
+        return rows, np.arange(rows.shape[0]), np.arange(rows.shape[0])
     rows = np.ascontiguousarray(rows)
     raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    return rows[first], inverse
+    return rows[first], first, inverse
 
 
 def pairwise_distances(seqs: np.ndarray) -> np.ndarray:

@@ -515,3 +515,51 @@ class TestAssetsValidation:
             TaskAssets(name="x", vocab=assets.vocab, train=assets.train,
                        normalizer=assets.normalizer, oracle=assets.oracle,
                        vae=assets.vae, flow=bad, predictor=assets.predictor)
+
+    @staticmethod
+    def predictor_of_length(assets, length):
+        from seqopt.predictor import PredictorConfig, PredictorModel
+        return PredictorModel.build(length, assets.vocab.size,
+                                    PredictorConfig(hidden_channels=2, hidden_dense=2), seed=0)
+
+    def test_predictor_length_mismatch_rejected(self, tiny_stack):
+        assets = tiny_stack[2]
+        length = assets.vae.length
+        with pytest.raises(ConfigError) as raised:
+            replace(assets, predictor=self.predictor_of_length(assets, length + 1))
+        assert raised.value.problems == [
+            f"length mismatch: predictor {length + 1} vs vae {length}"]
+
+    def test_conditional_flow_latent_mismatch_rejected(self, tiny_stack):
+        from seqopt.flow import FlowModel
+        assets = tiny_stack[2]
+        dim = assets.vae.latent_dim
+        with pytest.raises(ConfigError) as raised:
+            replace(assets, flow_conditional=FlowModel.build(dim + 1, seed=0,
+                                                             conditional=True, hidden=8))
+        assert raised.value.problems == [
+            f"latent dim mismatch: vae {dim} vs conditional flow {dim + 1}"]
+
+    def test_every_mismatch_listed(self, tiny_stack):
+        from seqopt.flow import FlowModel
+        assets = tiny_stack[2]
+        dim, length = assets.vae.latent_dim, assets.vae.length
+        longer = self.predictor_of_length(assets, length + 1)
+        with pytest.raises(ConfigError) as raised:
+            replace(assets, flow=FlowModel.build(dim + 2, seed=0, hidden=8),
+                    flow_conditional=FlowModel.build(dim + 1, seed=0, conditional=True,
+                                                     hidden=8),
+                    predictor=longer, oracle=longer)
+        assert raised.value.problems == [
+            f"latent dim mismatch: vae {dim} vs flow {dim + 2}",
+            f"latent dim mismatch: vae {dim} vs conditional flow {dim + 1}",
+            f"length mismatch: predictor {length + 1} vs vae {length}",
+            f"length mismatch: oracle {length + 1} vs vae {length}"]
+
+    def test_learned_posterior_needs_a_conditional_flow(self, tiny_stack):
+        assets = replace(tiny_stack[2], flow_conditional=None)
+        assert assets.flow_for("manifold") is assets.flow
+        with pytest.raises(ConfigError) as raised:
+            assets.flow_for("learned_posterior")
+        assert raised.value.problems == [
+            "learned_posterior mode needs a conditional flow checkpoint"]

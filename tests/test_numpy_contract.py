@@ -62,10 +62,10 @@ def test_or_assign_through_distinct_fancy_indices():
 
 
 def test_unique_over_void_row_views():
-    """seqs._distinct_rows (under min_distance_to_set): np.unique over the
-    rows viewed as raw bytes (one void item per row) with return_index and
-    return_inverse gives each distinct row once and a flat inverse that
-    rebuilds every row."""
+    """seqs.distinct_rows (under min_distance_to_set and
+    sampling._select_top_k): np.unique over the rows viewed as raw bytes (one
+    void item per row) with return_index and return_inverse gives each
+    distinct row once and a flat inverse that rebuilds every row."""
     rows = rng.integers(0, 3, size=(40, 4)).astype(np.int64)
     raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     assert raw.shape == (40,)
@@ -75,6 +75,29 @@ def test_unique_over_void_row_views():
     assert np.array_equal(distinct[inverse], rows)
     assert len({r.tobytes() for r in distinct}) == len(distinct)
     assert len(distinct) == len({r.tobytes() for r in rows})
+
+
+def test_unique_over_void_row_views_indexes_first_occurrences():
+    """seqs.distinct_rows, whose first indices sampling._select_top_k takes
+    as each kept sequence's chain: np.unique's return_index over void row
+    views gives each distinct row's first occurrence."""
+    rows = rng.integers(0, 2, size=(200, 3)).astype(np.int64)
+    raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(raw, return_index=True)
+    expected = {}
+    for i, row in enumerate(rows):
+        expected.setdefault(row.tobytes(), i)
+    assert sorted(first.tolist()) == sorted(expected.values())
+
+
+def test_lexsort_last_key_first_and_stable():
+    """sampling._select_top_k: np.lexsort orders by its last key first, the
+    keys before it breaking ties (-0.0 ties with 0.0, as in a Python sort),
+    and keeps the input order of full ties."""
+    score = np.array([1.0, 2.0, 1.0, 2.0, 1.0, -0.0, 0.0])
+    token = np.array([3, 0, 3, 1, 2, 5, 4])
+    assert np.lexsort((token, score)).tolist() == [6, 5, 4, 0, 2, 1, 3]
+    assert np.lexsort((np.zeros(7),)).tolist() == list(range(7))
 
 
 def test_narrow_bounds_take_booleans_and_python_ints():

@@ -220,6 +220,40 @@ class TestSelection:
         c_seqs, c_scores, _, _ = _select_top_k(a_seqs, self.SumScore(), top_k=10)
         np.testing.assert_array_equal(a_seqs, c_seqs)
 
+    @staticmethod
+    def reference_select_top_k(decoded, predictor, top_k):
+        """The selection as a bytes-keyed dict and a tuple-keyed Python sort."""
+        first_seen = {}
+        for i, row in enumerate(decoded):
+            first_seen.setdefault(row.tobytes(), i)
+        chain_idx = np.array(sorted(first_seen.values()))
+        unique = decoded[chain_idx]
+        scores = np.concatenate([predictor.predict_sequences(unique[s:s + CHAIN_BLOCK])
+                                 for s in range(0, len(unique), CHAIN_BLOCK)])
+        order = sorted(range(len(unique)), key=lambda i: (-scores[i], tuple(unique[i])))
+        order = order[:top_k]
+        return unique[order], scores[order], chain_idx[order], len(unique) < top_k
+
+    def test_equals_the_reference(self):
+        # few tokens and short rows make duplicate rows; token sums and their
+        # coarse rounding make tied scores among distinct rows
+        gen = np.random.default_rng(41)
+
+        class Rounded:
+            def predict_sequences(self, seqs):
+                return np.round(np.sin(np.asarray(seqs) @ np.arange(1, seqs.shape[1] + 1)), 1)
+
+        for trial in range(400):
+            n = int(gen.integers(1, 3 * CHAIN_BLOCK))
+            decoded = gen.integers(0, int(gen.integers(1, 5)), size=(n, int(gen.integers(1, 6))))
+            pred = self.SumScore() if trial % 2 else Rounded()
+            top_k = int(gen.integers(1, n + 1))
+            got = _select_top_k(decoded, pred, top_k)
+            want = self.reference_select_top_k(decoded, pred, top_k)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got[3] == want[3]
+
     def test_shortfall_flag(self):
         decoded = np.array([[1, 1], [1, 1], [0, 2]])
         seqs, _, _, short = _select_top_k(decoded, self.SumScore(), top_k=3)
@@ -342,6 +376,37 @@ class TestGuidedSample:
         with pytest.raises(NonFiniteError, match=r"conv1d\) produced non-finite values "
                                                  r"at integration step 1$"):
             guided_sample(cfg, flow, vae, pred)
+
+    def test_non_finite_state_names_its_step(self, stack):
+        # a field proportional to the state, at 1e300 times, overflows it at step 1
+        vae, flow, pred = stack
+
+        class Explosive:
+            latent_dim, conditional = L, False
+
+            def velocity(self, z, t, y=None):
+                return 1e300 * z
+
+        cfg = SamplerConfig(steps=4, batch=4, top_k=2, mode="unconditional", seed=30)
+        with pytest.raises(FloatingPointError, match="^non-finite state at integration step 1$"):
+            guided_sample(cfg, Explosive(), vae, pred)
+
+    def test_non_finite_guidance_gradient(self, stack):
+        # a score with an infinite slope: the forward pass is not checked, the
+        # gradient it sends back to the latent is
+        vae, flow, pred = stack
+
+        class InfiniteSlope:
+            length = D
+
+            def predict_tape(self, probs):
+                return probs * np.inf
+
+        cfg = SamplerConfig(steps=4, guidance_steps=1, alpha=0.5, batch=4, top_k=2,
+                            mode="naive", seed=31)
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite guidance gradient at t=0\.0000$"):
+            guided_sample(cfg, flow, vae, InfiniteSlope())
 
     def test_chain_bits_depend_only_on_their_block(self, stack):
         vae, flow, pred = stack
@@ -477,7 +542,7 @@ class TestGuidedSample:
         vae, flow, _ = stack
         bad_pred = PredictorModel.build(D + 1, V, PredictorConfig(hidden_channels=8,
                                                                   hidden_dense=8), seed=20)
-        with pytest.raises(ConfigError, match="length mismatch"):
+        with pytest.raises(ConfigError, match=f"^length mismatch: predictor {D + 1} vs vae {D}$"):
             guided_sample(SamplerConfig(steps=4, batch=4, top_k=2, seed=0),
                           flow, vae, bad_pred)
 

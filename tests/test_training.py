@@ -394,6 +394,20 @@ class TestChunkPoolLifetime:
                            match=r"^epoch 1: layer 0 \(dense\) produced non-finite values$"):
             self.fit(lambda: iter([(self.BATCH,)]), poison_epoch=1)
 
+    def test_divergence_leaves_no_cycle(self, forked):
+        """A fit whose worker chunk diverges frees its shared buffers while
+        the caller still holds the error, and leaves nothing for a collection
+        to free once it lets go."""
+        before, held = shared_mappings(), []
+
+        def call():
+            try:
+                self.fit(lambda: iter([(self.BATCH,)]), poison_epoch=1)
+            except TrainingDivergedError as exc:
+                held.append((exc.__context__ is None, shared_mappings() - before))
+        assert cyclic_garbage(call) == {}
+        assert held == [(True, set())]
+
     def test_parameters_private_again(self, forked):
         """After the fit, the parameters are out of the shared mapping: a
         worker forked later writes only its own copy, and the network's leaves
@@ -464,6 +478,27 @@ def test_other_entry_points_leave_no_cycle(entry, monkeypatch, request):
         def call():
             run_benchmark(assets, BASE, [0, 1], parallelism=2)
     with time_limit(120):
+        assert cyclic_garbage(call) == {}
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+def test_failing_run_jobs_leaves_no_cycle(failing):
+    """A two-worker `run_jobs` whose job fails, in the caller's share or in
+    the forked worker, leaves no frame or traceback for a collection to free
+    once its error is let go."""
+    def job(k):
+        def run():
+            if k == failing:
+                raise ValueError(f"job {k}")
+            return k
+        return run
+
+    def call():
+        try:
+            run_jobs({k: job(k) for k in range(2)}, parallelism=2)
+        except ValueError as exc:
+            assert str(exc) == f"job {failing}"
+    with time_limit(60):
         assert cyclic_garbage(call) == {}
 
 
