@@ -13,7 +13,7 @@ import numpy as np
 from seqopt.data import difficulty_filter
 from seqopt.landscape import make_edit_pool, make_landscape, synthetic_full_dataset
 from seqopt.metrics import diversity
-from seqopt.seqs import Vocabulary, detokenize, min_distance_to_set
+from seqopt.seqs import Vocabulary, detokenize, min_distance_to_set, prepare_rows
 
 vocab = Vocabulary.amino_acids()
 D = 20
@@ -45,7 +45,7 @@ for name, band, gap in (("medium", (20, 40), 6), ("hard", (30,), 7)):
     subset = difficulty_filter(full, band, gap)
     muts = (subset.sequences != landscape.target).sum(axis=1)
     top = full.sequences[full.fitness >= np.percentile(full.fitness, 99)]
-    gaps = min_distance_to_set(subset.sequences[:500], top)
+    gaps = min_distance_to_set(subset.sequences[:500], prepare_rows(top))
     print(f"{name:7s} band={band} gap>={gap}: {subset.n} records, "
           f"median fitness {np.median(subset.normalized_fitness()):.3f}, "
           f"mutation load {muts.min()}..{muts.max()}, "

@@ -12,8 +12,6 @@ import os
 import secrets
 from pathlib import Path
 
-import numpy as np
-
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
@@ -44,16 +42,14 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, payload) -> None:
-    """`payload` as strict JSON with sorted keys, indented by two: numpy values
-    are written as Python ones and a non-finite float (a failed cell's
-    metrics, a NaN alpha) as null."""
+    """`payload` as strict JSON with sorted keys, indented by two: a
+    non-finite float (a failed cell's metrics, a NaN alpha) is written as
+    null."""
     atomic_write_text(path, json.dumps(_strict_json(payload), indent=2, sort_keys=True,
                                        allow_nan=False))
 
 
 def _strict_json(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _strict_json(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .seqs import Vocabulary, min_distance_to_set, tokenize
+from .seqs import PreparedRows, Vocabulary, min_distance_to_set, prepare_rows, tokenize
 
 
 class DataFormatError(ValueError):
@@ -64,6 +65,13 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.sequences.shape[0]
+
+    @cached_property
+    def prepared_rows(self) -> PreparedRows:
+        """The sequences as `min_distance_to_set`'s reference side, prepared
+        on first use and kept: the arrays never change, and a process forked
+        after the first use inherits them."""
+        return prepare_rows(self.sequences)
 
     @property
     def length(self) -> int:
@@ -192,7 +200,7 @@ def difficulty_filter(full: Dataset, percentile: tuple[float, ...], gap: int) ->
     candidates = np.flatnonzero(in_band)
     if gap > 0 and candidates.size:
         top = full.sequences[fitness >= np.percentile(fitness, 99.0)]
-        dists = min_distance_to_set(full.sequences[candidates], top, cap=gap)
+        dists = min_distance_to_set(full.sequences[candidates], prepare_rows(top), cap=gap)
         candidates = candidates[dists >= gap]
     if candidates.size == 0:
         raise ValueError(

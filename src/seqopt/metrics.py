@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FitnessNormalizer
-from .seqs import min_distance_to_set, pairwise_distances
+from .seqs import min_distance_to_set, pairwise_distances, prepare_rows
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,13 @@ def diversity(seqs: np.ndarray) -> float:
 
 
 def _train_distances(seqs: np.ndarray, train: Dataset | np.ndarray) -> np.ndarray:
-    """Per generated sequence, the minimum edit distance to the training set."""
+    """Per generated sequence, the minimum edit distance to the training set,
+    against a Dataset's kept `prepared_rows` or rows prepared for this call."""
     seqs = np.atleast_2d(np.asarray(seqs))
-    train_seqs = train.sequences if isinstance(train, Dataset) else np.atleast_2d(train)
-    if seqs.shape[0] == 0 or train_seqs.shape[0] == 0:
+    refs = train.prepared_rows if isinstance(train, Dataset) else prepare_rows(train)
+    if seqs.shape[0] == 0 or refs.rows == 0:
         raise ValueError("novelty needs non-empty generated and training sets")
-    return min_distance_to_set(seqs, train_seqs)
+    return min_distance_to_set(seqs, refs)
 
 
 def novelty(seqs: np.ndarray, train: Dataset | np.ndarray) -> float:

@@ -26,7 +26,12 @@ class CheckpointError(RuntimeError):
 
 def params_checksum(params: ParamStore) -> str:
     """sha256 over (name, shape, raw bytes) in sorted name order. sha256
-    reads the bytes from each C-contiguous array's own buffer, not a copy."""
+    reads the bytes from each C-contiguous array's own buffer, not a copy. A
+    store frozen with its checksum (a loaded one) returns the kept value for
+    as long as its `flat` is read-only, so that numpy refuses every write to
+    its parameters; once `flat` is writeable again, the store is hashed."""
+    if params.checksum is not None and not params.flat.flags.writeable:
+        return params.checksum
     h = hashlib.sha256()
     for name in sorted(params.arrays):
         arr = np.ascontiguousarray(params.arrays[name], dtype=np.float64)
@@ -62,6 +67,8 @@ def load_checkpoint(path, kind: str, fields: dict | None = None):
 
     Returns (descriptor, ParamStore, extra), the arrays in descriptor order
     and each extra named in `fields` ({name: type}) converted to its type.
+    The store is frozen (`ParamStore.freeze`) with the checksum the load
+    verified: it is read-only, and `params_checksum` returns that value.
     Refuses files of another kind, files whose stored checksum does not match
     the recomputed one, descriptors containing unsupported layer kinds, arrays
     the descriptor does not lay out, and extras lacking one of `fields`.
@@ -99,8 +106,10 @@ def load_checkpoint(path, kind: str, fields: dict | None = None):
                                   f"{arrays[name].shape}, the descriptor gives {shapes[name]}")
     params = ParamStore({name: arrays[name] for name in shapes},
                         _convert(path, "rng_seed", meta.get("rng_seed", 0), int))
-    if params_checksum(params) != meta.get("checksum"):
+    checksum = params_checksum(params)
+    if checksum != meta.get("checksum"):
         raise CheckpointError(f"{path}: checksum mismatch (file corrupted or tampered)")
+    params.freeze(checksum)
     extra = meta.get("extra", {})
     for name, parse in (fields or {}).items():
         if name not in extra:

@@ -73,6 +73,16 @@ class ParamStore:
     def __post_init__(self):
         self.flat = np.concatenate([np.zeros(0)] + [np.ravel(a) for a in self.arrays.values()])
         self.arrays = self.views(self.flat)
+        self.checksum = None
+
+    def freeze(self, checksum: str) -> None:
+        """Make `flat` read-only, re-cut the named arrays as read-only views of
+        it, and keep `checksum`, the parameters' `params_checksum`, which that
+        function then returns for as long as `flat` stays read-only. numpy
+        then refuses every write to `flat` and the named arrays."""
+        self.flat.setflags(write=False)
+        self.arrays = self.views(self.flat)
+        self.checksum = checksum
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
         """Cut a buffer laid out like `flat` into the named arrays' shapes."""

@@ -6,12 +6,14 @@ Every distance in the package goes through one kernel,
 together, takes one query shared by every lane or one query per lane, and
 counts the final delta bits with a SWAR popcount. `pairwise_distances` runs
 all i < j pairs through it, one call per lane block. `min_distance_to_set`
-deduplicates both sides and brackets every pair between two cheap bounds, the
-equal positions of the common prefix above and the bag distance below; only
-the pairs whose lower bound beats their row's best upper bound run the
-kernel. Given a cap, it returns min(distance, cap) per row, and a pair whose
-lower bound reaches the cap skips the kernel too: a threshold test such as
-`distance >= gap` needs no distance beyond the gap."""
+takes its reference side prepared once (`prepare_rows`: the distinct rows,
+their narrowed tokens and their token bags), prepares its queries the same
+way, and brackets every pair between two cheap bounds, the equal positions
+of the common prefix above and the bag distance below; only the pairs whose
+lower bound beats their row's best upper bound run the kernel. Given a cap,
+it returns min(distance, cap) per row, and a pair whose lower bound reaches
+the cap skips the kernel too: a threshold test such as `distance >= gap`
+needs no distance beyond the gap."""
 
 from __future__ import annotations
 
@@ -212,15 +214,13 @@ def _myers(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return targets.shape[1] + _popcount(pv) - _popcount(mv)
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray, ai: np.ndarray,
+def _pair_distances(a_t: np.ndarray, b_t: np.ndarray, ai: np.ndarray,
                     bi: np.ndarray) -> np.ndarray:
-    """Edit distance between rows a[ai[k]] and b[bi[k]] for every k: one
-    kernel call per lane block, so at most one block of rows is gathered at
-    a time. Each block is gathered from the transposed sides and passed as a
-    transposed view, the layout the kernel iterates in. The sides are
-    gathered in the narrowest unsigned type that holds their tokens."""
-    tokens = np.min_scalar_type(_largest_token(a, b))
-    a_t, b_t = np.ascontiguousarray(a.T, tokens), np.ascontiguousarray(b.T, tokens)
+    """Edit distance between rows a[ai[k]] and b[bi[k]] for every k, given
+    the sides transposed, as (length, rows) token matrices: one kernel call
+    per lane block, so at most one block of rows is gathered at a time. Each
+    block is gathered from the transposed sides and passed as a transposed
+    view, the layout the kernel iterates in."""
     out = np.empty(ai.size, dtype=np.int64)
     for start in range(0, ai.size, _LANE_BLOCK):
         lanes = slice(start, start + _LANE_BLOCK)
@@ -229,13 +229,53 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, ai: np.ndarray,
     return out
 
 
-def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray,
-                        cap: int | None = None) -> np.ndarray:
-    """Per row of (n, d) seqs, the minimum edit distance to any row of refs,
-    or with a cap, the smaller of that minimum and the cap.
+@dataclass(frozen=True)
+class PreparedRows:
+    """One side of `min_distance_to_set`, prepared once (`prepare_rows`): its
+    distinct rows, transposed, as a read-only (length, rows) matrix of the
+    narrowest unsigned type that holds its largest token, and their token
+    bags, transposed, as a read-only (largest token + 1, rows) matrix of the
+    narrowest unsigned type that holds the length. On the tasks' 20 tokens
+    both are uint8, an eighth of the bytes of int64."""
 
-    Both sides are deduplicated first. For every (query, ref) pair two cheap
-    bounds bracket the exact distance D, with L = max(d, n):
+    tokens: np.ndarray
+    bags: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.tokens.shape[1]
+
+    @property
+    def length(self) -> int:
+        return self.tokens.shape[0]
+
+
+def prepare_rows(rows: np.ndarray) -> PreparedRows:
+    """The distinct rows of an (n, d) index matrix (or one (d,) row), in
+    `distinct_rows` order, prepared as `min_distance_to_set`'s reference side."""
+    return _prepare(distinct_rows(np.atleast_2d(np.asarray(rows)))[0])
+
+
+def _prepare(distinct: np.ndarray) -> PreparedRows:
+    """`PreparedRows` of an index matrix whose rows are already distinct."""
+    largest = int(distinct.max(initial=0))
+    tokens = np.ascontiguousarray(distinct.T, np.min_scalar_type(largest))
+    bags = np.ascontiguousarray(_bags(distinct, largest + 1).T,
+                                np.min_scalar_type(distinct.shape[1]))
+    tokens.setflags(write=False)
+    bags.setflags(write=False)
+    return PreparedRows(tokens, bags)
+
+
+def min_distance_to_set(seqs: np.ndarray, refs: PreparedRows,
+                        cap: int | None = None) -> np.ndarray:
+    """Per row of (n, d) seqs, the minimum edit distance to any row of the
+    prepared refs (`prepare_rows`), or with a cap, the smaller of that minimum
+    and the cap.
+
+    The queries are deduplicated, and prepared as the refs are, one block of
+    them at a time. For every (query, ref) pair two cheap bounds bracket the
+    exact distance D, with L = max(d, n):
       upper: L minus the equal positions over the common prefix (substitute
              the prefix, insert or delete the rest), so D <= upper;
       lower: bag distance, L minus the tokens the two rows share as
@@ -249,20 +289,18 @@ def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray,
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     seqs = np.atleast_2d(np.asarray(seqs))
-    refs = np.atleast_2d(np.asarray(refs))
-    if seqs.shape[0] == 0 or refs.shape[0] == 0:
+    if seqs.shape[0] == 0 or refs.rows == 0:
         return np.full(seqs.shape[0], np.iinfo(np.int64).max if cap is None else cap,
                        dtype=np.int64)
     queries, _, inverse = distinct_rows(seqs)
-    refs = distinct_rows(refs)[0]
     # D <= L, so min(D, cap) = min(D, min(cap, L)), and a cap clamped to L
     # fits the bounds' unsigned type
-    longer = max(queries.shape[1], refs.shape[1])
+    longer = max(queries.shape[1], refs.length)
     cap = longer if cap is None else min(cap, longer)
     best = np.empty(queries.shape[0], dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // refs.shape[0])
+    step = max(1, _PAIR_BLOCK // refs.rows)
     for start in range(0, queries.shape[0], step):
-        block = queries[start:start + step]
+        block = _prepare(queries[start:start + step])
         lower, upper = _bounds(block, refs)
         survivors = lower < np.minimum(upper.min(axis=1, keepdims=True), cap)
         # An exact distance never exceeds its pair's upper bound, so writing
@@ -270,49 +308,35 @@ def min_distance_to_set(seqs: np.ndarray, refs: np.ndarray,
         # the answer, up to the cap. The pairs are ordered by the side with
         # fewer rows and that side is the kernel's query, so its rows come in
         # long runs, which share match tables.
-        if block.shape[0] <= refs.shape[0]:
+        if block.rows <= refs.rows:
             qi, ri = np.nonzero(survivors)
-            upper[qi, ri] = _pair_distances(block, refs, qi, ri)
+            upper[qi, ri] = _pair_distances(block.tokens, refs.tokens, qi, ri)
         else:
             ri, qi = np.nonzero(survivors.T)
-            upper[qi, ri] = _pair_distances(refs, block, ri, qi)
+            upper[qi, ri] = _pair_distances(refs.tokens, block.tokens, ri, qi)
         best[start:start + step] = np.minimum(upper.min(axis=1), cap)
     return best[inverse]
 
 
-def _bounds(queries: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(queries: PreparedRows, refs: PreparedRows) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) bounds on the edit distance of every (query, ref) pair,
-    as (len(queries), len(refs)) arrays of the smallest unsigned type that
-    holds max(d, n); see `min_distance_to_set`. Tokens are compared in the
-    narrowest unsigned type that holds them, which on the tasks' 20 tokens
-    moves an eighth of the bytes of int64."""
-    if queries.shape[0] > refs.shape[0]:
-        # both bounds are symmetric; the side with more rows goes on the
-        # inner axis, where numpy's loops are long
-        lower, upper = _bounds(refs, queries)
-        return lower.T, upper.T
-    d, n = queries.shape[1], refs.shape[1]
+    as (queries.rows, refs.rows) arrays of the smallest unsigned type that
+    holds max(d, n); see `min_distance_to_set`. Each side keeps its own token
+    type: numpy compares mixed unsigned types exactly, and a token only one
+    side holds adds no shared count to the bag distance."""
+    d, n = queries.length, refs.length
     longer = max(d, n)
-    upper = np.full((queries.shape[0], refs.shape[0]), longer,
-                    dtype=np.min_scalar_type(longer))
-    largest = _largest_token(queries, refs)
-    tokens = np.min_scalar_type(largest)
-    narrow = queries.astype(tokens)
-    refs_t = np.ascontiguousarray(refs.T, tokens)
+    # both bounds are symmetric; the side with more rows goes on the inner
+    # axis, where numpy's loops are long
+    swap = queries.rows > refs.rows
+    outer, inner = (refs, queries) if swap else (queries, refs)
+    upper = np.full((outer.rows, inner.rows), longer, dtype=np.min_scalar_type(longer))
     for k in range(min(d, n)):
-        upper -= narrow[:, k, None] == refs_t[k]
-    alphabet = largest + 1
-    query_bags = _bags(queries, alphabet).astype(upper.dtype)
-    ref_bags = np.ascontiguousarray(_bags(refs, alphabet).astype(upper.dtype).T)
+        upper -= outer.tokens[k, :, None] == inner.tokens[k]
     lower = np.full_like(upper, longer)
-    for c in range(alphabet):
-        lower -= np.minimum(query_bags[:, c, None], ref_bags[c])
-    return lower, upper
-
-
-def _largest_token(*sides: np.ndarray) -> int:
-    """The largest token of some index matrices, 0 when they have none."""
-    return max(int(side.max(initial=0)) for side in sides)
+    for c in range(min(len(queries.bags), len(refs.bags))):
+        lower -= np.minimum(outer.bags[c, :, None], inner.bags[c])
+    return (lower.T, upper.T) if swap else (lower, upper)
 
 
 def _bags(rows: np.ndarray, alphabet: int) -> np.ndarray:
@@ -336,7 +360,9 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def pairwise_distances(seqs: np.ndarray) -> np.ndarray:
     """Flat array of edit distances over all unordered distinct pairs (i, j),
-    i < j, in row-major order of i then j."""
+    i < j, in row-major order of i then j. The rows are compared in the
+    narrowest unsigned type that holds their tokens."""
     seqs = np.atleast_2d(np.asarray(seqs))
     first, second = np.triu_indices(seqs.shape[0], 1)
-    return _pair_distances(seqs, seqs, first, second)
+    seqs_t = np.ascontiguousarray(seqs.T, np.min_scalar_type(int(seqs.max(initial=0))))
+    return _pair_distances(seqs_t, seqs_t, first, second)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,12 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqopt import harness, jobs
+from seqopt import data, harness, jobs
 from seqopt.errors import ConfigError
 from seqopt.harness import (TaskAssets, ablation_table,
                             extrapolation_experiment, grid_search, ode_steps_sweep,
                             results_dir, run_benchmark, run_jobs, write_cells_csv,
                             write_samples, write_summary)
+from seqopt.metrics import MetricReport
 from seqopt.nn.layers import NonFiniteError
 from seqopt.sampling import SamplerConfig, guided_sample
 
@@ -73,6 +75,45 @@ class TestRunBenchmark:
         summary = run_benchmark(assets, BASE, [0, 1])
         row = summary.format_row()
         assert "+-" in row and row.count("|") == 2
+
+
+@dataclasses.dataclass(frozen=True)
+class CountedReport(MetricReport):
+    """A report that also carries how many training sides its process had
+    prepared, and the process's pid."""
+    prepared: int = 0
+    pid: int = 0
+
+
+class TestPreparedTrainingSide:
+    def test_second_run_prepares_no_training_side(self, tiny_stack, monkeypatch):
+        """The training set's side of novelty is prepared once per Dataset:
+        the first two-process run prepares it in the caller (and in the
+        worker, forked before that); a second run's caller keeps it, and its
+        worker, forked after, inherits it, so neither prepares one."""
+        _, _, assets = tiny_stack
+        assets = replace(assets, train=assets.train.subset(np.arange(assets.train.n)))
+        prepared = [0]
+        prepare, measure = data.prepare_rows, harness.compute_metrics
+
+        def counted(rows):
+            prepared[0] += 1
+            return prepare(rows)
+
+        def reporting(*args, **kwargs):
+            report = measure(*args, **kwargs)
+            return CountedReport(**dataclasses.asdict(report), prepared=prepared[0],
+                                 pid=os.getpid())
+        monkeypatch.setattr(data, "prepare_rows", counted)
+        monkeypatch.setattr(harness, "compute_metrics", reporting)
+        cfg = replace(BASE, batch=16, top_k=8)
+        first = run_benchmark(assets, cfg, [0, 1], parallelism=2)
+        assert [r.prepared for r in first.reports] == [1, 1]
+        prepared[0] = 0
+        second = run_benchmark(assets, cfg, [0, 1], parallelism=2)
+        assert [r.prepared for r in second.reports] == [0, 0]
+        assert second.reports[0].pid == os.getpid() != second.reports[1].pid
+        assert second.mean == first.mean
 
 
 class TestGridSearch:
@@ -199,6 +240,19 @@ class TestResultsLayout:
         sample = json.loads(written[0].read_text())
         assert "provenance" in sample and "sequences" in sample
 
+
+    def test_json_writes_float64_and_refuses_other_numpy_values(self, tmp_path):
+        """np.float64 subclasses float, so it is written as one and a
+        non-finite one as null; a numpy int or array is a TypeError that
+        leaves no file and no temporary file behind."""
+        write_summary(tmp_path, {"a": np.float64(0.25), "b": [np.float64("nan")]})
+        assert json.loads((tmp_path / "summary.json").read_text()) == {"a": 0.25, "b": [None]}
+        for bad in (np.int64(3), np.arange(2)):
+            out = tmp_path / type(bad).__name__
+            out.mkdir()
+            with pytest.raises(TypeError):
+                write_summary(out, {"x": bad})
+            assert not any(out.iterdir())
 
     def test_same_timestamp_gets_distinct_directories(self, tmp_path):
         first = results_dir(tmp_path, "tiny", "evaluate", timestamp="20260101-000000")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqopt import seqs as seqs_module
 from seqopt.data import Dataset, FitnessNormalizer
 from seqopt.metrics import (compute_metrics, count_exact_train_matches, diversity,
                             median_normalized_fitness, novelty)
@@ -160,6 +161,28 @@ class TestComputeMetrics:
         assert report.exact_train_matches == count_exact_train_matches(seqs, train)
         expected = {"duplicates_and_matches": 5, "no_matches": 0, "all_matches": 6}[case]
         assert report.exact_train_matches == expected
+
+    def test_training_rows_deduplicated_once(self, monkeypatch):
+        """A Dataset keeps its prepared side: two compute_metrics calls on it
+        dedup its training rows once, and report what fresh Datasets give."""
+        r = np.random.default_rng(911)
+        rows, fitness = r.integers(0, 4, size=(25, 6)), r.uniform(0, 1, 25)
+        train = Dataset.from_arrays(rows, fitness)
+        generated = [r.integers(0, 4, size=(8, 6)) for _ in range(2)]
+        oracle = ArrayOracle(r.uniform(0, 1, size=4))
+        fresh = [compute_metrics(g, oracle, train.normalizer(),
+                                 Dataset.from_arrays(rows, fitness), seed=0) for g in generated]
+        training = []
+        dedup = seqs_module.distinct_rows
+
+        def counted(arr):
+            training.append(arr.shape == rows.shape and np.array_equal(arr, rows))
+            return dedup(arr)
+        monkeypatch.setattr(seqs_module, "distinct_rows", counted)
+        reports = [compute_metrics(g, oracle, train.normalizer(), train, seed=0)
+                   for g in generated]
+        assert training.count(True) == 1 and len(training) == 3
+        assert reports == fresh
 
     def test_errors_in_order(self):
         """Fitness checks the generated set before novelty checks both sets."""

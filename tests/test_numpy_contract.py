@@ -175,6 +175,44 @@ def test_hashlib_reads_the_buffer_in_place():
         hashlib.sha256(arr[:, ::2])
 
 
+def test_view_of_read_only_owner_is_read_only():
+    """nn.layers.ParamStore.freeze and seqs.prepare_rows: a view cut from an
+    array that owns its data after that array was made read-only is read-only
+    too, refuses writes, and cannot be made writeable while its base is not."""
+    owner = rng.standard_normal(12)
+    owner.setflags(write=False)
+    view = owner[2:8].reshape(2, 3)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        view.setflags(write=True)
+
+
+def test_concatenate_result_can_be_made_read_only():
+    """nn.layers.ParamStore: `flat` is the array np.concatenate returns, which
+    owns its data, so setflags(write=False) works on it, and setflags(write=True)
+    makes it writeable again."""
+    flat = np.concatenate([np.zeros(0), rng.standard_normal(4), rng.standard_normal(3)])
+    assert flat.flags.owndata
+    flat.setflags(write=False)
+    assert not flat.flags.writeable
+    flat.setflags(write=True)
+    flat[0] = 2.0
+    assert flat[0] == 2.0
+
+
+def test_hashlib_reads_a_read_only_buffer():
+    """nn.checkpoint.params_checksum: a loaded store whose `flat` was made
+    writeable again keeps named arrays cut while it was read-only, and those
+    are what it hashes, so hashlib must read a read-only array's buffer as it
+    reads a writeable one's."""
+    arr = rng.standard_normal((3, 5))
+    want = hashlib.sha256(arr.tobytes()).hexdigest()
+    arr.setflags(write=False)
+    assert hashlib.sha256(arr).hexdigest() == want
+
+
 def test_unique_axis0_inverse_ravels_in_row_order():
     """landscape.SyntheticLandscape: np.unique(axis=0, return_inverse=True)
     gives an inverse whose shape differs across numpy versions, but whose

@@ -585,3 +585,84 @@ class TestChainStreams:
     def test_distinct_chains_distinct_noise(self):
         z = initial_latents(seed=6, batch=16, dim=4)
         assert np.unique(z, axis=0).shape[0] == 16
+
+
+def fresh_checksum(net):
+    """sha256 over (name, shape, bytes) of a network's parameters, computed
+    here from copies of the bytes, as `params_checksum` documents it."""
+    h = hashlib.sha256()
+    for name in sorted(net.params.arrays):
+        arr = net.params.arrays[name]
+        h.update(name.encode())
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def fresh_checksums(flow, vae, pred):
+    return {"flow": fresh_checksum(flow.net), "vae_encoder": fresh_checksum(vae.encoder),
+            "vae_decoder": fresh_checksum(vae.decoder), "predictor": fresh_checksum(pred.net)}
+
+
+class TestProvenanceChecksums:
+    """A loaded model is read-only and keeps the checksum its load verified,
+    so `guided_sample` hashes no parameters of it; a writeable model is hashed
+    on every call. Either way the provenance equals a fresh sha256."""
+
+    CFG = SamplerConfig(steps=2, batch=8, top_k=4, mode="unconditional", seed=3)
+
+    @pytest.fixture
+    def loaded(self, stack, tmp_path):
+        from seqopt.flow import load_flow, save_flow
+        from seqopt.predictor import load_external_predictor, save_predictor
+        from seqopt.vae import load_vae, save_vae
+        vae, flow, pred = stack
+        save_vae(vae, tmp_path / "vae")
+        save_flow(flow, tmp_path / "flow.npz")
+        save_predictor(pred, tmp_path / "predictor.npz")
+        return (load_vae(tmp_path / "vae"), load_flow(tmp_path / "flow.npz"),
+                load_external_predictor(tmp_path / "predictor.npz"))
+
+    def test_loaded_models_hash_no_parameters(self, loaded, monkeypatch):
+        vae, flow, pred = loaded
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counted(*args):
+            hashed.append(args)
+            return sha256(*args)
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        res = guided_sample(self.CFG, flow, vae, pred)
+        monkeypatch.undo()
+        assert hashed == []
+        assert res.provenance["checksums"] == fresh_checksums(flow, vae, pred)
+
+    def test_loaded_parameters_are_read_only(self, loaded):
+        vae, flow, pred = loaded
+        for net in (vae.encoder, vae.decoder, flow.net, pred.net):
+            with pytest.raises(ValueError, match="read-only"):
+                net.params.flat[0] = 1.0
+            for arr in net.params.arrays.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+
+    def test_loaded_store_made_writeable_reports_new_checksum(self, loaded):
+        vae, flow, pred = loaded
+        before = guided_sample(self.CFG, flow, vae, pred).provenance["checksums"]
+        flow.net.params.flat.setflags(write=True)
+        flow.net.params.flat[0] += 1.0
+        after = guided_sample(self.CFG, flow, vae, pred).provenance["checksums"]
+        assert after["flow"] != before["flow"]
+        assert after == fresh_checksums(flow, vae, pred)
+
+    def test_trained_model_changed_in_place_reports_new_checksum(self, stack):
+        from seqopt.flow import FlowTrainConfig, train_flow
+        vae, _, pred = stack
+        flow, _ = train_flow(rng.standard_normal((32, L)),
+                             FlowTrainConfig(epochs=2, batch_size=16, hidden=16, seed=4))
+        before = guided_sample(self.CFG, flow, vae, pred).provenance["checksums"]
+        assert before == fresh_checksums(flow, vae, pred)
+        flow.net.params.arrays["0.bias"][0] += 1.0
+        after = guided_sample(self.CFG, flow, vae, pred).provenance["checksums"]
+        assert after["flow"] != before["flow"]
+        assert after == fresh_checksums(flow, vae, pred)

@@ -5,8 +5,8 @@ import pytest
 
 from seqopt import seqs
 from seqopt.seqs import (AMINO_ACIDS, Vocabulary, _bounds, _popcount, detokenize,
-                         levenshtein_one_to_many, min_distance_to_set, one_hot_batch,
-                         pairwise_distances, tokenize)
+                         distinct_rows, levenshtein_one_to_many, min_distance_to_set,
+                         one_hot_batch, pairwise_distances, prepare_rows, tokenize)
 
 
 def brute_levenshtein(a, b):
@@ -132,7 +132,7 @@ class TestLevenshtein:
         # or the smaller one
         for s_, r_ in ((seqs, refs), (seqs, refs[[0, 1, 0, 2, 1, 1, 4, 3, 0, 2, 4, 0]]),
                        (seqs[[3, 3, 1, 3]], refs), (seqs[[3, 3, 1, 3, 9, 1]], refs[[2, 2, 0]])):
-            got = min_distance_to_set(s_, r_)
+            got = min_distance_to_set(s_, prepare_rows(r_))
             want = [levenshtein_one_to_many(s, r_).min() for s in s_]
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
@@ -183,8 +183,10 @@ class TestBitParallelKernel:
                        (small, large[np.arange(34) % 5]),
                        (small[[1, 1, 1]], large[rng.integers(0, 17, size=40)])):
             cross = np.array([[brute_levenshtein(s, r) for r in l_] for s in s_])
-            np.testing.assert_array_equal(min_distance_to_set(s_, l_), cross.min(axis=1))
-            np.testing.assert_array_equal(min_distance_to_set(l_, s_), cross.min(axis=0))
+            np.testing.assert_array_equal(min_distance_to_set(s_, prepare_rows(l_)),
+                                          cross.min(axis=1))
+            np.testing.assert_array_equal(min_distance_to_set(l_, prepare_rows(s_)),
+                                          cross.min(axis=0))
 
     def test_min_distance_zero_length_rows_and_empty_sides(self):
         rng = np.random.default_rng(24)
@@ -198,7 +200,7 @@ class TestBitParallelKernel:
                            (none, none, []),
                            # a minimum over no refs is the int64 identity of min
                            (rows, none, [np.iinfo(np.int64).max] * 5)):
-            got = min_distance_to_set(a, b)
+            got = min_distance_to_set(a, prepare_rows(b))
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want, err_msg=f"{a.shape} vs {b.shape}")
 
@@ -249,13 +251,13 @@ class TestBatchedKernel:
         whole = levenshtein_one_to_many(queries, targets)
         shared = levenshtein_one_to_many(queries[0], targets)
         pairs = pairwise_distances(queries)
-        minima = min_distance_to_set(queries, targets)
+        minima = min_distance_to_set(queries, prepare_rows(targets))
         monkeypatch.setattr(seqs, "_LANE_BLOCK", 3)
         monkeypatch.setattr(seqs, "_PAIR_BLOCK", 5)
         np.testing.assert_array_equal(levenshtein_one_to_many(queries, targets), whole)
         np.testing.assert_array_equal(levenshtein_one_to_many(queries[0], targets), shared)
         np.testing.assert_array_equal(pairwise_distances(queries), pairs)
-        np.testing.assert_array_equal(min_distance_to_set(queries, targets), minima)
+        np.testing.assert_array_equal(min_distance_to_set(queries, prepare_rows(targets)), minima)
         np.testing.assert_array_equal(whole, [brute_levenshtein(q, t)
                                               for q, t in zip(queries, targets)])
 
@@ -273,9 +275,11 @@ class TestBatchedKernel:
         sample = np.concatenate([sample, rng.integers(0, 6, size=(3, d)), sample[:2]])
         cross = np.array([[brute_levenshtein(s, r) for r in refs] for s in sample])
         # the side with fewer rows is the kernel's query side: both sides take a turn
-        np.testing.assert_array_equal(min_distance_to_set(sample, refs), cross.min(axis=1))
-        np.testing.assert_array_equal(min_distance_to_set(refs, sample), cross.min(axis=0))
-        np.testing.assert_array_equal(min_distance_to_set(sample, refs[:2]),
+        np.testing.assert_array_equal(min_distance_to_set(sample, prepare_rows(refs)),
+                                      cross.min(axis=1))
+        np.testing.assert_array_equal(min_distance_to_set(refs, prepare_rows(sample)),
+                                      cross.min(axis=0))
+        np.testing.assert_array_equal(min_distance_to_set(sample, prepare_rows(refs[:2])),
                                       cross[:, :2].min(axis=1))
 
     def test_bounds_bracket_the_distance(self):
@@ -284,7 +288,8 @@ class TestBatchedKernel:
             queries = rng.integers(0, 4, size=(5, d))
             refs = np.concatenate([near_copies(rng, queries, n, 2),
                                    rng.integers(0, 4, size=(4, n))])
-            lower, upper = _bounds(queries, refs)
+            queries, refs = distinct_rows(queries)[0], distinct_rows(refs)[0]
+            lower, upper = _bounds(prepare_rows(queries), prepare_rows(refs))
             exact = np.array([[brute_levenshtein(q, r) for r in refs] for q in queries])
             assert (lower <= exact).all() and (exact <= upper).all(), (d, n)
             assert (upper <= max(d, n)).all()
@@ -325,12 +330,12 @@ class TestCappedSetDistance:
                                   self.amino_rows(rng, 5, d)])
         queries = queries[[0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 2, 5]]  # duplicated queries
         exact = np.array([[brute_levenshtein(q, r) for r in refs] for q in queries]).min(axis=1)
-        np.testing.assert_array_equal(min_distance_to_set(queries, refs), exact)
+        np.testing.assert_array_equal(min_distance_to_set(queries, prepare_rows(refs)), exact)
         for cap in (0, 1, 7, max(d, n), 10 ** 6):
             for a, b in ((queries, refs), (refs[:3], queries)):
                 want = (exact if a is queries else np.array(
                     [[brute_levenshtein(q, r) for r in b] for q in a]).min(axis=1))
-                got = min_distance_to_set(a, b, cap=cap)
+                got = min_distance_to_set(a, prepare_rows(b), cap=cap)
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, np.minimum(want, cap), err_msg=f"cap={cap}")
 
@@ -338,15 +343,15 @@ class TestCappedSetDistance:
         rows = np.random.default_rng(34).integers(0, 20, size=(4, 6))
         none = np.empty((0, 6), dtype=np.int64)
         for cap in (0, 7, 10 ** 6):
-            got = min_distance_to_set(rows, none, cap=cap)
+            got = min_distance_to_set(rows, prepare_rows(none), cap=cap)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, [cap] * 4)
-        assert min_distance_to_set(none, rows, cap=7).shape == (0,)
+        assert min_distance_to_set(none, prepare_rows(rows), cap=7).shape == (0,)
 
     def test_negative_cap_refused(self):
         rows = np.zeros((2, 3), dtype=np.int64)
         with pytest.raises(ValueError, match="cap"):
-            min_distance_to_set(rows, rows, cap=-1)
+            min_distance_to_set(rows, prepare_rows(rows), cap=-1)
 
     def test_pairs_at_the_cap_skip_the_kernel(self, monkeypatch):
         """Rows at least the cap away by their bag distance run no kernel."""
@@ -361,11 +366,11 @@ class TestCappedSetDistance:
         refs[1, 0], refs[2, :2] = 1, 2
         far = np.full((5, 10), 5, dtype=np.int64)  # no shared token: lower bound 10
         far[:, 9] = np.arange(5)
-        np.testing.assert_array_equal(min_distance_to_set(far, refs, cap=9), [9] * 5)
+        np.testing.assert_array_equal(min_distance_to_set(far, prepare_rows(refs), cap=9), [9] * 5)
         assert lanes == []
         exact = [min(brute_levenshtein(f, r) for r in refs) for f in far]
         assert min(exact) == 9
-        np.testing.assert_array_equal(min_distance_to_set(far, refs), exact)
+        np.testing.assert_array_equal(min_distance_to_set(far, prepare_rows(refs)), exact)
         assert lanes  # without the cap, pairs whose lower bound is 9 run it
 
 
@@ -426,8 +431,9 @@ class TestNarrowTokens:
     def test_bounds_equal_int64(self, alphabet, d, n):
         queries, refs = self.sides(alphabet, d, n)
         for a, b in ((queries, refs), (refs, queries)):
+            a, b = prepare_rows(a), prepare_rows(b)
             lower, upper = _bounds(a, b)
-            want_lower, want_upper = bounds_int64(a, b)
+            want_lower, want_upper = bounds_int64(a.tokens.T, b.tokens.T)
             assert lower.dtype == upper.dtype == np.min_scalar_type(max(d, n))
             np.testing.assert_array_equal(lower, want_lower)
             np.testing.assert_array_equal(upper, want_upper)
@@ -445,9 +451,9 @@ class TestNarrowTokens:
         monkeypatch.setattr(seqs, "levenshtein_one_to_many", recorded)
         for a, b in ((queries, refs), (refs, queries)):
             want = self.min_distances_int64(a, b)
-            np.testing.assert_array_equal(min_distance_to_set(a, b), want)
+            np.testing.assert_array_equal(min_distance_to_set(a, prepare_rows(b)), want)
             for cap in (0, 3, max(d, n), 10 ** 6):
-                np.testing.assert_array_equal(min_distance_to_set(a, b, cap=cap),
+                np.testing.assert_array_equal(min_distance_to_set(a, prepare_rows(b), cap=cap),
                                               np.minimum(want, cap), err_msg=f"cap={cap}")
         assert token_types == {np.dtype(np.uint8 if alphabet <= 256 else np.uint16)}
 
@@ -459,6 +465,53 @@ class TestNarrowTokens:
         want = np.concatenate([levenshtein_one_to_many(rows64[i], rows64[i + 1:])
                                for i in range(len(rows) - 1)])
         np.testing.assert_array_equal(pairwise_distances(rows), want)
+
+
+class TestPreparedRows:
+    """`prepare_rows`, the reference side that `min_distance_to_set` takes.
+    Its distances equal the unprepared ones, each row's minimum of int64
+    kernel distances to the raw refs, on random sets with duplicate rows,
+    caps, rows of unequal length, and query tokens above the prepared side's
+    largest token, which the refs' narrow type cannot hold."""
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_equals_unprepared(self, trial):
+        rng = np.random.default_rng(700 + trial)
+        n = int(rng.integers(0, 24))
+        d = int(rng.integers(0, 24)) if trial % 3 else n
+        ref_alphabet = int(rng.choice([2, 20, 256]))
+        refs = rng.integers(0, ref_alphabet, size=(int(rng.integers(1, 12)), n))
+        refs = refs[rng.integers(0, len(refs), size=2 * len(refs))]
+        query_alphabet = ref_alphabet + int(rng.choice([0, 5, 300]))
+        queries = rng.integers(0, query_alphabet, size=(9, d))
+        k = min(d, n)
+        queries[:4, :k] = refs[np.arange(4) % len(refs), :k]  # near copies
+        if d:
+            queries[np.arange(4), rng.integers(0, d, size=4)] = \
+                rng.integers(0, query_alphabet, size=4)
+        queries = queries[rng.integers(0, 9, size=14)]
+        prepared = prepare_rows(refs)
+        exact = np.array([levenshtein_one_to_many(q.astype(np.int64),
+                                                  refs.astype(np.int64)).min()
+                          for q in queries])
+        for cap in (None, 0, 2, max(d, n), 10 ** 6):
+            want = exact if cap is None else np.minimum(exact, cap)
+            got = min_distance_to_set(queries, prepared, cap=cap)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"cap={cap}")
+
+    def test_narrow_distinct_and_read_only(self):
+        rng = np.random.default_rng(41)
+        rows = rng.integers(0, 20, size=(30, 12))
+        rows[:, 0] = 19
+        prepared = prepare_rows(rows[np.arange(60) % 30])
+        assert prepared.tokens.dtype == prepared.bags.dtype == np.uint8
+        assert prepared.tokens.shape == (12, 30) and prepared.bags.shape == (20, 30)
+        np.testing.assert_array_equal(prepared.tokens.T, distinct_rows(rows)[0])
+        np.testing.assert_array_equal(prepared.bags.sum(axis=0), [12] * 30)
+        for arr in (prepared.tokens, prepared.bags):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
 
 
 def test_popcount_matches_bin_count():
