@@ -35,8 +35,8 @@ print(f"single substitution at position 4 -> fitness "
       f"{landscape.fitness_many(one_mut[None])[0]:.3f}")
 
 print("\n== full reference set (20k mutants, 1..12 substitutions) ==")
-full = synthetic_full_dataset(landscape, count=20000, seed=2, vocab=vocab,
-                              edit_tokens=pool, max_mutations=12)
+full = synthetic_full_dataset(landscape, count=20000, seed=2, edit_tokens=pool,
+                              max_mutations=12)
 print(f"raw fitness range [{full.y_min:.3f}, {full.y_max:.3f}], "
       f"median normalized {np.median(full.normalized_fitness()):.3f}")
 

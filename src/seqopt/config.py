@@ -134,7 +134,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        default_section="\0")
     try:
-        parser.read(path)
+        parser.read(str(path))  # a str, so that errors quote the path, not its repr
     except configparser.Error as exc:
         raise ConfigError([f"unparseable config: {exc}"]) from None
     for key, value in (overrides or {}).items():

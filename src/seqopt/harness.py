@@ -101,7 +101,10 @@ def _sweep(assets: TaskAssets, configs: dict, measure, parallelism: int,
     """Sample each {key: SamplerConfig} with the flow its mode uses and return
     {key: measure(key, result)}, one `run_jobs` job per key on `parallelism`
     processes. With `on_error`, a job that fails with one of `_CELL_ERRORS`
-    returns on_error(key, exc) instead of raising."""
+    returns on_error(key, exc) instead of raising. The training side of
+    novelty is prepared before the workers fork, so each inherits it."""
+    assets.train.prepared_rows
+
     def job(key, cfg):
         try:
             res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae,

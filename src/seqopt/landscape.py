@@ -147,16 +147,17 @@ def make_landscape(seed: int, length: int, vocab: Vocabulary,
 
 
 def sample_mutants(landscape: SyntheticLandscape, count: int, seed: int,
-                   vocab: Vocabulary, edit_tokens: np.ndarray | None = None,
-                   min_mutations: int = 1, max_mutations: int | None = None) -> np.ndarray:
+                   edit_tokens: np.ndarray, min_mutations: int = 1,
+                   max_mutations: int | None = None) -> np.ndarray:
     """Draw `count` mutants of the target with a uniform mutation load in
-    [min_mutations, max_mutations]. Substitutions come from `edit_tokens`
-    (the per-position pool) when given, else uniformly from the other tokens.
+    [min_mutations, max_mutations], each substitution drawn uniformly from
+    its position's row of `edit_tokens`, the (d, width) pool. The pool
+    `(target[pos] + 1 + c) % |V|` for c < |V| - 1 draws every other token
+    uniformly.
 
     The draws are those of a per-row loop over one `default_rng(seed)`:
     first every row's load k, then per row `choice(d, k, replace=False)` for
-    the positions and k bounded integers for the substitutions (a pool
-    column in [0, width), or a shift in [1, |V|)). Rows are drawn ROW_BLOCK
+    the positions and k pool columns in [0, width). Rows are drawn ROW_BLOCK
     at a time, each block with one array-bound `integers` call that makes
     the rows' draws in that order, its bounds gathered from one template per
     load; `choice`'s Floyd draws and Fisher–Yates shuffle are then replayed
@@ -165,45 +166,40 @@ def sample_mutants(landscape: SyntheticLandscape, count: int, seed: int,
     for d <= 10,000 or k <= d // 50; above that numpy shuffles a tail
     instead, and this sampler keeps Floyd's rule."""
     rng = np.random.default_rng(seed)
-    d, v = landscape.length, vocab.size
+    d = landscape.length
     if max_mutations is None:
         max_mutations = d
     if not (1 <= min_mutations <= max_mutations <= d):
         raise ValueError("need 1 <= min_mutations <= max_mutations <= length")
     seqs = np.tile(landscape.target, (count, 1))
     n_mut = rng.integers(min_mutations, max_mutations + 1, size=count)
-    low, high = (1, v) if edit_tokens is None else (0, edit_tokens.shape[1])
-    templates = _draw_templates(d, min_mutations, max_mutations, low, high)
+    templates = _draw_templates(d, min_mutations, max_mutations, edit_tokens.shape[1])
     cells = seqs.ravel()
     for start in range(0, count, ROW_BLOCK):
         rows, pos, pick = _draw_block(rng, d, n_mut[start:start + ROW_BLOCK], *templates)
-        if edit_tokens is None:
-            cells[(start + rows) * d + pos] = (landscape.target[pos] + pick) % v
-        else:
-            cells[(start + rows) * d + pos] = edit_tokens[pos, pick]
+        cells[(start + rows) * d + pos] = edit_tokens[pos, pick]
     return seqs
 
 
-def _draw_templates(d: int, kmin: int, kmax: int, low: int,
-                    high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (low, high) bounds of a row's 3k - 1 draws for each load k in
-    [kmin, kmax], laid end to end, and per k the index of its first draw
-    (0 below kmin): `choice`'s Floyd draws in [0, j] for j = d-k … d-1, its
-    shuffle's in [0, i] for i = k-1 … 1, then k picks in [low, high)."""
+def _draw_templates(d: int, kmin: int, kmax: int,
+                    width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exclusive upper bounds of a row's 3k - 1 draws, all from 0, for
+    each load k in [kmin, kmax], laid end to end, and per k the index of its
+    first draw (0 below kmin): `choice`'s Floyd draws in [0, j] for
+    j = d-k … d-1, its shuffle's in [0, i] for i = k-1 … 1, then k pool
+    columns in [0, width)."""
     loads = np.arange(kmin, kmax + 1)
     count = 3 * loads - 1
     first = np.zeros(kmax + 1, dtype=np.int64)
     first[kmin:] = np.cumsum(count) - count
     k = np.repeat(loads, count)
     t = np.arange(k.size) - first[k]
-    in_choice = t < 2 * k - 1
-    bound = np.where(t < k, d - k + 1 + t, np.where(in_choice, 2 * k - t, high))
-    return np.where(in_choice, 0, low), bound, first
+    bound = np.where(t < k, d - k + 1 + t, np.where(t < 2 * k - 1, 2 * k - t, width))
+    return bound, first
 
 
-def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, lows: np.ndarray,
-                highs: np.ndarray, first_of_load: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, highs: np.ndarray,
+                first_of_load: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block of `sample_mutants`' rows, row r with k[r] >= 1 positions,
     its draws those of `_draw_templates`' load k[r]. Returns the (row,
     position, pick) of every substitution, in no particular row order.
@@ -217,7 +213,7 @@ def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, lows: np.ndarra
     count = 3 * k - 1
     first = np.cumsum(count) - count      # each row's first draw
     draw = np.arange(first[-1] + count[-1]) + np.repeat(first_of_load[k] - first, count)
-    draws = rng.integers(lows.take(draw), highs.take(draw))
+    draws = rng.integers(0, highs.take(draw))
 
     order = np.argsort(-k, kind="stable")
     k = k[order]
@@ -254,12 +250,10 @@ def _draw_block(rng: np.random.Generator, d: int, k: np.ndarray, lows: np.ndarra
 
 
 def synthetic_full_dataset(landscape: SyntheticLandscape, count: int, seed: int,
-                           vocab: Vocabulary, edit_tokens: np.ndarray | None = None,
-                           min_mutations: int = 1,
+                           edit_tokens: np.ndarray, min_mutations: int = 1,
                            max_mutations: int | None = None) -> Dataset:
     """The synthetic stand-in for a full measured reference set: mutants of the
-    target with exact oracle fitness; extremes define the normalizer."""
-    seqs = sample_mutants(landscape, count, seed, vocab, edit_tokens=edit_tokens,
-                          min_mutations=min_mutations, max_mutations=max_mutations)
-    fitness = landscape.fitness_many(seqs)
-    return Dataset.from_arrays(seqs, fitness)
+    target (`sample_mutants`) with exact oracle fitness; extremes define the
+    normalizer."""
+    seqs = sample_mutants(landscape, count, seed, edit_tokens, min_mutations, max_mutations)
+    return Dataset.from_arrays(seqs, landscape.fitness_many(seqs))

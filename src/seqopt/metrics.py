@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FitnessNormalizer
-from .seqs import min_distance_to_set, pairwise_distances, prepare_rows
+from .seqs import min_distance_to_set, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -39,28 +39,27 @@ def diversity(seqs: np.ndarray) -> float:
     return float(np.median(pairwise_distances(seqs)))
 
 
-def _train_distances(seqs: np.ndarray, train: Dataset | np.ndarray) -> np.ndarray:
+def _train_distances(seqs: np.ndarray, train: Dataset) -> np.ndarray:
     """Per generated sequence, the minimum edit distance to the training set,
-    against a Dataset's kept `prepared_rows` or rows prepared for this call."""
+    against its kept `prepared_rows`."""
     seqs = np.atleast_2d(np.asarray(seqs))
-    refs = train.prepared_rows if isinstance(train, Dataset) else prepare_rows(train)
+    refs = train.prepared_rows
     if seqs.shape[0] == 0 or refs.rows == 0:
         raise ValueError("novelty needs non-empty generated and training sets")
     return min_distance_to_set(seqs, refs)
 
 
-def novelty(seqs: np.ndarray, train: Dataset | np.ndarray) -> float:
+def novelty(seqs: np.ndarray, train: Dataset) -> float:
     """Median over generated sequences of the minimum edit distance to the
     training set. A generated sequence that already exists in the training
     set contributes distance 0."""
     return float(np.median(_train_distances(seqs, train)))
 
 
-def count_exact_train_matches(seqs: np.ndarray, train: Dataset | np.ndarray) -> int:
+def count_exact_train_matches(seqs: np.ndarray, train: Dataset) -> int:
     """Generated rows, duplicates included, that equal a training row."""
     seqs = np.atleast_2d(np.asarray(seqs))
-    train_seqs = train.sequences if isinstance(train, Dataset) else np.atleast_2d(train)
-    rows = {t.tobytes() for t in np.asarray(train_seqs, dtype=np.int64)}
+    rows = {t.tobytes() for t in train.sequences}
     return sum(1 for s in np.asarray(seqs, dtype=np.int64) if s.tobytes() in rows)
 
 

@@ -1,8 +1,10 @@
 """Declarative layer descriptors and the Network container.
 
-A descriptor is a JSON-friendly list of layer dicts; the frozen layer set is
-exactly what the models here need (dense, stride-1 same-padding 1-D conv,
-relu/leaky_relu/tanh, softmax, global average pooling, flatten/reshape).
+A descriptor is a JSON-friendly list of layer dicts over a frozen layer set:
+what the models here build (dense, stride-1 same-padding 1-D conv,
+relu/leaky_relu, flatten/reshape), plus the tanh, softmax and global average
+pooling layers that no model here builds, kept for external predictor
+checkpoints (`predictor.load_external_predictor`) that use them.
 A network's parameters are views named "layerindex.name", in descriptor
 order, into one float64 buffer (a ParamStore's `flat`) initialized
 deterministically from the store's seed; their gradient is one such buffer.

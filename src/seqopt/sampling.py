@@ -37,9 +37,10 @@ arrays of one 512-chain tape (4.7 MB per conv activation) are mapped afresh
 and page-faulted on every use. The heap rule every `jobs.pool` sets on
 entry makes the reuse hold in every process, not only in one that has
 already freed a large array. Decoding and scoring at the same width keep
-the forward-only passes as small. BLAS may pick a different kernel for a different row count, so a
-chain's latent and decoded sequence depend on its block, as its score
-depends on its 64-row piece of the unique decodes, not on the batch size.
+the forward-only passes as small. BLAS may pick a different kernel for a
+different row count, so a chain's latent and decoded sequence depend on its
+block, as its score depends on its 64-row piece of the unique decodes, not
+on the batch size.
 """
 
 from __future__ import annotations

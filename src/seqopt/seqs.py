@@ -3,17 +3,17 @@ and Levenshtein edit distance: bit-parallel (Myers/Hyyrö), exact, any length.
 
 Every distance in the package goes through one kernel,
 `levenshtein_one_to_many`. It advances fixed blocks of target rows (lanes)
-together, takes one query shared by every lane or one query per lane, and
-counts the final delta bits with a SWAR popcount. `pairwise_distances` runs
-all i < j pairs through it, one call per lane block. `min_distance_to_set`
-takes its reference side prepared once (`prepare_rows`: the distinct rows,
-their narrowed tokens and their token bags), prepares its queries the same
-way, and brackets every pair between two cheap bounds, the equal positions
-of the common prefix above and the bag distance below; only the pairs whose
-lower bound beats their row's best upper bound run the kernel. Given a cap,
-it returns min(distance, cap) per row, and a pair whose lower bound reaches
-the cap skips the kernel too: a threshold test such as `distance >= gap`
-needs no distance beyond the gap."""
+together, takes one query row per lane (equal rows share one match table),
+and counts the final delta bits with a SWAR popcount. `pairwise_distances`
+runs all i < j pairs through it, one call per lane block.
+`min_distance_to_set` takes its reference side prepared once
+(`prepare_rows`: the distinct rows, their narrowed tokens and their token
+bags), prepares its queries the same way, and brackets every pair between
+two cheap bounds, the equal positions of the common prefix above and the
+bag distance below; only the pairs whose lower bound beats their row's best
+upper bound run the kernel. Given a cap, it returns min(distance, cap) per
+row, and a pair whose lower bound reaches the cap skips the kernel too: a
+threshold test such as `distance >= gap` needs no distance beyond the gap."""
 
 from __future__ import annotations
 
@@ -115,10 +115,10 @@ _PAIR_BLOCK = 1 << 18
 
 
 def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Edit distance from a query to each row of an (m, n) target matrix.
-    `query` is one (d,) row shared by every target, or an (m, d) matrix with
-    one query per target row. Both hold non-negative vocabulary indices, as
-    `tokenize` returns them.
+    """Edit distance from each row of an (m, d) query matrix to the same row
+    of an (m, n) target matrix. Both hold non-negative vocabulary indices, as
+    `tokenize` returns them. One query for every target is
+    `np.broadcast_to(query, (m, d))`: its equal rows share one match table.
 
     Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's multi-word
     block form. For every target row (a lane), the DP column over the d query
@@ -129,46 +129,40 @@ def levenshtein_one_to_many(query: np.ndarray, targets: np.ndarray) -> np.ndarra
     above (h_in/h_out). The distance is the last column's bottom cell, n plus
     the +1 deltas minus the -1 deltas. Lanes run in blocks of `_LANE_BLOCK`,
     so working memory is O(_LANE_BLOCK * words * alphabet) words of 4 or 8
-    bytes for a 2-D query and less for a 1-D one.
-    """
+    bytes."""
     query = np.asarray(query)
     targets = np.asarray(targets)
     if targets.ndim != 2:
         raise ValueError("targets must be a 2-D (m, n) matrix")
-    if query.ndim != 2:
-        query = query.ravel()
-    elif query.shape[0] != targets.shape[0]:
-        raise ValueError(f"a 2-D query needs one row per target row, "
-                         f"got {query.shape[0]} for {targets.shape[0]}")
+    if query.ndim != 2 or query.shape[0] != targets.shape[0]:
+        raise ValueError(f"the query must be an (m, d) matrix, one row per target row: "
+                         f"got query shape {query.shape} for targets {targets.shape}")
     m, n = targets.shape
-    d = query.shape[-1]
+    d = query.shape[1]
     if d == 0 or n == 0 or m == 0:
         return np.full(m, d + n, dtype=np.int64)
     out = np.empty(m, dtype=np.int64)
     for start in range(0, m, _LANE_BLOCK):
         lanes = slice(start, start + _LANE_BLOCK)
-        out[lanes] = _myers(query[lanes] if query.ndim == 2 else query, targets[lanes])
+        out[lanes] = _myers(query[lanes], targets[lanes])
     return out
 
 
 def _myers(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """`levenshtein_one_to_many` on one block of lanes, d > 0 and n > 0. A
-    query of up to 32 positions fits one 32-bit word, which halves the bytes
+    """`levenshtein_one_to_many` on one block of lanes, d > 0 and n > 0. Each
+    run of equal query rows gets one match table, which the run's lanes read.
+    A query of up to 32 positions fits one 32-bit word, which halves the bytes
     every op moves; longer ones run on 64-bit words, which at d = 100 and
     d = 237 took 0.71-0.85 times the time of 32-bit words on a 2-vCPU VM."""
-    m = targets.shape[0]
-    d = query.shape[-1]
+    m, d = query.shape
     word, bits = (np.uint32, 32) if d <= 32 else (np.uint64, 64)
     words = -(-d // bits)
     alphabet = max(int(query.max()), int(targets.max())) + 1
-    if query.ndim == 1:  # one match table that every lane reads
-        keys, offset = query[:, None], 0
-    else:  # a match table per run of equal query rows, read by the run's lanes
-        query_t = np.ascontiguousarray(query.T)
-        first = np.ones(m, dtype=bool)
-        np.any(query_t[:, 1:] != query_t[:, :-1], axis=0, out=first[1:])
-        offset = (np.cumsum(first) - 1) * alphabet
-        keys = query_t.compress(first, axis=1) + offset[first]
+    query_t = np.ascontiguousarray(query.T)
+    first = np.ones(m, dtype=bool)
+    np.any(query_t[:, 1:] != query_t[:, :-1], axis=0, out=first[1:])
+    offset = (np.cumsum(first) - 1) * alphabet
+    keys = query_t.compress(first, axis=1) + offset[first]
     # peq[w, key]: bit i of word w is set where query[bits * w + i] is the
     # key's token. Within one position every table has its own key, so |= on
     # the fancy index sets each bit once.
@@ -281,10 +275,10 @@ def min_distance_to_set(seqs: np.ndarray, refs: PreparedRows,
       lower: bag distance, L minus the tokens the two rows share as
              multisets (Bartolini, Ciaccia & Patella, 2002), so D >= lower.
     With U the query's smallest upper bound, only pairs whose lower bound is
-    below min(U, cap) can change the answer, and only those run the kernel,
-    in its 2-D form. The answer is the smaller of U, those exact distances
-    and the cap. With no refs, every row gets the cap, or without one the
-    int64 identity of min. A negative cap raises ValueError.
+    below min(U, cap) can change the answer, and only those run the kernel.
+    The answer is the smaller of U, those exact distances and the cap. With
+    no refs, every row gets the cap, or without one the int64 identity of
+    min. A negative cap raises ValueError.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")

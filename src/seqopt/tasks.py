@@ -78,10 +78,8 @@ def build_synthetic_task(name: str, seed: int,
     pool = make_edit_pool(seed + 1, base.target, vocab, spec.edits_per_position)
     landscape = make_landscape(seed, spec.length, vocab, n_pairs=spec.n_pairs,
                                decoy_tokens=pool, target=base.target)
-    full = synthetic_full_dataset(landscape, spec.full_size, seed + 2, vocab,
-                                  edit_tokens=pool,
-                                  min_mutations=spec.min_mutations,
-                                  max_mutations=spec.max_mutations)
+    full = synthetic_full_dataset(landscape, spec.full_size, seed + 2, pool,
+                                  spec.min_mutations, spec.max_mutations)
     train = difficulty_filter(full, spec.percentile, spec.gap)
     if train.n > spec.max_train:
         keep = np.random.default_rng(seed + 3).choice(train.n, size=spec.max_train,

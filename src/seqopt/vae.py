@@ -238,7 +238,10 @@ def load_vae(directory) -> VaeModel:
         raise CheckpointError(f"{paths[0]} and {paths[1]} disagree: " + "; ".join(
             f"{name!r} is {extra.get(name)!r} against {extra_d.get(name)!r}"
             for name in differing))
-    cfg = VaeConfig(latent_dim=extra["latent_dim"], beta=extra["beta"],
-                    hidden_channels=extra["hidden_channels"])
+    try:
+        cfg = VaeConfig(latent_dim=extra["latent_dim"], beta=extra["beta"],
+                        hidden_channels=extra["hidden_channels"])
+    except ValueError as exc:
+        raise CheckpointError(f"{paths[0]}: {exc}") from None
     return VaeModel(Network(desc_e, params_e), Network(desc_d, params_d), cfg,
                     extra["length"], extra["vocab_size"])

@@ -420,10 +420,12 @@ def _csv_config(workspace, tmp_path, oracle=""):
     from _datafiles import write_csv
     from seqopt.landscape import make_landscape, synthetic_full_dataset
     from seqopt.seqs import Vocabulary
+    from test_landscape import rotation_pool
     root, _ = workspace
     vocab = Vocabulary.amino_acids()
     ls = make_landscape(seed=31, length=8, vocab=vocab)
-    write_csv(synthetic_full_dataset(ls, count=50, seed=32, vocab=vocab,
+    write_csv(synthetic_full_dataset(ls, count=50, seed=32,
+                                     edit_tokens=rotation_pool(ls.target, vocab.size),
                                      max_mutations=4), tmp_path / "data.csv", vocab)
     ini = tmp_path / "csv.ini"
     ini.write_text(f"[task]\nname = csv\n[paths]\ndata = data.csv\n"
@@ -549,6 +551,37 @@ class TestCheckpoints:
         assert main(["sample", str(ini)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"i/o error: {work / 'flow.npz'}: parameter array {array!r} {problem}"]
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("beta", 0.0, "beta must be > 0"),
+        ("latent_dim", 0, "latent_dim must be >= 1"),
+        ("hidden_channels", 0, "hidden_channels must be >= 1"),
+    ])
+    def test_vae_metadata_the_config_refuses_is_io_error(self, workspace, tmp_path, capsys,
+                                                          field, value, problem):
+        """A VAE pair whose metadata agrees on a value that `VaeConfig`
+        refuses is refused as a checkpoint error naming the encoder file."""
+        work, ini = _workdir_copy(workspace, tmp_path)
+        for name in ("vae_encoder.npz", "vae_decoder.npz"):
+            kind = Path(name).stem
+            descriptor, params, extra = load_checkpoint(work / name, kind)
+            save_checkpoint(work / name, kind, descriptor, params, {**extra, field: value})
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / 'vae_encoder.npz'}: {problem}"]
+
+    @pytest.mark.parametrize("name", ["vae_decoder.npz", "flow.npz", "predictor.npz"])
+    def test_checkpoint_of_another_version_is_io_error(self, workspace, tmp_path, capsys,
+                                                       name):
+        work, ini = _workdir_copy(workspace, tmp_path)
+        with np.load(work / name) as zf:
+            arrays = dict(zf)
+        meta = json.loads(str(arrays["__meta__"]))
+        arrays["__meta__"] = np.array(json.dumps({**meta, "version": 2}))
+        np.savez(work / name, **arrays)
+        assert main(["sample", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"i/o error: {work / name}: unsupported checkpoint version 2"]
 
     @pytest.mark.parametrize("command", ["sample", "evaluate"])
     def test_unused_conditional_flow_not_loaded(self, workspace, tmp_path, capsys,
@@ -729,6 +762,50 @@ mode = sideways
         assert len(err) == 1 and err[0].startswith("i/o error: ") and "y_min=0.5" in err[0]
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize("text,problem", [
+        ("[vae]\nepochs = 3\n[vae]\n",
+         "unparseable config: While reading from {ini!r} [line  7]: section 'vae' "
+         "already exists"),
+        ("[vae]\nepochs = many\n", "[vae] epochs: cannot parse 'many'"),
+        ("[vae]\nepochs =\n", "[vae] epochs: cannot parse ''"),
+        ("[ode_sweep]\nsteps = 0\n", "[ode_sweep] steps must all be >= 1"),
+    ], ids=["duplicate_section", "unparseable_value", "empty_value", "zero_steps"])
+    def test_config_refusals(self, tmp_path, capsys, text, problem):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[task]\nname = synthetic-medium\n[paths]\nworkdir = work\n" + text)
+        assert main(["train-vae", str(ini)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: " + problem.format(ini=str(ini))]
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("rows,ranges,problem", [
+        ("ACD,0.5\nACC\n", None, "{data}: line 3: expected 2 fields, got 1"),
+        ("", None, "{data}: no records"),
+        ("ACD,0.5\nACC,inf\n", None, "{data}: non-finite fitness value"),
+        ("ACD,0.5\nACC,0.7\n", "y_min=0\nlow=1\n",
+         "{ranges}: line 2: expected 'y_min=<real>' or 'y_max=<real>'"),
+        ("ACD,0.5\nACC,0.7\n", "y_min=0\ny_max=one\n",
+         "{ranges}: line 2: non-numeric value 'one'"),
+        ("ACD,0.5\nACC,0.7\n", "y_max=1\n",
+         "{ranges}: range file must declare both y_min and y_max"),
+    ], ids=["short_row", "no_records", "non_finite_fitness", "range_key",
+            "range_value", "one_bound"])
+    def test_data_file_refusals(self, tmp_path, capsys, rows, ranges, problem):
+        """A csv task's data file or range file that `load_csv` refuses ends
+        the command with one i/o error line that names the file."""
+        data, range_file = tmp_path / "data.csv", tmp_path / "data.range"
+        data.write_text("sequence,fitness\n" + rows)
+        paths = "data = data.csv\nworkdir = work\n"
+        if ranges is not None:
+            range_file.write_text(ranges)
+            paths += "range_file = data.range\n"
+        ini = tmp_path / "csv.ini"
+        ini.write_text(f"[task]\nname = csv\n[paths]\n{paths}")
+        assert main(["train-vae", str(ini)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "i/o error: " + problem.format(data=data, ranges=range_file)]
+        assert not (tmp_path / "work").exists()
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(TINY_INI.replace("[vae]\n", "[vae]\nepoch = 5\n")
@@ -862,9 +939,11 @@ mode = sideways
         from _datafiles import write_csv, write_range_file
         from seqopt.landscape import make_landscape, synthetic_full_dataset
         from seqopt.seqs import Vocabulary
+        from test_landscape import rotation_pool
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=31, length=8, vocab=vocab)
-        ds = synthetic_full_dataset(ls, count=200, seed=32, vocab=vocab,
+        ds = synthetic_full_dataset(ls, count=200, seed=32,
+                                    edit_tokens=rotation_pool(ls.target, vocab.size),
                                     max_mutations=4)
         write_csv(ds, tmp_path / "data.csv", vocab)
         write_range_file(ds, tmp_path / "data.range")

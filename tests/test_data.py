@@ -4,7 +4,8 @@ import pytest
 from _datafiles import write_csv, write_range_file
 from seqopt.data import (DataFormatError, Dataset, FitnessNormalizer,
                          difficulty_filter, load_csv)
-from seqopt.seqs import Vocabulary, levenshtein_one_to_many
+from seqopt.seqs import Vocabulary
+from test_seqs import shared_query
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +191,13 @@ class TestDifficultyFilter:
         for i in range(sub.n):
             assert tuple(sub.sequences[i]) in rows
             assert lo <= sub.fitness[i] <= hi
-            assert levenshtein_one_to_many(sub.sequences[i], top).min() >= gap
+            assert shared_query(sub.sequences[i], top).min() >= gap
         # and no qualifying record was dropped
         kept = {(tuple(s), f) for s, f in zip(sub.sequences, sub.fitness)}
         n_qualifying = 0
         for i in range(full.n):
             if lo <= full.fitness[i] <= hi and \
-               levenshtein_one_to_many(full.sequences[i], top).min() >= gap:
+               shared_query(full.sequences[i], top).min() >= gap:
                 n_qualifying += 1
                 assert (tuple(full.sequences[i]), full.fitness[i]) in kept
         assert n_qualifying == sub.n

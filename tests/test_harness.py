@@ -79,39 +79,40 @@ class TestRunBenchmark:
 
 @dataclasses.dataclass(frozen=True)
 class CountedReport(MetricReport):
-    """A report that also carries how many training sides its process had
-    prepared, and the process's pid."""
-    prepared: int = 0
+    """A report that also carries the pid of each training side preparation
+    its process had made or inherited, and the process's own pid."""
+    prepared: tuple = ()
     pid: int = 0
 
 
 class TestPreparedTrainingSide:
     def test_second_run_prepares_no_training_side(self, tiny_stack, monkeypatch):
         """The training set's side of novelty is prepared once per Dataset:
-        the first two-process run prepares it in the caller (and in the
-        worker, forked before that); a second run's caller keeps it, and its
-        worker, forked after, inherits it, so neither prepares one."""
+        the first two-process run prepares it in the caller before the worker
+        forks, so the worker inherits it and prepares none; a second run's
+        caller keeps it, and its worker inherits it too."""
         _, _, assets = tiny_stack
         assets = replace(assets, train=assets.train.subset(np.arange(assets.train.n)))
-        prepared = [0]
+        prepared = []
         prepare, measure = data.prepare_rows, harness.compute_metrics
 
         def counted(rows):
-            prepared[0] += 1
+            prepared.append(os.getpid())
             return prepare(rows)
 
         def reporting(*args, **kwargs):
             report = measure(*args, **kwargs)
-            return CountedReport(**dataclasses.asdict(report), prepared=prepared[0],
+            return CountedReport(**dataclasses.asdict(report), prepared=tuple(prepared),
                                  pid=os.getpid())
         monkeypatch.setattr(data, "prepare_rows", counted)
         monkeypatch.setattr(harness, "compute_metrics", reporting)
         cfg = replace(BASE, batch=16, top_k=8)
         first = run_benchmark(assets, cfg, [0, 1], parallelism=2)
-        assert [r.prepared for r in first.reports] == [1, 1]
-        prepared[0] = 0
+        assert first.reports[0].pid == os.getpid() != first.reports[1].pid
+        assert [r.prepared for r in first.reports] == [(os.getpid(),)] * 2
+        prepared.clear()
         second = run_benchmark(assets, cfg, [0, 1], parallelism=2)
-        assert [r.prepared for r in second.reports] == [0, 0]
+        assert [r.prepared for r in second.reports] == [(), ()]
         assert second.reports[0].pid == os.getpid() != second.reports[1].pid
         assert second.mean == first.mean
 

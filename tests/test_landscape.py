@@ -13,6 +13,13 @@ def vocab():
     return Vocabulary.amino_acids()
 
 
+def rotation_pool(target, vocab_size):
+    """The (d, |V| - 1) edit pool of every non-target token, (target[pos] + 1
+    + c) % |V| in column c: a uniform pick from it is a uniform shift in
+    [1, |V|)."""
+    return (np.asarray(target)[:, None] + 1 + np.arange(vocab_size - 1)) % vocab_size
+
+
 def naive_fitness(landscape, seq):
     """Independent term-by-term re-summation."""
     total = 0.0
@@ -82,7 +89,8 @@ class TestFitnessBits:
     @staticmethod
     def rows(rng, ls, count, vocab):
         """Random rows, and mutants of the target, where pairs fire."""
-        mutants = sample_mutants(ls, count, int(rng.integers(100)), vocab)
+        mutants = sample_mutants(ls, count, int(rng.integers(100)),
+                                 rotation_pool(ls.target, vocab.size))
         return np.concatenate([rng.integers(0, vocab.size, size=(count, ls.length)), mutants])
 
     @pytest.mark.parametrize("count", [0, 1, 300])
@@ -128,7 +136,7 @@ class TestFitnessBits:
         rng = np.random.default_rng(60 + count)
         pool = make_edit_pool(61, make_landscape(62, 20, vocab, n_pairs=0).target, vocab)
         ls = make_landscape(62, 20, vocab, decoy_tokens=pool)
-        mutants = sample_mutants(ls, count, 63, vocab, edit_tokens=pool, max_mutations=6)
+        mutants = sample_mutants(ls, count, 63, pool, max_mutations=6)
         seqs = np.where(rng.random((count, 1)) < 0.25,
                         rng.integers(0, vocab.size, size=(count, 20)), mutants)
         got = ls.fitness_many(seqs)
@@ -163,12 +171,14 @@ class TestMutantSampling:
     def test_equals_per_row_loop(self, vocab, d, width, load):
         """The block sampler makes the per-row loop's draws: array-bound
         `integers` draws element by element, as the scalar calls and
-        small-population `choice` do."""
+        small-population `choice` do. With no width, the sampler takes the
+        rotation pool and the loop draws uniform shifts."""
         ls = make_landscape(seed=d, length=d, vocab=vocab, n_pairs=0)
         pool = None if width is None else make_edit_pool(d + 1, ls.target, vocab, width)
+        edits = rotation_pool(ls.target, vocab.size) if pool is None else pool
         bounds = {"one_to_d": (1, d), "d": (d, d), "half_to_d": ((d + 1) // 2, d)}[load]
         for count in (0, 1, 2 * ROW_BLOCK + 3):
-            got = sample_mutants(ls, count, 21, vocab, pool, *bounds)
+            got = sample_mutants(ls, count, 21, edits, *bounds)
             want = _loop_mutants(ls, count, 21, vocab, pool, *bounds)
             assert got.shape == (count, d) and got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
@@ -181,15 +191,17 @@ class TestMutantSampling:
         and k = d, over a whole block and a part of one."""
         ls = make_landscape(seed=d, length=d, vocab=vocab, n_pairs=0)
         pool = None if width is None else make_edit_pool(d + 1, ls.target, vocab, width)
+        edits = rotation_pool(ls.target, vocab.size) if pool is None else pool
         k = {"one": 1, "half": (d + 1) // 2, "d": d}[load]
-        got = sample_mutants(ls, ROW_BLOCK + 5, 22, vocab, pool, k, k)
+        got = sample_mutants(ls, ROW_BLOCK + 5, 22, edits, k, k)
         want = _loop_mutants(ls, ROW_BLOCK + 5, 22, vocab, pool, k, k)
         np.testing.assert_array_equal(got, want)
         assert ((got != ls.target).sum(axis=1) <= k).all()
 
     def test_full_dataset_shape_and_extremes(self, vocab):
         ls = make_landscape(seed=8, length=10, vocab=vocab)
-        ds = synthetic_full_dataset(ls, count=300, seed=9, vocab=vocab)
+        ds = synthetic_full_dataset(ls, count=300, seed=9,
+                                    edit_tokens=rotation_pool(ls.target, vocab.size))
         assert ds.n == 300 and ds.length == 10
         assert ds.y_min == ds.fitness.min() and ds.y_max == ds.fitness.max()
         # mutants span a wide fitness range
@@ -197,13 +209,14 @@ class TestMutantSampling:
 
     def test_mutants_deterministic(self, vocab):
         ls = make_landscape(seed=10, length=10, vocab=vocab)
-        a = sample_mutants(ls, 50, seed=11, vocab=vocab)
-        b = sample_mutants(ls, 50, seed=11, vocab=vocab)
+        pool = rotation_pool(ls.target, vocab.size)
+        a = sample_mutants(ls, 50, seed=11, edit_tokens=pool)
+        b = sample_mutants(ls, 50, seed=11, edit_tokens=pool)
         np.testing.assert_array_equal(a, b)
 
     def test_mutants_differ_from_target(self, vocab):
         ls = make_landscape(seed=12, length=10, vocab=vocab)
-        muts = sample_mutants(ls, 100, seed=13, vocab=vocab)
+        muts = sample_mutants(ls, 100, seed=13, edit_tokens=rotation_pool(ls.target, vocab.size))
         assert (muts != ls.target).any(axis=1).all()
 
 
@@ -219,8 +232,8 @@ class TestEditPool:
     def test_pool_mutants_only_use_pool_tokens(self, vocab):
         ls = make_landscape(seed=16, length=10, vocab=vocab)
         pool = make_edit_pool(seed=17, target=ls.target, vocab=vocab)
-        muts = sample_mutants(ls, 200, seed=18, vocab=vocab, edit_tokens=pool,
-                              min_mutations=2, max_mutations=6)
+        muts = sample_mutants(ls, 200, seed=18, edit_tokens=pool, min_mutations=2,
+                              max_mutations=6)
         for row in muts:
             changed = row != ls.target
             assert 2 <= changed.sum() <= 6

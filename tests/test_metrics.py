@@ -21,14 +21,19 @@ class ArrayOracle:
         return self.weights[seqs].sum(axis=1)
 
 
+def training_side(rows):
+    """A Dataset wrapping raw training rows, as the training side of novelty."""
+    return Dataset(rows, np.zeros(len(rows)), 0.0, 1.0)
+
+
 def brute_diversity(seqs):
-    vals = [levenshtein_one_to_many(seqs[i], seqs[j][None])[0]
+    vals = [levenshtein_one_to_many(seqs[i][None], seqs[j][None])[0]
             for i in range(len(seqs)) for j in range(i + 1, len(seqs))]
     return float(np.median(vals))
 
 
 def brute_novelty(seqs, train):
-    vals = [min(levenshtein_one_to_many(s, t[None])[0] for t in train) for s in seqs]
+    vals = [min(levenshtein_one_to_many(s[None], t[None])[0] for t in train) for s in seqs]
     return float(np.median(vals))
 
 
@@ -100,29 +105,36 @@ class TestDiversity:
 class TestNovelty:
     def test_generated_in_training_set_gives_zero(self):
         train = rng.integers(0, 4, size=(10, 6))
-        assert novelty(train[:4], train) == 0.0
+        assert novelty(train[:4], training_side(train)) == 0.0
 
     def test_two_substitutions(self):
         s = rng.integers(0, 4, size=8)
         gen = s.copy()
         gen[1] = (gen[1] + 1) % 4
         gen[5] = (gen[5] + 2) % 4
-        assert novelty(gen[None, :], s[None, :]) == 2.0
+        assert novelty(gen[None, :], training_side(s[None, :])) == 2.0
 
     def test_matches_brute_force(self):
+        """On a Dataset wrapping raw training rows, novelty and the exact
+        matches equal brute force; every third generated row is a training
+        row."""
         for _ in range(30):
             seqs = rng.integers(0, 4, size=(rng.integers(1, 10), 7))
             train = rng.integers(0, 4, size=(rng.integers(1, 15), 7))
-            assert novelty(seqs, train) == brute_novelty(seqs, train)
+            seqs[::3] = train[np.arange(len(seqs[::3])) % len(train)]
+            side = training_side(train)
+            assert novelty(seqs, side) == brute_novelty(seqs, train)
+            assert count_exact_train_matches(seqs, side) == sum(
+                any((s == t).all() for t in train) for s in seqs)
 
     def test_exact_match_counting(self):
         train = rng.integers(0, 4, size=(10, 5))
         gen = np.vstack([train[3], train[7], (train[0] + 1) % 4])
-        assert count_exact_train_matches(gen, train) == 2
+        assert count_exact_train_matches(gen, training_side(train)) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            novelty(np.empty((0, 3), dtype=int), np.zeros((2, 3), dtype=int))
+            novelty(np.empty((0, 3), dtype=int), training_side(np.zeros((2, 3), dtype=int)))
 
 
 class TestComputeMetrics:
@@ -189,7 +201,7 @@ class TestComputeMetrics:
         oracle = ArrayOracle(np.ones(4))
         normalizer = Dataset.from_arrays(np.zeros((3, 5), dtype=int),
                                          np.arange(3.0)).normalizer()
-        no_train = np.empty((0, 5), dtype=int)
+        no_train = training_side(np.empty((0, 5), dtype=int))
         with pytest.raises(ValueError, match="empty sequence set"):
             compute_metrics(np.empty((0, 5), dtype=int), oracle, normalizer, no_train, 0)
         with pytest.raises(ValueError, match="novelty needs non-empty"):

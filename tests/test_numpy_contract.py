@@ -136,6 +136,17 @@ def test_integers_with_array_bounds_draw_in_order():
     assert whole.tolist() == [int(single.integers(lo, hi)) for lo, hi in zip(lows, highs)]
 
 
+def test_integers_from_scalar_zero_equal_zero_array_lows():
+    """landscape.sample_mutants (its `_draw_block`): Generator.integers(0,
+    highs) draws what integers(np.zeros_like(highs), highs) draws, so the
+    scalar low of its one call gives the draws of per-element lows of 0."""
+    highs = np.concatenate([[1, 2, 19, 20, 10_000], rng.integers(1, 40, size=500)])
+    seed = np.random.SeedSequence(5)
+    scalar = np.random.default_rng(seed).integers(0, highs)
+    zeros = np.random.default_rng(seed).integers(np.zeros_like(highs), highs)
+    assert scalar.dtype == zeros.dtype and scalar.tolist() == zeros.tolist()
+
+
 def test_stable_sort_searchsorted_and_flat_indices():
     """landscape._draw_block's replay: argsort(kind="stable") keeps equal
     loads in row order; searchsorted over the loads sorted largest first

@@ -11,6 +11,7 @@ from seqopt.predictor import (LandscapeOracle, PredictorConfig, PredictorModel,
                               load_external_predictor, save_predictor, train_predictor)
 from seqopt.seqs import Vocabulary
 from seqopt.tasks import TaskData, task_oracle, train_predictor_stage
+from test_landscape import rotation_pool
 
 rng = np.random.default_rng(404)
 CFG = PredictorConfig(hidden_channels=8, hidden_dense=16, epochs=80, batch_size=32)
@@ -130,7 +131,8 @@ class TestOracle:
     def test_net_oracle_trains_on_raw_labels(self, tmp_path):
         vocab = Vocabulary.amino_acids()
         ls = make_landscape(seed=13, length=8, vocab=vocab)
-        full = synthetic_full_dataset(ls, count=300, seed=14, vocab=vocab)
+        full = synthetic_full_dataset(ls, count=300, seed=14,
+                                      edit_tokens=rotation_pool(ls.target, vocab.size))
         task = TaskData("csv", vocab, full=full, train=full)
         model, _ = train_predictor_stage(task, 15, PredictorConfig(
             hidden_channels=8, hidden_dense=16, epochs=15), role="oracle")

@@ -23,6 +23,13 @@ def brute_levenshtein(a, b):
     return int(D[n, m])
 
 
+def shared_query(query, targets):
+    """The kernel with one (d,) query for every target row, passed as a
+    broadcast (m, d) view."""
+    query, targets = np.asarray(query, dtype=np.int64), np.asarray(targets)
+    return levenshtein_one_to_many(np.broadcast_to(query, (len(targets), query.size)), targets)
+
+
 @pytest.fixture(scope="module")
 def vocab():
     return Vocabulary.amino_acids()
@@ -89,39 +96,40 @@ class TestOneHot:
 
 class TestLevenshtein:
     def test_identical_is_zero(self):
-        assert levenshtein_one_to_many([1, 2, 3], np.array([[1, 2, 3]]))[0] == 0
+        assert levenshtein_one_to_many(np.array([[1, 2, 3]]), np.array([[1, 2, 3]]))[0] == 0
 
     def test_empty_cases(self):
         no_row = np.empty((1, 0), dtype=np.int64)
-        assert levenshtein_one_to_many([], np.array([[1, 2]]))[0] == 2
-        assert levenshtein_one_to_many([1, 2], no_row)[0] == 2
-        assert levenshtein_one_to_many([], no_row)[0] == 0
+        assert levenshtein_one_to_many(no_row, np.array([[1, 2]]))[0] == 2
+        assert levenshtein_one_to_many(np.array([[1, 2]]), no_row)[0] == 2
+        assert levenshtein_one_to_many(no_row, no_row)[0] == 0
+        assert shared_query([1, 2], np.empty((0, 3), dtype=np.int64)).shape == (0,)
 
     def test_matches_full_dp_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(400):
             a = rng.integers(0, 6, size=rng.integers(0, 13))
             b = rng.integers(0, 6, size=rng.integers(0, 13))
-            assert levenshtein_one_to_many(a, b[None])[0] == brute_levenshtein(a, b)
+            assert levenshtein_one_to_many(a[None], b[None])[0] == brute_levenshtein(a, b)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             a, b, c = (rng.integers(0, 4, size=rng.integers(1, 10)) for _ in range(3))
-            dab = levenshtein_one_to_many(a, b[None])[0]
-            dba = levenshtein_one_to_many(b, a[None])[0]
+            dab = levenshtein_one_to_many(a[None], b[None])[0]
+            dba = levenshtein_one_to_many(b[None], a[None])[0]
             assert dab >= 0
             assert dab == dba
             assert (dab == 0) == (len(a) == len(b) and (a == b).all())
-            assert dab <= (levenshtein_one_to_many(a, c[None])[0]
-                           + levenshtein_one_to_many(c, b[None])[0])
+            assert dab <= (levenshtein_one_to_many(a[None], c[None])[0]
+                           + levenshtein_one_to_many(c[None], b[None])[0])
 
     def test_one_to_many_matches_scalar(self):
         rng = np.random.default_rng(13)
         q = rng.integers(0, 5, size=8)
         targets = rng.integers(0, 5, size=(40, 11))
-        got = levenshtein_one_to_many(q, targets)
-        want = [levenshtein_one_to_many(q, t[None])[0] for t in targets]
+        got = shared_query(q, targets)
+        want = [brute_levenshtein(q, t) for t in targets]
         np.testing.assert_array_equal(got, want)
 
     def test_min_distance_and_pairwise(self):
@@ -133,12 +141,12 @@ class TestLevenshtein:
         for s_, r_ in ((seqs, refs), (seqs, refs[[0, 1, 0, 2, 1, 1, 4, 3, 0, 2, 4, 0]]),
                        (seqs[[3, 3, 1, 3]], refs), (seqs[[3, 3, 1, 3, 9, 1]], refs[[2, 2, 0]])):
             got = min_distance_to_set(s_, prepare_rows(r_))
-            want = [levenshtein_one_to_many(s, r_).min() for s in s_]
+            want = [shared_query(s, r_).min() for s in s_]
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
         pd = pairwise_distances(seqs)
         assert pd.size == 45
-        want_pd = [levenshtein_one_to_many(seqs[i], seqs[j][None])[0]
+        want_pd = [levenshtein_one_to_many(seqs[i][None], seqs[j][None])[0]
                    for i in range(10) for j in range(i + 1, 10)]
         np.testing.assert_array_equal(np.sort(pd), np.sort(want_pd))
 
@@ -163,7 +171,7 @@ class TestBitParallelKernel:
             targets[0, :k] = query[:k]
             if k:
                 targets[0, rng.integers(0, k)] = rng.integers(0, 20)
-            got = levenshtein_one_to_many(query, targets)
+            got = shared_query(query, targets)
             want = [brute_levenshtein(query, t) for t in targets]
             np.testing.assert_array_equal(got, want, err_msg=f"d={d} n={n}")
 
@@ -172,8 +180,8 @@ class TestBitParallelKernel:
         for _ in range(30):
             a = rng.integers(0, 5, size=rng.integers(0, 140))
             b = rng.integers(0, 5, size=rng.integers(0, 140))
-            assert (levenshtein_one_to_many(a, b[None])[0]
-                    == levenshtein_one_to_many(b, a[None])[0] == brute_levenshtein(a, b))
+            assert (levenshtein_one_to_many(a[None], b[None])[0]
+                    == levenshtein_one_to_many(b[None], a[None])[0] == brute_levenshtein(a, b))
 
     def test_min_distance_independent_of_larger_side(self):
         rng = np.random.default_rng(23)
@@ -222,9 +230,9 @@ def near_copies(rng, rows, n, edits):
 
 
 class TestBatchedKernel:
-    """The kernel's shared and per-row query forms, and the bounded set minimum,
-    against the full-table DP: one- and multi-word queries, unequal lengths,
-    duplicate rows and empty sides."""
+    """The kernel on distinct and on broadcast (shared) query rows, and the
+    bounded set minimum, against the full-table DP: one- and multi-word
+    queries, unequal lengths, duplicate rows and empty sides."""
 
     @pytest.mark.parametrize("d", BATCH_LENGTHS)
     def test_per_row_and_shared_queries_match_dp(self, d):
@@ -240,7 +248,7 @@ class TestBatchedKernel:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want, err_msg=f"d={d} n={n}")
             np.testing.assert_array_equal(
-                levenshtein_one_to_many(queries[1], targets),
+                shared_query(queries[1], targets),
                 [brute_levenshtein(queries[1], t) for t in targets], err_msg=f"d={d} n={n}")
 
     def test_lane_blocks_do_not_change_results(self, monkeypatch):
@@ -249,21 +257,26 @@ class TestBatchedKernel:
         queries[4:8] = queries[3]
         targets = near_copies(rng, queries, 66, 3)
         whole = levenshtein_one_to_many(queries, targets)
-        shared = levenshtein_one_to_many(queries[0], targets)
+        shared = shared_query(queries[0], targets)
         pairs = pairwise_distances(queries)
         minima = min_distance_to_set(queries, prepare_rows(targets))
         monkeypatch.setattr(seqs, "_LANE_BLOCK", 3)
         monkeypatch.setattr(seqs, "_PAIR_BLOCK", 5)
         np.testing.assert_array_equal(levenshtein_one_to_many(queries, targets), whole)
-        np.testing.assert_array_equal(levenshtein_one_to_many(queries[0], targets), shared)
+        np.testing.assert_array_equal(shared_query(queries[0], targets), shared)
         np.testing.assert_array_equal(pairwise_distances(queries), pairs)
         np.testing.assert_array_equal(min_distance_to_set(queries, prepare_rows(targets)), minima)
         np.testing.assert_array_equal(whole, [brute_levenshtein(q, t)
                                               for q, t in zip(queries, targets)])
 
     def test_per_row_query_needs_one_row_per_target(self):
-        with pytest.raises(ValueError, match="one row per target row"):
+        """A query of another row count, or a (d,) query, which is not
+        broadcast, is refused with both shapes."""
+        with pytest.raises(ValueError, match=r"one row per target row: got query shape "
+                                             r"\(2, 3\) for targets \(3, 3\)"):
             levenshtein_one_to_many(np.zeros((2, 3), int), np.zeros((3, 3), int))
+        with pytest.raises(ValueError, match=r"query shape \(3,\) for targets \(2, 3\)"):
+            levenshtein_one_to_many(np.zeros(3, int), np.zeros((2, 3), int))
 
     @pytest.mark.parametrize("d,n", [(0, 5), (5, 0), (5, 5), (20, 20), (20, 13),
                                      (64, 65), (130, 100)])
@@ -306,7 +319,7 @@ class TestBatchedKernel:
         got = pairwise_distances(rows)
         assert calls == [64 * 63 // 2]
         np.testing.assert_array_equal(got, np.concatenate(
-            [kernel(rows[i], rows[i + 1:]) for i in range(63)]))
+            [shared_query(rows[i], rows[i + 1:]) for i in range(63)]))
 
 
 class TestCappedSetDistance:
@@ -423,8 +436,7 @@ class TestNarrowTokens:
 
     @staticmethod
     def min_distances_int64(queries, refs):
-        return np.array([levenshtein_one_to_many(q.astype(np.int64), refs.astype(np.int64)).min()
-                         for q in queries])
+        return np.array([shared_query(q, refs.astype(np.int64)).min() for q in queries])
 
     @pytest.mark.parametrize("alphabet", [20, 256, 300])
     @pytest.mark.parametrize("d,n", SHAPES)
@@ -462,7 +474,7 @@ class TestNarrowTokens:
     def test_pairwise_equals_int64(self, alphabet, length):
         rows = np.concatenate(self.sides(alphabet, length, length))
         rows64 = rows.astype(np.int64)
-        want = np.concatenate([levenshtein_one_to_many(rows64[i], rows64[i + 1:])
+        want = np.concatenate([shared_query(rows64[i], rows64[i + 1:])
                                for i in range(len(rows) - 1)])
         np.testing.assert_array_equal(pairwise_distances(rows), want)
 
@@ -491,9 +503,7 @@ class TestPreparedRows:
                 rng.integers(0, query_alphabet, size=4)
         queries = queries[rng.integers(0, 9, size=14)]
         prepared = prepare_rows(refs)
-        exact = np.array([levenshtein_one_to_many(q.astype(np.int64),
-                                                  refs.astype(np.int64)).min()
-                          for q in queries])
+        exact = np.array([shared_query(q, refs.astype(np.int64)).min() for q in queries])
         for cap in (None, 0, 2, max(d, n), 10 ** 6):
             want = exact if cap is None else np.minimum(exact, cap)
             got = min_distance_to_set(queries, prepared, cap=cap)
