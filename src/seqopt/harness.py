@@ -4,18 +4,45 @@ ODE-steps sweep, and the ablation table, with machine-readable result files.
 Every experiment is one call to `_sweep`: it samples a {key: SamplerConfig}
 map, each config with the flow its mode uses, and maps each result through
 the experiment's own measurement inside the same job, so `run_benchmark`'s
-metrics run where its sampling does. `ablation_table` is one `run_benchmark`
-per mode.
+metrics run where its sampling does. `ablation_table` is one sweep over
+every (mode, seed).
 
-The jobs go through `jobs.run_jobs`, on as many processes as the process
-may run on CPUs (`jobs.process_cores`, its scheduler affinity; `taskset`
-bounds it). `run_jobs` deals the keys round-robin by position to the caller
-and forked workers, each with one BLAS thread. Results are assembled by key
-and a failure re-raises the earliest failing key's exception, so neither the
-worker count nor the completion order affects output. Each job's
-`guided_sample` runs its chain blocks serially, because a `run_jobs` call
-inside a job of another runs in that job's process. `run_benchmark` alone
-takes its process count as an argument.
+A sweep runs on as many processes as the process may run on CPUs
+(`jobs.process_cores`, its scheduler affinity; `taskset` bounds it), and
+`run_benchmark` on as many as it is asked for, up to its seed count, always
+through `jobs.Pool.run`. On more than one, the Pool is the one kept for the
+TaskAssets it was forked for (`_sweep_pool`): the caller runs one share and
+the workers the rest, each with one BLAS thread during the run, and later
+sweeps on the same assets reuse the workers instead of forking again. This
+serves a process that sweeps the same assets more than once, as
+demos/05_experiment_sweeps.py does four times and perfbench's evaluate once
+per op; a command-line run sweeps once and forks once, as it did before.
+One pool is kept per process, for the assets that last swept. It is forked
+anew when other assets sweep, when a network's parameter checksum has
+changed since the fork (a loaded, read-only model keeps the checksum its
+load verified, so this costs microseconds), when another process count is
+asked for, and when a worker has died or a run raised. The assets' fields
+cannot be reassigned (TaskAssets is frozen). The pool is closed when its
+assets are released, without a garbage collection, and at interpreter
+exit. The training set's side of novelty is prepared before the fork, so
+each worker inherits it.
+
+A kept worker runs the code and data it inherited at its fork, so a job is
+a picklable task that names what it runs: its SamplerConfig and a
+module-level measurement, `measure(assets, cfg, result)`, with
+`on_error(cfg, exc)` for a grid cell that fails. A worker reads the assets
+it was forked with. Code that replaces a function of this module or of
+`metrics` after a pool was forked for some assets, as a test may, reaches
+the workers only through assets of its own.
+
+A sweep on one process or inside a job of another pool runs its jobs
+serially, on a one-process Pool. So does one on the kept pool's assets in a
+process forked from the pool's owner: its copy of the pool has no workers
+(`jobs._forget_pools`). Results are assembled by key and a failure
+re-raises the earliest failing key's exception, so neither the worker count
+nor the completion order affects output. Each job's `guided_sample` runs
+its chain blocks serially, because a pool made inside a job of another runs
+in that job's process.
 
 Results land in <results>/<task>/<experiment>/<timestamp>/ as summary.json
 plus cells.csv (for grids/sweeps) and samples/*.json; every file embeds the
@@ -28,6 +55,7 @@ import csv
 import dataclasses
 import itertools
 import time
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -38,8 +66,10 @@ from .atomic import atomic_open, atomic_write_json
 from .data import Dataset, FitnessNormalizer
 from .errors import ConfigError
 from .flow import FlowModel
-from .jobs import process_cores, run_jobs
+from .jobs import Pool, forks, process_cores
+from .jobs import run_jobs  # noqa: F401  (perfbench's tracer wraps harness.run_jobs)
 from .metrics import MetricReport, compute_metrics, median_normalized_fitness
+from .nn.checkpoint import params_checksum
 from .nn.layers import NonFiniteError
 from .predictor import PredictorModel
 from .sampling import SamplerConfig, check_stack, guided_sample
@@ -51,10 +81,11 @@ METRIC_NAMES = ("median_fitness", "diversity", "novelty")
 _CELL_ERRORS = (ConfigError, FloatingPointError, NonFiniteError, ValueError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskAssets:
     """Everything a sampling experiment needs: frozen models plus the oracle
-    and the full-set normalizer."""
+    and the full-set normalizer. Fields are not reassigned: a sweep's kept
+    workers read the assets as they were at their fork."""
 
     name: str
     vocab: Vocabulary
@@ -99,24 +130,88 @@ class BenchmarkSummary:
 def _sweep(assets: TaskAssets, configs: dict, measure, parallelism: int,
            on_error=None) -> dict:
     """Sample each {key: SamplerConfig} with the flow its mode uses and return
-    {key: measure(key, result)}, one `run_jobs` job per key on `parallelism`
-    processes. With `on_error`, a job that fails with one of `_CELL_ERRORS`
-    returns on_error(key, exc) instead of raising. The training side of
-    novelty is prepared before the workers fork, so each inherits it."""
+    {key: measure(assets, cfg, result)}, one job per key on up to
+    `parallelism` processes. With `on_error`, a job that fails with one of
+    `_CELL_ERRORS` returns on_error(cfg, exc) instead of raising. The
+    training side of novelty is prepared before any worker forks."""
     assets.train.prepared_rows
+    tasks = [(cfg, measure, on_error) for cfg in configs.values()]
+    pool = _sweep_pool(assets, min(parallelism, len(tasks)))
+    try:
+        return dict(zip(configs, pool.run(tasks)))
+    except BaseException:  # a worker may be mid-share or gone: fork anew next time
+        if _kept is not None and _kept.pool is pool:
+            pool.terminate()
+            _kept.release()
+        raise
 
-    def job(key, cfg):
-        try:
-            res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae,
-                                assets.predictor)
-            return measure(key, res)
-        except _CELL_ERRORS as exc:
-            if on_error is None:
-                raise
-            return on_error(key, exc)
 
-    return run_jobs({key: partial(job, key, cfg) for key, cfg in configs.items()},
-                    parallelism)
+def _job(assets: weakref.ref, cfg: SamplerConfig, measure, on_error):
+    """One sweep job: sample `cfg` and measure the result. The assets are
+    held weakly, so a kept pool does not keep them alive; a forked worker's
+    stack still holds the `_sweep` frame it was forked from, and with it
+    the assets, for as long as the worker lives."""
+    assets = assets()
+    try:
+        res = guided_sample(cfg, assets.flow_for(cfg.mode), assets.vae, assets.predictor)
+        return measure(assets, cfg, res)
+    except _CELL_ERRORS as exc:
+        if on_error is None:
+            raise
+        return on_error(cfg, exc)
+
+
+@dataclass
+class _Kept:
+    """The sweep pool kept for one TaskAssets, and what its workers saw of
+    them at the fork."""
+
+    pool: Pool
+    assets: weakref.ref
+    processes: int
+    checksums: tuple              # each network's parameter checksum
+    release: weakref.finalize     # closes the pool, once
+
+
+# The pool kept for the TaskAssets that last swept on more than one process.
+_kept: _Kept | None = None
+
+
+def _sweep_pool(assets: TaskAssets, processes: int) -> Pool:
+    """The pool kept for `assets` on `processes` processes, forked anew unless
+    the kept one matches (see the module docstring), or a one-process Pool
+    where the sweep runs serially."""
+    global _kept
+    ref = weakref.ref(assets)
+    if not forks(processes):
+        return Pool(partial(_job, ref), 1)
+    models = [getattr(assets, f.name) for f in dataclasses.fields(assets)]
+    nets = [assets.vae.encoder, assets.vae.decoder] + [m.net for m in models if hasattr(m, "net")]
+    checksums = tuple(params_checksum(net.params) for net in nets)
+    if (_kept is None or _kept.assets() is not assets or _kept.processes != processes
+            or _kept.checksums != checksums or not _kept.pool.alive()):
+        if _kept is not None:
+            _kept.release()
+        pool = Pool(partial(_job, ref), processes, daemon=True)
+        _kept = _Kept(pool, ref, processes, checksums, weakref.finalize(assets, _close, pool))
+    return _kept.pool
+
+
+def _close(pool: Pool) -> None:
+    """Close a kept pool and forget it."""
+    global _kept
+    if _kept is not None and _kept.pool is pool:
+        _kept = None
+    pool.close()
+
+
+def _report_measure(assets: TaskAssets, cfg: SamplerConfig, res) -> MetricReport:
+    return compute_metrics(res.sequences, assets.oracle, assets.normalizer, assets.train,
+                           seed=cfg.seed)
+
+
+def _benchmark_measure(assets: TaskAssets, cfg: SamplerConfig, res):
+    return res, _report_measure(assets, cfg, res)
 
 
 def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
@@ -127,22 +222,41 @@ def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
     seeds = list(seeds)
     if cfg.mode == "unconditional" and cfg.top_k != cfg.batch:
         cfg = replace(cfg, top_k=cfg.batch)
-
-    def measure(s, res):
-        return res, compute_metrics(res.sequences, assets.oracle, assets.normalizer,
-                                    assets.train, seed=s)
-
-    measured = _sweep(assets, {s: replace(cfg, seed=s) for s in seeds}, measure,
-                      parallelism)
+    measured = _sweep(assets, {s: replace(cfg, seed=s) for s in seeds},
+                      _benchmark_measure, parallelism)
     results = {s: res for s, (res, _) in measured.items()}
     reports = [measured[s][1] for s in seeds]
+    mean, std = _aggregate(reports)
     summary = BenchmarkSummary(
-        reports=reports,
-        mean={m: float(np.mean([getattr(r, m) for r in reports])) for m in METRIC_NAMES},
-        std={m: float(np.std([getattr(r, m) for r in reports])) for m in METRIC_NAMES},
+        reports=reports, mean=mean, std=std,
         config={"sampler": dataclasses.asdict(cfg), "seeds": seeds, "task": assets.name},
     )
     return (summary, results) if keep_samples else summary
+
+
+def _aggregate(reports: list[MetricReport]) -> tuple[dict, dict]:
+    """Each metric's mean and population std over the seeds' reports."""
+    return ({m: float(np.mean([getattr(r, m) for r in reports])) for m in METRIC_NAMES},
+            {m: float(np.std([getattr(r, m) for r in reports])) for m in METRIC_NAMES})
+
+
+def _grid_row(alpha, j, report: MetricReport | None = None, error: str = "") -> dict:
+    """A grid cell's row: the report's metrics, or NaN ones and the error."""
+    if report is None:
+        measured = {"median_fitness": np.nan, "diversity": np.nan, "novelty": np.nan,
+                    "n_unique": 0}
+    else:
+        measured = {"median_fitness": report.median_fitness, "diversity": report.diversity,
+                    "novelty": report.novelty, "n_unique": report.n_sequences}
+    return {"alpha": float(alpha), "guidance_steps": int(j), **measured, "error": error}
+
+
+def _grid_measure(assets: TaskAssets, cfg: SamplerConfig, res) -> dict:
+    return _grid_row(cfg.alpha, cfg.guidance_steps, _report_measure(assets, cfg, res))
+
+
+def _grid_failed(cfg: SamplerConfig, exc: Exception) -> dict:
+    return _grid_row(cfg.alpha, cfg.guidance_steps, error=str(exc))
 
 
 def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas,
@@ -153,29 +267,14 @@ def grid_search(assets: TaskAssets, base_cfg: SamplerConfig, alphas,
     cells = list(itertools.product(alphas, guidance_steps))
     if not cells:
         raise ValueError("grids must be non-empty")
-
-    def row(i, **measured):
-        alpha, j = cells[i]
-        return {"alpha": float(alpha), "guidance_steps": int(j), **measured}
-
-    def failed(i, exc):
-        return row(i, median_fitness=np.nan, diversity=np.nan, novelty=np.nan,
-                   n_unique=0, error=str(exc))
-
-    def measure(i, res):
-        report = compute_metrics(res.sequences, assets.oracle, assets.normalizer,
-                                 assets.train, seed=base_cfg.seed)
-        return row(i, median_fitness=report.median_fitness,
-                   diversity=report.diversity, novelty=report.novelty,
-                   n_unique=report.n_sequences, error="")
-
     configs, rows = {}, {}
     for i, (alpha, j) in enumerate(cells):
         try:
             configs[i] = replace(base_cfg, alpha=float(alpha), guidance_steps=int(j))
         except _CELL_ERRORS as exc:
-            rows[i] = failed(i, exc)
-    rows.update(_sweep(assets, configs, measure, process_cores(), on_error=failed))
+            rows[i] = _grid_row(alpha, j, error=str(exc))
+    rows.update(_sweep(assets, configs, _grid_measure, process_cores(),
+                       on_error=_grid_failed))
     return [rows[i] for i in range(len(cells))]
 
 
@@ -195,16 +294,14 @@ def extrapolation_experiment(assets: TaskAssets, y_values, *,
     modes, each run seeded with `base_cfg.seed`."""
     check_guided(base_cfg)
     points = [(mode, float(y)) for mode in ("manifold", "learned_posterior") for y in y_values]
-
-    def measure(i, res):
-        mode, y = points[i]
-        measured = median_normalized_fitness(res.raw_sequences, assets.oracle,
-                                             assets.normalizer)
-        return {"mode": mode, "target_y": y, "median_y_gt": measured}
-
     configs = {i: replace(base_cfg.for_mode(mode), target_y=y)
                for i, (mode, y) in enumerate(points)}
-    return list(_sweep(assets, configs, measure, process_cores()).values())
+    return list(_sweep(assets, configs, _extrapolation_measure, process_cores()).values())
+
+
+def _extrapolation_measure(assets: TaskAssets, cfg: SamplerConfig, res) -> dict:
+    measured = median_normalized_fitness(res.raw_sequences, assets.oracle, assets.normalizer)
+    return {"mode": cfg.mode, "target_y": cfg.target_y, "median_y_gt": measured}
 
 
 def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig,
@@ -214,29 +311,33 @@ def ode_steps_sweep(assets: TaskAssets, base_cfg: SamplerConfig,
     step_counts = [int(k) for k in step_counts]
     if any(k < 1 for k in step_counts):
         raise ValueError("step counts must be >= 1")
-
-    def measure(i, res):
-        report = compute_metrics(res.sequences, assets.oracle, assets.normalizer,
-                                 assets.train, seed=base_cfg.seed)
-        return {"steps": step_counts[i], "median_fitness": report.median_fitness,
-                "diversity": report.diversity}
-
     configs = {i: replace(base_cfg, steps=k) for i, k in enumerate(step_counts)}
-    return list(_sweep(assets, configs, measure, process_cores()).values())
+    return list(_sweep(assets, configs, _ode_measure, process_cores()).values())
+
+
+def _ode_measure(assets: TaskAssets, cfg: SamplerConfig, res) -> dict:
+    report = _report_measure(assets, cfg, res)
+    return {"steps": cfg.steps, "median_fitness": report.median_fitness,
+            "diversity": report.diversity}
 
 
 def ablation_table(assets: TaskAssets, base_cfg: SamplerConfig, seeds) -> list[dict]:
-    """Seed-matched mode comparison shaped like the guidance-variant tables."""
+    """Seed-matched mode comparison shaped like the guidance-variant tables:
+    per mode, the `run_benchmark` aggregates of one sweep over every (mode,
+    seed)."""
     check_guided(base_cfg)
+    seeds, modes = list(seeds), ("manifold", "naive", "learned_posterior")
+    configs = {(mode, s): replace(base_cfg.for_mode(mode), seed=s)
+               for mode in modes for s in seeds}
+    reports = _sweep(assets, configs, _report_measure, process_cores())
     rows = []
-    for mode in ("manifold", "naive", "learned_posterior"):
-        summary = run_benchmark(assets, base_cfg.for_mode(mode), seeds,
-                                parallelism=process_cores())
+    for mode in modes:
+        mean, std = _aggregate([reports[mode, s] for s in seeds])
         rows.append({"mode": mode,
-                     "median_fitness_mean": summary.mean["median_fitness"],
-                     "median_fitness_std": summary.std["median_fitness"],
-                     "diversity_mean": summary.mean["diversity"],
-                     "novelty_mean": summary.mean["novelty"]})
+                     "median_fitness_mean": mean["median_fitness"],
+                     "median_fitness_std": std["median_fitness"],
+                     "diversity_mean": mean["diversity"],
+                     "novelty_mean": mean["novelty"]})
     return rows
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from seqopt.flow import FlowTrainConfig
+from seqopt import harness
 from seqopt.harness import TaskAssets
 from seqopt.predictor import PredictorConfig
 from seqopt.tasks import (SyntheticTaskSpec, build_synthetic_task, task_oracle,
@@ -30,3 +31,12 @@ def tiny_stack():
                         predictor=bundle.predictor,
                         flow_conditional=bundle.flow_conditional)
     return task, bundle, assets
+
+
+@pytest.fixture(autouse=True)
+def close_kept_sweep_pool():
+    """Close the sweep pool a test kept, so its workers end with the test
+    that forked them and no later test sees them among its children."""
+    yield
+    if harness._kept is not None:
+        harness._kept.release()

@@ -1,14 +1,19 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
-import math
+import multiprocessing
 import os
+import pickle
 import signal
+import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -62,13 +67,10 @@ class TestRunBenchmark:
 
     def test_parallel_manifold_bytes_equal_serial(self, tiny_stack):
         _, _, assets = tiny_stack
-        runs = [run_benchmark(assets, BASE, [0, 1], parallelism=p, keep_samples=True)
-                for p in (1, 2)]
-        (a, res_a), (b, res_b) = runs
-        assert json.dumps(a.to_json()).encode() == json.dumps(b.to_json()).encode()
-        for s in (0, 1):
-            assert res_a[s].raw_latents.tobytes() == res_b[s].raw_latents.tobytes()
-            assert res_a[s].sequences.tobytes() == res_b[s].sequences.tobytes()
+        serial, parallel = [benchmark_bytes(run_benchmark(assets, BASE, [0, 1], parallelism=p,
+                                                          keep_samples=True))
+                            for p in (1, 2)]
+        assert parallel == serial
 
     def test_format_row(self, tiny_stack):
         _, _, assets = tiny_stack
@@ -89,10 +91,12 @@ class TestPreparedTrainingSide:
     def test_second_run_prepares_no_training_side(self, tiny_stack, monkeypatch):
         """The training set's side of novelty is prepared once per Dataset:
         the first two-process run prepares it in the caller before the worker
-        forks, so the worker inherits it and prepares none; a second run's
-        caller keeps it, and its worker inherits it too."""
+        forks, so the worker inherits it and prepares none. A second run's
+        caller keeps it, and the same worker, kept since the first run, still
+        holds only what it inherited at its fork. The patches are in place
+        before the assets of their own sweep, so the worker forked for them
+        runs the patched code."""
         _, _, assets = tiny_stack
-        assets = replace(assets, train=assets.train.subset(np.arange(assets.train.n)))
         prepared = []
         prepare, measure = data.prepare_rows, harness.compute_metrics
 
@@ -106,14 +110,15 @@ class TestPreparedTrainingSide:
                                  pid=os.getpid())
         monkeypatch.setattr(data, "prepare_rows", counted)
         monkeypatch.setattr(harness, "compute_metrics", reporting)
+        assets = replace(assets, train=assets.train.subset(np.arange(assets.train.n)))
         cfg = replace(BASE, batch=16, top_k=8)
         first = run_benchmark(assets, cfg, [0, 1], parallelism=2)
         assert first.reports[0].pid == os.getpid() != first.reports[1].pid
         assert [r.prepared for r in first.reports] == [(os.getpid(),)] * 2
         prepared.clear()
         second = run_benchmark(assets, cfg, [0, 1], parallelism=2)
-        assert [r.prepared for r in second.reports] == [(), ()]
-        assert second.reports[0].pid == os.getpid() != second.reports[1].pid
+        assert [r.prepared for r in second.reports] == [(), (os.getpid(),)]
+        assert second.reports[1].pid == first.reports[1].pid
         assert second.mean == first.mean
 
 
@@ -223,6 +228,16 @@ class TestAblation:
         for r in rows:
             assert np.isfinite(r["median_fitness_mean"])
 
+    def test_rows_are_each_modes_benchmark(self, tiny_stack):
+        _, _, assets = tiny_stack
+        for row in ablation_table(assets, BASE, seeds=[0, 1]):
+            summary = run_benchmark(assets, BASE.for_mode(row["mode"]), [0, 1])
+            assert row == {"mode": row["mode"],
+                           "median_fitness_mean": summary.mean["median_fitness"],
+                           "median_fitness_std": summary.std["median_fitness"],
+                           "diversity_mean": summary.mean["diversity"],
+                           "novelty_mean": summary.mean["novelty"]}
+
 
 class TestResultsLayout:
     def test_directory_and_files(self, tiny_stack, tmp_path):
@@ -286,20 +301,6 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def same_values(a, b):
-    """`a == b` over nested dicts and lists, where NaN equals NaN: a row
-    pickled back from a worker holds its own NaN object, which `==` (an
-    identity shortcut for the same object) would call unequal."""
-    if isinstance(a, dict):
-        return isinstance(b, dict) and a.keys() == b.keys() and \
-            all(same_values(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return isinstance(b, list) and len(a) == len(b) and all(map(same_values, a, b))
-    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
-        return math.isnan(b)
-    return a == b
 
 
 class TestWorkQueue:
@@ -462,6 +463,18 @@ class TestPool:
                 run([(0,), (1,)])
         assert "cannot pickle '_thread.lock' object" in capfd.readouterr().err
 
+    def test_worker_interrupted_mid_share_exits_quietly(self, capfd):
+        def task(k):
+            if k:
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(60)  # interrupted
+            return k
+
+        with time_limit(60), pytest.raises(RuntimeError, match="pool worker 1 .*code 0"):
+            with jobs.pool(task, 2) as run:
+                run([(0,), (1,)])
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_earliest_failing_task_wins(self):
         def task(k):
             if k in (2, 3):
@@ -486,36 +499,71 @@ class TestPool:
             assert inner == [pid] * 3
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started from here on, in start order."""
+    processes, start = [], multiprocessing.process.BaseProcess.start
+
+    def recorded(self):
+        start(self)
+        processes.append(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
+    return processes
+
+
+def reaped(pid: int) -> bool:
+    """Whether the child `pid` has been waited for: neither running nor a zombie."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def benchmark_bytes(out) -> list:
+    """A kept-samples `run_benchmark` result as bytes: its summary, and each
+    seed's latents and selected sequences."""
+    summary, results = out
+    return [json.dumps(summary.to_json()).encode()] + [
+        b"".join((res.raw_latents.tobytes(), res.sequences.tobytes()))
+        for _, res in sorted(results.items())]
+
+
 class TestSweepDispatch:
-    """The sweeps hand their runs to `run_jobs` on as many processes as the
-    process has CPUs, and return on two the rows they return on one."""
+    """The sweeps hand their runs to `_sweep` on as many processes as the
+    process has CPUs, and return on two, on a first call that forks a kept
+    worker and on a second that reuses it, the bytes they return on one.
+    Each test patches before it makes the assets of its own sweeps, so their
+    worker runs the patched code."""
 
     @pytest.fixture
     def dispatched(self, monkeypatch):
-        real = harness.run_jobs
+        real = harness._sweep
         calls = []
 
-        def recorder(jobs, parallelism=1):
-            calls.append((len(jobs), parallelism))
-            return real(jobs, parallelism)
+        def recorder(assets, configs, measure, parallelism, on_error=None):
+            calls.append((len(configs), parallelism))
+            return real(assets, configs, measure, parallelism, on_error)
 
-        monkeypatch.setattr(harness, "run_jobs", recorder)
+        monkeypatch.setattr(harness, "_sweep", recorder)
         return calls
 
-    def serial_and_parallel(self, dispatched, monkeypatch, run):
+    def serial_and_parallel(self, dispatched, monkeypatch, started, run):
         runs = []
-        for cores in (1, 2):
+        for cores in (1, 2, 2):
             monkeypatch.setattr(harness, "process_cores", lambda cores=cores: cores)
             runs.append(run())
-        serial, parallel = runs
-        n = len(dispatched) // 2  # pool calls per run
-        assert [p for _, p in dispatched] == [1] * n + [2] * n
-        assert [j for j, _ in dispatched[:n]] == [j for j, _ in dispatched[n:]]
-        assert same_values(parallel, serial)
+        serial, first, second = runs
+        n = len(dispatched) // 3  # sweeps per run
+        assert [p for _, p in dispatched] == [1] * n + [2] * 2 * n
+        assert [j for j, _ in dispatched[:n]] == [j for j, _ in dispatched[n:2 * n]]
+        assert len(started) == 1  # the second run reused the first run's worker
+        # as JSON, so a NaN pickled back from a worker equals the caller's
+        assert json.dumps(first) == json.dumps(second) == json.dumps(serial)
         return serial
 
-    def test_grid_search(self, tiny_stack, dispatched, monkeypatch):
-        _, _, assets = tiny_stack
+    def test_grid_search(self, tiny_stack, dispatched, monkeypatch, started):
         real_sample = harness.guided_sample
 
         def diverges_at_alpha_0_2(cfg, *models):
@@ -524,20 +572,22 @@ class TestSweepDispatch:
             return real_sample(cfg, *models)
 
         monkeypatch.setattr(harness, "guided_sample", diverges_at_alpha_0_2)
-        cells = self.serial_and_parallel(dispatched, monkeypatch, lambda: grid_search(
-            assets, replace(BASE, seed=3), alphas=[0.3, -1.0, 0.2, 0.3],
+        assets = replace(tiny_stack[2])
+        cells = self.serial_and_parallel(dispatched, monkeypatch, started, lambda: grid_search(
+            assets, replace(BASE, seed=3), alphas=[0.3, -1.0, 0.2, 0.3, np.inf],
             guidance_steps=[2]))
-        assert [c["alpha"] for c in cells] == [0.3, -1.0, 0.2, 0.3]
-        assert dispatched[0] == (3, 1)  # the invalid alpha=-1 cell runs no job
+        assert [c["alpha"] for c in cells] == [0.3, -1.0, 0.2, 0.3, np.inf]
+        assert dispatched[0] == (4, 1)  # the invalid alpha=-1 cell runs no job
         assert "alpha must be >= 0" in cells[1]["error"]
         assert cells[2]["error"] == "non-finite state at integration step 3"
         assert np.isnan(cells[2]["median_fitness"]) and cells[2]["n_unique"] == 0
         assert cells[0] == cells[3] and cells[0]["error"] == ""
+        assert cells[4]["error"].startswith("layer ") and cells[4]["n_unique"] == 0
 
-    def test_extrapolation_experiment(self, tiny_stack, dispatched, monkeypatch):
-        _, _, assets = tiny_stack
+    def test_extrapolation_experiment(self, tiny_stack, dispatched, monkeypatch, started):
+        assets = replace(tiny_stack[2])
         rows = self.serial_and_parallel(
-            dispatched, monkeypatch, lambda: extrapolation_experiment(
+            dispatched, monkeypatch, started, lambda: extrapolation_experiment(
                 assets, [0.6, 0.2, 0.6], base_cfg=replace(BASE, seed=4)))
         assert [(r["mode"], r["target_y"]) for r in rows] == [
             ("manifold", 0.6), ("manifold", 0.2), ("manifold", 0.6),
@@ -546,19 +596,241 @@ class TestSweepDispatch:
         assert dispatched[0] == (6, 1)
         assert rows[0] == rows[2] and rows[3] == rows[5]
 
-    def test_ode_steps_sweep(self, tiny_stack, dispatched, monkeypatch):
-        _, _, assets = tiny_stack
-        rows = self.serial_and_parallel(dispatched, monkeypatch, lambda: ode_steps_sweep(
+    def test_ode_steps_sweep(self, tiny_stack, dispatched, monkeypatch, started):
+        assets = replace(tiny_stack[2])
+        rows = self.serial_and_parallel(dispatched, monkeypatch, started, lambda: ode_steps_sweep(
             assets, replace(BASE, seed=5), [8, 4, 8]))
         assert [r["steps"] for r in rows] == [8, 4, 8] and dispatched[0] == (3, 1)
         assert rows[0] == rows[2]
 
-    def test_ablation_table(self, tiny_stack, dispatched, monkeypatch):
-        _, _, assets = tiny_stack
-        rows = self.serial_and_parallel(dispatched, monkeypatch, lambda: ablation_table(
-            assets, replace(BASE, seed=6), seeds=[0, 1]))
+    def test_ablation_table(self, tiny_stack, dispatched, monkeypatch, started):
+        assets = replace(tiny_stack[2])
+        rows = self.serial_and_parallel(
+            dispatched, monkeypatch, started, lambda: ablation_table(
+                assets, replace(BASE, seed=6), seeds=[0, 1]))
         assert [r["mode"] for r in rows] == ["manifold", "naive", "learned_posterior"]
-        assert dispatched[:3] == [(2, 1)] * 3  # one pool call per mode
+        assert dispatched[0] == (6, 1)  # one sweep over every (mode, seed)
+
+
+class TestKeptSweepPool:
+    """A sweep on more than one process runs on a pool kept for its
+    TaskAssets: a later sweep on the same assets, on as many processes,
+    forks nothing, and one on changed or other assets, or on another
+    process count, forks anew. Every run gives the bytes of a serial run.
+
+    A kept worker runs the code it inherited at its fork. So a test that
+    replaces a function of `harness` or `metrics` must make the assets of
+    its sweeps after the patch, as TestSweepDispatch and
+    TestPreparedTrainingSide do: a worker kept for shared assets would run
+    the unpatched code."""
+
+    CFG = replace(BASE, batch=16, top_k=8)
+
+    def run(self, assets, parallelism, seeds=(0, 1)):
+        return benchmark_bytes(run_benchmark(assets, self.CFG, seeds, parallelism=parallelism,
+                                             keep_samples=True))
+
+    def test_second_run_forks_nothing(self, tiny_stack, started):
+        assets = replace(tiny_stack[2])
+        serial = self.run(assets, 1)
+        assert self.run(assets, 2) == serial and len(started) == 1
+        assert self.run(assets, 2) == serial and len(started) == 1
+        assert started[0].is_alive()
+
+    def test_model_changed_in_place_forks_anew(self, tiny_stack, started):
+        from seqopt.predictor import PredictorConfig, PredictorModel
+        base = tiny_stack[2]
+        predictor = PredictorModel.build(base.vae.length, base.vocab.size,
+                                         PredictorConfig(hidden_channels=4, hidden_dense=8),
+                                         seed=0)
+        assets = replace(base, predictor=predictor)
+        before = self.run(assets, 2)
+        predictor.net.params.flat[:] += 0.5
+        after = self.run(assets, 2)
+        assert after != before and after == self.run(assets, 1)
+        assert len(started) == 2 and reaped(started[0].pid)
+
+    def test_fields_cannot_be_replaced(self, tiny_stack):
+        """A field replaced after the fork would not reach a kept worker."""
+        assets = replace(tiny_stack[2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            assets.train = assets.train.subset(np.arange(3))
+
+    @pytest.mark.parametrize("sig, exitcode", [(signal.SIGKILL, -signal.SIGKILL),
+                                                (signal.SIGINT, 0)])
+    def test_worker_ended_between_runs_forks_anew(self, tiny_stack, started, capfd,
+                                                  sig, exitcode):
+        """A worker killed, or interrupted as a Ctrl-C interrupts every
+        process of the terminal's group, between runs is replaced; an idle
+        worker interrupted exits quietly."""
+        assets = replace(tiny_stack[2])
+        serial = self.run(assets, 1)
+        assert self.run(assets, 2) == serial
+        os.kill(started[0].pid, sig)
+        with time_limit(60):
+            while started[0].is_alive():
+                time.sleep(0.01)
+        assert self.run(assets, 2) == serial
+        assert len(started) == 2 and started[0].exitcode == exitcode
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_other_assets_fork_anew(self, tiny_stack, started):
+        first, other = replace(tiny_stack[2]), replace(tiny_stack[2])
+        serial = self.run(first, 1)
+        assert self.run(first, 2) == serial
+        assert self.run(other, 2) == serial
+        assert len(started) == 2 and reaped(started[0].pid)
+        assert self.run(first, 2) == serial and len(started) == 3  # one pool is kept
+        assert reaped(started[1].pid)
+
+    def test_other_process_count_forks_anew(self, tiny_stack, started):
+        assets = replace(tiny_stack[2])
+        serial = self.run(assets, 1, seeds=(0, 1, 2))
+        assert self.run(assets, 2, seeds=(0, 1, 2)) == serial and len(started) == 1
+        assert self.run(assets, 3, seeds=(0, 1, 2)) == serial and len(started) == 3
+        assert reaped(started[0].pid)
+        # one seed needs one process: the sweep runs serially and keeps the pool
+        assert self.run(assets, 3, seeds=(0,)) == self.run(assets, 1, seeds=(0,))
+        assert self.run(assets, 3, seeds=(0, 1, 2)) == serial and len(started) == 3
+
+    def test_serial_inside_a_job_and_in_a_forked_child(self, tiny_stack, started):
+        assets = replace(tiny_stack[2])
+        serial = self.run(assets, 1)
+        assert self.run(assets, 2) == serial and len(started) == 1
+
+        def job():
+            return os.getpid(), self.run(assets, 2), len(started)
+
+        with time_limit(60):
+            done = run_jobs({0: job, 1: job}, parallelism=2)
+        # the run_jobs worker, started after its fork, and nothing inside either job
+        assert len(started) == 2
+        assert done[0] == (os.getpid(), serial, 2)
+        assert done[1][0] == started[1].pid and done[1][1:] == (serial, 1)
+
+        mine, theirs = multiprocessing.Pipe()
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: theirs.send((self.run(assets, 2), len(started))))
+        with time_limit(60):
+            child.start()
+            child.join()
+        assert child.exitcode == 0 and mine.recv() == (serial, 2)  # nothing started in it
+        # the kept worker is still in step with this process's pipes
+        assert self.run(assets, 2) == serial and len(started) == 3
+        assert started[0].is_alive()
+
+
+def exited(pid: int) -> bool:
+    """Whether the process `pid` is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class DisruptedOracle:
+    """`oracle`, except that while `trigger` exists, a call in the caller
+    raises KeyboardInterrupt (where="caller") or a call in another process
+    ends it with code 3 (where="worker"), and removes `trigger` first."""
+
+    def __init__(self, oracle, trigger, where):
+        self.oracle, self.length = oracle, oracle.length
+        self.trigger, self.where, self.caller = trigger, where, os.getpid()
+
+    def predict_sequences(self, seqs):
+        here = "caller" if os.getpid() == self.caller else "worker"
+        if here == self.where and self.trigger.exists():
+            self.trigger.unlink()
+            if here == "caller":
+                raise KeyboardInterrupt
+            os._exit(3)
+        return self.oracle.predict_sequences(seqs)
+
+
+KEPT_POOL_EXIT = """
+import weakref
+
+class Anchor:
+    pass
+
+anchor = Anchor()
+if __import__("sys").argv[2] == "exit-late":
+    # weakref's exit hook is registered before multiprocessing's, so it runs after
+    weakref.finalize(anchor, print, end="")
+
+import multiprocessing, os, pickle, signal, sys
+from seqopt.harness import run_benchmark
+from seqopt.sampling import SamplerConfig
+
+with open(sys.argv[1], "rb") as fh:
+    assets = pickle.load(fh)
+cfg = SamplerConfig(steps=8, guidance_steps=2, alpha=0.3, batch=16, top_k=8, seed=0)
+run_benchmark(assets, cfg, [0, 1], parallelism=2)
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+if sys.argv[2] == "killed":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestKeptPoolLifetime:
+    """A kept sweep pool ends with its TaskAssets, with its process, or with
+    the run that raised."""
+
+    CFG = TestKeptSweepPool.CFG
+
+    def test_released_assets_reap_their_workers_without_gc(self, tiny_stack, started):
+        assets = replace(tiny_stack[2])
+        gc.disable()
+        try:
+            run_benchmark(assets, self.CFG, [0, 1], parallelism=2)
+            (worker,) = started
+            assert worker.is_alive()
+            del assets
+            assert reaped(worker.pid) and harness._kept is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("end", ["exit", "exit-late", "killed"])
+    def test_kept_workers_end_with_their_process(self, tiny_stack, tmp_path, end):
+        """A process that exits without closing its kept pool reaps its
+        workers first, whichever of the assets' finalizer and
+        multiprocessing's exit hook runs first; one that is killed leaves
+        workers that read the end of their pipes and exit, to be reaped by
+        whichever process adopts them."""
+        path = tmp_path / "assets.pkl"
+        path.write_bytes(pickle.dumps(replace(tiny_stack[2])))
+        src = os.path.dirname(os.path.dirname(harness.__file__))  # the package under test
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", KEPT_POOL_EXIT, str(path), end], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == (-signal.SIGKILL if end == "killed" else 0), done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 1
+        with time_limit(60):
+            while not all(map(exited, pids)):
+                time.sleep(0.05)
+        if end != "killed":
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+
+    @pytest.mark.parametrize("where, error", [("worker", RuntimeError),
+                                              ("caller", KeyboardInterrupt)])
+    def test_disrupted_run_forks_anew(self, tiny_stack, tmp_path, started, where, error):
+        trigger = tmp_path / "trigger"
+        base = tiny_stack[2]
+        assets = replace(base, oracle=DisruptedOracle(base.oracle, trigger, where))
+        serial = benchmark_bytes(run_benchmark(assets, self.CFG, [0, 1], keep_samples=True))
+        run = partial(run_benchmark, assets, self.CFG, [0, 1], parallelism=2, keep_samples=True)
+        assert benchmark_bytes(run()) == serial
+        trigger.touch()
+        with time_limit(60), pytest.raises(error):
+            run()
+        assert not trigger.exists() and reaped(started[0].pid) and harness._kept is None
+        assert benchmark_bytes(run()) == serial
+        assert len(started) == 2 and started[1].is_alive()
 
 
 class TestAssetsValidation:
