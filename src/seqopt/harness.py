@@ -12,20 +12,22 @@ A sweep runs on as many processes as the process may run on CPUs
 `run_benchmark` on as many as it is asked for, up to its seed count, always
 through `jobs.Pool.run`. On more than one, the Pool is the one kept for the
 TaskAssets it was forked for (`_sweep_pool`): the caller runs one share and
-the workers the rest, each with one BLAS thread during the run, and later
-sweeps on the same assets reuse the workers instead of forking again. This
-serves a process that sweeps the same assets more than once, as
+the workers the rest, and later sweeps on the same assets reuse the workers
+instead of forking again. The caller and its workers stay on one BLAS
+thread for as long as the pool is kept, between sweeps too. This serves a
+process that sweeps the same assets more than once, as
 demos/05_experiment_sweeps.py does four times and perfbench's evaluate once
 per op; a command-line run sweeps once and forks once, as it did before.
 One pool is kept per process, for the assets that last swept. It is forked
 anew when other assets sweep, when a network's parameter checksum has
 changed since the fork (a loaded, read-only model keeps the checksum its
 load verified, so this costs microseconds), when another process count is
-asked for, and when a worker has died or a run raised. The assets' fields
-cannot be reassigned (TaskAssets is frozen). The pool is closed when its
-assets are released, without a garbage collection, and at interpreter
-exit. The training set's side of novelty is prepared before the fork, so
-each worker inherits it.
+asked for, and when a worker has died or a run raised: a Ctrl-C, which the
+workers ignore, interrupts the caller, whose failed run terminates them. The
+assets' fields cannot be reassigned (TaskAssets is frozen). The pool is
+closed, and its BLAS pin released, when its assets are released, without a
+garbage collection, and at interpreter exit. The training set's side of
+novelty is prepared before the fork, so each worker inherits it.
 
 A kept worker runs the code and data it inherited at its fork, so a job is
 a picklable task that names what it runs: its SamplerConfig and a
@@ -235,7 +237,10 @@ def run_benchmark(assets: TaskAssets, cfg: SamplerConfig, seeds,
 
 
 def _aggregate(reports: list[MetricReport]) -> tuple[dict, dict]:
-    """Each metric's mean and population std over the seeds' reports."""
+    """Each metric's mean and population std over the seeds' reports, of
+    which there must be at least one."""
+    if not reports:
+        raise ValueError("seeds must be non-empty")
     return ({m: float(np.mean([getattr(r, m) for r in reports])) for m in METRIC_NAMES},
             {m: float(np.std([getattr(r, m) for r in reports])) for m in METRIC_NAMES})
 

@@ -1,16 +1,17 @@
-"""The process pool every parallel path runs on: `Pool`, its `pool` block,
-and `run_jobs`, one run of a block.
+"""The process pool every parallel path runs on: `Pool`, and `run_jobs`,
+one run of a Pool.
 
 `Pool(work, processes)` forks up to `processes` - 1 workers, which it keeps
-until `close`; `run(tasks)` returns [work(*task) for task in tasks]: task k
-runs on worker k mod n, where the caller is worker 0. `pool(work,
-processes)` is a Pool kept for the life of a `with` block: `nn.optim.fit`
-runs each training batch's 64-sequence chunks on one kept over the fit.
-`run_jobs` runs {key: zero-arg callable} as one run of a block of as many
-processes as it has jobs, up to `parallelism`, whose workers exit as soon
-as they have sent their share; guided sampling's chain blocks and the VAE's
-accuracy pass run on it. The harness keeps one Pool alive across sweeps
-(`harness._sweep_pool`), with daemonic workers.
+until `close`, and is a context manager: `with Pool(work, n) as pool:` closes
+it on a normal exit and terminates it on an exception. `run(tasks)` returns
+[work(*task) for task in tasks]: task k runs on worker k mod n, where the
+caller is worker 0. `nn.optim.fit` runs each training batch's 64-sequence
+chunks on one kept over the fit. `run_jobs` runs {key: zero-arg callable}
+as the one run of a Pool of as many processes as it has jobs, up to
+`parallelism`, whose workers exit as soon as they have sent their share;
+guided sampling's chain blocks and the VAE's accuracy pass run on it. The
+harness keeps one Pool alive across sweeps (`harness._sweep_pool`), with
+daemonic workers.
 
 A worker reads the caller's memory as it was at the fork, so `work` reaches
 it as the closure it is, and a kept worker runs the code and data it
@@ -21,18 +22,20 @@ worker writes for the caller beyond that goes to memory mapped before the
 fork (`shared_array`). Only the process that forked a pool talks to its
 workers: a process forked from it closes the caller's end of every live
 pool's pipes at once (`_forget_pools`), so a worker reads end-of-file, and
-exits, as soon as its caller closes its ends or dies. A worker exits
-quietly on a KeyboardInterrupt, whether it waits or runs, as a Ctrl-C in the
-terminal sends one to every process of the foreground group.
+exits, as soon as its caller closes its ends or dies. A worker ignores
+SIGINT: a Ctrl-C in the terminal, which reaches every process of the
+foreground group, interrupts the caller alone, and the caller's `with`
+block (or the harness, for its kept pool) terminates the workers.
 
-While a pool runs tasks on forked workers, BLAS runs on one thread in every
-process, because one BLAS thread pool per process oversubscribes the cores;
-only the outermost pin calls OpenBLAS, and a pin nested in a job or a
-worker leaves it be. The caller holds the pin, and the flag that makes a
-pool made inside a task run serially (`_running_jobs`), while it forks and
-while a run executes, and a `pool` block holds the pin for the whole block;
-workers keep both for life. So between the runs of a kept Pool the caller
-is neither pinned nor running jobs, and a `guided_sample` it calls then
+One BLAS thread pool per process oversubscribes the cores, so a Pool that
+forks holds BLAS at one thread (`one_blas_thread`) from before its first
+fork until it is closed, and its workers inherit the pin for life. The pin
+counts its holders: the first reads the thread count and sets 1, the last
+restores the count, in whatever order they release it, and a process
+forked while the count is above 0 never calls OpenBLAS. The caller is
+flagged as running jobs (`_running_jobs`) while a run executes, and a
+worker for life, so a pool made inside a task runs serially; between the
+runs of a kept Pool the caller is not, and a `guided_sample` it calls then
 forks its own workers. Every pool, serial ones included, also sets the heap
 rule when it is made, before it forks (`_keep_heap`), so tape-sized
 temporaries are reused from the malloc heap in the caller and in every
@@ -49,24 +52,25 @@ each of its jobs samples through a pool of its own.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import itertools
 import mmap
 import multiprocessing
 import os
+import signal
 import sys
 import traceback
 import weakref
 
 import numpy as np
 
-# True while a pool runs its tasks; forked workers inherit it.
+# True while a pool runs its tasks, and in a forked worker.
 _running_jobs = False
-# True while the outermost `one_blas_thread` block holds BLAS at one thread;
-# forked workers inherit it.
-_blas_pinned = False
+# The holders of the BLAS pin in this process; a forked child inherits them.
+_pins = 0
+# The OpenBLAS thread count the first holder found, which the last restores.
+_unpinned_threads = None
 # The pools whose workers this process talks to.
 _live = weakref.WeakSet()
 
@@ -88,47 +92,53 @@ def forks(processes: int) -> bool:
 
 def run_jobs(jobs: dict, parallelism: int = 1) -> dict:
     """Execute {key: zero-arg callable} and return {key: result}, assembled by
-    key, as one run of a `pool` of min(parallelism, len(jobs)) processes:
+    key, as the one run of a Pool of min(parallelism, len(jobs)) processes:
     worker w of n runs the keys at positions w, w + n, ..., and the caller is
     worker 0. A failing job ends its worker's share, and the exception of the
     earliest failing key is re-raised, as in a serial run. Where the pool
     runs serially, so do the jobs."""
     keys = list(jobs)
-    with pool(lambda key: jobs[key](), min(parallelism, len(keys))) as run:
-        return dict(zip(keys, run([(key,) for key in keys], _last=True)))
+    with Pool(lambda key: jobs[key](), min(parallelism, len(keys))) as pool:
+        return dict(zip(keys, pool.run([(key,) for key in keys], _last=True)))
 
 
 class Pool:
     """Up to `processes` processes running `work`, the n - 1 workers forked
-    here (see the module docstring) and kept until `close`, each on one BLAS
-    thread; `daemon` workers are ended by multiprocessing's exit hook if the
-    interpreter exits before `close`. The tasks run serially where
-    `forks(processes)` is false. The heap rule (`_keep_heap`) is set first,
-    so the workers inherit it."""
+    here (see the module docstring) and kept until `close`; `daemon` workers
+    are ended by multiprocessing's exit hook if the interpreter exits before
+    `close`. The tasks run serially where `forks(processes)` is false. The
+    heap rule (`_keep_heap`) is set first, and a Pool that forks takes the
+    BLAS pin before its first fork, so the workers inherit both; it holds
+    the pin until `close` or `terminate`."""
 
     def __init__(self, work, processes: int, daemon: bool = False):
-        global _running_jobs
         _keep_heap()
         self.work, self.workers = work, []
         if not forks(processes):
             return
+        _pin()
         _live.add(self)
-        _running_jobs = True
         try:
-            with one_blas_thread():
-                for w in range(1, processes):
-                    mine, theirs = multiprocessing.Pipe()
-                    proc = multiprocessing.get_context("fork").Process(
-                        target=_worker, name=f"pool worker {w}", args=(work, theirs, mine),
-                        daemon=daemon)
-                    proc.start()
-                    theirs.close()
-                    self.workers.append((proc, mine))
+            for w in range(1, processes):
+                mine, theirs = multiprocessing.Pipe()
+                proc = multiprocessing.get_context("fork").Process(
+                    target=_worker, name=f"pool worker {w}", args=(work, theirs, mine),
+                    daemon=daemon)
+                proc.start()
+                theirs.close()
+                self.workers.append((proc, mine))
         except BaseException:
             self.terminate()
             raise
-        finally:
-            _running_jobs = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if exc_type is None:
+            self.close()
+        else:
+            self.terminate()
 
     def run(self, tasks: list, _last: bool = False) -> list:
         """[work(*task) for task in tasks], dealt as the module docstring
@@ -139,8 +149,7 @@ class Pool:
         global _running_jobs
         nested, _running_jobs = _running_jobs, True
         try:
-            with one_blas_thread() if self.workers else contextlib.nullcontext():
-                return _run(self.work, self.workers, tasks, _last)
+            return _run(self.work, self.workers, tasks, _last)
         finally:
             _running_jobs = nested
 
@@ -149,38 +158,22 @@ class Pool:
         return all(proc.is_alive() for proc, _ in self.workers)
 
     def close(self) -> None:
-        """End the workers: each reads the end of its pipe and exits. Reap
-        them."""
+        """Release the BLAS pin and end the workers: each reads the end of its
+        pipe and exits. Reap them."""
         workers, self.workers = self.workers, []
-        _live.discard(self)
+        if self in _live:  # a pool that forked here, not one inherited by a fork
+            _live.discard(self)
+            _unpin()
         for _, conn in workers:
             conn.close()
         for proc, _ in workers:
             proc.join()
 
     def terminate(self) -> None:
-        """End the workers at once, whatever they are running, and reap them."""
+        """End the workers at once, whatever they are running, and close."""
         for proc, _ in self.workers:
             proc.terminate()
         self.close()
-
-
-@contextlib.contextmanager
-def pool(work, processes: int):
-    """Yield `run(tasks)`, which returns [work(*task) for task in tasks], on a
-    `Pool(work, processes)` kept for the life of the block, which holds one
-    BLAS pin throughout when it forks. No worker outlives the block: on a
-    normal exit each reads the end of its pipe and exits, on an exception it
-    is terminated, and either way it is reaped."""
-    with one_blas_thread() if forks(processes) else contextlib.nullcontext():
-        kept = Pool(work, processes)
-        try:
-            yield kept.run
-        except BaseException:
-            kept.terminate()
-            raise
-        finally:
-            kept.close()
 
 
 def _forget_pools() -> None:
@@ -256,25 +249,24 @@ def _run_share(work, share: list):
 
 
 def _worker(work, conn, mine) -> None:
-    """Body of a forked worker: run each share the caller sends and send back
-    its results, until the caller closes its end of the pipe (`mine`, which
-    the worker closes first) or marks a share the last, or a
-    KeyboardInterrupt arrives, which may be at any point of the loop; then
-    exit at once, without the interpreter shutdown the caller waits for in
-    `join`. A result or exception that does not pickle raises out of
-    `send`, which ends the worker with code 1 and the traceback on
-    stderr."""
+    """Body of a forked worker: ignore SIGINT, flag the process as running
+    jobs, and run each share the caller sends and send back its results,
+    until the caller closes its end of the pipe (`mine`, which the worker
+    closes first) or marks a share the last; then exit at once, without the
+    interpreter shutdown the caller waits for in `join`. A result or
+    exception that does not pickle raises out of `send`, which ends the
+    worker with code 1 and the traceback on stderr."""
+    global _running_jobs
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _running_jobs = True
     mine.close()
     last = False
-    try:
-        while not last:
-            try:
-                share, last = conn.recv()
-            except EOFError:
-                break
-            conn.send(_run_share(work, share))
-    except KeyboardInterrupt:
-        pass
+    while not last:
+        try:
+            share, last = conn.recv()
+        except EOFError:
+            break
+        conn.send(_run_share(work, share))
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(0)
@@ -303,27 +295,33 @@ def shared_array(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), np.float64, size).reshape(shape)
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Pin the OpenBLAS numpy loaded to one thread, and restore the caller's
-    count on exit; forked workers inherit the pin. Inside another such block,
-    in this process or in a worker forked within one, the pin is in force and
-    this is a no-op: OpenBLAS's `set_num_threads` in a forked child starts a
-    thread that busy-waits beside the work. Without OpenBLAS, a no-op."""
-    global _blas_pinned
-    blas = None if _blas_pinned else openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas("get_num_threads"), blas("set_num_threads")
-    before = get()
-    set_(1)
-    _blas_pinned = True
-    try:
-        yield
-    finally:
-        _blas_pinned = False
-        set_(before)
+class one_blas_thread:
+    """Hold the BLAS pin for a `with` block: OpenBLAS on one thread until the
+    pin's last holder releases it (see the module docstring). A holder in a
+    process forked while the pin was held makes no OpenBLAS call:
+    `set_num_threads` in a forked child starts a thread that busy-waits
+    beside the work. Without OpenBLAS, only the count moves."""
+
+    def __enter__(self):
+        _pin()
+
+    def __exit__(self, *exc):
+        _unpin()
+
+
+def _pin() -> None:
+    global _pins, _unpinned_threads
+    if _pins == 0 and (blas := openblas()) is not None:
+        _unpinned_threads = blas("get_num_threads")()
+        blas("set_num_threads")(1)
+    _pins += 1
+
+
+def _unpin() -> None:
+    global _pins
+    _pins -= 1
+    if _pins == 0 and (blas := openblas()) is not None:
+        blas("set_num_threads")(_unpinned_threads)
 
 
 @functools.cache

@@ -3,7 +3,9 @@ descriptor, extras, content checksum) plus the named parameter arrays.
 
 A load refuses a file whose arrays do not have exactly the names and shapes
 its descriptor lays out (`layers.param_shapes`), or whose extras lack a field
-the loader reads, naming the file and the array or field."""
+the loader reads, naming the file and the array or field. Each model's loader
+then checks the network against the shapes its metadata states
+(`check_shapes`)."""
 
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_open
-from .layers import ParamStore, param_shapes, validate_descriptor
+from .autodiff import Tensor
+from .layers import Network, NonFiniteError, ParamStore, param_shapes, validate_descriptor
 
 FORMAT_VERSION = 1
 
@@ -124,3 +127,18 @@ def _convert(path, name: str, value, parse):
     except (TypeError, ValueError):
         raise CheckpointError(f"{path}: metadata field {name!r} is not "
                               f"{parse.__name__}: {value!r}") from None
+
+
+def check_shapes(path, net: Network, fields: dict, shape_in: tuple, shape_out: tuple) -> None:
+    """Refuse the checkpoint at `path` unless `net` maps one zero row of shape
+    `shape_in` to a finite row of shape `shape_out`, the shapes that its
+    metadata `fields` ({name: value}) state."""
+    try:
+        got = net.apply(Tensor(np.zeros((1, *shape_in)), requires_grad=False)).shape[1:]
+        problem = None if got == shape_out else f"returns shape {got}"
+    except (ValueError, NonFiniteError) as exc:
+        problem = f"fails on that input: {exc}"
+    if problem is not None:
+        stated = ", ".join(f"{name!r} {value}" for name, value in fields.items())
+        raise CheckpointError(f"{path}: metadata fields {stated} give input shape {shape_in} "
+                              f"and output shape {shape_out}, but the network {problem}")

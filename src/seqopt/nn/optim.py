@@ -85,7 +85,7 @@ def fit(nets, batches, loss_tape, learning_rate: float, epochs: int,
     shorter: every array of the batch is cut along its first axis, anything
     else goes whole to each chunk. Each chunk's loss and report are weighted
     by its share of the batch's rows, and its gradient is taken on a tape of
-    its own; chunk k runs on process k mod P of a `jobs.pool`, P being the
+    its own; chunk k runs on process k mod P of a `jobs.Pool`, P being the
     process's cores or the chunk count if fewer, the caller being process 0.
     The chunk gradients are summed in chunk order before the one Adam step,
     so the trained bits depend on CHUNK_ROWS but not on the BLAS thread
@@ -138,8 +138,8 @@ class _Chunks:
     chunk moves the parameters into memory shared with the pool it then
     starts, next to a (chunks, parameters) buffer whose row k receives chunk
     k's gradient; a later batch of more chunks than that starts them anew.
-    The pool sets the heap rule on entry, serial or not, so each chunk's
-    tape is reused from the malloc heap (`jobs._keep_heap`). Leaving the
+    The pool sets the heap rule when it is made, serial or not, so each
+    chunk's tape is reused from the malloc heap (`jobs._keep_heap`). Leaving the
     block ends the pool, moves the parameters back to private memory and
     drops the buffer and the pool. Nothing the pool holds refers back to this
     object, so once `fit` returns or raises, reference counting alone unmaps
@@ -185,7 +185,8 @@ class _Chunks:
             net.move_params(shared[start:start + size])
         self.rows = jobs.shared_array((chunks, shared.size))
         work = functools.partial(_chunk, self.nets, self.loss_tape, self.rows)
-        self.run = self.stack.enter_context(jobs.pool(work, min(jobs.process_cores(), chunks)))
+        pool = jobs.Pool(work, min(jobs.process_cores(), chunks))
+        self.run = self.stack.enter_context(pool).run
 
 
 def _chunk(nets, loss_tape, rows: np.ndarray, k: int, share: float, chunk: tuple) -> tuple:

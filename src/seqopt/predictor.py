@@ -13,7 +13,7 @@ from .data import Dataset
 from .landscape import SyntheticLandscape
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .nn.checkpoint import CheckpointError, check_shapes, load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import FORWARD_ROWS, check_training_fields, fit
 from .seqs import one_hot_batch
@@ -151,11 +151,14 @@ def save_predictor(model: PredictorModel, path) -> str:
 
 def load_external_predictor(path) -> PredictorModel:
     """Load a frozen predictor checkpoint (checksum-verified); role and shape
-    come from the stored metadata."""
+    come from the stored metadata, and the network must map a (vocab_size,
+    length) one-hot row to one score (`check_shapes`)."""
     descriptor, params, extra = load_checkpoint(path, "predictor",
                                                 {"length": int, "vocab_size": int})
     role = extra.get("role", "predictor")
     if role not in ROLES:
         raise CheckpointError(f"{path}: metadata field 'role' is {role!r}, not one of {ROLES}")
-    return PredictorModel(Network(descriptor, params), extra["length"], extra["vocab_size"],
-                          role)
+    net = Network(descriptor, params)
+    shape = {name: extra[name] for name in ("vocab_size", "length")}
+    check_shapes(path, net, shape, tuple(shape.values()), (1,))
+    return PredictorModel(net, extra["length"], extra["vocab_size"], role)

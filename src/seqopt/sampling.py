@@ -34,8 +34,8 @@ step, and is re-raised as the layer named it.
 Blocks also keep each tape small. A 64-chain tape (about 8 MB at the hard
 config) is reused from the malloc heap from one step to the next, while the
 arrays of one 512-chain tape (4.7 MB per conv activation) are mapped afresh
-and page-faulted on every use. The heap rule every `jobs.pool` sets on
-entry makes the reuse hold in every process, not only in one that has
+and page-faulted on every use. The heap rule every `jobs.Pool` sets when it
+is made makes the reuse hold in every process, not only in one that has
 already freed a large array. Decoding and scoring at the same width keep
 the forward-only passes as small. BLAS may pick a different kernel for a
 different row count, so a chain's latent and decoded sequence depend on its

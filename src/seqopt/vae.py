@@ -18,7 +18,7 @@ from .data import Dataset
 from .jobs import process_cores, run_jobs
 from .nn import autodiff as ad
 from .nn.autodiff import Tensor
-from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .nn.checkpoint import CheckpointError, check_shapes, load_checkpoint, save_checkpoint
 from .nn.layers import Network
 from .nn.optim import CHUNK_ROWS, check_training_fields, fit
 from .seqs import one_hot_batch
@@ -243,5 +243,9 @@ def load_vae(directory) -> VaeModel:
                         hidden_channels=extra["hidden_channels"])
     except ValueError as exc:
         raise CheckpointError(f"{paths[0]}: {exc}") from None
-    return VaeModel(Network(desc_e, params_e), Network(desc_d, params_d), cfg,
-                    extra["length"], extra["vocab_size"])
+    encoder, decoder = Network(desc_e, params_e), Network(desc_d, params_d)
+    v, d, latent = extra["vocab_size"], extra["length"], extra["latent_dim"]
+    shapes = {"vocab_size": v, "length": d, "latent_dim": latent}
+    check_shapes(paths[0], encoder, shapes, (v, d), (2 * latent,))
+    check_shapes(paths[1], decoder, shapes, (latent,), (v, d))
+    return VaeModel(encoder, decoder, cfg, d, v)

@@ -1,7 +1,7 @@
 import pytest
 
 from seqopt.flow import FlowTrainConfig
-from seqopt import harness
+from seqopt import harness, jobs
 from seqopt.harness import TaskAssets
 from seqopt.predictor import PredictorConfig
 from seqopt.tasks import (SyntheticTaskSpec, build_synthetic_task, task_oracle,
@@ -40,3 +40,15 @@ def close_kept_sweep_pool():
     yield
     if harness._kept is not None:
         harness._kept.release()
+
+
+@pytest.fixture
+def blas_threads():
+    """Set OpenBLAS's thread count for the test; the original is restored after."""
+    blas = jobs.openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    get, set_ = blas("get_num_threads"), blas("set_num_threads")
+    original = get()
+    yield set_
+    set_(original)

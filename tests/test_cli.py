@@ -525,11 +525,31 @@ class TestCheckpoints:
         save_checkpoint(work / "flow.npz", "flow", descriptor, params,
                         {**extra, "time_embed_dim": 14})
         assert main(["sample", str(ini)]) == 3
-        width = descriptor[0]["in"]
-        assert capsys.readouterr().err.splitlines() == [
-            f"i/o error: {work / 'flow.npz'}: metadata fields 'latent_dim', 'time_embed_dim' "
-            f"and 'fitness_embed_dim' sum to {width - 2}, not the first dense layer's 'in' "
-            f"width {width}"]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            f"i/o error: {work / 'flow.npz'}: metadata fields 'latent_dim' {extra['latent_dim']}, "
+            f"'time_embed_dim' 14, 'fitness_embed_dim' {extra['fitness_embed_dim']} give input "
+            f"shape ({descriptor[0]['in'] - 2},) and output shape ({extra['latent_dim']},), but "
+            "the network fails on that input: ")
+
+    @pytest.mark.parametrize("names, field, change, problem", [
+        (["predictor.npz"], "length", 1, "fails on that input: matmul"),
+        (["vae_encoder.npz", "vae_decoder.npz"], "latent_dim", -1, "returns shape (12,)"),
+    ], ids=["predictor", "vae"])
+    def test_metadata_contradicting_network_is_io_error(self, workspace, tmp_path, capsys,
+                                                        names, field, change, problem):
+        """A model whose metadata states shapes its network does not map is
+        refused when it loads, naming the first file."""
+        work, ini = _workdir_copy(workspace, tmp_path)
+        for name in names:
+            kind = Path(name).stem
+            descriptor, params, extra = load_checkpoint(work / name, kind)
+            save_checkpoint(work / name, kind, descriptor, params,
+                            {**extra, field: extra[field] + change})
+        assert main(["sample", str(ini)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"i/o error: {work / names[0]}: metadata fields ")
+        assert f"'{field}' {extra[field] + change}" in line and problem in line
 
     @pytest.mark.parametrize("edit", ["reshape", "drop"])
     def test_arrays_disagreeing_with_descriptor_are_io_error(self, workspace, tmp_path,

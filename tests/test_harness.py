@@ -72,6 +72,10 @@ class TestRunBenchmark:
                             for p in (1, 2)]
         assert parallel == serial
 
+    def test_empty_seed_list_rejected(self, tiny_stack):
+        with pytest.raises(ValueError, match="seeds must be non-empty"):
+            run_benchmark(tiny_stack[2], BASE, [])
+
     def test_format_row(self, tiny_stack):
         _, _, assets = tiny_stack
         summary = run_benchmark(assets, BASE, [0, 1])
@@ -221,6 +225,10 @@ class TestOdeSweep:
 
 
 class TestAblation:
+    def test_empty_seed_list_rejected(self, tiny_stack):
+        with pytest.raises(ValueError, match="seeds must be non-empty"):
+            ablation_table(tiny_stack[2], BASE, seeds=[])
+
     def test_three_rows_and_modes(self, tiny_stack):
         _, _, assets = tiny_stack
         rows = ablation_table(assets, BASE, seeds=[0, 1])
@@ -415,8 +423,9 @@ class TestWorkQueue:
 
 
 class TestPool:
-    """`jobs.pool`: workers forked once for a block, tasks dealt k mod n, and
-    memory shared before the fork written both ways."""
+    """`jobs.Pool` as a `with` block: workers forked once for the block, tasks
+    dealt k mod n, memory shared before the fork written both ways, and the
+    caller on one BLAS thread from the fork to the close."""
 
     def test_workers_kept_for_the_block_and_reaped(self):
         source, shared = jobs.shared_array(1), jobs.shared_array((7, 2))
@@ -426,11 +435,11 @@ class TestPool:
             return os.getpid()
 
         with time_limit(60):
-            with jobs.pool(task, 4) as run:  # more processes than this host's cores
+            with jobs.Pool(task, 4) as pool:  # more processes than this host's cores
                 runs = []
                 for value in range(1, 21):
                     source[0] = -value
-                    pids = run([(k, value) for k in range(7)])
+                    pids = pool.run([(k, value) for k in range(7)])
                     assert shared.tolist() == [[value, -value]] * 7
                     runs.append(pids)
         pids = runs[0]
@@ -442,9 +451,9 @@ class TestPool:
                 os.waitpid(pid, os.WNOHANG)
 
     def test_fewer_tasks_than_workers_then_more(self):
-        with time_limit(60), jobs.pool(lambda k: os.getpid(), 4) as run:
-            few = run([(k,) for k in range(2)])
-            pids = run([(k,) for k in range(7)])
+        with time_limit(60), jobs.Pool(lambda k: os.getpid(), 4) as pool:
+            few = pool.run([(k,) for k in range(2)])
+            pids = pool.run([(k,) for k in range(7)])
         assert few == pids[:2]
         assert pids[0] == pids[4] == os.getpid()
         assert pids[1] == pids[5] and pids[2] == pids[6] and len(set(pids[:4])) == 4
@@ -453,27 +462,50 @@ class TestPool:
                 os.waitpid(pid, os.WNOHANG)
 
     def test_no_tasks(self):
-        with time_limit(60), jobs.pool(lambda k: k, 3) as run:
-            assert run([]) == []
+        with time_limit(60), jobs.Pool(lambda k: k, 3) as pool:
+            assert pool.run([]) == []
 
     def test_result_that_does_not_pickle_named_with_its_cause(self, capfd):
         lock = threading.Lock()
         with time_limit(60), pytest.raises(RuntimeError, match="pool worker 1 .*code 1"):
-            with jobs.pool(lambda k: lock if k else 0, 2) as run:
-                run([(0,), (1,)])
+            with jobs.Pool(lambda k: lock if k else 0, 2) as pool:
+                pool.run([(0,), (1,)])
         assert "cannot pickle '_thread.lock' object" in capfd.readouterr().err
 
-    def test_worker_interrupted_mid_share_exits_quietly(self, capfd):
+    def test_worker_ignores_sigint_mid_share(self, capfd):
+        """A Ctrl-C reaches every process of the terminal's group; a worker
+        leaves it to the caller and finishes its share."""
         def task(k):
             if k:
                 os.kill(os.getpid(), signal.SIGINT)
-                time.sleep(60)  # interrupted
+                time.sleep(0.1)
             return k
 
-        with time_limit(60), pytest.raises(RuntimeError, match="pool worker 1 .*code 0"):
-            with jobs.pool(task, 2) as run:
-                run([(0,), (1,)])
+        with time_limit(60), jobs.Pool(task, 2) as pool:
+            assert pool.run([(0,), (1,)]) == [0, 1]
+            assert pool.alive()
         assert "Traceback" not in capfd.readouterr().err
+
+    def test_caller_pinned_from_fork_to_close(self, blas_threads):
+        get = jobs.openblas()("get_num_threads")
+        blas_threads(3)
+        with time_limit(60), jobs.Pool(lambda k: get(), 2) as pool:
+            assert get() == 1
+            assert pool.run([(0,), (1,)]) == [1, 1]
+            assert get() == 1  # between runs too
+        assert get() == 3
+
+    def test_pins_released_out_of_order(self, blas_threads):
+        get = jobs.openblas()("get_num_threads")
+        blas_threads(3)
+        with time_limit(60):
+            first, second = jobs.Pool(os.getpid, 2), jobs.Pool(os.getpid, 2)
+            try:
+                first.close()
+                assert get() == 1
+            finally:
+                second.close()
+        assert get() == 3
 
     def test_earliest_failing_task_wins(self):
         def task(k):
@@ -481,17 +513,17 @@ class TestPool:
                 raise ValueError(f"task {k}")
             return k
 
-        with time_limit(60), jobs.pool(task, 2) as run:
-            assert run([(k,) for k in range(2)]) == [0, 1]
+        with time_limit(60), jobs.Pool(task, 2) as pool:
+            assert pool.run([(k,) for k in range(2)]) == [0, 1]
             with pytest.raises(ValueError, match="^task 2$"):
-                run([(k,) for k in range(5)])
-            assert run([(4,)]) == [4]  # the workers are still there
+                pool.run([(k,) for k in range(5)])
+            assert pool.run([(4,)]) == [4]  # the workers are still there
 
     @pytest.mark.parametrize("outer", [1, 2])
     def test_serial_inside_a_job(self, outer):
         def job():
-            with jobs.pool(lambda k: os.getpid(), 2) as run:
-                return os.getpid(), run([(k,) for k in range(3)])
+            with jobs.Pool(lambda k: os.getpid(), 2) as pool:
+                return os.getpid(), pool.run([(k,) for k in range(3)])
 
         with time_limit(60):
             done = run_jobs({k: job for k in range(2)}, parallelism=outer)
@@ -656,13 +688,10 @@ class TestKeptSweepPool:
         with pytest.raises(dataclasses.FrozenInstanceError):
             assets.train = assets.train.subset(np.arange(3))
 
-    @pytest.mark.parametrize("sig, exitcode", [(signal.SIGKILL, -signal.SIGKILL),
-                                                (signal.SIGINT, 0)])
+    @pytest.mark.parametrize("sig, exitcode", [(signal.SIGKILL, -signal.SIGKILL)])
     def test_worker_ended_between_runs_forks_anew(self, tiny_stack, started, capfd,
                                                   sig, exitcode):
-        """A worker killed, or interrupted as a Ctrl-C interrupts every
-        process of the terminal's group, between runs is replaced; an idle
-        worker interrupted exits quietly."""
+        """A worker killed between runs is replaced."""
         assets = replace(tiny_stack[2])
         serial = self.run(assets, 1)
         assert self.run(assets, 2) == serial
@@ -672,6 +701,19 @@ class TestKeptSweepPool:
                 time.sleep(0.01)
         assert self.run(assets, 2) == serial
         assert len(started) == 2 and started[0].exitcode == exitcode
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_idle_worker_survives_sigint(self, tiny_stack, started, capfd):
+        """A Ctrl-C between runs, which reaches every process of the
+        terminal's group, is the caller's to handle: a caller that catches it
+        keeps its kept worker, and the next sweep forks nothing."""
+        assets = replace(tiny_stack[2])
+        serial = self.run(assets, 1)
+        assert self.run(assets, 2) == serial
+        os.kill(started[0].pid, signal.SIGINT)
+        time.sleep(0.2)
+        assert started[0].is_alive()
+        assert self.run(assets, 2) == serial and len(started) == 1
         assert "Traceback" not in capfd.readouterr().err
 
     def test_other_assets_fork_anew(self, tiny_stack, started):

@@ -4,7 +4,7 @@ and CI runs this file under numpy 1.24 as well as the newest numpy, so a
 reliance that a numpy version breaks fails here, by name, rather than as a bit
 mismatch far from its cause. A change that adds a reliance adds a test here.
 
-One reliance needs a fresh process and is tested there: `jobs.pool`'s heap
+One reliance needs a fresh process and is tested there: `jobs.Pool`'s heap
 rule relies on numpy passing a large `np.empty` buffer straight to malloc and
 free (`test_fresh_process_reuses_block_tapes` in tests/test_sampling.py,
 `test_fresh_process_chunked_fit_reuses_tapes` in tests/test_training.py)."""
@@ -246,9 +246,10 @@ def test_logical_and_into_float64_out():
 
 
 def test_openblas_symbols_found():
-    """jobs.one_blas_thread (under jobs.pool): where numpy maps an OpenBLAS,
-    its thread calls are found under one of the prefixes `jobs.openblas`
-    knows (scipy_openblas*64_ in numpy 2 wheels, openblas*64_ in 1.24's)."""
+    """jobs.one_blas_thread (under every forking jobs.Pool): where numpy maps
+    an OpenBLAS, its thread calls are found under one of the prefixes
+    `jobs.openblas` knows (scipy_openblas*64_ in numpy 2 wheels,
+    openblas*64_ in 1.24's)."""
     try:
         with open("/proc/self/maps") as fh:
             mapped = any("openblas" in line for line in fh)

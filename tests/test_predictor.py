@@ -166,3 +166,19 @@ class TestCheckpointing:
         save_checkpoint(p, "flow", net.descriptor, net.params)
         with pytest.raises(CheckpointError, match="kind 'flow' is not 'predictor'"):
             load_external_predictor(p)
+
+    def test_length_contradicting_network_refused(self, tmp_path):
+        """Metadata length 21 on a network built for 20 is refused when the
+        file loads, not at its first prediction."""
+        from seqopt.nn.checkpoint import load_checkpoint, save_checkpoint
+        p = tmp_path / "pred.npz"
+        save_predictor(PredictorModel.build(20, 20, PredictorConfig(), seed=0), p)
+        descriptor, params, extra = load_checkpoint(p, "predictor")
+        save_checkpoint(p, "predictor", descriptor, params, {**extra, "length": 21})
+        with pytest.raises(CheckpointError) as info:
+            load_external_predictor(p)
+        message = str(info.value)
+        assert message.startswith(
+            f"{p}: metadata fields 'vocab_size' 20, 'length' 21 give input shape (20, 21) and "
+            "output shape (1,), but the network fails on that input: matmul")
+        assert "480" in message and "504" in message  # numpy's reason: 24 * 20 against 24 * 21

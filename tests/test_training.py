@@ -283,18 +283,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.fixture
-def blas_threads():
-    """Set OpenBLAS's thread count for the test; the original is restored after."""
-    blas = jobs.openblas()
-    if blas is None:
-        pytest.skip("no OpenBLAS loaded")
-    get, set_ = blas("get_num_threads"), blas("set_num_threads")
-    original = get()
-    yield set_
-    set_(original)
-
-
 class TestChunkedFit:
     """`fit(..., chunked=True)`, the VAE's and the predictor's: 64-row chunks,
     one BLAS thread each, on the process's cores."""
@@ -503,10 +491,11 @@ def test_failing_run_jobs_leaves_no_cycle(failing):
 
 
 class TestBlasPinnedOnce:
-    """Only the outermost `jobs.one_blas_thread` calls OpenBLAS. A pin inside
-    a forked worker would start a thread that busy-waits beside the work, so
-    a chunked `fit` in a forked job, or a pool inside a pool, leaves the pin
-    it inherits alone."""
+    """Only the first and the last holder of the BLAS pin
+    (`jobs.one_blas_thread`, or a forking `jobs.Pool`) call OpenBLAS. A pin
+    inside a forked worker would start a thread that busy-waits beside the
+    work, so a chunked `fit` in a forked job, or a pool inside a pool, leaves
+    the pin it inherits alone."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -556,20 +545,20 @@ class TestBlasPinnedOnce:
 
     def test_pool_in_a_pool(self, calls):
         def outer(k):
-            with jobs.pool(lambda j: os.getpid(), 2) as run:
-                return run([(j,) for j in range(3)])
+            with jobs.Pool(lambda j: os.getpid(), 2) as pool:
+                return pool.run([(j,) for j in range(3)])
 
-        with time_limit(60), jobs.pool(outer, 2) as run:
-            done = run([(0,), (1,)])
+        with time_limit(60), jobs.Pool(outer, 2) as pool:
+            done = pool.run([(0,), (1,)])
         # task 0 opened its pool in the caller, task 1 in a forked worker
         assert done[0] == [os.getpid()] * 3 and done[1][0] != os.getpid()
         self.outermost_only(calls)
 
 
 class TestHeapRule:
-    """Every `jobs.pool`, serial and nested ones included, sets the heap rule
-    (`jobs._keep_heap`) once on entry, in the process that opens it and
-    before it forks, so its workers inherit it; nothing else sets it."""
+    """Every `jobs.Pool`, serial and nested ones included, sets the heap rule
+    (`jobs._keep_heap`) once when it is made, in the process that makes it
+    and before it forks, so its workers inherit it; nothing else sets it."""
 
     @pytest.fixture
     def rules(self, monkeypatch):

@@ -305,6 +305,21 @@ class TestCheckpoints:
         for a, b in ((model.encoder, loaded.encoder), (model.decoder, loaded.decoder)):
             assert a.params.flat.tobytes() == b.params.flat.tobytes()
 
+    def test_latent_width_contradicting_networks_refused(self, tmp_path):
+        """Metadata latent_dim 5 in both files of a pair built for 6 is refused
+        when the pair loads, naming the encoder, whose output is 2 * 6 wide."""
+        save_vae(tiny_model(latent=6), tmp_path)
+        for kind in ("vae_encoder", "vae_decoder"):
+            path = tmp_path / f"{kind}.npz"
+            descriptor, params, extra = load_checkpoint(path, kind)
+            save_checkpoint(path, kind, descriptor, params, {**extra, "latent_dim": 5})
+        with pytest.raises(CheckpointError) as info:
+            load_vae(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / 'vae_encoder.npz'}: metadata fields 'vocab_size' 5, 'length' 6, "
+            "'latent_dim' 5 give input shape (5, 6) and output shape (10,), but the network "
+            "returns shape (12,)")
+
     def test_disagreement_names_both_files_and_each_field(self, tmp_path):
         save_vae(tiny_model(), tmp_path)
         decoder = tmp_path / "vae_decoder.npz"
